@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the package source importable.
+
+Run from the root of a checkout:  python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
