@@ -58,9 +58,11 @@ from .io import (
 from .poset import DistributivityReport, Poset, build_poset, iter_bits, sort_key
 from .substructures import (
     DEFAULT_BUDGET,
+    Analysis,
     SubsetClassification,
     classify,
     complement_pairing,
+    directed_downsets,
     enumerate_filters,
     enumerate_ideals,
     is_filter,

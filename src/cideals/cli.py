@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 usage error; 2 parse error (including unreadable
-input files); 3 validation failure (not a poset, axiom violation, malformed
-ideal/filter argument, enumeration over budget); 4 a requested check found a
-counterexample, an explicitly requested statement was not applicable, or a
-separation hypothesis failed.
+Exit codes: 0 success; 1 usage error (including a non-positive --budget or a
+--density outside [0, 1]); 2 parse error (including unreadable input files);
+3 validation failure (not a poset, axiom violation, malformed ideal/filter
+argument); 4 a requested check found a counterexample, an explicitly
+requested statement was not applicable or not verified, or a separation
+hypothesis failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import corpus as corpus_mod
@@ -27,6 +29,7 @@ from .io import (
     parse_instance,
     render_machine,
     render_text,
+    text_theorem_row,
 )
 from .poset import Poset
 from .substructures import DEFAULT_BUDGET
@@ -49,6 +52,20 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if math.isnan(value) or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def _load(path: str) -> Instance:
@@ -163,15 +180,7 @@ def _cmd_check(args) -> int:
         results = run_all(cp, budget=args.budget, seed=args.seed)
     worst = EXIT_OK
     for res in results:
-        if args.format == "machine":
-            print(machine_theorem_row(res))
-        elif res.conclusion_holds is False:
-            payload = ", ".join(f"{k}={v}" for k, v in (res.counterexample or {}).items())
-            print(f"{res.statement.value}: COUNTEREXAMPLE {payload}")
-        elif not res.hypotheses_met:
-            print(f"{res.statement.value}: not applicable ({res.detail})")
-        else:
-            print(f"{res.statement.value}: verified")
+        print(machine_theorem_row(res) if args.format == "machine" else text_theorem_row(res))
         if res.conclusion_holds is False:
             worst = EXIT_FINDING
         elif explicit and not res.hypotheses_met:
@@ -185,7 +194,7 @@ def _cmd_separate(args) -> int:
     p = instance.poset
     ideal_mask = parse_set_spec(p, args.ideal, "ideal")
     filter_mask = parse_set_spec(p, args.filter, "filter")
-    result = separate(cp, ideal_mask, filter_mask, args.mode, budget=args.budget)
+    result = separate(cp, ideal_mask, filter_mask, args.mode)
     if args.format == "machine":
         witness = p.format_set(result.witness) if result.witness is not None else "none"
         print(
@@ -265,8 +274,9 @@ def make_parser() -> _Parser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default=None)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="cap on enumerated downward-closed candidates")
+    common.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                        help="cap on the downward-closed sets the LEM_CL_PRINCIPAL check "
+                        "walks (analyze, check); over it the statement is not verified")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
@@ -310,7 +320,8 @@ def make_parser() -> _Parser:
     cmd.add_argument("--size", type=int, required=True)
     cmd.add_argument("--seed", type=int, required=True)
     cmd.add_argument("--require", help="comma-separated constraints: antitone,involution")
-    cmd.add_argument("--density", type=float, default=corpus_mod.DEFAULT_EDGE_DENSITY)
+    cmd.add_argument("--density", type=_probability, default=corpus_mod.DEFAULT_EDGE_DENSITY,
+                     help="edge probability between adjacent ranks, in [0, 1]")
     cmd.set_defaults(func=_cmd_gen)
     return parser
 

@@ -21,6 +21,7 @@ from typing import Iterable
 from .complement import ComplementedPoset, attach_complementation
 from .errors import BadSize, NotBounded, PosetError
 from .poset import Poset, build_poset, iter_bits
+from .substructures import Analysis
 
 #: edge probability between rank-adjacent middle elements of random posets
 DEFAULT_EDGE_DENSITY = 0.3
@@ -170,29 +171,14 @@ def corpus_entry(name: str) -> CorpusEntry:
     raise PosetError(f"no builtin instance named {name!r}")
 
 
-def computed_lists(cp: ComplementedPoset, budget: int | None = None) -> dict[str, frozenset[str]]:
+def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     """Compute, by definition, the same lists the diagrams publish.
 
     Ideal/filter families are reported by their principal generators (on a
     finite poset every ideal and filter is principal).
     """
-    from .substructures import (
-        DEFAULT_BUDGET,
-        enumerate_filters,
-        enumerate_ideals,
-        find_c_filter_witness,
-        find_c_ideal_witness,
-        is_maximal_ideal,
-        is_prime_filter,
-        is_prime_ideal,
-        is_ultrafilter,
-    )
-
-    if budget is None:
-        budget = DEFAULT_BUDGET
     p = cp.poset
-    ideals = enumerate_ideals(p, budget)
-    filters = enumerate_filters(p, budget)
+    a = Analysis(p, cp)
 
     def gens(masks: Iterable[int], least: bool = False) -> frozenset[str]:
         out = []
@@ -205,25 +191,19 @@ def computed_lists(cp: ComplementedPoset, budget: int | None = None) -> dict[str
 
     return {
         "boolean": frozenset(p.names_of(cp.boolean_elements())),
-        "maximal_ideals": gens(i for i in ideals if is_maximal_ideal(p, i, ideals)),
-        "ultrafilters": gens((f for f in filters if is_ultrafilter(p, f, filters)), least=True),
-        "prime_ideals": gens(i for i in ideals if is_prime_ideal(p, i)),
-        "prime_filters": gens((f for f in filters if is_prime_filter(p, f)), least=True),
-        "c_ideals": gens(
-            i for i in ideals if find_c_ideal_witness(cp, i, filters) is not None
-        ),
-        "c_filters": gens(
-            (f for f in filters if find_c_filter_witness(cp, f, ideals) is not None), least=True
-        ),
-        "c_condition_filters": gens((f for f in filters if cp.c_condition(f)), least=True),
+        "maximal_ideals": gens(a.maximal_ideals),
+        "ultrafilters": gens(a.ultrafilters, least=True),
+        "prime_ideals": gens(a.prime_ideals),
+        "prime_filters": gens(a.prime_filters, least=True),
+        "c_ideals": gens(a.c_ideals),
+        "c_filters": gens(a.c_filters, least=True),
+        "c_condition_filters": gens(a.ccond_filters, least=True),
     }
 
 
-def published_divergences(
-    entry: CorpusEntry, budget: int | None = None
-) -> list[tuple[str, frozenset[str], frozenset[str]]]:
+def published_divergences(entry: CorpusEntry) -> list[tuple[str, frozenset[str], frozenset[str]]]:
     """(list name, published, computed) triples where the two disagree."""
-    computed = computed_lists(entry.cp, budget)
+    computed = computed_lists(entry.cp)
     out = []
     for field_name, published in vars(entry.expected).items():
         if published is None:

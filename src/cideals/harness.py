@@ -18,24 +18,20 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complement import ComplementedPoset
-from .errors import NotFilter, NotIdeal, PosetError
+from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
 from .poset import Poset, iter_bits
 from .substructures import (
     DEFAULT_BUDGET,
+    Analysis,
     complement_pairing,
-    enumerate_filters,
-    enumerate_ideals,
-    find_c_filter_witness,
-    find_c_ideal_witness,
+    directed_downsets,
     is_filter,
     is_ideal,
-    is_maximal_ideal,
     is_prime_filter,
     is_prime_ideal,
-    is_ultrafilter,
     lu_union,
     ul_union,
 )
@@ -102,7 +98,9 @@ class TheoremCheckResult:
     ``conclusion_holds`` is absent when hypotheses are unmet; a present
     counterexample implies ``conclusion_holds=False``.  ``probe`` carries the
     hypothesis-minimality note (what the unguarded conclusion would do) and
-    is informational only.
+    is informational only.  Unmet hypotheses without a probe mean the
+    conclusion could not be evaluated at all: the LEM_CL_PRINCIPAL walk
+    passed its budget, and ``detail`` says so.
     """
 
     statement: StatementId
@@ -137,30 +135,17 @@ class SeparationResult:
 
 @dataclass
 class _Context:
-    """Everything the checkers share for one instance, computed once."""
+    """What the checkers share for one instance: the call's analysis, the
+    LEM_CL_PRINCIPAL walk budget and the subset sampling seed."""
 
     cp: ComplementedPoset
     budget: int
     seed: int
-    ideals: list[int] = field(default_factory=list)
-    filters: list[int] = field(default_factory=list)
+    analysis: Analysis | None = None
 
     def __post_init__(self):
-        p = self.cp.poset
-        self.ideals = enumerate_ideals(p, self.budget)
-        self.filters = enumerate_filters(p, self.budget)
-        self.distributive = p.is_distributive().holds
-        self.join_semilattice, self.meet_semilattice = p.semilattice_flags()
-        self.prime_ideals = [i for i in self.ideals if is_prime_ideal(p, i)]
-        self.prime_filters = [f for f in self.filters if is_prime_filter(p, f)]
-        self.ccond_ideals = [i for i in self.ideals if self.cp.c_condition(i)]
-        self.ccond_filters = [f for f in self.filters if self.cp.c_condition(f)]
-        self.c_ideals = [
-            i for i in self.ideals if find_c_ideal_witness(self.cp, i, self.filters) is not None
-        ]
-        self.c_filters = [
-            f for f in self.filters if find_c_filter_witness(self.cp, f, self.ideals) is not None
-        ]
+        if self.analysis is None:
+            self.analysis = Analysis(self.cp.poset, self.cp)
 
 
 def _fmt(p: Poset, mask: int) -> str:
@@ -179,7 +164,7 @@ def _check_lem_boolean(ctx: _Context):
     cex = None
     for a in range(p.n):
         add = cp.comp[cp.comp[a]]
-        forced = all((i >> add) & 1 for i in ctx.ideals if (i >> a) & 1)
+        forced = all((i >> add) & 1 for i in ctx.analysis.ideals if (i >> a) & 1)
         if forced and add != a:
             cex = {"element": p.names[a], "double_complement": p.names[add]}
             break
@@ -187,45 +172,46 @@ def _check_lem_boolean(ctx: _Context):
 
 
 def _check_lem_cl_prime(ctx: _Context):
-    p = ctx.cp.poset
+    p, a = ctx.cp.poset, ctx.analysis
     cex = None
-    for i in ctx.ideals:
+    for i in a.ideals:
         rest = complement_pairing(p, i)
         facts = (is_prime_ideal(p, i), is_prime_filter(p, rest), is_filter(p, rest))
         if len(set(facts)) != 1:
             cex = {"ideal": _fmt(p, i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
             break
     if cex is None:
-        image = {complement_pairing(p, i) for i in ctx.prime_ideals}
-        if image != set(ctx.prime_filters):
+        image = {complement_pairing(p, i) for i in a.prime_ideals}
+        if image != set(a.prime_filters):
             cex = {
                 "prime_ideal_complements": "+".join(sorted(_fmt(p, m) for m in image)),
-                "prime_filters": "+".join(sorted(_fmt(p, m) for m in ctx.prime_filters)),
+                "prime_filters": "+".join(sorted(_fmt(p, m) for m in a.prime_filters)),
             }
     return True, "", cex is None, cex
 
 
 def _check_lem_cl_principal(ctx: _Context):
+    """Walks the downsets, not the cone families, which assume the result;
+    the filter side walks the dual.  Over budget, nothing is concluded."""
     p = ctx.cp.poset
-    cex = None
-    for i in ctx.ideals:
-        g = p.greatest(i)
-        if g is None or p.down[g] != i:
-            cex = {"non_principal_ideal": _fmt(p, i)}
-            break
-    if cex is None:
-        for f in ctx.filters:
-            g = p.least(f)
-            if g is None or p.up[g] != f:
-                cex = {"non_principal_filter": _fmt(p, f)}
-                break
-    return True, "", cex is None, cex
+    try:
+        for kind, order, generator, cones in (
+            ("ideal", p, p.greatest, p.down),
+            ("filter", p.dual(), p.least, p.up),
+        ):
+            for s in directed_downsets(order, ctx.budget):
+                g = generator(s)
+                if g is None or cones[g] != s:
+                    return True, "", False, {f"non_principal_{kind}": _fmt(p, s)}
+    except ScaleLimit as exc:
+        return False, f"downset walk over budget: {exc}", None, None
+    return True, "", True, None
 
 
 def _check_lem_proper_pair(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     cex = None
-    for i in ctx.ideals:
+    for i in ctx.analysis.ideals:
         if i == p.all_mask:
             continue
         for a in iter_bits(i):
@@ -235,7 +221,7 @@ def _check_lem_proper_pair(ctx: _Context):
         if cex:
             break
     if cex is None:
-        for f in ctx.filters:
+        for f in ctx.analysis.filters:
             if f == p.all_mask:
                 continue
             for a in iter_bits(f):
@@ -250,7 +236,7 @@ def _check_lem_proper_pair(ctx: _Context):
 def _check_prop_proper_equiv(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     cex = None
-    for kind, family in (("ideal", ctx.ideals), ("filter", ctx.filters)):
+    for kind, family in (("ideal", ctx.analysis.ideals), ("filter", ctx.analysis.filters)):
         for s in family:
             pre = cp.comp_preimage(s)
             facts = (s != p.all_mask, pre != p.all_mask, not s & pre)
@@ -276,13 +262,13 @@ def _check_lem_cideal_dd(ctx: _Context):
         parts.append("filter")
     cex = None
     if "ideal" in parts:
-        for i in ctx.c_ideals:
+        for i in ctx.analysis.c_ideals:
             img2 = cp.comp_image(cp.comp_image(i))
             if img2 & ~i:
                 cex = {"c_ideal": _fmt(p, i), "double_image": _fmt(p, img2)}
                 break
     if cex is None and "filter" in parts:
-        for f in ctx.c_filters:
+        for f in ctx.analysis.c_filters:
             img2 = cp.comp_image(cp.comp_image(f))
             if img2 & ~f:
                 cex = {"c_filter": _fmt(p, f), "double_image": _fmt(p, img2)}
@@ -315,7 +301,7 @@ def _check_lem_triple_a0(ctx: _Context):
 
 
 def _check_thm_f0_cideal(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
     props = cp.props
     hyp_i = props.antitone and props.x_le_xdd
     hyp_ii = props.antitone and props.xdd_le_x
@@ -323,42 +309,34 @@ def _check_thm_f0_cideal(ctx: _Context):
     note = "" if met else "needs antitone with x<=x'' (or the dual x''<=x)"
     cex = None
     if hyp_i or not met:
-        for f in ctx.filters:
+        for f in a.filters:
             pre = cp.comp_preimage(f)
-            if not is_ideal(p, pre) or find_c_ideal_witness(cp, pre, ctx.filters) is None:
+            if not is_ideal(p, pre) or pre not in a.c_ideal_witnesses:
                 cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
                 break
     if cex is None and (hyp_ii or not met):
-        for i in ctx.ideals:
+        for i in a.ideals:
             pre = cp.comp_preimage(i)
-            if not is_filter(p, pre) or find_c_filter_witness(cp, pre, ctx.ideals) is None:
+            if not is_filter(p, pre) or pre not in a.c_filter_witnesses:
                 cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
                 break
     return met, note, cex is None, cex
 
 
 def _check_cor_involution(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
     met = cp.props.antitone and cp.props.involution
     note = "" if met else "needs an antitone involution"
     cex = None
-    for i in ctx.ideals:
+    for i in a.ideals:
         pre = cp.comp_preimage(i)
-        if (
-            not is_filter(p, pre)
-            or cp.comp_preimage(pre) != i
-            or find_c_ideal_witness(cp, i, ctx.filters) is None
-        ):
+        if not is_filter(p, pre) or cp.comp_preimage(pre) != i or i not in a.c_ideal_witnesses:
             cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
             break
     if cex is None:
-        for f in ctx.filters:
+        for f in a.filters:
             pre = cp.comp_preimage(f)
-            if (
-                not is_ideal(p, pre)
-                or cp.comp_preimage(pre) != f
-                or find_c_filter_witness(cp, f, ctx.ideals) is None
-            ):
+            if not is_ideal(p, pre) or cp.comp_preimage(pre) != f or f not in a.c_filter_witnesses:
                 cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
                 break
     return met, note, cex is None, cex
@@ -378,16 +356,16 @@ def _check_rem_principal_l0(ctx: _Context):
 
 
 def _check_lem_prime_ccond(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
-    met = bool(ctx.prime_ideals or ctx.prime_filters)
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
+    met = bool(a.prime_ideals or a.prime_filters)
     note = "" if met else "no prime ideals and no prime filters on this instance"
     cex = None
-    for i in ctx.prime_ideals:
+    for i in a.prime_ideals:
         if not cp.c_condition(i):
             cex = {"prime_ideal": _fmt(p, i)}
             break
     if cex is None:
-        for f in ctx.prime_filters:
+        for f in a.prime_filters:
             if not cp.c_condition(f):
                 cex = {"prime_filter": _fmt(p, f)}
                 break
@@ -395,12 +373,12 @@ def _check_lem_prime_ccond(ctx: _Context):
 
 
 def _check_thm5_i_ii(ctx: _Context):
-    p = ctx.cp.poset
-    met = bool(ctx.ccond_ideals)
+    p, a = ctx.cp.poset, ctx.analysis
+    met = bool(a.ccond_ideals)
     note = "" if met else "no ideal satisfies the c-condition"
     cex = None
-    for i in ctx.ccond_ideals:
-        if not is_maximal_ideal(p, i, ctx.ideals):
+    for i in a.ccond_ideals:
+        if i not in a.maximal_ideals:
             cex = {"ideal": _fmt(p, i)}
             break
     return met, note, cex is None, cex
@@ -420,13 +398,10 @@ def _ul_condition(p: Poset, filter_mask: int) -> bool:
 
 def _check_thm5_ii_iii_iv_i(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    qualifying = [
-        i
-        for i in ctx.ideals
-        if is_maximal_ideal(p, i, ctx.ideals) and _lu_condition(p, i)
-    ]
-    met = ctx.distributive and bool(qualifying)
-    if ctx.distributive:
+    distributive = ctx.analysis.distributivity.holds
+    qualifying = [i for i in ctx.analysis.maximal_ideals if _lu_condition(p, i)]
+    met = distributive and bool(qualifying)
+    if distributive:
         note = "" if qualifying else "no maximal ideal with all LU-unions ideals"
     else:
         note = "poset is not distributive"
@@ -439,12 +414,12 @@ def _check_thm5_ii_iii_iv_i(ctx: _Context):
 
 
 def _check_thm5_v_vi(ctx: _Context):
-    p = ctx.cp.poset
-    met = bool(ctx.ccond_filters)
+    p, a = ctx.cp.poset, ctx.analysis
+    met = bool(a.ccond_filters)
     note = "" if met else "no filter satisfies the c-condition"
     cex = None
-    for f in ctx.ccond_filters:
-        if not is_ultrafilter(p, f, ctx.filters):
+    for f in a.ccond_filters:
+        if f not in a.ultrafilters:
             cex = {"filter": _fmt(p, f)}
             break
     return met, note, cex is None, cex
@@ -452,13 +427,10 @@ def _check_thm5_v_vi(ctx: _Context):
 
 def _check_thm5_iii_vi_vii_v(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    qualifying = [
-        f
-        for f in ctx.filters
-        if is_ultrafilter(p, f, ctx.filters) and _ul_condition(p, f)
-    ]
-    met = ctx.distributive and bool(qualifying)
-    if ctx.distributive:
+    distributive = ctx.analysis.distributivity.holds
+    qualifying = [f for f in ctx.analysis.ultrafilters if _ul_condition(p, f)]
+    met = distributive and bool(qualifying)
+    if distributive:
         note = "" if qualifying else "no ultrafilter with all UL-unions filters"
     else:
         note = "poset is not distributive"
@@ -472,10 +444,10 @@ def _check_thm5_iii_vi_vii_v(ctx: _Context):
 
 def _check_lem_joinsemi_lu(ctx: _Context):
     p = ctx.cp.poset
-    met = ctx.join_semilattice
+    met = ctx.analysis.semilattice_flags[0]
     note = "" if met else "poset is not a join-semilattice"
     cex = None
-    for i in ctx.ideals:
+    for i in ctx.analysis.ideals:
         for a in range(p.n):
             union, ok = lu_union(p, a, i)
             if not ok:
@@ -487,13 +459,13 @@ def _check_lem_joinsemi_lu(ctx: _Context):
 
 
 def _verify_separation_witness(
-    cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int, filters: list[int]
+    cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int, analysis: Analysis
 ) -> bool:
     """Definition-level re-check, independent of the construction path."""
     p = cp.poset
     return (
         is_ideal(p, witness)
-        and find_c_ideal_witness(cp, witness, filters) is not None
+        and witness in analysis.c_ideal_witnesses
         and not ideal_mask & ~witness
         and not witness & filter_mask
     )
@@ -502,25 +474,25 @@ def _verify_separation_witness(
 def _separation_pairs(ctx: _Context, filter_ok) -> list[tuple[int, int]]:
     return [
         (i, f)
-        for f in ctx.filters
+        for f in ctx.analysis.filters
         if filter_ok(f)
-        for i in ctx.ideals
+        for i in ctx.analysis.ideals
         if not i & f
     ]
 
 
 def _check_separation(ctx: _Context, mode: str):
-    cp, p = ctx.cp, ctx.cp.poset
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
     props = cp.props
     notes = []
     if mode == "second":
-        if not ctx.distributive:
+        if not a.distributivity.holds:
             notes.append("poset is not distributive")
         if not props.antitone:
             notes.append("complementation is not antitone")
 
         def filter_ok(f: int) -> bool:
-            if not is_ultrafilter(p, f, ctx.filters):
+            if f not in a.ultrafilters:
                 return False
             g = p.least(f)
             return g is not None and all(
@@ -534,7 +506,7 @@ def _check_separation(ctx: _Context, mode: str):
             notes.append("x<=x'' fails")
         if mode == "prime":
             def filter_ok(f: int) -> bool:
-                return is_prime_filter(p, f)
+                return f in a.prime_filters
         else:
             def filter_ok(f: int) -> bool:
                 return cp.c_condition(f)
@@ -552,15 +524,13 @@ def _check_separation(ctx: _Context, mode: str):
     for i, f in pairs:
         if met:
             if mode == "second":
-                result = separate_second(cp, i, f, budget=ctx.budget, filters=ctx.filters,
-                                         distributive=ctx.distributive)
+                result = separate_second(cp, i, f, analysis=a)
             else:
-                result = separate_first(cp, i, f, prime_mode=(mode == "prime"),
-                                        budget=ctx.budget, filters=ctx.filters)
+                result = separate_first(cp, i, f, prime_mode=(mode == "prime"), analysis=a)
             witness = result.witness
         else:
             witness = cp.comp_preimage(f)
-        if witness is None or not _verify_separation_witness(cp, i, f, witness, ctx.filters):
+        if witness is None or not _verify_separation_witness(cp, i, f, witness, a):
             cex = {
                 "ideal": _fmt(p, i),
                 "filter": _fmt(p, f),
@@ -597,7 +567,9 @@ def _run_checker(ctx: _Context, sid: StatementId) -> TheoremCheckResult:
     met, note, ok, cex = _CHECKERS[sid](ctx)
     if met:
         return TheoremCheckResult(sid, True, ok, cex, detail=note)
-    if ok:
+    if ok is None:  # the conclusion was not evaluated; claim nothing about it
+        probe = None
+    elif ok:
         probe = "unguarded conclusion happens to hold"
     else:
         probe = "unguarded conclusion fails: " + ", ".join(f"{k}={v}" for k, v in cex.items())
@@ -616,10 +588,17 @@ def check_statement(
 
 
 def run_all(
-    cp: ComplementedPoset, budget: int = DEFAULT_BUDGET, seed: int = 0
+    cp: ComplementedPoset,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = 0,
+    analysis: Analysis | None = None,
 ) -> list[TheoremCheckResult]:
-    """Check every statement; output order and content are deterministic."""
-    ctx = _Context(cp, budget, seed)
+    """Check every statement; output order and content are deterministic.
+
+    ``analysis`` is a shared :class:`Analysis` of ``cp``; ``budget`` caps
+    the LEM_CL_PRINCIPAL downset walk only.
+    """
+    ctx = _Context(cp, budget, seed, analysis)
     return [_run_checker(ctx, sid) for sid in StatementId]
 
 
@@ -631,17 +610,17 @@ def separate_first(
     ideal_mask: int,
     filter_mask: int,
     prime_mode: bool = False,
-    budget: int = DEFAULT_BUDGET,
-    filters: list[int] | None = None,
+    analysis: Analysis | None = None,
 ) -> SeparationResult:
     """Build the separating c-ideal J := F_0 once the hypotheses hold.
 
     Hypotheses are checked in order: antitone; x<=x'' for all x; the filter
     satisfies the c-condition (or is prime, in prime mode); disjointness.
     The first failure is reported without a witness.  Malformed inputs raise
-    ``NotIdeal``/``NotFilter``.
+    ``NotIdeal``/``NotFilter``.  ``analysis`` is a shared analysis of ``cp``.
     """
     p = cp.poset
+    a = analysis or Analysis(p, cp)
     if not is_ideal(p, ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
     if not is_filter(p, filter_mask):
@@ -655,7 +634,7 @@ def separate_first(
     if not cp.props.x_le_xdd:
         return fail(FAIL_X_LE_XDD)
     if prime_mode:
-        if not is_prime_filter(p, filter_mask):
+        if filter_mask not in a.prime_filters:
             return fail(FAIL_NOT_PRIME)
         if not cp.c_condition(filter_mask):  # guaranteed for prime filters
             raise PosetError("internal error: prime filter misses the c-condition")
@@ -665,9 +644,7 @@ def separate_first(
         return fail(FAIL_NOT_DISJOINT)
 
     witness = cp.comp_preimage(filter_mask)
-    if filters is None:
-        filters = enumerate_filters(p, budget)
-    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness, filters):
+    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness, a):
         raise PosetError("internal error: constructed witness failed verification")
     return SeparationResult(ideal_mask, filter_mask, witness=witness)
 
@@ -676,9 +653,7 @@ def separate_second(
     cp: ComplementedPoset,
     ideal_mask: int,
     filter_mask: int,
-    budget: int = DEFAULT_BUDGET,
-    filters: list[int] | None = None,
-    distributive: bool | None = None,
+    analysis: Analysis | None = None,
 ) -> SeparationResult:
     """Separation via distributivity and an ultrafilter with enough meets.
 
@@ -690,6 +665,7 @@ def separate_second(
     verified before delegating to :func:`separate_first`.
     """
     p = cp.poset
+    a = analysis or Analysis(p, cp)
     if not is_ideal(p, ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
     if not is_filter(p, filter_mask):
@@ -698,15 +674,11 @@ def separate_second(
     def fail(reason: str) -> SeparationResult:
         return SeparationResult(ideal_mask, filter_mask, failure=reason)
 
-    if distributive is None:
-        distributive = p.is_distributive().holds
-    if not distributive:
+    if not a.distributivity.holds:
         return fail(FAIL_NOT_DISTRIBUTIVE)
     if not cp.props.antitone:
         return fail(FAIL_NOT_ANTITONE)
-    if filters is None:
-        filters = enumerate_filters(p, budget)
-    if not is_ultrafilter(p, filter_mask, filters):
+    if filter_mask not in a.ultrafilters:
         return fail(FAIL_NOT_ULTRA)
     g = p.least(filter_mask)
     if g is None:
@@ -720,7 +692,7 @@ def separate_second(
         raise PosetError("internal error: qualifying ultrafilter misses the c-condition")
     if not cp.props.involution:
         raise PosetError("internal error: distributivity did not force an involution")
-    delegated = separate_first(cp, ideal_mask, filter_mask, budget=budget, filters=filters)
+    delegated = separate_first(cp, ideal_mask, filter_mask, analysis=a)
     return SeparationResult(
         ideal_mask,
         filter_mask,
@@ -734,13 +706,12 @@ def separate(
     ideal_mask: int,
     filter_mask: int,
     mode: str,
-    budget: int = DEFAULT_BUDGET,
 ) -> SeparationResult:
     """Dispatch by mode: ``first``, ``prime`` or ``second``."""
     if mode == "first":
-        return separate_first(cp, ideal_mask, filter_mask, budget=budget)
+        return separate_first(cp, ideal_mask, filter_mask)
     if mode == "prime":
-        return separate_first(cp, ideal_mask, filter_mask, prime_mode=True, budget=budget)
+        return separate_first(cp, ideal_mask, filter_mask, prime_mode=True)
     if mode == "second":
-        return separate_second(cp, ideal_mask, filter_mask, budget=budget)
+        return separate_second(cp, ideal_mask, filter_mask)
     raise PosetError(f"unknown separation mode {mode!r}")

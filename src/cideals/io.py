@@ -28,18 +28,7 @@ from .complement import ComplementedPoset, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
 from .harness import StatementId, TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, build_poset, iter_bits
-from .substructures import (
-    DEFAULT_BUDGET,
-    enumerate_filters,
-    enumerate_ideals,
-    find_c_filter_witness,
-    find_c_ideal_witness,
-    is_maximal_ideal,
-    is_prime_filter,
-    is_prime_ideal,
-    is_ultrafilter,
-    principal_generator,
-)
+from .substructures import DEFAULT_BUDGET, Analysis, principal_generator
 
 # -- instance files -----------------------------------------------------------
 
@@ -191,57 +180,58 @@ class Report:
     theorems: tuple[TheoremCheckResult, ...] | None
 
 
+def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
+    p, cp = a.poset, a.cp
+    if kind == "ideal":
+        family, maximal, prime = a.ideals, a.maximal_ideals, a.prime_ideals
+        witnesses = a.c_ideal_witnesses if cp else {}
+    else:
+        family, maximal, prime = a.filters, a.ultrafilters, a.prime_filters
+        witnesses = a.c_filter_witnesses if cp else {}
+    rows = []
+    for mask in family:
+        witness = witnesses.get(mask)
+        rows.append(
+            ClassRow(
+                mask=mask,
+                proper=mask != p.all_mask,
+                principal=principal_generator(p, mask),
+                maximal=mask in maximal,
+                prime=mask in prime,
+                ccond=cp.c_condition(mask) if cp else None,
+                is_c=(witness is not None) if cp else None,
+                witness=witness,
+            )
+        )
+    return tuple(rows)
+
+
 def build_report(
     instance: Instance,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     with_theorems: bool = True,
 ) -> Report:
-    """Classify every ideal and filter; run the statement harness if possible."""
+    """Classify every ideal and filter; run the statement harness if possible.
+
+    One :class:`Analysis` serves the rows and the harness; ``budget`` caps
+    only the LEM_CL_PRINCIPAL downset walk.
+    """
     p, cp = instance.poset, instance.cp
-    ideals = enumerate_ideals(p, budget)
-    filters = enumerate_filters(p, budget)
-    ideal_rows = []
-    for mask in ideals:
-        witness = find_c_ideal_witness(cp, mask, filters) if cp else None
-        ideal_rows.append(
-            ClassRow(
-                mask=mask,
-                proper=mask != p.all_mask,
-                principal=principal_generator(p, mask),
-                maximal=is_maximal_ideal(p, mask, ideals),
-                prime=is_prime_ideal(p, mask),
-                ccond=cp.c_condition(mask) if cp else None,
-                is_c=(witness is not None) if cp else None,
-                witness=witness,
-            )
-        )
-    filter_rows = []
-    for mask in filters:
-        witness = find_c_filter_witness(cp, mask, ideals) if cp else None
-        filter_rows.append(
-            ClassRow(
-                mask=mask,
-                proper=mask != p.all_mask,
-                principal=principal_generator(p, mask),
-                maximal=is_ultrafilter(p, mask, filters),
-                prime=is_prime_filter(p, mask),
-                ccond=cp.c_condition(mask) if cp else None,
-                is_c=(witness is not None) if cp else None,
-                witness=witness,
-            )
-        )
-    theorems = tuple(run_all(cp, budget, seed)) if (cp and with_theorems) else None
-    join_sl, meet_sl = p.semilattice_flags()
+    analysis = Analysis(p, cp)
+    ideal_rows = _class_rows(analysis, "ideal")
+    filter_rows = _class_rows(analysis, "filter")
+    theorems = tuple(run_all(cp, budget, seed, analysis)) if (cp and with_theorems) else None
+    join_sl, meet_sl = analysis.semilattice_flags
     return Report(
         name=instance.name,
         poset=p,
         cp=cp,
-        distributivity=p.is_distributive(),
+        distributivity=analysis.distributivity,
         join_semilattice=join_sl,
         meet_semilattice=meet_sl,
-        ideals=tuple(ideal_rows),
-        filters=tuple(filter_rows),
+        ideals=ideal_rows,
+        filters=filter_rows,
         theorems=theorems,
     )
 
@@ -502,20 +492,28 @@ def render_text(report: Report) -> str:
     lines.extend(_describe_row(p, row, "filter") for row in report.filters)
     if report.theorems is not None:
         failed = [t for t in report.theorems if t.conclusion_holds is False]
-        unmet = [t for t in report.theorems if not t.hypotheses_met]
+        unmet = [t for t in report.theorems if not t.hypotheses_met and t.probe is not None]
+        undecided = [t for t in report.theorems if not t.hypotheses_met and t.probe is None]
         lines.append(
             f"statements: {len(report.theorems)} checked, "
             f"{len(failed)} counterexamples, {len(unmet)} not applicable"
+            + (f", {len(undecided)} not verified" if undecided else "")
         )
-        for res in report.theorems:
-            if res.conclusion_holds is False:
-                payload = ", ".join(f"{k}={v}" for k, v in (res.counterexample or {}).items())
-                lines.append(f"  {res.statement.value}: COUNTEREXAMPLE {payload}")
-            elif not res.hypotheses_met:
-                lines.append(f"  {res.statement.value}: not applicable ({res.detail})")
-            else:
-                lines.append(f"  {res.statement.value}: verified")
+        lines.extend("  " + text_theorem_row(res) for res in report.theorems)
     return "\n".join(lines) + "\n"
+
+
+def text_theorem_row(res: TheoremCheckResult) -> str:
+    """One statement result of the text format."""
+    tag = res.statement.value
+    if res.conclusion_holds is False:
+        payload = ", ".join(f"{k}={v}" for k, v in (res.counterexample or {}).items())
+        return f"{tag}: COUNTEREXAMPLE {payload}"
+    if res.hypotheses_met:
+        return f"{tag}: verified"
+    if res.probe is None:
+        return f"{tag}: not verified ({res.detail})"
+    return f"{tag}: not applicable ({res.detail})"
 
 
 # -- DOT export ---------------------------------------------------------------

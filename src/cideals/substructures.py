@@ -2,9 +2,14 @@
 
 An ideal is a nonempty, downward-closed set in which every pair of members
 has an upper bound inside the set; a filter is the dual.  The empty set is
-neither.  Enumeration is definition-level on purpose: it walks all downward
-closed subsets and keeps the directed ones, so it can serve as the oracle
-for the principality and classification statements checked elsewhere.
+neither.  On a finite poset every ideal and every filter is principal, so
+the families are read off the principal cones: the n sets ``down[i]`` are
+the ideals and the n sets ``up[i]`` the filters.  :class:`Analysis` derives
+the families and every flag of their members once per call.
+
+That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
+oracle, :func:`directed_downsets`, does not assume it: it walks every
+downward closed subset, up to a budget, and keeps the directed ones.
 
 All enumerations and witness searches use one deterministic order: subsets
 sorted by size, then lexicographically by membership.
@@ -13,13 +18,14 @@ sorted by size, then lexicographically by membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complement import ComplementedPoset
 from .errors import ScaleLimit
-from .poset import Poset, iter_bits, sort_key
+from .poset import DistributivityReport, Poset, iter_bits, sort_key
 
-#: cap on the number of downward-closed candidate subsets visited per
-#: enumeration before giving up with ScaleLimit
+#: cap on the number of downward-closed subsets one walk of
+#: :func:`directed_downsets` visits before giving up with ScaleLimit
 DEFAULT_BUDGET = 1 << 20
 
 
@@ -84,47 +90,74 @@ def subset_role(p: Poset, mask: int) -> tuple[bool, bool]:
 
 
 def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
-    """All downward-closed subsets (including the empty one), DFS order.
+    """All downward-closed subsets, including the empty one.
 
-    Elements are decided along a linear extension; a candidate may be added
-    only once everything below it is in, which visits each downset exactly
-    once.  Raises ScaleLimit as soon as the count of visited downsets
-    passes ``budget``.
+    Elements are added along a linear extension: once the downsets inside
+    the first k elements are known, element k extends exactly those that
+    hold everything strictly below it.  Raises ScaleLimit as soon as the
+    count of downsets passes ``budget``.
     """
-    order = sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i))
-    out: list[int] = []
-
-    def walk(k: int, current: int) -> None:
-        if k == len(order):
-            if len(out) >= budget:
-                raise ScaleLimit(
-                    f"more than {budget} downward-closed candidate subsets; "
-                    "raise the enumeration budget to proceed"
-                )
-            out.append(current)
-            return
-        e = order[k]
-        walk(k + 1, current)
-        if not p.down[e] & ~current & ~(1 << e):
-            walk(k + 1, current | (1 << e))
-
-    walk(0, 0)
+    out = [0]
+    for e in sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i)):
+        bit = 1 << e
+        below = p.down[e] ^ bit
+        grown = [d | bit for d in out if not below & ~d]
+        if len(out) + len(grown) > budget:
+            raise ScaleLimit(
+                f"more than {budget} downward-closed subsets; "
+                "raise the walk budget to decide"
+            )
+        out += grown
     return out
 
 
-def enumerate_ideals(p: Poset, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """All ideals, sorted by size then lexicographic membership."""
-    found = [d for d in _enumerate_downsets(p, budget) if d and is_ideal(p, d)]
+def directed_downsets(p: Poset, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Every ideal of ``p`` found by walking all downward-closed subsets.
+
+    A walked set is kept when it is nonempty and every pair of its members
+    has a common upper bound inside it; downward closure needs no re-check,
+    since the walk only emits downsets.  No principality is assumed, so this
+    is the oracle for it.  On ``p.dual()`` it yields the filters of ``p``.
+    Sorted like the families.  Raises ScaleLimit once the walk passes
+    ``budget`` downsets.
+    """
+    found = [d for d in _enumerate_downsets(p, budget) if d and _directed(p, d)]
     found.sort(key=sort_key)
     return found
 
 
-def enumerate_filters(p: Poset, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """All filters, in the same deterministic order (dual enumeration)."""
-    dual = p.dual()
-    found = [d for d in _enumerate_downsets(dual, budget) if d and is_filter(p, d)]
-    found.sort(key=sort_key)
-    return found
+def _directed(p: Poset, mask: int) -> bool:
+    """Does every pair of members have a common upper bound in ``mask``?
+
+    Bits are peeled inline rather than with ``iter_bits``: this runs once
+    per walked downset, and most pairs fail early.
+    """
+    rest = mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1  # the members after x
+        above = p.up[x] & mask
+        others = rest
+        while others:
+            low = others & -others
+            if not above & p.up[low.bit_length() - 1]:
+                return False
+            others ^= low
+    return True
+
+
+def enumerate_ideals(p: Poset) -> list[int]:
+    """All ideals, sorted by size then lexicographic membership.
+
+    These are the principal down-cones: on a finite poset every ideal has a
+    greatest element (LEM_CL_PRINCIPAL, checked by :func:`directed_downsets`).
+    """
+    return sorted(p.down, key=sort_key)
+
+
+def enumerate_filters(p: Poset) -> list[int]:
+    """All filters, the principal up-cones, in the same deterministic order."""
+    return sorted(p.up, key=sort_key)
 
 
 def principal_generator(p: Poset, mask: int) -> int | None:
@@ -176,8 +209,7 @@ def is_ultrafilter(p: Poset, mask: int, filters: list[int]) -> bool:
 
 
 def find_c_ideal_witness(cp: ComplementedPoset, mask: int, filters: list[int]) -> int | None:
-    """First filter F with F_0 equal to ``mask``, or None.  Exhaustive search
-    over the enumerated filters is the correctness oracle here."""
+    """First filter F with F_0 equal to ``mask``, or None, by linear scan."""
     for f in filters:
         if cp.comp_preimage(f) == mask:
             return f
@@ -191,26 +223,101 @@ def find_c_filter_witness(cp: ComplementedPoset, mask: int, ideals: list[int]) -
     return None
 
 
+def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
+    """Complement-preimage -> the first member of ``family`` with it."""
+    out: dict[int, int] = {}
+    for s in family:
+        out.setdefault(cp.comp_preimage(s), s)
+    return out
+
+
+class Analysis:
+    """The ideal and filter families of one poset and every flag of their
+    members, each computed on first use and then kept.
+
+    One object serves one call: the report, the statement harness and
+    :func:`classify` read it instead of each re-deriving the families.  List
+    attributes keep family order.  ``c_ideal_witnesses`` maps a preimage
+    F_0 to the first filter F with it, so an ideal is a c-ideal exactly when
+    it is a key, with that F as its witness; ``c_filter_witnesses`` is the
+    dual.  The attributes from ``c_ideal_witnesses`` on need ``cp``.
+    """
+
+    def __init__(self, poset: Poset, cp: ComplementedPoset | None = None):
+        self.poset = poset
+        self.cp = cp
+
+    @cached_property
+    def ideals(self) -> list[int]:
+        return enumerate_ideals(self.poset)
+
+    @cached_property
+    def filters(self) -> list[int]:
+        return enumerate_filters(self.poset)
+
+    @cached_property
+    def distributivity(self) -> DistributivityReport:
+        return self.poset.is_distributive()
+
+    @cached_property
+    def semilattice_flags(self) -> tuple[bool, bool]:
+        """(is_join_semilattice, is_meet_semilattice)."""
+        return self.poset.semilattice_flags()
+
+    @cached_property
+    def maximal_ideals(self) -> list[int]:
+        return [i for i in self.ideals if is_maximal_ideal(self.poset, i, self.ideals)]
+
+    @cached_property
+    def ultrafilters(self) -> list[int]:
+        return [f for f in self.filters if is_ultrafilter(self.poset, f, self.filters)]
+
+    @cached_property
+    def prime_ideals(self) -> list[int]:
+        return [i for i in self.ideals if is_prime_ideal(self.poset, i)]
+
+    @cached_property
+    def prime_filters(self) -> list[int]:
+        return [f for f in self.filters if is_prime_filter(self.poset, f)]
+
+    @cached_property
+    def c_ideal_witnesses(self) -> dict[int, int]:
+        return _first_by_preimage(self.cp, self.filters)
+
+    @cached_property
+    def c_filter_witnesses(self) -> dict[int, int]:
+        return _first_by_preimage(self.cp, self.ideals)
+
+    @cached_property
+    def c_ideals(self) -> list[int]:
+        return [i for i in self.ideals if i in self.c_ideal_witnesses]
+
+    @cached_property
+    def c_filters(self) -> list[int]:
+        return [f for f in self.filters if f in self.c_filter_witnesses]
+
+    @cached_property
+    def ccond_ideals(self) -> list[int]:
+        return [i for i in self.ideals if self.cp.c_condition(i)]
+
+    @cached_property
+    def ccond_filters(self) -> list[int]:
+        return [f for f in self.filters if self.cp.c_condition(f)]
+
+
 def classify(
-    cp: ComplementedPoset,
-    mask: int,
-    ideals: list[int] | None = None,
-    filters: list[int] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    cp: ComplementedPoset, mask: int, analysis: Analysis | None = None
 ) -> SubsetClassification:
     """Compute every classification flag of one subset.
 
-    ``ideals``/``filters`` may be passed in to avoid re-enumeration when
-    classifying many subsets of the same poset.
+    Pass the ``analysis`` of ``cp`` to share it when classifying many
+    subsets of the same poset.
     """
     p = cp.poset
     p.check_mask(mask)
-    if ideals is None:
-        ideals = enumerate_ideals(p, budget)
-    if filters is None:
-        filters = enumerate_filters(p, budget)
-    ideal_flag = mask in ideals if mask else False
-    filter_flag = mask in filters if mask else False
+    a = analysis or Analysis(p, cp)
+    ideal_flag = mask in a.ideals
+    filter_flag = mask in a.filters
     proper = (ideal_flag or filter_flag) and mask != p.all_mask
     return SubsetClassification(
         subject=mask,
@@ -218,12 +325,12 @@ def classify(
         is_filter=filter_flag,
         proper=proper,
         principal_generator=principal_generator(p, mask),
-        maximal_ideal=ideal_flag and is_maximal_ideal(p, mask, ideals),
-        prime_ideal=ideal_flag and is_prime_ideal(p, mask),
-        ultrafilter=filter_flag and is_ultrafilter(p, mask, filters),
-        prime_filter=filter_flag and is_prime_filter(p, mask),
-        c_ideal_witness=find_c_ideal_witness(cp, mask, filters) if ideal_flag else None,
-        c_filter_witness=find_c_filter_witness(cp, mask, ideals) if filter_flag else None,
+        maximal_ideal=ideal_flag and mask in a.maximal_ideals,
+        prime_ideal=ideal_flag and mask in a.prime_ideals,
+        ultrafilter=filter_flag and mask in a.ultrafilters,
+        prime_filter=filter_flag and mask in a.prime_filters,
+        c_ideal_witness=a.c_ideal_witnesses.get(mask) if ideal_flag else None,
+        c_filter_witness=a.c_filter_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
     )
 

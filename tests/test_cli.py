@@ -1,6 +1,8 @@
 import pytest
 
+from cideals import Instance, attach_complementation, build_poset, emit_instance
 from cideals.cli import main
+from conftest import boolean_lattice
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +226,71 @@ def test_poset_only_refusals(tmp_path, capsys):
     assert code == 3
     code, out, _ = run_cli(capsys, ["ideals", str(plain), "--class", "maximal"])
     assert code == 0 and out.splitlines() == ["L(m) = {0,m}"]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "fig1.poset"],
+        ["ideals", "fig1.poset"],
+        ["filters", "fig1.poset"],
+        ["check", "fig1.poset"],
+        ["separate", "fig1.poset", "--ideal", "a", "--filter", "b"],
+        ["dot", "fig1.poset"],
+        ["corpus"],
+        ["gen", "--size", "6", "--seed", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_must_be_positive(instdir, capsys, argv, budget):
+    argv = [str(instdir / a) if a.endswith(".poset") else a for a in argv]
+    code, out, err = run_cli(capsys, argv + ["--budget", budget])
+    assert code == 1
+    assert "usage error" in err and "must be positive" in err
+    assert not out
+
+
+@pytest.mark.parametrize("density", ["nan", "5", "-1", "1.01", "inf"])
+def test_gen_density_outside_unit_interval_is_usage_error(capsys, density):
+    code, out, err = run_cli(capsys, ["gen", "--size", "6", "--seed", "4", "--density", density])
+    assert code == 1
+    assert "usage error" in err and "[0, 1]" in err
+    assert not out
+
+
+@pytest.mark.parametrize("density", ["0", "0.5", "1"])
+def test_gen_density_in_unit_interval_accepted(capsys, density):
+    code, out, _ = run_cli(capsys, ["gen", "--size", "6", "--seed", "4", "--density", density])
+    assert code == 0 and "comp:" in out
+
+
+def test_check_principal_over_budget_exits_4(instdir, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["check", str(instdir / "fig3.poset"), "--statement", "LEM_CL_PRINCIPAL", "--budget", "10"],
+    )
+    assert code == 4
+    assert out.startswith("LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 10 ")
+
+
+def test_analyze_over_budget_completes(instdir, capsys):
+    code, out, _ = run_cli(capsys, ["analyze", str(instdir / "fig3.poset"), "--budget", "10"])
+    assert code == 0
+    assert "  LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 10 " in out
+    assert "LEM_CL_PRINCIPAL: verified" not in out
+    # counted apart from the statements whose hypotheses fail
+    assert "statements: 19 checked, 0 counterexamples, 4 not applicable, 1 not verified" in out
+    _, uncapped, _ = run_cli(capsys, ["analyze", str(instdir / "fig3.poset")])
+    assert "statements: 19 checked, 0 counterexamples, 4 not applicable\n" in uncapped
+
+
+def test_analyze_b6_reports_walk_over_default_budget(tmp_path, capsys):
+    elements, covers, comp = boolean_lattice(6)
+    p = build_poset(elements, covers)
+    path = tmp_path / "B6.poset"
+    path.write_text(emit_instance(Instance("B6", p, attach_complementation(p, comp))))
+    code, out, _ = run_cli(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert "ideals (64):" in out and "filters (64):" in out
+    assert "LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 1048576 " in out

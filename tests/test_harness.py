@@ -198,3 +198,32 @@ def test_subset_statement_samples_above_exhaustive_limit():
     two = check_statement(cp, StatementId.LEM_TRIPLE_A0, seed=3)
     assert one == two
     assert one.hypotheses_met and one.conclusion_holds is True
+
+
+def test_lem_cl_principal_over_budget_is_not_verified(fig3):
+    # fig3 has more than 10 downsets, so the walk passes a budget of 10
+    res = check_statement(fig3.cp, StatementId.LEM_CL_PRINCIPAL, budget=10)
+    assert not res.hypotheses_met and res.conclusion_holds is None
+    assert res.counterexample is None
+    assert res.detail.startswith("downset walk over budget: more than 10 ")
+    assert res.probe is None  # claims nothing about the conclusion
+
+
+def test_over_budget_leaves_other_statements_alone(fig3):
+    principal = StatementId.LEM_CL_PRINCIPAL
+    full = [r for r in run_all(fig3.cp) if r.statement != principal]
+    capped = [r for r in run_all(fig3.cp, budget=10) if r.statement != principal]
+    assert capped == full and len(capped) == 18
+
+
+def test_lem_cl_principal_reports_what_the_walk_finds(fig1, monkeypatch):
+    # the statement holds on every finite poset; a doctored walk shows that a
+    # non-principal directed set would still be the counterexample
+    from cideals import harness
+
+    p = fig1.poset
+    fake = mask(p, "0 a b")
+    monkeypatch.setattr(harness, "directed_downsets", lambda order, budget: [fake])
+    res = check_statement(fig1.cp, StatementId.LEM_CL_PRINCIPAL)
+    assert res.hypotheses_met and res.conclusion_holds is False
+    assert res.counterexample == {"non_principal_ideal": "{0,a,b}"}

@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import naive
 from cideals import (
     attach_complementation,
     build_poset,
@@ -14,6 +15,7 @@ from cideals import (
     random_poset,
 )
 from cideals.poset import iter_bits
+from conftest import assert_families_agree
 
 
 @st.composite
@@ -170,6 +172,13 @@ def test_ideal_filter_duality(cp):
         mask = raw & p.all_mask
         assert is_ideal(p, mask) == is_filter(d, mask)
         assert is_filter(p, mask) == is_ideal(d, mask)
+
+
+@given(posets())
+@settings(deadline=None)
+def test_principal_cone_families_match_walk_and_oracle(p):
+    elements = list(p.names)
+    assert_families_agree(p, elements, naive.closure(elements, p.cover_pairs()))
 
 
 @given(union_closed_posets())

@@ -2,18 +2,22 @@ import pytest
 
 import naive
 from cideals import (
+    Analysis,
     ScaleLimit,
     build_poset,
     classify,
     complement_pairing,
+    directed_downsets,
     enumerate_filters,
     enumerate_ideals,
     lu_union,
+    random_complemented_poset,
     subset_role,
     ul_union,
 )
+from cideals.substructures import find_c_filter_witness, find_c_ideal_witness
 from cideals.poset import sort_key
-from conftest import mask, names
+from conftest import assert_families_agree, boolean_lattice, bounded_antichain, mask, names
 
 
 def test_subset_role_examples(fig1):
@@ -73,8 +77,24 @@ def test_budget_scale_limit():
         [("bot", m) for m in mids] + [(m, "top") for m in mids],
     )
     with pytest.raises(ScaleLimit):
-        enumerate_ideals(p, budget=1000)
-    assert len(enumerate_ideals(p, budget=1 << 15)) == 14
+        directed_downsets(p, budget=1000)
+    assert len(directed_downsets(p, budget=1 << 15)) == 14
+
+
+def test_families_match_walk_and_oracle_on_corpus(corpus):
+    for entry in corpus.values():
+        elements, le, _ = naive.figure(entry.name)
+        assert_families_agree(entry.poset, elements, le)
+
+
+@pytest.mark.parametrize(
+    "elements,covers",
+    [boolean_lattice(d)[:2] for d in (2, 3)] + [bounded_antichain(k)[:2] for k in range(1, 11)],
+    ids=["B2", "B3"] + [f"antichain-k{k}" for k in range(1, 11)],
+)
+def test_families_match_walk_and_oracle(elements, covers):
+    p = build_poset(elements, covers)
+    assert_families_agree(p, elements, naive.closure(elements, covers))
 
 
 def test_classify_fig1_lb(fig1):
@@ -130,6 +150,17 @@ def test_classification_matches_oracle(fig2b):
         if classify(cp, m).c_filter_witness is not None
     }
     assert got == naive_cfilters
+
+
+def test_witness_maps_give_the_first_witness_of_the_linear_scan(corpus):
+    cps = [entry.cp for entry in corpus.values()]
+    cps += [random_complemented_poset(seed)[0] for seed in range(1, 41)]
+    for cp in cps:
+        a = Analysis(cp.poset, cp)
+        for i in a.ideals:
+            assert a.c_ideal_witnesses.get(i) == find_c_ideal_witness(cp, i, a.filters)
+        for f in a.filters:
+            assert a.c_filter_witnesses.get(f) == find_c_filter_witness(cp, f, a.ideals)
 
 
 def test_lu_union_examples(fig1, fig4):
