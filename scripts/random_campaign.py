@@ -35,7 +35,7 @@ def main() -> int:
     failures = []
     started = time.perf_counter()
     for label, cp in instances:
-        for result in run_all(cp, seed=1):
+        for result in run_all(cp):
             if result.conclusion_holds is False:
                 failures.append((label, result))
             elif result.hypotheses_met:

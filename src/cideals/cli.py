@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 usage error (including a non-positive --budget or a
---density outside [0, 1]); 2 parse error (including unreadable input files);
-3 validation failure (not a poset, axiom violation, malformed ideal/filter
-argument); 4 a requested check found a counterexample, an explicitly
-requested statement was not applicable or not verified, or a separation
-hypothesis failed.
+Exit codes: 0 success; 1 usage error (including a non-positive --budget, a
+--density outside [0, 1], an unknown gen --require constraint, or a corpus
+--emit path that is a file or not writable); 2 parse error (including
+unreadable input files); 3 validation failure (not a poset, axiom violation,
+malformed ideal/filter argument); 4 a requested check found a counterexample,
+an explicitly requested statement was not applicable or not verified, or a
+separation hypothesis failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -29,6 +31,7 @@ from .io import (
     parse_instance,
     render_machine,
     render_text,
+    text_class_label,
     text_theorem_row,
 )
 from .poset import Poset
@@ -66,6 +69,14 @@ def _probability(text: str) -> float:
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
+
+
+def _constraints(text: str) -> list[str]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    unknown = sorted(set(tokens).difference(corpus_mod.SUPPORTED_CONSTRAINTS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown constraint {unknown[0]!r}")
+    return tokens
 
 
 def _load(path: str) -> Instance:
@@ -107,13 +118,11 @@ def parse_set_spec(p: Poset, spec: str, kind: str) -> int:
 
 
 def _print_rows(p: Poset, rows, kind: str, fmt: str, with_comp: bool) -> None:
-    shape = "L" if kind == "ideal" else "U"
     for row in rows:
         if fmt == "machine":
             print(machine_class_row(p, row, kind, with_comp))
         else:
-            label = f"{shape}({p.names[row.principal]})" if row.principal is not None else "-"
-            print(f"{label} = {p.format_set(row.mask)}")
+            print(f"{text_class_label(p, row, kind)} = {p.format_set(row.mask)}")
 
 
 def _select_rows(rows, wanted: str):
@@ -137,7 +146,7 @@ def _select_rows(rows, wanted: str):
 
 def _cmd_analyze(args) -> int:
     instance = _load(args.file)
-    report = build_report(instance, budget=args.budget, seed=args.seed)
+    report = build_report(instance, budget=args.budget)
     out = render_machine(report) if args.format == "machine" else render_text(report)
     print(out, end="")
     return EXIT_OK
@@ -147,7 +156,7 @@ def _cmd_ideals(args) -> int:
     instance = _load(args.file)
     if args.klass in COMP_ONLY_CLASSES:
         _require_comp(instance)
-    report = build_report(instance, budget=args.budget, with_theorems=False)
+    report = build_report(instance, with_theorems=False)
     rows = _select_rows(report.ideals, args.klass)
     _print_rows(instance.poset, rows, "ideal", args.format, instance.cp is not None)
     return EXIT_OK
@@ -157,7 +166,7 @@ def _cmd_filters(args) -> int:
     instance = _load(args.file)
     if args.klass in COMP_ONLY_CLASSES:
         _require_comp(instance)
-    report = build_report(instance, budget=args.budget, with_theorems=False)
+    report = build_report(instance, with_theorems=False)
     rows = _select_rows(report.filters, args.klass)
     _print_rows(instance.poset, rows, "filter", args.format, instance.cp is not None)
     return EXIT_OK
@@ -175,9 +184,9 @@ def _cmd_check(args) -> int:
                 tags.append(StatementId(tok))
             except ValueError:
                 raise _UsageError(f"unknown statement tag {tok!r}") from None
-        results = [check_statement(cp, tag, budget=args.budget, seed=args.seed) for tag in tags]
+        results = [check_statement(cp, tag, budget=args.budget) for tag in tags]
     else:
-        results = run_all(cp, budget=args.budget, seed=args.seed)
+        results = run_all(cp, budget=args.budget)
     worst = EXIT_OK
     for res in results:
         print(machine_theorem_row(res) if args.format == "machine" else text_theorem_row(res))
@@ -222,6 +231,16 @@ def _cmd_dot(args) -> int:
 
 def _cmd_corpus(args) -> int:
     entries = corpus_mod.builtin_corpus()
+    if args.emit:
+        try:
+            os.makedirs(args.emit, exist_ok=True)
+            for entry in entries:
+                path = os.path.join(args.emit, f"{entry.name}.poset")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(emit_instance(Instance(entry.name, entry.poset, entry.cp)))
+        except OSError as exc:
+            raise _UsageError(f"cannot write instances to {args.emit}: {exc}") from None
+        print(f"wrote {len(entries)} instances to {args.emit}", file=sys.stderr)
     for entry in entries:
         if args.format == "machine":
             print(f"corpus: name={entry.name} size={entry.poset.n}")
@@ -237,26 +256,16 @@ def _cmd_corpus(args) -> int:
                 )
             else:
                 print(f"  DIVERGES {field_name}: published {pub} but computed {com}")
-    if args.emit:
-        import os
-
-        os.makedirs(args.emit, exist_ok=True)
-        for entry in entries:
-            path = os.path.join(args.emit, f"{entry.name}.poset")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(emit_instance(Instance(entry.name, entry.poset, entry.cp)))
-        print(f"wrote {len(entries)} instances to {args.emit}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
-    constraints = [tok.strip() for tok in args.require.split(",") if tok.strip()] if args.require else []
     poset = corpus_mod.random_poset(args.size, args.seed, density=args.density)
-    table = corpus_mod.random_complementation(poset, args.seed, constraints=constraints)
+    table = corpus_mod.random_complementation(poset, args.seed, constraints=args.require)
     if table is None:
         print(
             f"no complementation found for size={args.size} seed={args.seed} "
-            f"require={','.join(constraints) or '-'}",
+            f"require={','.join(args.require) or '-'}",
             file=sys.stderr,
         )
         return EXIT_FINDING
@@ -274,14 +283,15 @@ def make_parser() -> _Parser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default=None)
-    common.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                        help="cap on the downward-closed sets the LEM_CL_PRINCIPAL check "
-                        "walks (analyze, check); over it the statement is not verified")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                          help="cap on the downward-closed sets the LEM_CL_PRINCIPAL check "
+                          "walks; over it the statement is not verified")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
+    cmd = sub.add_parser("analyze", parents=[common, budgeted],
+                         help="full classification and statement report")
     cmd.add_argument("file")
-    cmd.add_argument("--seed", type=int, default=0, help="seed for sampled subset statements")
     cmd.set_defaults(func=_cmd_analyze)
 
     cmd = sub.add_parser("ideals", parents=[common], help="list ideals of a class")
@@ -294,10 +304,9 @@ def make_parser() -> _Parser:
     cmd.add_argument("--class", dest="klass", choices=FILTER_CLASSES, default="all")
     cmd.set_defaults(func=_cmd_filters)
 
-    cmd = sub.add_parser("check", parents=[common], help="verify statements on the instance")
+    cmd = sub.add_parser("check", parents=[common, budgeted], help="verify statements on the instance")
     cmd.add_argument("file")
     cmd.add_argument("--statement", help="comma-separated statement tags (default: all)")
-    cmd.add_argument("--seed", type=int, default=0, help="seed for sampled subset statements")
     cmd.set_defaults(func=_cmd_check)
 
     cmd = sub.add_parser("separate", parents=[common], help="run a separation procedure")
@@ -319,7 +328,8 @@ def make_parser() -> _Parser:
     cmd = sub.add_parser("gen", parents=[common], help="generate a random complemented instance")
     cmd.add_argument("--size", type=int, required=True)
     cmd.add_argument("--seed", type=int, required=True)
-    cmd.add_argument("--require", help="comma-separated constraints: antitone,involution")
+    cmd.add_argument("--require", type=_constraints, default=(),
+                     help="comma-separated constraints: " + ",".join(corpus_mod.SUPPORTED_CONSTRAINTS))
     cmd.add_argument("--density", type=_probability, default=corpus_mod.DEFAULT_EDGE_DENSITY,
                      help="edge probability between adjacent ranks, in [0, 1]")
     cmd.set_defaults(func=_cmd_gen)

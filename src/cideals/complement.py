@@ -77,10 +77,7 @@ class ComplementedPoset:
     def __hash__(self) -> int:
         return hash((self.poset, self.comp))
 
-    # -- the complement map on elements and sets -----------------------------
-
-    def comp_of(self, x: int) -> int:
-        return self.comp[x]
+    # -- the complement map on sets ------------------------------------------
 
     def comp_image(self, mask: int) -> int:
         """A' = {x' | x in A}, the pointwise image."""

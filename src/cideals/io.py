@@ -209,7 +209,6 @@ def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
 def build_report(
     instance: Instance,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
     with_theorems: bool = True,
 ) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
@@ -221,7 +220,7 @@ def build_report(
     analysis = Analysis(p, cp)
     ideal_rows = _class_rows(analysis, "ideal")
     filter_rows = _class_rows(analysis, "filter")
-    theorems = tuple(run_all(cp, budget, seed, analysis)) if (cp and with_theorems) else None
+    theorems = tuple(run_all(cp, budget, analysis)) if (cp and with_theorems) else None
     join_sl, meet_sl = analysis.semilattice_flags
     return Report(
         name=instance.name,
@@ -436,11 +435,17 @@ def parse_machine_report(text: str) -> ParsedReport:
     )
 
 
+def text_class_label(p: Poset, row: ClassRow, kind: str) -> str:
+    """Text label of an ideal as L(greatest), of a filter as U(least); every
+    ideal and filter of a finite poset is principal.  Unlike the machine
+    ``principal`` field, the improper filter reads U(bottom), not top."""
+    if kind == "ideal":
+        return f"L({p.names[p.greatest(row.mask)]})"
+    return f"U({p.names[p.least(row.mask)]})"
+
+
 def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:
-    shape = "L" if kind == "ideal" else "U"
-    label = (
-        f"{shape}({p.names[row.principal]})" if row.principal is not None else "(non-principal)"
-    )
+    label = text_class_label(p, row, kind)
     tags = []
     if not row.proper:
         tags.append("improper")

@@ -175,12 +175,6 @@ class Poset:
             result &= self.up[y]
         return result
 
-    def principal_down(self, i: int) -> int:
-        return self.down[i]
-
-    def principal_up(self, i: int) -> int:
-        return self.up[i]
-
     def greatest(self, mask: int) -> int | None:
         """The maximum element of ``mask``, if it has one."""
         for g in iter_bits(mask):

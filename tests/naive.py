@@ -151,6 +151,20 @@ def boolean_elements(elements, comp):
     return frozenset(x for x in elements if comp[comp[x]] == x)
 
 
+def triple_a0_counterexample(elements, comp):
+    """First (subset, element) where a in A_0 and a'' in A_0 disagree, over
+    all 2^n subsets A in bitmask order of ``elements``; None if none does.
+    The subset is a tuple in ``elements`` order."""
+    n = len(elements)
+    for bits in range(1 << n):
+        subset = tuple(elements[i] for i in range(n) if bits >> i & 1)
+        pre = comp_preimage(elements, comp, frozenset(subset))
+        for a in elements:
+            if (a in pre) != (comp[comp[a]] in pre):
+                return subset, a
+    return None
+
+
 def c_ideals(elements, le, comp):
     every_filter = filters(elements, le)
     return [

@@ -189,7 +189,7 @@ def test_criterion_6_campaign(campaign):
     started = time.perf_counter()
     assert len(campaign) == 205
     for label, cp in campaign:
-        results = run_all(cp, seed=1)
+        results = run_all(cp)
         assert len(results) == 19, label
         failing = [r for r in results if r.conclusion_holds is False]
         assert not failing, (label, failing)

@@ -228,26 +228,80 @@ def test_poset_only_refusals(tmp_path, capsys):
     assert code == 0 and out.splitlines() == ["L(m) = {0,m}"]
 
 
+BUDGETED_COMMANDS = [["analyze", "fig1.poset"], ["check", "fig1.poset"]]
+UNBUDGETED_COMMANDS = [
+    ["ideals", "fig1.poset"],
+    ["filters", "fig1.poset"],
+    ["separate", "fig1.poset", "--ideal", "a", "--filter", "b"],
+    ["dot", "fig1.poset"],
+    ["corpus"],
+    ["gen", "--size", "6", "--seed", "4"],
+]
+
+
+def _argv(instdir, argv):
+    return [str(instdir / a) if a.endswith(".poset") else a for a in argv]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "fig1.poset"],
-        ["ideals", "fig1.poset"],
-        ["filters", "fig1.poset"],
-        ["check", "fig1.poset"],
-        ["separate", "fig1.poset", "--ideal", "a", "--filter", "b"],
-        ["dot", "fig1.poset"],
-        ["corpus"],
-        ["gen", "--size", "6", "--seed", "4"],
-    ],
-    ids=lambda argv: argv[0],
+    "argv", BUDGETED_COMMANDS + UNBUDGETED_COMMANDS, ids=lambda argv: argv[0]
 )
 def test_budget_must_be_positive(instdir, capsys, argv, budget):
-    argv = [str(instdir / a) if a.endswith(".poset") else a for a in argv]
-    code, out, err = run_cli(capsys, argv + ["--budget", budget])
+    # only analyze and check take --budget; elsewhere it is an unknown flag
+    code, out, err = run_cli(capsys, _argv(instdir, argv) + ["--budget", budget])
+    assert code == 1 and "usage error" in err and not out
+    if argv in BUDGETED_COMMANDS:
+        assert "must be positive" in err
+    else:
+        assert f"unrecognized arguments: --budget {budget}" in err
+
+
+@pytest.mark.parametrize("argv", BUDGETED_COMMANDS, ids=lambda argv: argv[0])
+def test_seed_is_unknown_on_analyze_and_check(instdir, capsys, argv):
+    code, out, err = run_cli(capsys, _argv(instdir, argv) + ["--seed", "1"])
     assert code == 1
-    assert "usage error" in err and "must be positive" in err
+    assert "usage error: unrecognized arguments: --seed 1" in err
+    assert not out
+
+
+def test_filter_labels_name_the_least_element(instdir, capsys):
+    code, out, _ = run_cli(capsys, ["filters", str(instdir / "fig1.poset")])
+    assert code == 0
+    assert out.splitlines() == [
+        "U(1) = {1}",
+        "U(a) = {a,1}",
+        "U(b) = {b,1}",
+        "U(c) = {c,1}",
+        "U(0) = {0,a,b,c,1}",
+    ]
+    code, out, _ = run_cli(capsys, ["analyze", str(instdir / "fig1.poset")])
+    assert code == 0
+    rows = out.split("filters (5):\n")[1].splitlines()[:5]
+    assert [row.split()[0] for row in rows] == ["U(1)", "U(a)", "U(b)", "U(c)", "U(0)"]
+    assert rows[4].split()[1] == "{0,a,b,c,1}"
+    # the machine field still names the ideal reading of the whole poset
+    code, out, _ = run_cli(capsys, ["filters", str(instdir / "fig1.poset"), "--format", "machine"])
+    assert out.splitlines()[4].startswith("filter: set={0,a,b,c,1} proper=false principal=1 ")
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_corpus_emit_to_unusable_path_is_usage_error(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("taken\n")
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, ["corpus", "--emit", str(path)])
+    assert code == 1 and not out
+    assert err.startswith(f"usage error: cannot write instances to {path}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "taken\n"
+
+
+def test_gen_unknown_constraint_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["gen", "--size", "6", "--seed", "4", "--require", "antitone,foo"]
+    )
+    assert code == 1
+    assert "usage error" in err and "unknown constraint 'foo'" in err
     assert not out
 
 

@@ -9,11 +9,15 @@ import pytest
 
 import naive
 from cideals import (
+    DEFAULT_BUDGET,
+    builtin_corpus,
     enumerate_filters,
     enumerate_ideals,
     computed_lists,
     random_complemented_poset,
 )
+from cideals.corpus import _template_instance
+from cideals.harness import _Context, _check_lem_triple_a0
 from cideals.poset import iter_bits
 
 
@@ -70,3 +74,28 @@ def test_random_instances_match_naive_oracle(seed):
     )
 
     assert p.is_distributive().holds == naive.is_distributive(elements, le)[0]
+
+
+def _small_instances():
+    """fig1-fig4, the campaign seeds and the templates up to 12 elements."""
+    for entry in builtin_corpus():
+        yield entry.name, entry.cp
+    for seed in range(1, 201):
+        yield f"seed{seed}", random_complemented_poset(seed)[0]
+    for n in range(4, 13):
+        for profile in (frozenset(), frozenset({"involution"})):
+            yield f"template{n}{sorted(profile)}", _template_instance(n, profile)
+
+
+def test_lem_triple_a0_singletons_match_subset_brute_force():
+    # the singleton scan reports the first failing subset of all 2^n
+    for label, cp in _small_instances():
+        assert cp.poset.n <= 12, label
+        met, _note, ok, cex = _check_lem_triple_a0(_Context(cp, DEFAULT_BUDGET))
+        elements, _le, comp = to_naive(cp)
+        assert met == all(comp[comp[comp[x]]] == comp[x] for x in elements), label
+        found = naive.triple_a0_counterexample(elements, comp)
+        expected = None
+        if found is not None:
+            expected = {"subset": "{" + ",".join(found[0]) + "}", "element": found[1]}
+        assert (ok, cex) == (found is None, expected), label

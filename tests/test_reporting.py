@@ -48,7 +48,7 @@ def test_check_exit_4_on_counterexample(monkeypatch, tmp_path, capsys):
     path = tmp_path / "fig1.poset"
     assert main(["corpus", "--emit", str(tmp_path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "run_all", lambda cp, budget, seed: [fake_failure()])
+    monkeypatch.setattr(cli, "run_all", lambda cp, budget: [fake_failure()])
     code = main(["check", str(path)])
     out = capsys.readouterr().out
     assert code == 4
@@ -82,8 +82,8 @@ def test_run_checker_wraps_failure_without_probe():
 
 
 def test_machine_render_deterministic(fig3):
-    one = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp), seed=5))
-    two = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp), seed=5))
+    one = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp)))
+    two = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp)))
     assert one == two
 
 
