@@ -26,6 +26,7 @@ from .io import (
     build_report,
     emit_dot,
     emit_instance,
+    family_rows,
     machine_class_row,
     machine_theorem_row,
     parse_instance,
@@ -156,8 +157,7 @@ def _cmd_ideals(args) -> int:
     instance = _load(args.file)
     if args.klass in COMP_ONLY_CLASSES:
         _require_comp(instance)
-    report = build_report(instance, with_theorems=False)
-    rows = _select_rows(report.ideals, args.klass)
+    rows = _select_rows(family_rows(instance, "ideal"), args.klass)
     _print_rows(instance.poset, rows, "ideal", args.format, instance.cp is not None)
     return EXIT_OK
 
@@ -166,8 +166,7 @@ def _cmd_filters(args) -> int:
     instance = _load(args.file)
     if args.klass in COMP_ONLY_CLASSES:
         _require_comp(instance)
-    report = build_report(instance, with_theorems=False)
-    rows = _select_rows(report.filters, args.klass)
+    rows = _select_rows(family_rows(instance, "filter"), args.klass)
     _print_rows(instance.poset, rows, "filter", args.format, instance.cp is not None)
     return EXIT_OK
 

@@ -206,11 +206,13 @@ def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
     return tuple(rows)
 
 
-def build_report(
-    instance: Instance,
-    budget: int = DEFAULT_BUDGET,
-    with_theorems: bool = True,
-) -> Report:
+def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
+    """The classified ideals (``kind`` "ideal") or filters ("filter") of an
+    instance, without the report's flags and statement results."""
+    return _class_rows(Analysis(instance.poset, instance.cp), kind)
+
+
+def build_report(instance: Instance, budget: int = DEFAULT_BUDGET) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
 
     One :class:`Analysis` serves the rows and the harness; ``budget`` caps
@@ -220,7 +222,7 @@ def build_report(
     analysis = Analysis(p, cp)
     ideal_rows = _class_rows(analysis, "ideal")
     filter_rows = _class_rows(analysis, "filter")
-    theorems = tuple(run_all(cp, budget, analysis)) if (cp and with_theorems) else None
+    theorems = tuple(run_all(cp, budget, analysis)) if cp else None
     join_sl, meet_sl = analysis.semilattice_flags
     return Report(
         name=instance.name,

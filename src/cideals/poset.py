@@ -5,7 +5,9 @@ plain ``int`` bitmasks over those indices, which keeps every cone and ideal
 computation a handful of word operations at the target scale (n <= 24).
 
 A poset is immutable after construction; every operation here is a pure
-function of its arguments and is safe for concurrent reads.
+function of its arguments and is safe for concurrent reads.  The two pair
+tables ``lu``/``ul`` are filled on first read; the fill is idempotent, so
+readers racing on it at worst build the same table twice.
 """
 
 from __future__ import annotations
@@ -69,10 +71,12 @@ class Poset:
     ``down[i]`` is the bitmask of elements <= i, ``up[i]`` of elements >= i.
     ``covers`` is the transitive reduction of the strict order.  ``bottom``
     and ``top`` are element indices or ``None``; they are detected, never
-    required.
+    required.  ``lu[x][y]`` is L(U(x,y)) and ``ul[x][y]`` is U(L(x,y)).
     """
 
-    __slots__ = ("n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index")
+    __slots__ = (
+        "n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index", "_lu", "_ul"
+    )
 
     def __init__(self, names: Sequence[str], down: Sequence[int]):
         _validate_names(names)
@@ -112,6 +116,8 @@ class Poset:
         self.all_mask = all_mask
         self.bottom = next((i for i in range(n) if self.up[i] == all_mask), None)
         self.top = next((i for i in range(n) if down[i] == all_mask), None)
+        # pair tables, built on first read: most posets never need them
+        self._lu = self._ul = None
 
     # -- basics ------------------------------------------------------------
 
@@ -195,20 +201,52 @@ class Poset:
     def join(self, x: int, y: int) -> int | None:
         return self.least(self.up[x] & self.up[y])
 
+    @property
+    def lu(self) -> tuple[tuple[int, ...], ...]:
+        """The pair table ``lu[x][y]`` = L(U(x,y)), built on first read."""
+        if self._lu is None:
+            self._lu = self._pair_table(self.up, self.lower_cone)
+        return self._lu
+
+    @property
+    def ul(self) -> tuple[tuple[int, ...], ...]:
+        """The pair table ``ul[x][y]`` = U(L(x,y)), built on first read."""
+        if self._ul is None:
+            self._ul = self._pair_table(self.down, self.upper_cone)
+        return self._ul
+
+    def _pair_table(self, cones, outer) -> tuple[tuple[int, ...], ...]:
+        """``table[x][y]`` = outer(cones[x] & cones[y]), once per unordered
+        pair.  The whole table is built before it is returned, so a reader
+        never sees a partial one."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for x in range(self.n):
+            for y in range(x, self.n):
+                rows[x][y] = rows[y][x] = outer(cones[x] & cones[y])
+        return tuple(map(tuple, rows))
+
     # -- global structure ----------------------------------------------------
 
     def is_distributive(self) -> DistributivityReport:
-        """Scan all ordered triples for the cone distributivity identity."""
-        for x in range(self.n):
-            for y in range(self.n):
-                uxy = self.up[x] & self.up[y]
-                for z in range(self.n):
-                    lhs = self.lower_cone(uxy) & self.down[z]
-                    rhs = self.lower_cone(
-                        self.upper_cone((self.down[x] & self.down[z]) | (self.down[y] & self.down[z]))
-                    )
-                    if lhs != rhs:
-                        return DistributivityReport(False, (x, y, z), lhs, rhs)
+        """Scan the triples (x, y, z) for L(U(x,y),z) = LU(L(x,z),L(y,z)).
+
+        Both sides are symmetric in x and y, so the lexicographically first
+        violating triple has x <= y (as indices) and only those are scanned.
+        L(U(x,y)) is read from ``lu`` once per pair; LU of each distinct
+        mask L(x,z) | L(y,z) is computed once per scan.
+        """
+        down = self.down
+        rhs_of: dict[int, int] = {}
+        for x, row in enumerate(self.lu):
+            for y in range(x, self.n):
+                luxy, below = row[y], down[x] | down[y]
+                for z, dz in enumerate(down):
+                    union = dz & below
+                    rhs = rhs_of.get(union)
+                    if rhs is None:
+                        rhs = rhs_of[union] = self.lower_cone(self.upper_cone(union))
+                    if luxy & dz != rhs:
+                        return DistributivityReport(False, (x, y, z), luxy & dz, rhs)
         return DistributivityReport(True)
 
     def is_dual_distributive(self) -> DistributivityReport:

@@ -60,28 +60,32 @@ def is_upset(p: Poset, mask: int) -> bool:
     return all(not p.up[x] & ~mask for x in iter_bits(mask))
 
 
+def _pairs_bounded(cone: tuple[int, ...], mask: int) -> bool:
+    """Does every pair of members of ``mask`` have a common bound in it?
+
+    ``cone[x]`` is the cone of x in the direction of the bound: ``p.up``
+    asks for upper bounds (ideals), ``p.down`` for lower bounds (filters).
+    Only the extreme members, those whose cone meets ``mask`` in themselves
+    alone (the maximal members for ``p.up``, the minimal ones for
+    ``p.down``), are tested pairwise.  This is exact.  ``mask`` is finite,
+    so every member x has an extreme member e_x in its cone, and a bound in
+    ``mask`` of e_x and e_y is also one of x and y; conversely, extreme
+    members are members.
+    """
+    extremes = [x for x in iter_bits(mask) if cone[x] & mask == 1 << x]
+    return all(
+        cone[x] & cone[y] & mask for i, x in enumerate(extremes) for y in extremes[i + 1 :]
+    )
+
+
 def is_ideal(p: Poset, mask: int) -> bool:
     p.check_mask(mask)
-    if not mask or not is_downset(p, mask):
-        return False
-    members = list(iter_bits(mask))
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            if not p.up[x] & p.up[y] & mask:
-                return False
-    return True
+    return bool(mask) and is_downset(p, mask) and _pairs_bounded(p.up, mask)
 
 
 def is_filter(p: Poset, mask: int) -> bool:
     p.check_mask(mask)
-    if not mask or not is_upset(p, mask):
-        return False
-    members = list(iter_bits(mask))
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            if not p.down[x] & p.down[y] & mask:
-                return False
-    return True
+    return bool(mask) and is_upset(p, mask) and _pairs_bounded(p.down, mask)
 
 
 def subset_role(p: Poset, mask: int) -> tuple[bool, bool]:
@@ -336,21 +340,28 @@ def classify(
 
 
 def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
-    """Union of the cones LU({a, i}) over i in the ideal, plus ideal status."""
+    """Union of the cones LU({a, i}) over i in the ideal, plus ideal status.
+
+    The cones are rows of ``p.lu``.  Each is a lower cone, hence a downset,
+    and a union of downsets is a downset; so the union is an ideal exactly
+    when it is nonempty and every pair of its maximal members has an upper
+    bound in it (see :func:`_pairs_bounded`).
+    """
     p.check_mask(ideal_mask)
-    union = 0
+    row, union = p.lu[a], 0
     for i in iter_bits(ideal_mask):
-        union |= p.lower_cone(p.up[a] & p.up[i])
-    return union, is_ideal(p, union)
+        union |= row[i]
+    return union, bool(union) and _pairs_bounded(p.up, union)
 
 
 def ul_union(p: Poset, a: int, filter_mask: int) -> tuple[int, bool]:
-    """Dual construction for filters: union of UL({a, f}) over f in the filter."""
+    """Dual construction for filters: union of UL({a, f}) over f in the
+    filter, from the rows of ``p.ul``; a union of upsets is an upset."""
     p.check_mask(filter_mask)
-    union = 0
+    row, union = p.ul[a], 0
     for f in iter_bits(filter_mask):
-        union |= p.upper_cone(p.down[a] & p.down[f])
-    return union, is_filter(p, union)
+        union |= row[f]
+    return union, bool(union) and _pairs_bounded(p.down, union)
 
 
 def complement_pairing(p: Poset, mask: int) -> int:

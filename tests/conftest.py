@@ -1,7 +1,17 @@
 import pytest
 
 import naive
-from cideals import builtin_corpus, directed_downsets, enumerate_filters, enumerate_ideals
+from cideals import (
+    builtin_corpus,
+    directed_downsets,
+    enumerate_filters,
+    enumerate_ideals,
+    is_filter,
+    is_ideal,
+    lu_union,
+    ul_union,
+)
+from cideals.poset import iter_bits
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +83,47 @@ def assert_families_agree(p, elements, le):
     assert filters == directed_downsets(p.dual())
     assert {names(p, m) for m in ideals} == set(naive.ideals(elements, le))
     assert {names(p, m) for m in filters} == set(naive.filters(elements, le))
+
+
+def naive_order(p):
+    """(elements in index order, the closed order as name pairs) of ``p``."""
+    elements = list(p.names)
+    le = {(p.names[i], p.names[j]) for j in range(p.n) for i in iter_bits(p.down[j])}
+    return elements, le
+
+
+def assert_distributivity_agrees(p, elements, le):
+    """``p.is_distributive()`` gives the naive scan's verdict, first
+    violating triple (by name, in the order of ``elements``) and both sides."""
+    holds, witness, lhs, rhs = naive.is_distributive(elements, le)
+    report = p.is_distributive()
+    assert report.holds == holds
+    if holds:
+        assert report.witness is None
+    else:
+        assert tuple(p.names[i] for i in report.witness) == witness
+        assert names(p, report.lhs) == lhs
+        assert names(p, report.rhs) == rhs
+
+
+def assert_subset_tests_agree(p):
+    """On every subset S of ``p``: ``is_ideal``/``is_filter`` give the naive
+    all-pairs verdicts, and for every a, ``lu_union``/``ul_union`` over S
+    give the naive union of the cones LU(a,s)/UL(a,s) with its naive
+    ideal/filter verdict."""
+    elements, le = naive_order(p)
+    for s in range(p.all_mask + 1):
+        members = names(p, s)
+        assert is_ideal(p, s) == naive.is_ideal(elements, le, members)
+        assert is_filter(p, s) == naive.is_filter(elements, le, members)
+        for a in elements:
+            for union_of, inner, outer, verdict in (
+                (lu_union, naive.upper_cone, naive.lower_cone, naive.is_ideal),
+                (ul_union, naive.lower_cone, naive.upper_cone, naive.is_filter),
+            ):
+                union, ok = union_of(p, p.index(a), s)
+                want = frozenset().union(
+                    *(outer(elements, le, inner(elements, le, {a, m})) for m in members)
+                )
+                assert names(p, union) == want
+                assert ok == verdict(elements, le, want)

@@ -287,7 +287,7 @@ def test_criterion_9_round_trips(corpus):
         assert again.name == instance.name
         assert again.poset == instance.poset
         assert again.cp == instance.cp
-        report = build_report(instance, with_theorems=False)
+        report = build_report(instance)
         parsed = parse_machine_report(render_machine(report))
         p = instance.poset
         assert parsed.elements == p.names

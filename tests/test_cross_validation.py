@@ -18,15 +18,12 @@ from cideals import (
 )
 from cideals.corpus import _template_instance
 from cideals.harness import _Context, _check_lem_triple_a0
-from cideals.poset import iter_bits
+from conftest import naive_order
 
 
 def to_naive(cp):
     p = cp.poset
-    elements = list(p.names)
-    le = {
-        (p.names[i], p.names[j]) for j in range(p.n) for i in iter_bits(p.down[j])
-    }
+    elements, le = naive_order(p)
     comp = {p.names[x]: p.names[cp.comp[x]] for x in range(p.n)}
     return elements, le, comp
 

@@ -1,8 +1,15 @@
 import pytest
 
 import naive
-from cideals import CycleDetected, DuplicateName, PosetError, UnknownName, build_poset
-from conftest import mask, names
+from cideals import (
+    CycleDetected,
+    DuplicateName,
+    PosetError,
+    UnknownName,
+    build_poset,
+    random_complemented_poset,
+)
+from conftest import assert_distributivity_agrees, boolean_lattice, mask, naive_order, names
 
 
 def test_build_singleton():
@@ -112,14 +119,39 @@ def test_distributivity_chain_and_fig4(fig4):
 
 
 def test_distributivity_matches_oracle(corpus):
+    # verdict, first violating triple and both sides, on each poset and its
+    # dual: the corpus from the oracle's own transcription, then the campaign
     for entry in corpus.values():
         elements, le, _ = naive.figure(entry.name)
-        holds, witness, lhs, rhs = naive.is_distributive(elements, le)
-        report = entry.poset.is_distributive()
-        assert report.holds == holds
-        if not holds:
-            assert names(entry.poset, report.lhs) == lhs
-            assert names(entry.poset, report.rhs) == rhs
+        assert list(entry.poset.names) == elements
+        assert_distributivity_agrees(entry.poset, elements, le)
+        dual = entry.poset.dual()
+        assert_distributivity_agrees(dual, elements, {(b, a) for a, b in le})
+    violations = 0
+    for seed in range(1, 201):
+        cp, _ = random_complemented_poset(seed)
+        for p in (cp.poset, cp.poset.dual()):
+            assert_distributivity_agrees(p, *naive_order(p))
+            violations += not p.is_distributive().holds
+    assert violations > 100  # the witness comparison is not vacuous
+
+
+def test_pair_tables_are_the_pair_cones(corpus):
+    posets = [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 41)]
+    for p in posets:
+        for x in range(p.n):
+            for y in range(p.n):
+                assert p.lu[x][y] == p.lower_cone(p.up[x] & p.up[y])
+                assert p.ul[x][y] == p.upper_cone(p.down[x] & p.down[y])
+        assert p.dual().lu == p.ul and p.dual().ul == p.lu
+
+
+def test_distributivity_of_b7():
+    elements, covers, _ = boolean_lattice(7)
+    p = build_poset(elements, covers)
+    assert p.n == 128
+    assert p.is_distributive().holds
 
 
 def test_dual_distributivity_equivalence(corpus):

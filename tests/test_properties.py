@@ -15,7 +15,12 @@ from cideals import (
     random_poset,
 )
 from cideals.poset import iter_bits
-from conftest import assert_families_agree
+from conftest import (
+    assert_distributivity_agrees,
+    assert_families_agree,
+    assert_subset_tests_agree,
+    naive_order,
+)
 
 
 @st.composite
@@ -23,6 +28,18 @@ def posets(draw, max_size=9):
     n = draw(st.integers(min_value=2, max_value=max_size))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return random_poset(n, seed)
+
+
+@st.composite
+def any_posets(draw, max_size=6):
+    """Posets with or without bounds: the closure of random pairs i < j."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    slots = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.integers(min_value=0, max_value=(1 << len(slots)) - 1))
+    names = [f"e{i}" for i in range(n)]
+    return build_poset(
+        names, [(names[i], names[j]) for k, (i, j) in enumerate(slots) if edges >> k & 1]
+    )
 
 
 @st.composite
@@ -101,6 +118,19 @@ def test_galois_properties(p, raw):
 @settings(max_examples=40, deadline=None)
 def test_distributivity_identity_equivalence(p):
     assert p.is_distributive().holds == p.is_dual_distributive().holds
+
+
+@given(posets())
+@settings(deadline=None)
+def test_distributivity_matches_oracle_on_random_posets(p):
+    for q in (p, p.dual()):
+        assert_distributivity_agrees(q, *naive_order(q))
+
+
+@given(any_posets())
+@settings(max_examples=40, deadline=None)
+def test_subset_tests_and_unions_match_oracle(p):
+    assert_subset_tests_agree(p)
 
 
 @given(posets())

@@ -35,7 +35,7 @@ def test_machine_theorem_row_with_counterexample_round_trips():
 
 
 def test_render_text_counterexample_line(fig1):
-    report = build_report(Instance("fig1", fig1.poset, fig1.cp), with_theorems=False)
+    report = build_report(Instance("fig1", fig1.poset, fig1.cp))
     doctored = report.__class__(**{**report.__dict__, "theorems": (fake_failure(),)})
     text = render_text(doctored)
     assert "THM5_I_II: COUNTEREXAMPLE ideal={0,a}" in text

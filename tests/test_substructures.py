@@ -17,7 +17,14 @@ from cideals import (
 )
 from cideals.substructures import find_c_filter_witness, find_c_ideal_witness
 from cideals.poset import sort_key
-from conftest import assert_families_agree, boolean_lattice, bounded_antichain, mask, names
+from conftest import (
+    assert_families_agree,
+    assert_subset_tests_agree,
+    boolean_lattice,
+    bounded_antichain,
+    mask,
+    names,
+)
 
 
 def test_subset_role_examples(fig1):
@@ -174,6 +181,22 @@ def test_lu_union_examples(fig1, fig4):
     assert not ideal & ~union  # contains the ideal
     assert (union >> q.index("b")) & 1  # and the new element
     assert names(q, union) == {"0", "b", "c", "d", "e'", "a'"}
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_subset_tests_and_unions_match_oracle_off_semilattices(bounded):
+    # in the bowtie a, b < c, d no pair among them has a join or a meet, so
+    # unions of cones fail to be ideals/filters
+    pairs = [(x, y) for x in "ab" for y in "cd"]
+    if bounded:
+        pairs += [("0", "a"), ("0", "b"), ("c", "1"), ("d", "1")]
+    bowtie = build_poset(["0", "a", "b", "c", "d", "1"] if bounded else ["a", "b", "c", "d"], pairs)
+    assert bowtie.semilattice_flags() == (False, False)
+    union, ok = lu_union(bowtie, bowtie.index("a"), mask(bowtie, "b"))
+    assert names(bowtie, union) - {"0"} == {"a", "b"} and not ok
+    union, ok = ul_union(bowtie, bowtie.index("c"), mask(bowtie, "d"))
+    assert names(bowtie, union) - {"1"} == {"c", "d"} and not ok
+    assert_subset_tests_agree(bowtie)
 
 
 def test_ul_union_dual(fig1):
