@@ -3,10 +3,10 @@
 Exit codes: 0 success; 1 usage error (including a non-positive --budget, a
 --density outside [0, 1], an unknown gen --require constraint, or a corpus
 --emit path that is a file or not writable); 2 parse error (including
-unreadable input files); 3 validation failure (not a poset, axiom violation,
-malformed ideal/filter argument); 4 a requested check found a counterexample,
-an explicitly requested statement was not applicable or not verified, or a
-separation hypothesis failed.
+unreadable input files and files that are not valid UTF-8); 3 validation
+failure (not a poset, axiom violation, malformed ideal/filter argument); 4 a
+requested check found a counterexample, an explicitly requested statement
+was not applicable or not verified, or a separation hypothesis failed.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _load(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return build_instance(parse_instance(text))
 

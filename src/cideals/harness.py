@@ -22,18 +22,7 @@ from dataclasses import dataclass
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
 from .poset import Poset, iter_bits
-from .substructures import (
-    DEFAULT_BUDGET,
-    Analysis,
-    complement_pairing,
-    directed_downsets,
-    is_filter,
-    is_ideal,
-    is_prime_filter,
-    is_prime_ideal,
-    lu_union,
-    ul_union,
-)
+from .substructures import DEFAULT_BUDGET, Analysis, complement_pairing, directed_downsets
 
 
 class StatementId(str, enum.Enum):
@@ -166,17 +155,19 @@ def _check_lem_boolean(ctx: _Context):
 
 
 def _check_lem_cl_prime(ctx: _Context):
+    """Every filter is an up-cone (LEM_CL_PRINCIPAL), so P\\I is a prime
+    filter exactly when it is in the prime-filter family."""
     p, a = ctx.cp.poset, ctx.analysis
     cex = None
     for i in a.ideals:
         rest = complement_pairing(p, i)
-        facts = (is_prime_ideal(p, i), is_prime_filter(p, rest), is_filter(p, rest))
+        facts = (i in a.prime_ideal_set, rest in a.prime_filter_set, a.is_filter(rest))
         if len(set(facts)) != 1:
             cex = {"ideal": _fmt(p, i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
             break
     if cex is None:
         image = {complement_pairing(p, i) for i in a.prime_ideals}
-        if image != set(a.prime_filters):
+        if image != a.prime_filter_set:
             cex = {
                 "prime_ideal_complements": "+".join(sorted(_fmt(p, m) for m in image)),
                 "prime_filters": "+".join(sorted(_fmt(p, m) for m in a.prime_filters)),
@@ -297,13 +288,13 @@ def _check_thm_f0_cideal(ctx: _Context):
     if hyp_i or not met:
         for f in a.filters:
             pre = cp.comp_preimage(f)
-            if not is_ideal(p, pre) or pre not in a.c_ideal_witnesses:
+            if not a.is_ideal(pre) or pre not in a.c_ideal_witnesses:
                 cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
                 break
     if cex is None and (hyp_ii or not met):
         for i in a.ideals:
             pre = cp.comp_preimage(i)
-            if not is_filter(p, pre) or pre not in a.c_filter_witnesses:
+            if not a.is_filter(pre) or pre not in a.c_filter_witnesses:
                 cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
                 break
     return met, note, cex is None, cex
@@ -316,13 +307,13 @@ def _check_cor_involution(ctx: _Context):
     cex = None
     for i in a.ideals:
         pre = cp.comp_preimage(i)
-        if not is_filter(p, pre) or cp.comp_preimage(pre) != i or i not in a.c_ideal_witnesses:
+        if not a.is_filter(pre) or cp.comp_preimage(pre) != i or i not in a.c_ideal_witnesses:
             cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
             break
     if cex is None:
         for f in a.filters:
             pre = cp.comp_preimage(f)
-            if not is_ideal(p, pre) or cp.comp_preimage(pre) != f or f not in a.c_filter_witnesses:
+            if not a.is_ideal(pre) or cp.comp_preimage(pre) != f or f not in a.c_filter_witnesses:
                 cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
                 break
     return met, note, cex is None, cex
@@ -364,28 +355,33 @@ def _check_thm5_i_ii(ctx: _Context):
     note = "" if met else "no ideal satisfies the c-condition"
     cex = None
     for i in a.ccond_ideals:
-        if i not in a.maximal_ideals:
+        if i not in a.maximal_ideal_set:
             cex = {"ideal": _fmt(p, i)}
             break
     return met, note, cex is None, cex
 
 
-def _lu_condition(p: Poset, ideal_mask: int) -> bool:
-    return all(
-        lu_union(p, a, ideal_mask)[1] for a in iter_bits(p.all_mask & ~ideal_mask)
-    )
+def _lu_condition(a: Analysis, ideal_mask: int) -> bool:
+    """Is every LU-union over the ideal, for x outside it, an ideal?  Over
+    the principal ideal down[g] that union is the one cell lu[x][g] (see
+    :func:`~cideals.substructures.lu_union`); LEM_JOINSEMI_LU reads it too."""
+    p = a.poset
+    cells = p.lu[a.down_generator[ideal_mask]]
+    return all(a.is_ideal(cells[x]) for x in iter_bits(p.all_mask & ~ideal_mask))
 
 
-def _ul_condition(p: Poset, filter_mask: int) -> bool:
-    return all(
-        ul_union(p, a, filter_mask)[1] for a in iter_bits(p.all_mask & ~filter_mask)
-    )
+def _ul_condition(a: Analysis, filter_mask: int) -> bool:
+    """Is every UL-union over the filter, for x outside it, a filter?  Over
+    the principal filter up[g] that union is the one cell ul[x][g]."""
+    p = a.poset
+    cells = p.ul[a.up_generator[filter_mask]]
+    return all(a.is_filter(cells[x]) for x in iter_bits(p.all_mask & ~filter_mask))
 
 
 def _check_thm5_ii_iii_iv_i(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     distributive = ctx.analysis.distributivity.holds
-    qualifying = [i for i in ctx.analysis.maximal_ideals if _lu_condition(p, i)]
+    qualifying = [i for i in ctx.analysis.maximal_ideals if _lu_condition(ctx.analysis, i)]
     met = distributive and bool(qualifying)
     if distributive:
         note = "" if qualifying else "no maximal ideal with all LU-unions ideals"
@@ -405,7 +401,7 @@ def _check_thm5_v_vi(ctx: _Context):
     note = "" if met else "no filter satisfies the c-condition"
     cex = None
     for f in a.ccond_filters:
-        if f not in a.ultrafilters:
+        if f not in a.ultrafilter_set:
             cex = {"filter": _fmt(p, f)}
             break
     return met, note, cex is None, cex
@@ -414,7 +410,7 @@ def _check_thm5_v_vi(ctx: _Context):
 def _check_thm5_iii_vi_vii_v(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     distributive = ctx.analysis.distributivity.holds
-    qualifying = [f for f in ctx.analysis.ultrafilters if _ul_condition(p, f)]
+    qualifying = [f for f in ctx.analysis.ultrafilters if _ul_condition(ctx.analysis, f)]
     met = distributive and bool(qualifying)
     if distributive:
         note = "" if qualifying else "no ultrafilter with all UL-unions filters"
@@ -429,14 +425,15 @@ def _check_thm5_iii_vi_vii_v(ctx: _Context):
 
 
 def _check_lem_joinsemi_lu(ctx: _Context):
-    p = ctx.cp.poset
-    met = ctx.analysis.semilattice_flags[0]
+    p, an = ctx.cp.poset, ctx.analysis
+    met = an.semilattice_flags[0]
     note = "" if met else "poset is not a join-semilattice"
     cex = None
-    for i in ctx.analysis.ideals:
+    for i in an.ideals:
+        g = an.down_generator[i]
         for a in range(p.n):
-            union, ok = lu_union(p, a, i)
-            if not ok:
+            union = p.lu[a][g]
+            if not an.is_ideal(union):
                 cex = {"ideal": _fmt(p, i), "element": p.names[a], "union": _fmt(p, union)}
                 break
         if cex:
@@ -445,12 +442,11 @@ def _check_lem_joinsemi_lu(ctx: _Context):
 
 
 def _verify_separation_witness(
-    cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int, analysis: Analysis
+    ideal_mask: int, filter_mask: int, witness: int, analysis: Analysis
 ) -> bool:
     """Definition-level re-check, independent of the construction path."""
-    p = cp.poset
     return (
-        is_ideal(p, witness)
+        analysis.is_ideal(witness)
         and witness in analysis.c_ideal_witnesses
         and not ideal_mask & ~witness
         and not witness & filter_mask
@@ -478,7 +474,7 @@ def _check_separation(ctx: _Context, mode: str):
             notes.append("complementation is not antitone")
 
         def filter_ok(f: int) -> bool:
-            if f not in a.ultrafilters:
+            if f not in a.ultrafilter_set:
                 return False
             g = p.least(f)
             return g is not None and all(
@@ -492,7 +488,7 @@ def _check_separation(ctx: _Context, mode: str):
             notes.append("x<=x'' fails")
         if mode == "prime":
             def filter_ok(f: int) -> bool:
-                return f in a.prime_filters
+                return f in a.prime_filter_set
         else:
             def filter_ok(f: int) -> bool:
                 return cp.c_condition(f)
@@ -516,7 +512,7 @@ def _check_separation(ctx: _Context, mode: str):
             witness = result.witness
         else:
             witness = cp.comp_preimage(f)
-        if witness is None or not _verify_separation_witness(cp, i, f, witness, a):
+        if witness is None or not _verify_separation_witness(i, f, witness, a):
             cex = {
                 "ideal": _fmt(p, i),
                 "filter": _fmt(p, f),
@@ -611,9 +607,9 @@ def separate_first(
     """
     p = cp.poset
     a = analysis or Analysis(p, cp)
-    if not is_ideal(p, ideal_mask):
+    if not a.is_ideal(ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if not is_filter(p, filter_mask):
+    if not a.is_filter(filter_mask):
         raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
     def fail(reason: str) -> SeparationResult:
@@ -624,7 +620,7 @@ def separate_first(
     if not cp.props.x_le_xdd:
         return fail(FAIL_X_LE_XDD)
     if prime_mode:
-        if filter_mask not in a.prime_filters:
+        if filter_mask not in a.prime_filter_set:
             return fail(FAIL_NOT_PRIME)
         if not cp.c_condition(filter_mask):  # guaranteed for prime filters
             raise PosetError("internal error: prime filter misses the c-condition")
@@ -634,7 +630,7 @@ def separate_first(
         return fail(FAIL_NOT_DISJOINT)
 
     witness = cp.comp_preimage(filter_mask)
-    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness, a):
+    if not _verify_separation_witness(ideal_mask, filter_mask, witness, a):
         raise PosetError("internal error: constructed witness failed verification")
     return SeparationResult(ideal_mask, filter_mask, witness=witness)
 
@@ -656,9 +652,9 @@ def separate_second(
     """
     p = cp.poset
     a = analysis or Analysis(p, cp)
-    if not is_ideal(p, ideal_mask):
+    if not a.is_ideal(ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if not is_filter(p, filter_mask):
+    if not a.is_filter(filter_mask):
         raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
     def fail(reason: str) -> SeparationResult:
@@ -668,7 +664,7 @@ def separate_second(
         return fail(FAIL_NOT_DISTRIBUTIVE)
     if not cp.props.antitone:
         return fail(FAIL_NOT_ANTITONE)
-    if filter_mask not in a.ultrafilters:
+    if filter_mask not in a.ultrafilter_set:
         return fail(FAIL_NOT_ULTRA)
     g = p.least(filter_mask)
     if g is None:

@@ -28,7 +28,7 @@ from .complement import ComplementedPoset, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
 from .harness import StatementId, TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, build_poset, iter_bits
-from .substructures import DEFAULT_BUDGET, Analysis, principal_generator
+from .substructures import DEFAULT_BUDGET, Analysis
 
 # -- instance files -----------------------------------------------------------
 
@@ -183,10 +183,10 @@ class Report:
 def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
     p, cp = a.poset, a.cp
     if kind == "ideal":
-        family, maximal, prime = a.ideals, a.maximal_ideals, a.prime_ideals
+        family, maximal, prime = a.ideals, a.maximal_ideal_set, a.prime_ideal_set
         witnesses = a.c_ideal_witnesses if cp else {}
     else:
-        family, maximal, prime = a.filters, a.ultrafilters, a.prime_filters
+        family, maximal, prime = a.filters, a.ultrafilter_set, a.prime_filter_set
         witnesses = a.c_filter_witnesses if cp else {}
     rows = []
     for mask in family:
@@ -195,7 +195,7 @@ def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
             ClassRow(
                 mask=mask,
                 proper=mask != p.all_mask,
-                principal=principal_generator(p, mask),
+                principal=a.generator(mask),
                 maximal=mask in maximal,
                 prime=mask in prime,
                 ccond=cp.c_condition(mask) if cp else None,
@@ -511,7 +511,8 @@ def render_text(report: Report) -> str:
 
 
 def text_theorem_row(res: TheoremCheckResult) -> str:
-    """One statement result of the text format."""
+    """One statement result of the text format.  A not-applicable row ends
+    with its probe note, which says whether the unguarded conclusion holds."""
     tag = res.statement.value
     if res.conclusion_holds is False:
         payload = ", ".join(f"{k}={v}" for k, v in (res.counterexample or {}).items())
@@ -520,7 +521,7 @@ def text_theorem_row(res: TheoremCheckResult) -> str:
         return f"{tag}: verified"
     if res.probe is None:
         return f"{tag}: not verified ({res.detail})"
-    return f"{tag}: not applicable ({res.detail})"
+    return f"{tag}: not applicable ({res.detail}; probe: {res.probe})"
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -5,7 +5,8 @@ has an upper bound inside the set; a filter is the dual.  The empty set is
 neither.  On a finite poset every ideal and every filter is principal, so
 the families are read off the principal cones: the n sets ``down[i]`` are
 the ideals and the n sets ``up[i]`` the filters.  :class:`Analysis` derives
-the families and every flag of their members once per call.
+the families and every flag of their members once per call, and answers
+each ideal or filter test once per distinct mask.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -241,15 +242,58 @@ class Analysis:
 
     One object serves one call: the report, the statement harness and
     :func:`classify` read it instead of each re-deriving the families.  List
-    attributes keep family order.  ``c_ideal_witnesses`` maps a preimage
-    F_0 to the first filter F with it, so an ideal is a c-ideal exactly when
-    it is a key, with that F as its witness; ``c_filter_witnesses`` is the
-    dual.  The attributes from ``c_ideal_witnesses`` on need ``cp``.
+    attributes keep family order; the ``*_set`` attributes hold the same
+    members for membership tests.  ``down_generator`` maps each principal
+    ideal ``down[g]`` to g and ``up_generator`` each principal filter
+    ``up[g]`` to g; the cones of distinct elements differ, so both maps are
+    one-to-one.  ``c_ideal_witnesses`` maps a preimage F_0 to the first
+    filter F with it, so an ideal is a c-ideal exactly when it is a key,
+    with that F as its witness; ``c_filter_witnesses`` is the dual.  The
+    attributes from ``c_ideal_witnesses`` on need ``cp``.
+
+    :meth:`is_ideal` and :meth:`is_filter` are the definition-level tests
+    of :func:`is_ideal`/:func:`is_filter`, run once per distinct mask and
+    then answered from a memo that lives as long as this object.  The
+    statement checkers put every mask they test through them: family
+    members, complements, preimages, separation witnesses and the pair-table
+    cells ``lu[a][g]``/``ul[a][g]`` that are the LU/UL-unions over principal
+    ideals/filters (see :func:`lu_union`).  Those masks number O(n^2).
     """
 
     def __init__(self, poset: Poset, cp: ComplementedPoset | None = None):
         self.poset = poset
         self.cp = cp
+        self._ideal_memo: dict[int, bool] = {}
+        self._filter_memo: dict[int, bool] = {}
+
+    def is_ideal(self, mask: int) -> bool:
+        """:func:`is_ideal` of ``mask``, computed once per distinct mask."""
+        memo = self._ideal_memo
+        if mask not in memo:
+            memo[mask] = is_ideal(self.poset, mask)
+        return memo[mask]
+
+    def is_filter(self, mask: int) -> bool:
+        """:func:`is_filter` of ``mask``, computed once per distinct mask."""
+        memo = self._filter_memo
+        if mask not in memo:
+            memo[mask] = is_filter(self.poset, mask)
+        return memo[mask]
+
+    def generator(self, mask: int) -> int | None:
+        """:func:`principal_generator` of ``mask``, read from the generator
+        maps: a principal ideal ``down[g]`` is exactly an ideal whose
+        greatest element g has it as its cone, and dually."""
+        g = self.down_generator.get(mask)
+        return self.up_generator.get(mask) if g is None else g
+
+    @cached_property
+    def down_generator(self) -> dict[int, int]:
+        return {cone: g for g, cone in enumerate(self.poset.down)}
+
+    @cached_property
+    def up_generator(self) -> dict[int, int]:
+        return {cone: g for g, cone in enumerate(self.poset.up)}
 
     @cached_property
     def ideals(self) -> list[int]:
@@ -283,6 +327,22 @@ class Analysis:
     @cached_property
     def prime_filters(self) -> list[int]:
         return [f for f in self.filters if is_prime_filter(self.poset, f)]
+
+    @cached_property
+    def maximal_ideal_set(self) -> frozenset[int]:
+        return frozenset(self.maximal_ideals)
+
+    @cached_property
+    def ultrafilter_set(self) -> frozenset[int]:
+        return frozenset(self.ultrafilters)
+
+    @cached_property
+    def prime_ideal_set(self) -> frozenset[int]:
+        return frozenset(self.prime_ideals)
+
+    @cached_property
+    def prime_filter_set(self) -> frozenset[int]:
+        return frozenset(self.prime_filters)
 
     @cached_property
     def c_ideal_witnesses(self) -> dict[int, int]:
@@ -320,19 +380,21 @@ def classify(
     p = cp.poset
     p.check_mask(mask)
     a = analysis or Analysis(p, cp)
-    ideal_flag = mask in a.ideals
-    filter_flag = mask in a.filters
+    ideal_flag = mask in a.down_generator
+    filter_flag = mask in a.up_generator
     proper = (ideal_flag or filter_flag) and mask != p.all_mask
+    # each list is computed only when its family holds the mask, so a
+    # one-off call on a fresh analysis derives no list it does not read
     return SubsetClassification(
         subject=mask,
         is_ideal=ideal_flag,
         is_filter=filter_flag,
         proper=proper,
-        principal_generator=principal_generator(p, mask),
-        maximal_ideal=ideal_flag and mask in a.maximal_ideals,
-        prime_ideal=ideal_flag and mask in a.prime_ideals,
-        ultrafilter=filter_flag and mask in a.ultrafilters,
-        prime_filter=filter_flag and mask in a.prime_filters,
+        principal_generator=a.generator(mask),
+        maximal_ideal=ideal_flag and mask in a.maximal_ideal_set,
+        prime_ideal=ideal_flag and mask in a.prime_ideal_set,
+        ultrafilter=filter_flag and mask in a.ultrafilter_set,
+        prime_filter=filter_flag and mask in a.prime_filter_set,
         c_ideal_witness=a.c_ideal_witnesses.get(mask) if ideal_flag else None,
         c_filter_witness=a.c_filter_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
@@ -346,6 +408,11 @@ def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
     and a union of downsets is a downset; so the union is an ideal exactly
     when it is nonempty and every pair of its maximal members has an upper
     bound in it (see :func:`_pairs_bounded`).
+
+    Over a principal ideal ``down[g]`` the union is the one cell
+    ``p.lu[a][g]``: for i <= g, U(a,g) is inside U(a,i), so LU(a,i) is
+    inside LU(a,g), which is itself one of the cones.  The statement
+    checkers read that cell; this function ORs the rows of any mask.
     """
     p.check_mask(ideal_mask)
     row, union = p.lu[a], 0
@@ -356,7 +423,9 @@ def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
 
 def ul_union(p: Poset, a: int, filter_mask: int) -> tuple[int, bool]:
     """Dual construction for filters: union of UL({a, f}) over f in the
-    filter, from the rows of ``p.ul``; a union of upsets is an upset."""
+    filter, from the rows of ``p.ul``; a union of upsets is an upset.  Over
+    a principal filter ``up[g]`` the union is the one cell ``p.ul[a][g]``,
+    since UL(a,f) lies inside UL(a,g) for every f >= g."""
     p.check_mask(filter_mask)
     row, union = p.ul[a], 0
     for f in iter_bits(filter_mask):

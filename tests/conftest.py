@@ -2,6 +2,7 @@ import pytest
 
 import naive
 from cideals import (
+    Analysis,
     builtin_corpus,
     directed_downsets,
     enumerate_filters,
@@ -12,6 +13,7 @@ from cideals import (
     ul_union,
 )
 from cideals.poset import iter_bits
+from cideals.substructures import principal_generator
 
 
 @pytest.fixture(scope="session")
@@ -107,15 +109,21 @@ def assert_distributivity_agrees(p, elements, le):
 
 
 def assert_subset_tests_agree(p):
-    """On every subset S of ``p``: ``is_ideal``/``is_filter`` give the naive
-    all-pairs verdicts, and for every a, ``lu_union``/``ul_union`` over S
-    give the naive union of the cones LU(a,s)/UL(a,s) with its naive
+    """On every subset S of ``p``: ``is_ideal``/``is_filter`` and the
+    memoised tests of one shared :class:`Analysis`, asked twice, give the
+    naive all-pairs verdicts; ``Analysis.generator`` is
+    ``principal_generator``; and for every a, ``lu_union``/``ul_union`` over
+    S give the naive union of the cones LU(a,s)/UL(a,s) with its naive
     ideal/filter verdict."""
     elements, le = naive_order(p)
+    shared = Analysis(p)
+    verdicts = {}
     for s in range(p.all_mask + 1):
         members = names(p, s)
-        assert is_ideal(p, s) == naive.is_ideal(elements, le, members)
-        assert is_filter(p, s) == naive.is_filter(elements, le, members)
+        verdicts[s] = naive.is_ideal(elements, le, members), naive.is_filter(elements, le, members)
+        assert (is_ideal(p, s), is_filter(p, s)) == verdicts[s]
+        assert (shared.is_ideal(s), shared.is_filter(s)) == verdicts[s]
+        assert shared.generator(s) == principal_generator(p, s)
         for a in elements:
             for union_of, inner, outer, verdict in (
                 (lu_union, naive.upper_cone, naive.lower_cone, naive.is_ideal),
@@ -127,3 +135,18 @@ def assert_subset_tests_agree(p):
                 )
                 assert names(p, union) == want
                 assert ok == verdict(elements, le, want)
+    for s in reversed(range(p.all_mask + 1)):  # now answered from the memo
+        assert (shared.is_ideal(s), shared.is_filter(s)) == verdicts[s]
+
+
+def assert_union_cells_agree(p):
+    """For every a and g, the pair-table cell ``lu[a][g]`` with the shared
+    analysis's ideal test on it is ``lu_union(p, a, down[g])``; dually
+    ``ul[a][g]`` and the filter test are ``ul_union(p, a, up[g])``."""
+    shared = Analysis(p)
+    for g in range(p.n):
+        for a in range(p.n):
+            cell = p.lu[a][g]
+            assert lu_union(p, a, p.down[g]) == (cell, shared.is_ideal(cell))
+            cell = p.ul[a][g]
+            assert ul_union(p, a, p.up[g]) == (cell, shared.is_filter(cell))

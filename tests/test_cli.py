@@ -190,6 +190,15 @@ def test_missing_file_exit_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "check", "ideals", "filters", "dot"])
+def test_undecodable_file_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.poset"
+    bad.write_bytes("name: x\nelements: 0 \u00e9 1\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, [command, str(bad)])
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.poset"
     bad.write_text("name: x\nelements: a b\nle: a b\n")
@@ -348,3 +357,30 @@ def test_analyze_b6_reports_walk_over_default_budget(tmp_path, capsys):
     assert code == 0
     assert "ideals (64):" in out and "filters (64):" in out
     assert "LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 1048576 " in out
+
+
+def test_not_applicable_rows_print_their_probe(instdir, capsys):
+    # fig4 is no join-semilattice, and the union of LU(c, i) over L(a) is not
+    # an ideal: the hypothesis does real work, and the text row says so
+    row = (
+        "LEM_JOINSEMI_LU: not applicable (poset is not a join-semilattice; "
+        "probe: unguarded conclusion fails: ideal={0,a}, element=c, union={0,a,c})"
+    )
+    path = str(instdir / "fig4.poset")
+    code, out, _ = run_cli(capsys, ["check", path, "--statement", "LEM_JOINSEMI_LU"])
+    assert code == 4 and out == row + "\n"
+    code, out, _ = run_cli(capsys, ["analyze", path])
+    assert code == 0 and f"\n  {row}\n" in out
+    # a probe that finds the conclusion holding is printed too; the machine
+    # format stays without probes
+    code, out, _ = run_cli(capsys, ["check", str(instdir / "fig1.poset")])
+    assert (
+        "LEM_BOOLEAN: not applicable (needs an antitone complementation with "
+        "x<=x'' for all x; probe: unguarded conclusion happens to hold)\n"
+    ) in out
+    code, out, _ = run_cli(capsys, ["check", path, "--format", "machine"])
+    assert (
+        "theorem: tag=LEM_JOINSEMI_LU hypotheses=false conclusion=none "
+        "counterexample=none\n"
+    ) in out
+    assert "probe" not in out

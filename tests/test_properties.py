@@ -19,6 +19,7 @@ from conftest import (
     assert_distributivity_agrees,
     assert_families_agree,
     assert_subset_tests_agree,
+    assert_union_cells_agree,
     naive_order,
 )
 
@@ -131,6 +132,12 @@ def test_distributivity_matches_oracle_on_random_posets(p):
 @settings(max_examples=40, deadline=None)
 def test_subset_tests_and_unions_match_oracle(p):
     assert_subset_tests_agree(p)
+
+
+@given(any_posets())
+@settings(max_examples=60, deadline=None)
+def test_union_over_a_principal_cone_is_one_table_cell(p):
+    assert_union_cells_agree(p)
 
 
 @given(posets())

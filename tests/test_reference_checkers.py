@@ -1,0 +1,218 @@
+"""The checkers that read the shared analysis agree with plain references.
+
+Each reference below evaluates a statement from the public, unmemoised
+definition-level functions: ``lu_union``/``ul_union`` OR one table row per
+member of the ideal or filter, and primality, ideal and filter tests run
+afresh on every set.  The checkers instead read one pair-table cell per
+union, the prime families and the per-mask memo of one ``Analysis``.  Both
+must give the same hypothesis flag, verdict and first counterexample.
+"""
+
+import pytest
+
+from cideals import (
+    DEFAULT_BUDGET,
+    PosetError,
+    StatementId,
+    attach_complementation,
+    build_poset,
+    check_statement,
+    complement_pairing,
+    enumerate_filters,
+    enumerate_ideals,
+    is_filter,
+    is_ideal,
+    lu_union,
+    random_complemented_poset,
+    separate_first,
+    ul_union,
+)
+from cideals.complement import ComplementedPoset
+from cideals.harness import _CHECKERS, _Context, _lu_condition, _ul_condition
+from cideals.substructures import Analysis
+from cideals.poset import iter_bits
+from cideals.substructures import (
+    find_c_filter_witness,
+    find_c_ideal_witness,
+    is_maximal_ideal,
+    is_prime_filter,
+    is_prime_ideal,
+    is_ultrafilter,
+)
+from conftest import boolean_lattice, bounded_antichain
+
+
+def _fmt(p, m):
+    return p.format_set(m)
+
+
+def ref_lem_cl_prime(cp):
+    p = cp.poset
+    ideals, filters = enumerate_ideals(p), enumerate_filters(p)
+    for i in ideals:
+        rest = complement_pairing(p, i)
+        facts = (is_prime_ideal(p, i), is_prime_filter(p, rest), is_filter(p, rest))
+        if len(set(facts)) != 1:
+            return True, False, {"ideal": _fmt(p, i), "equivalences": "({},{},{})".format(*facts)}
+    image = {complement_pairing(p, i) for i in ideals if is_prime_ideal(p, i)}
+    primes = {f for f in filters if is_prime_filter(p, f)}
+    if image != primes:
+        return True, False, {
+            "prime_ideal_complements": "+".join(sorted(_fmt(p, m) for m in image)),
+            "prime_filters": "+".join(sorted(_fmt(p, m) for m in primes)),
+        }
+    return True, True, None
+
+
+def ref_thm_f0_cideal(cp):
+    p, props = cp.poset, cp.props
+    ideals, filters = enumerate_ideals(p), enumerate_filters(p)
+    hyp_i = props.antitone and props.x_le_xdd
+    hyp_ii = props.antitone and props.xdd_le_x
+    met = hyp_i or hyp_ii
+    if hyp_i or not met:
+        for f in filters:
+            pre = cp.comp_preimage(f)
+            if not is_ideal(p, pre) or find_c_ideal_witness(cp, pre, filters) is None:
+                return met, False, {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
+    if hyp_ii or not met:
+        for i in ideals:
+            pre = cp.comp_preimage(i)
+            if not is_filter(p, pre) or find_c_filter_witness(cp, pre, ideals) is None:
+                return met, False, {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
+    return met, True, None
+
+
+def ref_cor_involution(cp):
+    p = cp.poset
+    ideals, filters = enumerate_ideals(p), enumerate_filters(p)
+    met = cp.props.antitone and cp.props.involution
+    for i in ideals:
+        pre = cp.comp_preimage(i)
+        if (
+            not is_filter(p, pre)
+            or cp.comp_preimage(pre) != i
+            or find_c_ideal_witness(cp, i, filters) is None
+        ):
+            return met, False, {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
+    for f in filters:
+        pre = cp.comp_preimage(f)
+        if (
+            not is_ideal(p, pre)
+            or cp.comp_preimage(pre) != f
+            or find_c_filter_witness(cp, f, ideals) is None
+        ):
+            return met, False, {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
+    return met, True, None
+
+
+def _ref_thm5(cp, family, extreme, union_of, kind):
+    p = cp.poset
+    qualifying = [
+        s
+        for s in family
+        if extreme(p, s, family)
+        and all(union_of(p, a, s)[1] for a in iter_bits(p.all_mask & ~s))
+    ]
+    met = p.is_distributive().holds and bool(qualifying)
+    for s in qualifying:
+        if not cp.c_condition(s):
+            return met, False, {kind: _fmt(p, s)}
+    return met, True, None
+
+
+def ref_thm5_ii_iii_iv_i(cp):
+    return _ref_thm5(cp, enumerate_ideals(cp.poset), is_maximal_ideal, lu_union, "ideal")
+
+
+def ref_thm5_iii_vi_vii_v(cp):
+    return _ref_thm5(cp, enumerate_filters(cp.poset), is_ultrafilter, ul_union, "filter")
+
+
+def ref_lem_joinsemi_lu(cp):
+    p = cp.poset
+    met = p.semilattice_flags()[0]
+    for i in enumerate_ideals(p):
+        for a in range(p.n):
+            union, ok = lu_union(p, a, i)
+            if not ok:
+                return met, False, {
+                    "ideal": _fmt(p, i),
+                    "element": p.names[a],
+                    "union": _fmt(p, union),
+                }
+    return met, True, None
+
+
+REFERENCES = {
+    StatementId.LEM_CL_PRIME: ref_lem_cl_prime,
+    StatementId.THM_F0_CIDEAL: ref_thm_f0_cideal,
+    StatementId.COR_INVOLUTION: ref_cor_involution,
+    StatementId.THM5_II_III_IV_I: ref_thm5_ii_iii_iv_i,
+    StatementId.THM5_III_VI_VII_V: ref_thm5_iii_vi_vii_v,
+    StatementId.LEM_JOINSEMI_LU: ref_lem_joinsemi_lu,
+}
+
+
+def _complemented(elements, covers, comp):
+    p = build_poset(elements, covers)
+    return attach_complementation(p, comp)
+
+
+@pytest.fixture(scope="module")
+def instances(corpus):
+    """The corpus, campaign seeds 1-200, B2-B4 and bounded antichains."""
+    cps = [entry.cp for entry in corpus.values()]
+    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    cps += [_complemented(*boolean_lattice(d)) for d in (2, 3, 4)]
+    cps += [_complemented(*bounded_antichain(k)) for k in (2, 3, 5, 8)]
+    return cps
+
+
+@pytest.mark.parametrize("sid", list(REFERENCES), ids=lambda sid: sid.value)
+def test_checker_matches_its_reference(instances, sid):
+    seen = {"met": 0, "failed": 0}
+    for cp in instances:
+        met, _note, ok, cex = _CHECKERS[sid](_Context(cp, DEFAULT_BUDGET))
+        assert (met, ok, cex) == REFERENCES[sid](cp), (sid, cp.poset)
+        seen["met"] += met
+        seen["failed"] += not ok
+    # the set meets every statement's hypotheses somewhere, and fails the
+    # unguarded conclusion somewhere, except LEM_CL_PRIME's, which has none
+    assert seen["met"] > 0
+    assert seen["failed"] > 0 or sid is StatementId.LEM_CL_PRIME
+
+
+def test_union_conditions_match_the_unions(instances):
+    # the THM5 conditions on every ideal and filter, not only the maximal
+    # ones, each against one shared analysis
+    held = failed = 0
+    for cp in instances:
+        p, a = cp.poset, Analysis(cp.poset, cp)
+        for family, condition, union_of in (
+            (a.ideals, _lu_condition, lu_union),
+            (a.filters, _ul_condition, ul_union),
+        ):
+            for s in family:
+                want = all(union_of(p, x, s)[1] for x in iter_bits(p.all_mask & ~s))
+                assert condition(a, s) == want, (p, s)
+                held, failed = held + want, failed + (not want)
+    assert held and failed
+
+
+def test_separation_witness_is_reverified(fig2b, monkeypatch):
+    # a construction that yields a non-ideal must be caught by the re-check
+    # (the statement checkers call the same procedure)
+    p, cp = fig2b.poset, fig2b.cp
+    ideal, filt = p.down[p.index("0")], p.up[p.index("f")]
+    assert separate_first(cp, ideal, filt).witness is not None
+    real = ComplementedPoset.comp_preimage
+
+    def doctored(self, mask):
+        return 0 if mask == filt else real(self, mask)
+
+    monkeypatch.setattr(ComplementedPoset, "comp_preimage", doctored)
+    with pytest.raises(PosetError, match="failed verification"):
+        separate_first(cp, ideal, filt)
+    with pytest.raises(PosetError, match="failed verification"):
+        check_statement(cp, StatementId.THM_SEP1)

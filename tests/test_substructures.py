@@ -20,6 +20,7 @@ from cideals.poset import sort_key
 from conftest import (
     assert_families_agree,
     assert_subset_tests_agree,
+    assert_union_cells_agree,
     boolean_lattice,
     bounded_antichain,
     mask,
@@ -197,6 +198,14 @@ def test_subset_tests_and_unions_match_oracle_off_semilattices(bounded):
     union, ok = ul_union(bowtie, bowtie.index("c"), mask(bowtie, "d"))
     assert names(bowtie, union) - {"1"} == {"c", "d"} and not ok
     assert_subset_tests_agree(bowtie)
+    assert_union_cells_agree(bowtie)
+
+
+def test_union_over_a_principal_cone_is_one_table_cell(corpus):
+    posets = [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    for p in posets:
+        assert_union_cells_agree(p)
 
 
 def test_ul_union_dual(fig1):
