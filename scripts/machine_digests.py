@@ -14,9 +14,19 @@ Instance groups, in output order:
 - ``antichain``: bounds plus a k-antichain, k = 8-16, whose complement
   shifts each middle element to the next.
 
-All four groups give 218 instances and 872 outputs.  Two commits produce
-the same machine outputs, exit codes and stderr included, exactly when
-the outputs of this script run at each of them are identical::
+These four groups give 218 instances and 872 outputs.  One more group reads
+many answers from objects loaded once, which one-call-per-process CLI runs
+cannot: a stale or cross-contaminated cache shows only there.
+
+- ``api``: the corpus, B4 and bounds plus a 10-antichain, each loaded once,
+  then a fixed, seeded, shuffled sequence of ``check_statement``,
+  ``separate`` and ``classify`` calls on them; one line per call::
+
+      api <index>:<call>:<instance>:<argument> <sha256 of its result or exception>
+
+Two commits produce the same machine outputs, exit codes and stderr
+included, and the same library answers, exactly when the outputs of this
+script run at each of them are identical::
 
     PYTHONPATH=src python3 scripts/machine_digests.py > digests.txt
     PYTHONPATH=src python3 scripts/machine_digests.py corpus boolean
@@ -30,17 +40,23 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
+from functools import partial
 
-from cideals import Instance, attach_complementation, build_poset, builtin_corpus
-from cideals import emit_instance, random_complemented_poset
+from cideals import Instance, NotFilter, NotIdeal, StatementId, attach_complementation, build_poset
+from cideals import builtin_corpus, check_statement, classify, emit_instance, random_complemented_poset, separate
 from cideals.cli import main as cli_main
 
 COMMANDS = ("analyze", "check", "ideals", "filters")
 CAMPAIGN_SEEDS = range(1, 201)
 BOOLEAN_DIMS = range(2, 6)
 ANTICHAIN_KS = range(8, 17)
+API_SEED = 0
+API_SEPARATION_PAIRS = 4
+API_CLASSIFY = 12
+SEPARATION_MODES = ("first", "prime", "second")
 
 
 def _instance(name, elements, covers, comp):
@@ -82,6 +98,48 @@ GROUPS = {
     "boolean": lambda: (boolean_lattice(d) for d in BOOLEAN_DIMS),
     "antichain": lambda: (bounded_antichain(k) for k in ANTICHAIN_KS),
 }
+ALL_GROUPS = (*GROUPS, "api")
+
+
+def api_queries(objects, rng):
+    """(key, call) pairs: every statement on every object, separations on
+    cone pairs and arbitrary masks in every mode, and classifications of
+    cones and arbitrary masks, shuffled by ``rng``."""
+    queries = [
+        (f"check:{name}:{sid.value}", partial(check_statement, cp, sid))
+        for name, cp in objects.items()
+        for sid in StatementId
+    ]
+    for name, cp in objects.items():
+        p = cp.poset
+
+        def pick():
+            return rng.choice((p.down[rng.randrange(p.n)], p.up[rng.randrange(p.n)],
+                               rng.randrange(p.all_mask + 1)))
+
+        for _ in range(API_SEPARATION_PAIRS):
+            i, f = pick(), pick()
+            queries += [
+                (f"separate:{name}:{mode},{i},{f}", partial(separate, cp, i, f, mode))
+                for mode in SEPARATION_MODES
+            ]
+        for _ in range(API_CLASSIFY):
+            mask = pick()
+            queries.append((f"classify:{name}:{mask}", partial(classify, cp, mask)))
+    rng.shuffle(queries)
+    return queries
+
+
+def run_api():
+    """Yield one output line per call of the seeded read-many replay."""
+    instances = [*GROUPS["corpus"](), boolean_lattice(4), bounded_antichain(10)]
+    objects = {instance.name: instance.cp for instance in instances}
+    for index, (key, call) in enumerate(api_queries(objects, random.Random(API_SEED))):
+        try:
+            payload = repr(call())
+        except (NotIdeal, NotFilter) as exc:  # separate on masks outside the families
+            payload = f"{type(exc).__name__}: {exc}"
+        yield f"api {index:03d}:{key} {hashlib.sha256(payload.encode('utf-8')).hexdigest()}"
 
 
 def digest(argv):
@@ -94,9 +152,12 @@ def digest(argv):
 
 
 def run(groups):
-    """Yield one output line per (instance, command); instance files are
-    written to the current directory."""
+    """Yield one output line per (instance, command) and per api call;
+    instance files are written to the current directory."""
     for group in groups:
+        if group == "api":
+            yield from run_api()
+            continue
         for instance in GROUPS[group]():
             path = f"{instance.name}.poset"
             with open(path, "w", encoding="utf-8") as handle:
@@ -108,16 +169,16 @@ def run(groups):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("groups", nargs="*", metavar="GROUP",
-                        help=f"instance groups to run, of {', '.join(GROUPS)} (default: all)")
+                        help=f"groups to run, of {', '.join(ALL_GROUPS)} (default: all)")
     args = parser.parse_args()
-    unknown = sorted(set(args.groups).difference(GROUPS))
+    unknown = sorted(set(args.groups).difference(ALL_GROUPS))
     if unknown:
         parser.error(f"unknown group {unknown[0]!r}")
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for line in run(args.groups or list(GROUPS)):
+            for line in run(args.groups or ALL_GROUPS):
                 print(line)
         finally:
             os.chdir(start)

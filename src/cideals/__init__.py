@@ -58,7 +58,6 @@ from .io import (
 from .poset import DistributivityReport, Poset, build_poset, iter_bits, sort_key
 from .substructures import (
     DEFAULT_BUDGET,
-    Analysis,
     SubsetClassification,
     classify,
     complement_pairing,

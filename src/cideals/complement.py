@@ -6,6 +6,10 @@ join/meet of the pair.  The map need not be antitone nor an involution;
 the property flags record which of the usual extras actually hold, and
 everything downstream (ideal classification, theorem checks) branches on
 them.
+
+A complemented poset is immutable.  Its ``facts`` (c-ideals, c-filters,
+the c-condition) are built on first read, as the poset's own ``facts`` are,
+and belong to this complementation alone.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class ComplementProperties:
 class ComplementedPoset:
     """A bounded poset together with a validated complementation."""
 
-    __slots__ = ("poset", "comp", "props")
+    __slots__ = ("poset", "comp", "props", "_facts")
 
     def __init__(self, poset: Poset, comp: Sequence[int]):
         if not poset.bounded:
@@ -60,6 +64,7 @@ class ComplementedPoset:
         self.poset = poset
         self.comp = comp
         self.props = self._compute_properties()
+        self._facts = None
 
     def __repr__(self) -> str:
         table = " ".join(
@@ -76,6 +81,16 @@ class ComplementedPoset:
 
     def __hash__(self) -> int:
         return hash((self.poset, self.comp))
+
+    @property
+    def facts(self):
+        """The :class:`~cideals.substructures.ComplementFacts` of this
+        complementation, built on first read; order facts stay on the poset."""
+        if self._facts is None:
+            from .substructures import ComplementFacts  # it imports this module
+
+            self._facts = ComplementFacts(self)
+        return self._facts
 
     # -- the complement map on sets ------------------------------------------
 

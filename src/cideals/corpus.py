@@ -21,7 +21,6 @@ from typing import Iterable
 from .complement import ComplementedPoset, attach_complementation
 from .errors import BadSize, NotBounded, PosetError
 from .poset import Poset, build_poset, iter_bits
-from .substructures import Analysis
 
 #: edge probability between rank-adjacent middle elements of random posets
 DEFAULT_EDGE_DENSITY = 0.3
@@ -177,8 +176,7 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     Ideal/filter families are reported by their principal generators (on a
     finite poset every ideal and filter is principal).
     """
-    p = cp.poset
-    a = Analysis(p, cp)
+    p, a, cf = cp.poset, cp.poset.facts, cp.facts
 
     def gens(masks: Iterable[int], least: bool = False) -> frozenset[str]:
         out = []
@@ -195,9 +193,9 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
         "ultrafilters": gens(a.ultrafilters, least=True),
         "prime_ideals": gens(a.prime_ideals),
         "prime_filters": gens(a.prime_filters, least=True),
-        "c_ideals": gens(a.c_ideals),
-        "c_filters": gens(a.c_filters, least=True),
-        "c_condition_filters": gens(a.ccond_filters, least=True),
+        "c_ideals": gens(cf.c_ideals),
+        "c_filters": gens(cf.c_filters, least=True),
+        "c_condition_filters": gens(cf.ccond_filters, least=True),
     }
 
 

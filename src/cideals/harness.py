@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
 from .poset import Poset, iter_bits
-from .substructures import DEFAULT_BUDGET, Analysis, complement_pairing, directed_downsets
+from .substructures import DEFAULT_BUDGET, OrderFacts, complement_pairing, directed_downsets, is_filter, is_ideal
 
 
 class StatementId(str, enum.Enum):
@@ -119,16 +119,15 @@ class SeparationResult:
 
 @dataclass
 class _Context:
-    """What the checkers share for one instance: the call's analysis and the
-    LEM_CL_PRINCIPAL walk budget."""
+    """What the checkers share for one instance: the facts of its order and
+    of its complementation, and the LEM_CL_PRINCIPAL walk budget."""
 
     cp: ComplementedPoset
     budget: int
-    analysis: Analysis | None = None
 
     def __post_init__(self):
-        if self.analysis is None:
-            self.analysis = Analysis(self.cp.poset, self.cp)
+        self.order = self.cp.poset.facts
+        self.cfacts = self.cp.facts
 
 
 def _fmt(p: Poset, mask: int) -> str:
@@ -147,7 +146,7 @@ def _check_lem_boolean(ctx: _Context):
     cex = None
     for a in range(p.n):
         add = cp.comp[cp.comp[a]]
-        forced = all((i >> add) & 1 for i in ctx.analysis.ideals if (i >> a) & 1)
+        forced = all((i >> add) & 1 for i in ctx.order.ideals if (i >> a) & 1)
         if forced and add != a:
             cex = {"element": p.names[a], "double_complement": p.names[add]}
             break
@@ -157,7 +156,7 @@ def _check_lem_boolean(ctx: _Context):
 def _check_lem_cl_prime(ctx: _Context):
     """Every filter is an up-cone (LEM_CL_PRINCIPAL), so P\\I is a prime
     filter exactly when it is in the prime-filter family."""
-    p, a = ctx.cp.poset, ctx.analysis
+    p, a = ctx.cp.poset, ctx.order
     cex = None
     for i in a.ideals:
         rest = complement_pairing(p, i)
@@ -195,33 +194,18 @@ def _check_lem_cl_principal(ctx: _Context):
 
 def _check_lem_proper_pair(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    cex = None
-    for i in ctx.analysis.ideals:
-        if i == p.all_mask:
-            continue
-        for a in iter_bits(i):
-            if (i >> cp.comp[a]) & 1 and cp.comp[a] != a:
-                cex = {"proper_ideal": _fmt(p, i), "element": p.names[a]}
-                break
-        if cex:
-            break
-    if cex is None:
-        for f in ctx.analysis.filters:
-            if f == p.all_mask:
-                continue
-            for a in iter_bits(f):
-                if (f >> cp.comp[a]) & 1 and cp.comp[a] != a:
-                    cex = {"proper_filter": _fmt(p, f), "element": p.names[a]}
-                    break
-            if cex:
-                break
-    return True, "", cex is None, cex
+    for kind, family in (("ideal", ctx.order.ideals), ("filter", ctx.order.filters)):
+        for s in family:
+            for a in iter_bits(s) if s != p.all_mask else ():  # proper members only
+                if (s >> cp.comp[a]) & 1 and cp.comp[a] != a:
+                    return True, "", False, {f"proper_{kind}": _fmt(p, s), "element": p.names[a]}
+    return True, "", True, None
 
 
 def _check_prop_proper_equiv(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     cex = None
-    for kind, family in (("ideal", ctx.analysis.ideals), ("filter", ctx.analysis.filters)):
+    for kind, family in (("ideal", ctx.order.ideals), ("filter", ctx.order.filters)):
         for s in family:
             pre = cp.comp_preimage(s)
             facts = (s != p.all_mask, pre != p.all_mask, not s & pre)
@@ -240,25 +224,16 @@ def _check_lem_cideal_dd(ctx: _Context):
     hyp_ii = all(p.le(c[c[c[x]]], c[x]) for x in range(p.n))
     met = hyp_i or hyp_ii
     note = "" if met else "needs x'<=x''' for all x (or the dual x'''<=x')"
-    parts = []
-    if hyp_i or not met:
-        parts.append("ideal")
-    if hyp_ii or not met:
-        parts.append("filter")
-    cex = None
-    if "ideal" in parts:
-        for i in ctx.analysis.c_ideals:
-            img2 = cp.comp_image(cp.comp_image(i))
-            if img2 & ~i:
-                cex = {"c_ideal": _fmt(p, i), "double_image": _fmt(p, img2)}
-                break
-    if cex is None and "filter" in parts:
-        for f in ctx.analysis.c_filters:
-            img2 = cp.comp_image(cp.comp_image(f))
-            if img2 & ~f:
-                cex = {"c_filter": _fmt(p, f), "double_image": _fmt(p, img2)}
-                break
-    return met, note, cex is None, cex
+    # unmet, both sides are probed
+    for kind, family, hyp in (
+        ("c_ideal", ctx.cfacts.c_ideals, hyp_i),
+        ("c_filter", ctx.cfacts.c_filters, hyp_ii),
+    ):
+        for s in family if hyp or not met else ():
+            img2 = cp.comp_image(cp.comp_image(s))
+            if img2 & ~s:
+                return met, note, False, {kind: _fmt(p, s), "double_image": _fmt(p, img2)}
+    return met, note, True, None
 
 
 def _check_lem_triple_a0(ctx: _Context):
@@ -278,45 +253,36 @@ def _check_lem_triple_a0(ctx: _Context):
 
 
 def _check_thm_f0_cideal(ctx: _Context):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
+    cp, p, a, cf = ctx.cp, ctx.cp.poset, ctx.order, ctx.cfacts
     props = cp.props
     hyp_i = props.antitone and props.x_le_xdd
     hyp_ii = props.antitone and props.xdd_le_x
     met = hyp_i or hyp_ii
     note = "" if met else "needs antitone with x<=x'' (or the dual x''<=x)"
-    cex = None
-    if hyp_i or not met:
-        for f in a.filters:
-            pre = cp.comp_preimage(f)
-            if not a.is_ideal(pre) or pre not in a.c_ideal_witnesses:
-                cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
-                break
-    if cex is None and (hyp_ii or not met):
-        for i in a.ideals:
-            pre = cp.comp_preimage(i)
-            if not a.is_filter(pre) or pre not in a.c_filter_witnesses:
-                cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
-                break
-    return met, note, cex is None, cex
+    for kind, family, test, witnesses, hyp in (
+        ("filter", a.filters, a.is_ideal, cf.c_ideal_witnesses, hyp_i),
+        ("ideal", a.ideals, a.is_filter, cf.c_filter_witnesses, hyp_ii),
+    ):
+        for s in family if hyp or not met else ():
+            pre = cp.comp_preimage(s)
+            if not test(pre) or pre not in witnesses:
+                return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
+    return met, note, True, None
 
 
 def _check_cor_involution(ctx: _Context):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
+    cp, p, a, cf = ctx.cp, ctx.cp.poset, ctx.order, ctx.cfacts
     met = cp.props.antitone and cp.props.involution
     note = "" if met else "needs an antitone involution"
-    cex = None
-    for i in a.ideals:
-        pre = cp.comp_preimage(i)
-        if not a.is_filter(pre) or cp.comp_preimage(pre) != i or i not in a.c_ideal_witnesses:
-            cex = {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
-            break
-    if cex is None:
-        for f in a.filters:
-            pre = cp.comp_preimage(f)
-            if not a.is_ideal(pre) or cp.comp_preimage(pre) != f or f not in a.c_filter_witnesses:
-                cex = {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
-                break
-    return met, note, cex is None, cex
+    for kind, family, test, witnesses in (
+        ("ideal", a.ideals, a.is_filter, cf.c_ideal_witnesses),
+        ("filter", a.filters, a.is_ideal, cf.c_filter_witnesses),
+    ):
+        for s in family:
+            pre = cp.comp_preimage(s)
+            if not test(pre) or cp.comp_preimage(pre) != s or s not in witnesses:
+                return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
+    return met, note, True, None
 
 
 def _check_rem_principal_l0(ctx: _Context):
@@ -333,35 +299,29 @@ def _check_rem_principal_l0(ctx: _Context):
 
 
 def _check_lem_prime_ccond(ctx: _Context):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.order
     met = bool(a.prime_ideals or a.prime_filters)
     note = "" if met else "no prime ideals and no prime filters on this instance"
-    cex = None
-    for i in a.prime_ideals:
-        if not cp.c_condition(i):
-            cex = {"prime_ideal": _fmt(p, i)}
-            break
-    if cex is None:
-        for f in a.prime_filters:
-            if not cp.c_condition(f):
-                cex = {"prime_filter": _fmt(p, f)}
-                break
-    return met, note, cex is None, cex
+    for kind, family in (("prime_ideal", a.prime_ideals), ("prime_filter", a.prime_filters)):
+        for s in family:
+            if not cp.c_condition(s):
+                return met, note, False, {kind: _fmt(p, s)}
+    return met, note, True, None
 
 
 def _check_thm5_i_ii(ctx: _Context):
-    p, a = ctx.cp.poset, ctx.analysis
-    met = bool(a.ccond_ideals)
+    p, cf = ctx.cp.poset, ctx.cfacts
+    met = bool(cf.ccond_ideals)
     note = "" if met else "no ideal satisfies the c-condition"
     cex = None
-    for i in a.ccond_ideals:
-        if i not in a.maximal_ideal_set:
+    for i in cf.ccond_ideals:
+        if i not in ctx.order.maximal_ideal_set:
             cex = {"ideal": _fmt(p, i)}
             break
     return met, note, cex is None, cex
 
 
-def _lu_condition(a: Analysis, ideal_mask: int) -> bool:
+def _lu_condition(a: OrderFacts, ideal_mask: int) -> bool:
     """Is every LU-union over the ideal, for x outside it, an ideal?  Over
     the principal ideal down[g] that union is the one cell lu[x][g] (see
     :func:`~cideals.substructures.lu_union`); LEM_JOINSEMI_LU reads it too."""
@@ -370,7 +330,7 @@ def _lu_condition(a: Analysis, ideal_mask: int) -> bool:
     return all(a.is_ideal(cells[x]) for x in iter_bits(p.all_mask & ~ideal_mask))
 
 
-def _ul_condition(a: Analysis, filter_mask: int) -> bool:
+def _ul_condition(a: OrderFacts, filter_mask: int) -> bool:
     """Is every UL-union over the filter, for x outside it, a filter?  Over
     the principal filter up[g] that union is the one cell ul[x][g]."""
     p = a.poset
@@ -380,8 +340,8 @@ def _ul_condition(a: Analysis, filter_mask: int) -> bool:
 
 def _check_thm5_ii_iii_iv_i(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    distributive = ctx.analysis.distributivity.holds
-    qualifying = [i for i in ctx.analysis.maximal_ideals if _lu_condition(ctx.analysis, i)]
+    distributive = ctx.order.distributivity.holds
+    qualifying = [i for i in ctx.order.maximal_ideals if _lu_condition(ctx.order, i)]
     met = distributive and bool(qualifying)
     if distributive:
         note = "" if qualifying else "no maximal ideal with all LU-unions ideals"
@@ -396,12 +356,12 @@ def _check_thm5_ii_iii_iv_i(ctx: _Context):
 
 
 def _check_thm5_v_vi(ctx: _Context):
-    p, a = ctx.cp.poset, ctx.analysis
-    met = bool(a.ccond_filters)
+    p, cf = ctx.cp.poset, ctx.cfacts
+    met = bool(cf.ccond_filters)
     note = "" if met else "no filter satisfies the c-condition"
     cex = None
-    for f in a.ccond_filters:
-        if f not in a.ultrafilter_set:
+    for f in cf.ccond_filters:
+        if f not in ctx.order.ultrafilter_set:
             cex = {"filter": _fmt(p, f)}
             break
     return met, note, cex is None, cex
@@ -409,8 +369,8 @@ def _check_thm5_v_vi(ctx: _Context):
 
 def _check_thm5_iii_vi_vii_v(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    distributive = ctx.analysis.distributivity.holds
-    qualifying = [f for f in ctx.analysis.ultrafilters if _ul_condition(ctx.analysis, f)]
+    distributive = ctx.order.distributivity.holds
+    qualifying = [f for f in ctx.order.ultrafilters if _ul_condition(ctx.order, f)]
     met = distributive and bool(qualifying)
     if distributive:
         note = "" if qualifying else "no ultrafilter with all UL-unions filters"
@@ -425,7 +385,7 @@ def _check_thm5_iii_vi_vii_v(ctx: _Context):
 
 
 def _check_lem_joinsemi_lu(ctx: _Context):
-    p, an = ctx.cp.poset, ctx.analysis
+    p, an = ctx.cp.poset, ctx.order
     met = an.semilattice_flags[0]
     note = "" if met else "poset is not a join-semilattice"
     cex = None
@@ -442,12 +402,12 @@ def _check_lem_joinsemi_lu(ctx: _Context):
 
 
 def _verify_separation_witness(
-    ideal_mask: int, filter_mask: int, witness: int, analysis: Analysis
+    cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int
 ) -> bool:
     """Definition-level re-check, independent of the construction path."""
     return (
-        analysis.is_ideal(witness)
-        and witness in analysis.c_ideal_witnesses
+        cp.poset.facts.is_ideal(witness)
+        and witness in cp.facts.c_ideal_witnesses
         and not ideal_mask & ~witness
         and not witness & filter_mask
     )
@@ -456,15 +416,15 @@ def _verify_separation_witness(
 def _separation_pairs(ctx: _Context, filter_ok) -> list[tuple[int, int]]:
     return [
         (i, f)
-        for f in ctx.analysis.filters
+        for f in ctx.order.filters
         if filter_ok(f)
-        for i in ctx.analysis.ideals
+        for i in ctx.order.ideals
         if not i & f
     ]
 
 
 def _check_separation(ctx: _Context, mode: str):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.analysis
+    cp, p, a = ctx.cp, ctx.cp.poset, ctx.order
     props = cp.props
     notes = []
     if mode == "second":
@@ -474,12 +434,7 @@ def _check_separation(ctx: _Context, mode: str):
             notes.append("complementation is not antitone")
 
         def filter_ok(f: int) -> bool:
-            if f not in a.ultrafilter_set:
-                return False
-            g = p.least(f)
-            return g is not None and all(
-                p.meet(x, g) is not None for x in iter_bits(p.all_mask & ~f)
-            )
+            return f in a.ultrafilter_set and a.generator_meets(f)
 
     else:
         if not props.antitone:
@@ -490,8 +445,7 @@ def _check_separation(ctx: _Context, mode: str):
             def filter_ok(f: int) -> bool:
                 return f in a.prime_filter_set
         else:
-            def filter_ok(f: int) -> bool:
-                return cp.c_condition(f)
+            filter_ok = ctx.cfacts.c_condition
 
     pairs = _separation_pairs(ctx, filter_ok)
     if not pairs:
@@ -506,13 +460,13 @@ def _check_separation(ctx: _Context, mode: str):
     for i, f in pairs:
         if met:
             if mode == "second":
-                result = separate_second(cp, i, f, analysis=a)
+                result = separate_second(cp, i, f)
             else:
-                result = separate_first(cp, i, f, prime_mode=(mode == "prime"), analysis=a)
+                result = separate_first(cp, i, f, prime_mode=(mode == "prime"))
             witness = result.witness
         else:
             witness = cp.comp_preimage(f)
-        if witness is None or not _verify_separation_witness(i, f, witness, a):
+        if witness is None or not _verify_separation_witness(cp, i, f, witness):
             cex = {
                 "ideal": _fmt(p, i),
                 "filter": _fmt(p, f),
@@ -572,23 +526,32 @@ def check_statement(
 def run_all(
     cp: ComplementedPoset,
     budget: int = DEFAULT_BUDGET,
-    analysis: Analysis | None = None,
     *,
     seed: int | None = None,
 ) -> list[TheoremCheckResult]:
     """Check every statement; output order and content are deterministic.
 
-    ``analysis`` is a shared :class:`Analysis` of ``cp``; ``budget`` caps
-    the LEM_CL_PRINCIPAL downset walk only.  ``seed`` is accepted and
-    ignored, since no statement samples.  It stays only because
+    ``budget`` caps the LEM_CL_PRINCIPAL downset walk only.  ``seed`` is
+    accepted and ignored, since no statement samples.  It stays only because
     ``perfbench/workloads.py`` passes ``CAMPAIGN_RUN_SEED``; it goes with
     that constant at the next change to the benchmark.
     """
-    ctx = _Context(cp, budget, analysis)
+    ctx = _Context(cp, budget)
     return [_run_checker(ctx, sid) for sid in StatementId]
 
 
 # -- constructive separation procedures --------------------------------------
+
+
+def _check_inputs(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> None:
+    """Raise NotIdeal/NotFilter on malformed inputs.  A principal cone is an
+    ideal (filter); any other mask gets the definition-level test afresh,
+    so the memos of the facts never keep a caller's mask."""
+    p, a = cp.poset, cp.poset.facts
+    if ideal_mask not in a.down_generator and not is_ideal(p, ideal_mask):
+        raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
+    if filter_mask not in a.up_generator and not is_filter(p, filter_mask):
+        raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
 
 def separate_first(
@@ -596,21 +559,16 @@ def separate_first(
     ideal_mask: int,
     filter_mask: int,
     prime_mode: bool = False,
-    analysis: Analysis | None = None,
 ) -> SeparationResult:
     """Build the separating c-ideal J := F_0 once the hypotheses hold.
 
     Hypotheses are checked in order: antitone; x<=x'' for all x; the filter
     satisfies the c-condition (or is prime, in prime mode); disjointness.
     The first failure is reported without a witness.  Malformed inputs raise
-    ``NotIdeal``/``NotFilter``.  ``analysis`` is a shared analysis of ``cp``.
+    ``NotIdeal``/``NotFilter``.
     """
-    p = cp.poset
-    a = analysis or Analysis(p, cp)
-    if not a.is_ideal(ideal_mask):
-        raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if not a.is_filter(filter_mask):
-        raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
+    _check_inputs(cp, ideal_mask, filter_mask)
+    a, cf = cp.poset.facts, cp.facts
 
     def fail(reason: str) -> SeparationResult:
         return SeparationResult(ideal_mask, filter_mask, failure=reason)
@@ -622,25 +580,20 @@ def separate_first(
     if prime_mode:
         if filter_mask not in a.prime_filter_set:
             return fail(FAIL_NOT_PRIME)
-        if not cp.c_condition(filter_mask):  # guaranteed for prime filters
+        if not cf.c_condition(filter_mask):  # guaranteed for prime filters
             raise PosetError("internal error: prime filter misses the c-condition")
-    elif not cp.c_condition(filter_mask):
+    elif not cf.c_condition(filter_mask):
         return fail(FAIL_NO_CCOND)
     if ideal_mask & filter_mask:
         return fail(FAIL_NOT_DISJOINT)
 
     witness = cp.comp_preimage(filter_mask)
-    if not _verify_separation_witness(ideal_mask, filter_mask, witness, a):
+    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness):
         raise PosetError("internal error: constructed witness failed verification")
     return SeparationResult(ideal_mask, filter_mask, witness=witness)
 
 
-def separate_second(
-    cp: ComplementedPoset,
-    ideal_mask: int,
-    filter_mask: int,
-    analysis: Analysis | None = None,
-) -> SeparationResult:
+def separate_second(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> SeparationResult:
     """Separation via distributivity and an ultrafilter with enough meets.
 
     Checks, in order: the poset is distributive; the complementation is
@@ -650,12 +603,8 @@ def separate_second(
     c-condition and the complementation to be an involution; both are
     verified before delegating to :func:`separate_first`.
     """
-    p = cp.poset
-    a = analysis or Analysis(p, cp)
-    if not a.is_ideal(ideal_mask):
-        raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if not a.is_filter(filter_mask):
-        raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
+    _check_inputs(cp, ideal_mask, filter_mask)
+    p, a = cp.poset, cp.poset.facts
 
     def fail(reason: str) -> SeparationResult:
         return SeparationResult(ideal_mask, filter_mask, failure=reason)
@@ -669,16 +618,15 @@ def separate_second(
     g = p.least(filter_mask)
     if g is None:
         raise PosetError("internal error: finite filter without least element")
-    for x in iter_bits(p.all_mask & ~filter_mask):
-        if p.meet(x, g) is None:
-            return fail(FAIL_MEET_MISSING)
+    if not a.generator_meets(filter_mask):
+        return fail(FAIL_MEET_MISSING)
     if ideal_mask & filter_mask:
         return fail(FAIL_NOT_DISJOINT)
-    if not cp.c_condition(filter_mask):
+    if not cp.facts.c_condition(filter_mask):
         raise PosetError("internal error: qualifying ultrafilter misses the c-condition")
     if not cp.props.involution:
         raise PosetError("internal error: distributivity did not force an involution")
-    delegated = separate_first(cp, ideal_mask, filter_mask, analysis=a)
+    delegated = separate_first(cp, ideal_mask, filter_mask)
     return SeparationResult(
         ideal_mask,
         filter_mask,

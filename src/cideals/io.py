@@ -28,7 +28,7 @@ from .complement import ComplementedPoset, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
 from .harness import StatementId, TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, build_poset, iter_bits
-from .substructures import DEFAULT_BUDGET, Analysis
+from .substructures import DEFAULT_BUDGET
 
 # -- instance files -----------------------------------------------------------
 
@@ -180,14 +180,16 @@ class Report:
     theorems: tuple[TheoremCheckResult, ...] | None
 
 
-def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
-    p, cp = a.poset, a.cp
+def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
+    """The classified ideals (``kind`` "ideal") or filters ("filter") of an
+    instance, without the report's flags and statement results."""
+    p, cp, a = instance.poset, instance.cp, instance.poset.facts
     if kind == "ideal":
         family, maximal, prime = a.ideals, a.maximal_ideal_set, a.prime_ideal_set
-        witnesses = a.c_ideal_witnesses if cp else {}
+        witnesses = cp.facts.c_ideal_witnesses if cp else {}
     else:
         family, maximal, prime = a.filters, a.ultrafilter_set, a.prime_filter_set
-        witnesses = a.c_filter_witnesses if cp else {}
+        witnesses = cp.facts.c_filter_witnesses if cp else {}
     rows = []
     for mask in family:
         witness = witnesses.get(mask)
@@ -198,7 +200,7 @@ def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
                 principal=a.generator(mask),
                 maximal=mask in maximal,
                 prime=mask in prime,
-                ccond=cp.c_condition(mask) if cp else None,
+                ccond=cp.facts.c_condition(mask) if cp else None,
                 is_c=(witness is not None) if cp else None,
                 witness=witness,
             )
@@ -206,29 +208,22 @@ def _class_rows(a: Analysis, kind: str) -> tuple[ClassRow, ...]:
     return tuple(rows)
 
 
-def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
-    """The classified ideals (``kind`` "ideal") or filters ("filter") of an
-    instance, without the report's flags and statement results."""
-    return _class_rows(Analysis(instance.poset, instance.cp), kind)
-
-
 def build_report(instance: Instance, budget: int = DEFAULT_BUDGET) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
 
-    One :class:`Analysis` serves the rows and the harness; ``budget`` caps
-    only the LEM_CL_PRINCIPAL downset walk.
+    The rows and the harness read the facts kept on the poset and on the
+    complementation; ``budget`` caps only the LEM_CL_PRINCIPAL downset walk.
     """
     p, cp = instance.poset, instance.cp
-    analysis = Analysis(p, cp)
-    ideal_rows = _class_rows(analysis, "ideal")
-    filter_rows = _class_rows(analysis, "filter")
-    theorems = tuple(run_all(cp, budget, analysis)) if cp else None
-    join_sl, meet_sl = analysis.semilattice_flags
+    ideal_rows = family_rows(instance, "ideal")
+    filter_rows = family_rows(instance, "filter")
+    theorems = tuple(run_all(cp, budget)) if cp else None
+    join_sl, meet_sl = p.facts.semilattice_flags
     return Report(
         name=instance.name,
         poset=p,
         cp=cp,
-        distributivity=analysis.distributivity,
+        distributivity=p.facts.distributivity,
         join_semilattice=join_sl,
         meet_semilattice=meet_sl,
         ideals=ideal_rows,
@@ -529,6 +524,11 @@ def text_theorem_row(res: TheoremCheckResult) -> str:
 _PALETTE = ("#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6", "#ffff99")
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(p: Poset, name: str = "poset", highlights: list[tuple[str, int]] | None = None) -> str:
     """DOT digraph of the cover relation, drawn bottom-up.
 
@@ -542,14 +542,14 @@ def emit_dot(p: Poset, name: str = "poset", highlights: list[tuple[str, int]] | 
         color = _PALETTE[pos % len(_PALETTE)]
         for x in iter_bits(mask):
             fill.setdefault(x, (color, label))
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=circle, fontsize=11];']
+    lines = [f"digraph {_dot_string(name)} {{", "  rankdir=BT;", '  node [shape=circle, fontsize=11];']
     for x in range(p.n):
-        attrs = [f'label="{p.names[x]}"']
+        attrs = [f"label={_dot_string(p.names[x])}"]
         if x in fill:
             color, label = fill[x]
             attrs.append("style=filled")
             attrs.append(f'fillcolor="{color}"')
-            attrs.append(f'tooltip="{label}"')
+            attrs.append(f"tooltip={_dot_string(label)}")
         lines.append(f'  n{x} [{", ".join(attrs)}];')
     for i, j in p.covers:
         lines.append(f"  n{i} -> n{j};")

@@ -6,8 +6,10 @@ computation a handful of word operations at the target scale (n <= 24).
 
 A poset is immutable after construction; every operation here is a pure
 function of its arguments and is safe for concurrent reads.  The two pair
-tables ``lu``/``ul`` are filled on first read; the fill is idempotent, so
-readers racing on it at worst build the same table twice.
+tables ``lu``/``ul`` and ``facts``, the facts of the order alone (ideal and
+filter families, their flags, distributivity), are filled on first read,
+each whole before it is stored; the fill is idempotent, so readers racing
+on it at worst build the same value twice.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class Poset:
     """
 
     __slots__ = (
-        "n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index", "_lu", "_ul"
+        "n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index",
+        "_lu", "_ul", "_facts",
     )
 
     def __init__(self, names: Sequence[str], down: Sequence[int]):
@@ -116,8 +119,8 @@ class Poset:
         self.all_mask = all_mask
         self.bottom = next((i for i in range(n) if self.up[i] == all_mask), None)
         self.top = next((i for i in range(n) if down[i] == all_mask), None)
-        # pair tables, built on first read: most posets never need them
-        self._lu = self._ul = None
+        # built on first read: most posets never need them
+        self._lu = self._ul = self._facts = None
 
     # -- basics ------------------------------------------------------------
 
@@ -214,6 +217,16 @@ class Poset:
         if self._ul is None:
             self._ul = self._pair_table(self.down, self.upper_cone)
         return self._ul
+
+    @property
+    def facts(self):
+        """The order's :class:`~cideals.substructures.OrderFacts`, built on
+        first read and shared by every complementation on this object."""
+        if self._facts is None:
+            from .substructures import OrderFacts  # it imports this module
+
+            self._facts = OrderFacts(self)
+        return self._facts
 
     def _pair_table(self, cones, outer) -> tuple[tuple[int, ...], ...]:
         """``table[x][y]`` = outer(cones[x] & cones[y]), once per unordered

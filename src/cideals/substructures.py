@@ -4,9 +4,14 @@ An ideal is a nonempty, downward-closed set in which every pair of members
 has an upper bound inside the set; a filter is the dual.  The empty set is
 neither.  On a finite poset every ideal and every filter is principal, so
 the families are read off the principal cones: the n sets ``down[i]`` are
-the ideals and the n sets ``up[i]`` the filters.  :class:`Analysis` derives
-the families and every flag of their members once per call, and answers
-each ideal or filter test once per distinct mask.
+the ideals and the n sets ``up[i]`` the filters.
+
+Each fact lives on the immutable object it describes.  :class:`OrderFacts`,
+read as ``Poset.facts``, holds the families and every flag of their members
+that the order alone fixes, and answers each ideal or filter test once per
+distinct mask.  :class:`ComplementFacts`, read as ``ComplementedPoset.facts``,
+holds the c-ideals, c-filters and the c-condition; one poset can carry many
+complementations, and they all share its order facts.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -179,38 +184,36 @@ def principal_generator(p: Poset, mask: int) -> int | None:
     return None
 
 
-def is_prime_ideal(p: Poset, mask: int) -> bool:
-    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I."""
-    if mask == p.all_mask or not is_ideal(p, mask):
-        return False
+def _is_prime(p: Poset, mask: int, cones: tuple[int, ...]) -> bool:
+    """Does {x,y} meet ``mask`` whenever cones[x] & cones[y] lies inside it?"""
     for x in range(p.n):
         for y in range(x, p.n):
-            if not (p.down[x] & p.down[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
+            if not (cones[x] & cones[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
                 return False
     return True
+
+
+def is_prime_ideal(p: Poset, mask: int) -> bool:
+    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I."""
+    return mask != p.all_mask and is_ideal(p, mask) and _is_prime(p, mask, p.down)
 
 
 def is_prime_filter(p: Poset, mask: int) -> bool:
-    if mask == p.all_mask or not is_filter(p, mask):
-        return False
-    for x in range(p.n):
-        for y in range(x, p.n):
-            if not (p.up[x] & p.up[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
-                return False
-    return True
+    return mask != p.all_mask and is_filter(p, mask) and _is_prime(p, mask, p.up)
+
+
+def _is_maximal(p: Poset, mask: int, family: list[int]) -> bool:
+    """Is no other proper member of ``family`` a superset of ``mask``?"""
+    return not any(s != p.all_mask and s != mask and not mask & ~s for s in family)
 
 
 def is_maximal_ideal(p: Poset, mask: int, ideals: list[int]) -> bool:
     """Maximal proper ideal, by pairwise inclusion over all enumerated ideals."""
-    if mask == p.all_mask or not is_ideal(p, mask):
-        return False
-    return not any(i != p.all_mask and i != mask and not mask & ~i for i in ideals)
+    return mask != p.all_mask and is_ideal(p, mask) and _is_maximal(p, mask, ideals)
 
 
 def is_ultrafilter(p: Poset, mask: int, filters: list[int]) -> bool:
-    if mask == p.all_mask or not is_filter(p, mask):
-        return False
-    return not any(f != p.all_mask and f != mask and not mask & ~f for f in filters)
+    return mask != p.all_mask and is_filter(p, mask) and _is_maximal(p, mask, filters)
 
 
 def find_c_ideal_witness(cp: ComplementedPoset, mask: int, filters: list[int]) -> int | None:
@@ -236,49 +239,55 @@ def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, in
     return out
 
 
-class Analysis:
+class _Memo(dict):
+    """mask -> ``test(subject, mask)``, computed on the first lookup of each
+    mask; a lookup that hits is a plain dict read."""
+
+    def __init__(self, test, subject):  # starts empty, as dict.__new__ made it
+        self.test, self.subject = test, subject
+
+    def __missing__(self, mask: int) -> bool:
+        value = self[mask] = self.test(self.subject, mask)
+        return value
+
+
+def _generator_meets(p: Poset, filter_mask: int) -> bool:
+    """Has the filter's least element a meet with every element outside it?"""
+    g = p.least(filter_mask)
+    return all(p.meet(x, g) is not None for x in iter_bits(p.all_mask & ~filter_mask))
+
+
+class OrderFacts:
     """The ideal and filter families of one poset and every flag of their
-    members, each computed on first use and then kept.
+    members that the order alone fixes, each computed on first use and then
+    kept.  Read it as ``Poset.facts``: every complementation built on that
+    poset object shares it.
 
-    One object serves one call: the report, the statement harness and
-    :func:`classify` read it instead of each re-deriving the families.  List
-    attributes keep family order; the ``*_set`` attributes hold the same
-    members for membership tests.  ``down_generator`` maps each principal
-    ideal ``down[g]`` to g and ``up_generator`` each principal filter
-    ``up[g]`` to g; the cones of distinct elements differ, so both maps are
-    one-to-one.  ``c_ideal_witnesses`` maps a preimage F_0 to the first
-    filter F with it, so an ideal is a c-ideal exactly when it is a key,
-    with that F as its witness; ``c_filter_witnesses`` is the dual.  The
-    attributes from ``c_ideal_witnesses`` on need ``cp``.
+    List attributes keep family order; the ``*_set`` attributes hold the
+    same members for membership tests.  ``down_generator`` maps each
+    principal ideal ``down[g]`` to g and ``up_generator`` each principal
+    filter ``up[g]`` to g; the cones of distinct elements differ, so both
+    maps are one-to-one.
 
-    :meth:`is_ideal` and :meth:`is_filter` are the definition-level tests
-    of :func:`is_ideal`/:func:`is_filter`, run once per distinct mask and
-    then answered from a memo that lives as long as this object.  The
+    ``is_ideal(mask)`` and ``is_filter(mask)`` are the definition-level
+    tests of :func:`is_ideal`/:func:`is_filter`, and
+    ``generator_meets(filter_mask)`` that of separate_second's meet
+    hypothesis (see :func:`_generator_meets`); each runs once per distinct mask
+    and is then answered from a memo that lives as long as the poset.  The
     statement checkers put every mask they test through them: family
     members, complements, preimages, separation witnesses and the pair-table
     cells ``lu[a][g]``/``ul[a][g]`` that are the LU/UL-unions over principal
     ideals/filters (see :func:`lu_union`).  Those masks number O(n^2).
     """
 
-    def __init__(self, poset: Poset, cp: ComplementedPoset | None = None):
+    def __init__(self, poset: Poset):
         self.poset = poset
-        self.cp = cp
-        self._ideal_memo: dict[int, bool] = {}
-        self._filter_memo: dict[int, bool] = {}
-
-    def is_ideal(self, mask: int) -> bool:
-        """:func:`is_ideal` of ``mask``, computed once per distinct mask."""
-        memo = self._ideal_memo
-        if mask not in memo:
-            memo[mask] = is_ideal(self.poset, mask)
-        return memo[mask]
-
-    def is_filter(self, mask: int) -> bool:
-        """:func:`is_filter` of ``mask``, computed once per distinct mask."""
-        memo = self._filter_memo
-        if mask not in memo:
-            memo[mask] = is_filter(self.poset, mask)
-        return memo[mask]
+        self._ideal_memo = _Memo(is_ideal, poset)
+        self._filter_memo = _Memo(is_filter, poset)
+        self._meets_memo = _Memo(_generator_meets, poset)
+        self.is_ideal = self._ideal_memo.__getitem__
+        self.is_filter = self._filter_memo.__getitem__
+        self.generator_meets = self._meets_memo.__getitem__
 
     def generator(self, mask: int) -> int | None:
         """:func:`principal_generator` of ``mask``, read from the generator
@@ -344,59 +353,72 @@ class Analysis:
     def prime_filter_set(self) -> frozenset[int]:
         return frozenset(self.prime_filters)
 
+
+class ComplementFacts:
+    """The facts of one complementation that its order alone does not fix,
+    each computed on first use and then kept.  Read it as
+    ``ComplementedPoset.facts``; ``order`` is the poset's ``facts``.
+
+    ``c_ideal_witnesses`` maps a preimage F_0 to the first filter F with
+    it, so an ideal is a c-ideal exactly when it is a key, with that F as
+    its witness; ``c_filter_witnesses`` is the dual.  ``c_condition(mask)``
+    answers each distinct mask once, from a memo that lives as long as the
+    complemented poset.
+    """
+
+    def __init__(self, cp: ComplementedPoset):
+        self.cp = cp
+        self.order = cp.poset.facts
+        self._ccond_memo = _Memo(ComplementedPoset.c_condition, cp)
+        self.c_condition = self._ccond_memo.__getitem__
+
     @cached_property
     def c_ideal_witnesses(self) -> dict[int, int]:
-        return _first_by_preimage(self.cp, self.filters)
+        return _first_by_preimage(self.cp, self.order.filters)
 
     @cached_property
     def c_filter_witnesses(self) -> dict[int, int]:
-        return _first_by_preimage(self.cp, self.ideals)
+        return _first_by_preimage(self.cp, self.order.ideals)
 
     @cached_property
     def c_ideals(self) -> list[int]:
-        return [i for i in self.ideals if i in self.c_ideal_witnesses]
+        return [i for i in self.order.ideals if i in self.c_ideal_witnesses]
 
     @cached_property
     def c_filters(self) -> list[int]:
-        return [f for f in self.filters if f in self.c_filter_witnesses]
+        return [f for f in self.order.filters if f in self.c_filter_witnesses]
 
     @cached_property
     def ccond_ideals(self) -> list[int]:
-        return [i for i in self.ideals if self.cp.c_condition(i)]
+        return [i for i in self.order.ideals if self.c_condition(i)]
 
     @cached_property
     def ccond_filters(self) -> list[int]:
-        return [f for f in self.filters if self.cp.c_condition(f)]
+        return [f for f in self.order.filters if self.c_condition(f)]
 
 
-def classify(
-    cp: ComplementedPoset, mask: int, analysis: Analysis | None = None
-) -> SubsetClassification:
-    """Compute every classification flag of one subset.
-
-    Pass the ``analysis`` of ``cp`` to share it when classifying many
-    subsets of the same poset.
-    """
+def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
+    """Every classification flag of one subset, read from the facts."""
     p = cp.poset
     p.check_mask(mask)
-    a = analysis or Analysis(p, cp)
-    ideal_flag = mask in a.down_generator
-    filter_flag = mask in a.up_generator
+    o, c = p.facts, cp.facts
+    ideal_flag = mask in o.down_generator
+    filter_flag = mask in o.up_generator
     proper = (ideal_flag or filter_flag) and mask != p.all_mask
     # each list is computed only when its family holds the mask, so a
-    # one-off call on a fresh analysis derives no list it does not read
+    # one-off call derives no list it does not read
     return SubsetClassification(
         subject=mask,
         is_ideal=ideal_flag,
         is_filter=filter_flag,
         proper=proper,
-        principal_generator=a.generator(mask),
-        maximal_ideal=ideal_flag and mask in a.maximal_ideal_set,
-        prime_ideal=ideal_flag and mask in a.prime_ideal_set,
-        ultrafilter=filter_flag and mask in a.ultrafilter_set,
-        prime_filter=filter_flag and mask in a.prime_filter_set,
-        c_ideal_witness=a.c_ideal_witnesses.get(mask) if ideal_flag else None,
-        c_filter_witness=a.c_filter_witnesses.get(mask) if filter_flag else None,
+        principal_generator=o.generator(mask),
+        maximal_ideal=ideal_flag and mask in o.maximal_ideal_set,
+        prime_ideal=ideal_flag and mask in o.prime_ideal_set,
+        ultrafilter=filter_flag and mask in o.ultrafilter_set,
+        prime_filter=filter_flag and mask in o.prime_filter_set,
+        c_ideal_witness=c.c_ideal_witnesses.get(mask) if ideal_flag else None,
+        c_filter_witness=c.c_filter_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
     )
 

@@ -2,7 +2,6 @@ import pytest
 
 import naive
 from cideals import (
-    Analysis,
     builtin_corpus,
     directed_downsets,
     enumerate_filters,
@@ -110,13 +109,13 @@ def assert_distributivity_agrees(p, elements, le):
 
 def assert_subset_tests_agree(p):
     """On every subset S of ``p``: ``is_ideal``/``is_filter`` and the
-    memoised tests of one shared :class:`Analysis`, asked twice, give the
-    naive all-pairs verdicts; ``Analysis.generator`` is
+    memoised tests of the poset's shared ``facts``, asked twice, give the
+    naive all-pairs verdicts; ``facts.generator`` is
     ``principal_generator``; and for every a, ``lu_union``/``ul_union`` over
     S give the naive union of the cones LU(a,s)/UL(a,s) with its naive
     ideal/filter verdict."""
     elements, le = naive_order(p)
-    shared = Analysis(p)
+    shared = p.facts
     verdicts = {}
     for s in range(p.all_mask + 1):
         members = names(p, s)
@@ -141,9 +140,9 @@ def assert_subset_tests_agree(p):
 
 def assert_union_cells_agree(p):
     """For every a and g, the pair-table cell ``lu[a][g]`` with the shared
-    analysis's ideal test on it is ``lu_union(p, a, down[g])``; dually
+    ``facts`` ideal test on it is ``lu_union(p, a, down[g])``; dually
     ``ul[a][g]`` and the filter test are ``ul_union(p, a, up[g])``."""
-    shared = Analysis(p)
+    shared = p.facts
     for g in range(p.n):
         for a in range(p.n):
             cell = p.lu[a][g]

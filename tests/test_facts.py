@@ -1,0 +1,166 @@
+"""The facts kept on posets and complemented posets stay correct when shared.
+
+Order facts live on the ``Poset`` and are shared by every complementation
+built on that object; c-facts live on each ``ComplementedPoset``.  Answers
+read from shared, warm objects must equal those computed on fresh ones.
+"""
+
+import itertools
+import random
+import sys
+import threading
+
+from cideals import (
+    Instance,
+    NotFilter,
+    NotIdeal,
+    StatementId,
+    attach_complementation,
+    build_poset,
+    builtin_corpus,
+    check_statement,
+    classify,
+    emit_instance,
+    load_instance,
+    run_all,
+    separate,
+    substructures,
+)
+from conftest import boolean_lattice, bounded_antichain
+
+M3 = (["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def _complementations(p):
+    """Every complementation of M3, each attached to the same ``p``."""
+    out = []
+    for images in itertools.product("abc", repeat=3):
+        if any(x == y for x, y in zip("abc", images)):
+            continue  # an atom is not its own complement
+        out.append(attach_complementation(p, {"0": "1", "1": "0", **dict(zip("abc", images))}))
+    return out
+
+
+def _c_facts(cp):
+    c = cp.facts
+    return (c.c_ideals, c.c_filters, c.ccond_ideals, c.ccond_filters,
+            c.c_ideal_witnesses, c.c_filter_witnesses)
+
+
+def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):
+    calls = []
+    for name in ("enumerate_ideals", "enumerate_filters"):
+        real = getattr(substructures, name)
+
+        def counted(q, real=real, name=name):
+            calls.append((name, q))
+            return real(q)
+
+        monkeypatch.setattr(substructures, name, counted)
+    p = build_poset(*M3)
+    cps = _complementations(p)
+    assert len(cps) == 8
+    shared = [(_c_facts(cp), run_all(cp)) for cp in cps]
+    assert all(cp.poset.facts is p.facts for cp in cps)
+    assert sorted(name for name, q in calls if q is p) == ["enumerate_filters", "enumerate_ideals"]
+    assert len({tuple(facts[0]) for facts, _ in shared}) > 1  # the c-ideal lists differ
+    for cp, got in zip(cps, shared):
+        table = {p.names[x]: p.names[y] for x, y in enumerate(cp.comp)}
+        fresh = attach_complementation(build_poset(*M3), table)
+        assert fresh.poset.facts is not p.facts
+        assert got == (_c_facts(fresh), run_all(fresh))
+
+
+def _texts():
+    texts = {e.name: emit_instance(Instance(e.name, e.poset, e.cp)) for e in builtin_corpus()}
+    for name, (elements, covers, comp) in (
+        ("B4", boolean_lattice(4)),
+        ("antichain10", bounded_antichain(10)),
+    ):
+        p = build_poset(elements, covers)
+        texts[name] = emit_instance(Instance(name, p, attach_complementation(p, comp)))
+    return texts
+
+
+def _queries(objects, rng):
+    """check_statement on every tag, separate on cone pairs and non-family
+    masks in every mode, classify on cones and arbitrary masks; shuffled."""
+    queries = [("check", name, sid) for name in objects for sid in StatementId]
+    for name, cp in objects.items():
+        p = cp.poset
+        masks = [p.down[rng.randrange(p.n)] for _ in range(3)]
+        masks += [p.up[rng.randrange(p.n)] for _ in range(3)]
+        masks += [rng.randrange(p.all_mask + 1) for _ in range(2)]
+        for i, f in zip(masks, reversed(masks)):
+            queries += [("separate", name, (i, f, mode)) for mode in ("first", "prime", "second")]
+        masks += [rng.randrange(p.all_mask + 1) for _ in range(4)]
+        queries += [("classify", name, m) for m in masks]
+    rng.shuffle(queries)
+    return queries
+
+
+def _answer(cp, kind, arg):
+    try:
+        if kind == "check":
+            return repr(check_statement(cp, arg))
+        if kind == "separate":
+            return repr(separate(cp, *arg))
+        return repr(classify(cp, arg))
+    except (NotIdeal, NotFilter) as exc:  # separate on non-family masks
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_read_many_replay_on_shared_objects_equals_fresh_objects():
+    texts = _texts()
+    objects = {name: load_instance(text).cp for name, text in texts.items()}
+    queries = _queries(objects, random.Random(0))
+    assert {kind for kind, _, _ in queries} == {"check", "separate", "classify"}
+    fresh = [_answer(load_instance(texts[name]).cp, kind, arg) for kind, name, arg in queries]
+    assert any(a.startswith(("NotIdeal", "NotFilter")) for a in fresh)
+    assert any("witness=" in a and "witness=None" not in a for a in fresh)
+    for _ in range(2):  # cold, then every fact already kept
+        assert [_answer(objects[name], kind, arg) for kind, name, arg in queries] == fresh
+
+
+def test_caller_masks_do_not_grow_the_memos():
+    # the memos keep the O(n^2) masks the checkers test, not what callers pass
+    elements, covers, comp = boolean_lattice(4)
+    p = build_poset(elements, covers)
+    cp = attach_complementation(p, comp)
+    run_all(cp)
+    memos = (p.facts._ideal_memo, p.facts._filter_memo, p.facts._meets_memo, cp.facts._ccond_memo)
+    sizes = [len(memo) for memo in memos]
+    rng = random.Random(0)
+    for _ in range(300):
+        ideal, filt = rng.randrange(p.all_mask + 1), rng.randrange(p.all_mask + 1)
+        for mode in ("first", "prime", "second"):
+            query = (ideal, filt, mode)
+            fresh = load_instance(emit_instance(Instance("B4", p, cp))).cp
+            assert _answer(cp, "separate", query) == _answer(fresh, "separate", query)
+    assert [len(memo) for memo in memos] == sizes
+
+
+def test_concurrent_readers_of_shared_objects_agree_with_one_reader():
+    # more threads than cores race on every lazy fill and memo of fresh
+    # objects; each must read what a single reader on a fresh object reads
+    texts = _texts()
+    queries = _queries({name: load_instance(text).cp for name, text in texts.items()}, random.Random(1))
+    want = [_answer(load_instance(texts[name]).cp, kind, arg) for kind, name, arg in queries]
+    objects = {name: load_instance(text).cp for name, text in texts.items()}
+    got = {}
+
+    def reader(k):
+        got[k] = [_answer(objects[name], kind, arg) for kind, name, arg in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: want for k in range(4)}

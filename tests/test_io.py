@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cideals import (
@@ -141,6 +143,21 @@ def test_emit_dot_counts(fig1, fig3):
     p = fig3.poset
     highlighted = emit_dot(p, "fig3", [("L(a')", p.down[p.index("a'")])])
     assert highlighted.count("style=filled") == 5
+
+
+def test_emit_dot_escapes_quotes_and_backslashes():
+    # names may hold '"' and '\'; neither may end or escape a DOT string early
+    text = 'name: q"x\nelements: 0 a"b c\\ 1\nle: 0 < a"b\nle: 0 < c\\\nle: a"b < 1\nle: c\\ < 1\n'
+    inst = load_instance(text)
+    p = inst.poset
+    dot = emit_dot(p, inst.name, [('say "hi"\\', p.mask_of(['a"b']))])
+    assert 'digraph "q\\"x" {' in dot
+    assert 'label="a\\"b"' in dot and 'label="c\\\\"' in dot
+    assert 'tooltip="say \\"hi\\"\\\\"' in dot
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    labels = [re.sub(r"\\(.)", r"\1", s) for s in re.findall("label=" + quoted, dot)]
+    assert labels == list(p.names)
+    assert '"' not in re.sub(quoted, "", dot)
 
 
 def test_emit_dot_deterministic(fig4):

@@ -1,8 +1,10 @@
-"""Smoke test of ``scripts/machine_digests.py`` on the built-in corpus."""
+"""Smoke test of ``scripts/machine_digests.py`` on the built-in corpus and
+its read-many ``api`` replay."""
 
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +36,18 @@ def test_unknown_group_is_refused():
     result = run_script("corpus", "nope")
     assert result.returncode == 2 and not result.stdout
     assert "unknown group 'nope'" in result.stderr
+
+
+def test_api_replay_is_reproducible():
+    first, second = run_script("api"), run_script("api")
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout and not first.stderr
+    rows = [line.split() for line in first.stdout.splitlines()]
+    assert all(len(row) == 3 and row[0] == "api" and len(row[2]) == 64 for row in rows)
+    keys = [row[1].split(":") for row in rows]
+    assert [int(key[0]) for key in keys] == list(range(len(rows)))
+    objects = {*CORPUS, "B4", "antichain10"}
+    calls = Counter(key[1] for key in keys)
+    assert calls == {"check": 19 * len(objects), "separate": 4 * 3 * len(objects), "classify": 12 * len(objects)}
+    assert {key[2] for key in keys} == objects
+    assert [key[1] for key in keys] != sorted(key[1] for key in keys)  # shuffled

@@ -1,10 +1,10 @@
-"""The checkers that read the shared analysis agree with plain references.
+"""The checkers that read the shared facts agree with plain references.
 
 Each reference below evaluates a statement from the public, unmemoised
 definition-level functions: ``lu_union``/``ul_union`` OR one table row per
 member of the ideal or filter, and primality, ideal and filter tests run
 afresh on every set.  The checkers instead read one pair-table cell per
-union, the prime families and the per-mask memo of one ``Analysis``.  Both
+union, the prime families and the per-mask memos of the shared ``facts``.  Both
 must give the same hypothesis flag, verdict and first counterexample.
 """
 
@@ -29,7 +29,6 @@ from cideals import (
 )
 from cideals.complement import ComplementedPoset
 from cideals.harness import _CHECKERS, _Context, _lu_condition, _ul_condition
-from cideals.substructures import Analysis
 from cideals.poset import iter_bits
 from cideals.substructures import (
     find_c_filter_witness,
@@ -185,10 +184,10 @@ def test_checker_matches_its_reference(instances, sid):
 
 def test_union_conditions_match_the_unions(instances):
     # the THM5 conditions on every ideal and filter, not only the maximal
-    # ones, each against one shared analysis
+    # ones, each against the poset's shared facts
     held = failed = 0
     for cp in instances:
-        p, a = cp.poset, Analysis(cp.poset, cp)
+        p, a = cp.poset, cp.poset.facts
         for family, condition, union_of in (
             (a.ideals, _lu_condition, lu_union),
             (a.filters, _ul_condition, ul_union),
