@@ -24,12 +24,22 @@ cannot: a stale or cross-contaminated cache shows only there.
 
       api <index>:<call>:<instance>:<argument> <sha256 of its result or exception>
 
+One more group covers the ``separate`` command, which the groups above
+never run, and its text format, the only place its ``(= L(g))`` witness
+label is printed.
+
+- ``separate``: CLI ``separate`` on every instance of the corpus, with each
+  ideal cone ``L(x)`` and each filter cone ``U(y)``, in every mode and in both
+  text and machine format, 2,484 outputs; one line per output::
+
+      separate <instance>:<mode>:<format>:L(x):U(y) <sha256 of the exit code, stdout and stderr>
+
 Two commits produce the same machine outputs, exit codes and stderr
 included, and the same library answers, exactly when the outputs of this
 script run at each of them are identical::
 
     PYTHONPATH=src python3 scripts/machine_digests.py > digests.txt
-    PYTHONPATH=src python3 scripts/machine_digests.py corpus boolean
+    PYTHONPATH=src python3 scripts/machine_digests.py corpus boolean separate
 
 Instance files are written to a temporary directory and named by relative
 path, so the output does not depend on where that directory is.
@@ -57,6 +67,7 @@ API_SEED = 0
 API_SEPARATION_PAIRS = 4
 API_CLASSIFY = 12
 SEPARATION_MODES = ("first", "prime", "second")
+FORMATS = ("text", "machine")
 
 
 def _instance(name, elements, covers, comp):
@@ -98,7 +109,6 @@ GROUPS = {
     "boolean": lambda: (boolean_lattice(d) for d in BOOLEAN_DIMS),
     "antichain": lambda: (bounded_antichain(k) for k in ANTICHAIN_KS),
 }
-ALL_GROUPS = (*GROUPS, "api")
 
 
 def api_queries(objects, rng):
@@ -142,6 +152,27 @@ def run_api():
         yield f"api {index:03d}:{key} {hashlib.sha256(payload.encode('utf-8')).hexdigest()}"
 
 
+def write_instance(instance):
+    """Write the instance file to the current directory; return its path."""
+    path = f"{instance.name}.poset"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(emit_instance(instance))
+    return path
+
+
+def run_separate():
+    """Yield one output line per CLI ``separate`` run on a pair of cones."""
+    for instance in GROUPS["corpus"]():
+        path = write_instance(instance)
+        for mode in SEPARATION_MODES:
+            for fmt in FORMATS:
+                for x in instance.poset.names:
+                    for y in instance.poset.names:
+                        argv = ["separate", path, "--ideal", f"L({x})", "--filter", f"U({y})",
+                                "--mode", mode, "--format", fmt]
+                        yield f"separate {instance.name}:{mode}:{fmt}:L({x}):U({y}) {digest(argv)}"
+
+
 def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -151,17 +182,19 @@ def digest(argv):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+EXTRA_GROUPS = {"api": run_api, "separate": run_separate}
+ALL_GROUPS = (*GROUPS, *EXTRA_GROUPS)
+
+
 def run(groups):
-    """Yield one output line per (instance, command) and per api call;
-    instance files are written to the current directory."""
+    """Yield one output line per (instance, command), per api call and per
+    separate run; instance files are written to the current directory."""
     for group in groups:
-        if group == "api":
-            yield from run_api()
+        if group in EXTRA_GROUPS:
+            yield from EXTRA_GROUPS[group]()
             continue
         for instance in GROUPS[group]():
-            path = f"{instance.name}.poset"
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(emit_instance(instance))
+            path = write_instance(instance)
             for command in COMMANDS:
                 yield f"{command} {instance.name} {digest([command, path, '--format', 'machine'])}"
 

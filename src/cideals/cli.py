@@ -4,9 +4,10 @@ Exit codes: 0 success; 1 usage error (including a non-positive --budget, a
 --density outside [0, 1], an unknown gen --require constraint, or a corpus
 --emit path that is a file or not writable); 2 parse error (including
 unreadable input files and files that are not valid UTF-8); 3 validation
-failure (not a poset, axiom violation, malformed ideal/filter argument); 4 a
-requested check found a counterexample, an explicitly requested statement
-was not applicable or not verified, or a separation hypothesis failed.
+failure (not a poset, axiom violation, malformed ideal/filter argument, a
+gen --size outside 2-24); 4 a requested check found a counterexample, an
+explicitly requested statement was not applicable or not verified, or a
+separation hypothesis failed.
 """
 
 from __future__ import annotations
@@ -118,28 +119,22 @@ def parse_set_spec(p: Poset, spec: str, kind: str) -> int:
     return 1 << p.index(spec)
 
 
-def _print_rows(p: Poset, rows, kind: str, fmt: str, with_comp: bool) -> None:
-    for row in rows:
-        if fmt == "machine":
-            print(machine_class_row(p, row, kind, with_comp))
-        else:
-            print(f"{text_class_label(p, row, kind)} = {p.format_set(row.mask)}")
+#: each listable class and the ClassRow flag that selects it
+_CLASS_FIELDS = {
+    "proper": "proper",
+    "maximal": "maximal",
+    "ultrafilter": "maximal",
+    "prime": "prime",
+    "c-ideal": "is_c",
+    "c-filter": "is_c",
+    "c-condition": "ccond",
+}
 
 
 def _select_rows(rows, wanted: str):
     if wanted == "all":
         return list(rows)
-    if wanted == "proper":
-        return [r for r in rows if r.proper]
-    if wanted in ("maximal", "ultrafilter"):
-        return [r for r in rows if r.maximal]
-    if wanted == "prime":
-        return [r for r in rows if r.prime]
-    if wanted in ("c-ideal", "c-filter"):
-        return [r for r in rows if r.is_c]
-    if wanted == "c-condition":
-        return [r for r in rows if r.ccond]
-    raise _UsageError(f"unknown class {wanted!r}")
+    return [r for r in rows if getattr(r, _CLASS_FIELDS[wanted])]
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -153,22 +148,25 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ideals(args) -> int:
+def _list_family(args, kind: str) -> int:
     instance = _load(args.file)
     if args.klass in COMP_ONLY_CLASSES:
         _require_comp(instance)
-    rows = _select_rows(family_rows(instance, "ideal"), args.klass)
-    _print_rows(instance.poset, rows, "ideal", args.format, instance.cp is not None)
+    p, with_comp = instance.poset, instance.cp is not None
+    for row in _select_rows(family_rows(instance, kind), args.klass):
+        if args.format == "machine":
+            print(machine_class_row(p, row, kind, with_comp))
+        else:
+            print(f"{text_class_label(p, row, kind)} = {p.format_set(row.mask)}")
     return EXIT_OK
+
+
+def _cmd_ideals(args) -> int:
+    return _list_family(args, "ideal")
 
 
 def _cmd_filters(args) -> int:
-    instance = _load(args.file)
-    if args.klass in COMP_ONLY_CLASSES:
-        _require_comp(instance)
-    rows = _select_rows(family_rows(instance, "filter"), args.klass)
-    _print_rows(instance.poset, rows, "filter", args.format, instance.cp is not None)
-    return EXIT_OK
+    return _list_family(args, "filter")
 
 
 def _cmd_check(args) -> int:
@@ -211,8 +209,8 @@ def _cmd_separate(args) -> int:
             f"failure={result.failure or 'none'}"
         )
     elif result.witness is not None:
-        g = p.greatest(result.witness)
-        label = f" (= L({p.names[g]}))" if g is not None and p.down[g] == result.witness else ""
+        g = p.facts.down_generator.get(result.witness)
+        label = f" (= L({p.names[g]}))" if g is not None else ""
         print(f"J = {p.format_set(result.witness)}{label}")
     else:
         print(f"separation hypothesis failed: {result.failure}")

@@ -177,25 +177,23 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     finite poset every ideal and filter is principal).
     """
     p, a, cf = cp.poset, cp.poset.facts, cp.facts
+    down, up = a.down_generator, a.up_generator
 
-    def gens(masks: Iterable[int], least: bool = False) -> frozenset[str]:
-        out = []
-        for mask in masks:
-            g = p.least(mask) if least else p.greatest(mask)
-            if g is None:
-                raise PosetError("internal error: non-principal ideal/filter on a finite poset")
-            out.append(p.names[g])
-        return frozenset(out)
+    def gens(masks: Iterable[int], generator: dict[int, int]) -> frozenset[str]:
+        try:
+            return frozenset(p.names[generator[mask]] for mask in masks)
+        except KeyError:
+            raise PosetError("internal error: non-principal ideal/filter on a finite poset") from None
 
     return {
         "boolean": frozenset(p.names_of(cp.boolean_elements())),
-        "maximal_ideals": gens(a.maximal_ideals),
-        "ultrafilters": gens(a.ultrafilters, least=True),
-        "prime_ideals": gens(a.prime_ideals),
-        "prime_filters": gens(a.prime_filters, least=True),
-        "c_ideals": gens(cf.c_ideals),
-        "c_filters": gens(cf.c_filters, least=True),
-        "c_condition_filters": gens(cf.ccond_filters, least=True),
+        "maximal_ideals": gens(a.maximal_ideals, down),
+        "ultrafilters": gens(a.ultrafilters, up),
+        "prime_ideals": gens(a.prime_ideals, down),
+        "prime_filters": gens(a.prime_filters, up),
+        "c_ideals": gens(cf.c_ideals, down),
+        "c_filters": gens(cf.c_filters, up),
+        "c_condition_filters": gens(cf.ccond_filters, up),
     }
 
 

@@ -8,15 +8,24 @@ distinguish "verified" from "not applicable"; a probe note records whether
 the unguarded conclusion would have held anyway, which shows when the
 hypotheses are doing real work.
 
-The two separation procedures are also exposed as constructive operations:
-they check their hypotheses in a fixed order, build the witness ideal as the
-complement-preimage of the filter, and re-verify it definition-level before
-returning it.
+Each dual pair of statements is checked by one checker with a ``kind``
+argument: the filter halves of Theorem 5 are its ideal halves read on the
+filter family.
+
+The separation theorems are also exposed as one constructive procedure,
+:func:`separate`, with a mode per theorem.  Each mode's hypotheses are
+written once, in check order, in a table that the procedure and the
+statement checker both read: the procedure reports the first one that
+fails, and the checker notes each failed global hypothesis and quantifies
+over the pairs that pass the rest.  The witness ideal is the
+complement-preimage of the filter, re-verified definition-level before it
+is returned.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .complement import ComplementedPoset
@@ -309,77 +318,61 @@ def _check_lem_prime_ccond(ctx: _Context):
     return met, note, True, None
 
 
-def _check_thm5_i_ii(ctx: _Context):
+def _check_thm5_maximal(ctx: _Context, kind: str):
+    """THM5_I_II (ideals), THM5_V_VI (filters): a member of the family with
+    the c-condition is maximal."""
     p, cf = ctx.cp.poset, ctx.cfacts
-    met = bool(cf.ccond_ideals)
-    note = "" if met else "no ideal satisfies the c-condition"
+    if kind == "ideal":
+        members, maximal = cf.ccond_ideals, ctx.order.maximal_ideal_set
+    else:
+        members, maximal = cf.ccond_filters, ctx.order.ultrafilter_set
+    met = bool(members)
+    note = "" if met else f"no {kind} satisfies the c-condition"
     cex = None
-    for i in cf.ccond_ideals:
-        if i not in ctx.order.maximal_ideal_set:
-            cex = {"ideal": _fmt(p, i)}
+    for s in members:
+        if s not in maximal:
+            cex = {kind: _fmt(p, s)}
             break
     return met, note, cex is None, cex
 
 
-def _lu_condition(a: OrderFacts, ideal_mask: int) -> bool:
-    """Is every LU-union over the ideal, for x outside it, an ideal?  Over
-    the principal ideal down[g] that union is the one cell lu[x][g] (see
-    :func:`~cideals.substructures.lu_union`); LEM_JOINSEMI_LU reads it too."""
-    p = a.poset
-    cells = p.lu[a.down_generator[ideal_mask]]
-    return all(a.is_ideal(cells[x]) for x in iter_bits(p.all_mask & ~ideal_mask))
+def _union_condition(facts: OrderFacts, kind: str, mask: int) -> bool:
+    """Is every LU-union over the ideal (UL-union over the filter), for x
+    outside it, an ideal (a filter)?  Over the principal ideal down[g] that
+    union is the one cell lu[x][g] (see :func:`~cideals.substructures.lu_union`),
+    over up[g] the cell ul[x][g]; LEM_JOINSEMI_LU reads the lu cells too."""
+    p = facts.poset
+    if kind == "ideal":
+        cells, test = p.lu[facts.down_generator[mask]], facts.is_ideal
+    else:
+        cells, test = p.ul[facts.up_generator[mask]], facts.is_filter
+    return all(test(cells[x]) for x in iter_bits(p.all_mask & ~mask))
 
 
-def _ul_condition(a: OrderFacts, filter_mask: int) -> bool:
-    """Is every UL-union over the filter, for x outside it, a filter?  Over
-    the principal filter up[g] that union is the one cell ul[x][g]."""
-    p = a.poset
-    cells = p.ul[a.up_generator[filter_mask]]
-    return all(a.is_filter(cells[x]) for x in iter_bits(p.all_mask & ~filter_mask))
+#: the maximal members THM5_II_III_IV_I and THM5_III_VI_VII_V quantify over
+_THM5_QUALIFYING = {
+    "ideal": "maximal ideal with all LU-unions ideals",
+    "filter": "ultrafilter with all UL-unions filters",
+}
 
 
-def _check_thm5_ii_iii_iv_i(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
-    distributive = ctx.order.distributivity.holds
-    qualifying = [i for i in ctx.order.maximal_ideals if _lu_condition(ctx.order, i)]
+def _check_thm5_ccond(ctx: _Context, kind: str):
+    """THM5_II_III_IV_I (ideals), THM5_III_VI_VII_V (filters): on a
+    distributive poset, a maximal member whose unions all stay in the family
+    satisfies the c-condition."""
+    cp, p, o = ctx.cp, ctx.cp.poset, ctx.order
+    distributive = o.distributivity.holds
+    maximal = o.maximal_ideals if kind == "ideal" else o.ultrafilters
+    qualifying = [s for s in maximal if _union_condition(o, kind, s)]
     met = distributive and bool(qualifying)
     if distributive:
-        note = "" if qualifying else "no maximal ideal with all LU-unions ideals"
+        note = "" if qualifying else f"no {_THM5_QUALIFYING[kind]}"
     else:
         note = "poset is not distributive"
     cex = None
-    for i in qualifying:
-        if not cp.c_condition(i):
-            cex = {"ideal": _fmt(p, i)}
-            break
-    return met, note, cex is None, cex
-
-
-def _check_thm5_v_vi(ctx: _Context):
-    p, cf = ctx.cp.poset, ctx.cfacts
-    met = bool(cf.ccond_filters)
-    note = "" if met else "no filter satisfies the c-condition"
-    cex = None
-    for f in cf.ccond_filters:
-        if f not in ctx.order.ultrafilter_set:
-            cex = {"filter": _fmt(p, f)}
-            break
-    return met, note, cex is None, cex
-
-
-def _check_thm5_iii_vi_vii_v(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
-    distributive = ctx.order.distributivity.holds
-    qualifying = [f for f in ctx.order.ultrafilters if _ul_condition(ctx.order, f)]
-    met = distributive and bool(qualifying)
-    if distributive:
-        note = "" if qualifying else "no ultrafilter with all UL-unions filters"
-    else:
-        note = "poset is not distributive"
-    cex = None
-    for f in qualifying:
-        if not cp.c_condition(f):
-            cex = {"filter": _fmt(p, f)}
+    for s in qualifying:
+        if not cp.c_condition(s):
+            cex = {kind: _fmt(p, s)}
             break
     return met, note, cex is None, cex
 
@@ -401,6 +394,68 @@ def _check_lem_joinsemi_lu(ctx: _Context):
     return met, note, cex is None, cex
 
 
+def _internal_error(message: str):
+    raise PosetError(f"internal error: {message}")
+
+
+@dataclass(frozen=True)
+class _Hypotheses:
+    """The hypotheses of one separation mode, in the order they are checked.
+
+    ``global_checks`` holds (failure code, checker note, holds(cp)) triples
+    and ``filter_checks`` (failure code, holds(cp, filter_mask)) pairs.  A
+    step with no code is a guarantee: the steps before it imply it, so the
+    procedure raises an internal error if it fails, and the checker skips
+    it.  Disjointness of the ideal and the filter is checked last.
+    ``no_pair`` is the checker's note when no disjoint (ideal, filter) pair
+    passes the per-filter checks; ``detail``, if set, describes a success.
+    """
+
+    global_checks: tuple
+    filter_checks: tuple
+    no_pair: str
+    detail: Callable[[ComplementedPoset, int], str] | None = None
+
+
+_ANTITONE = (FAIL_NOT_ANTITONE, "complementation is not antitone", lambda cp: cp.props.antitone)
+_X_LE_XDD = (FAIL_X_LE_XDD, "x<=x'' fails", lambda cp: cp.props.x_le_xdd)
+
+#: the separation modes: THM_SEP1, COR_SEP1_PRIME and THM_SEP2
+_MODES = {
+    "first": _Hypotheses(
+        (_ANTITONE, _X_LE_XDD),
+        ((FAIL_NO_CCOND, lambda cp, f: cp.facts.c_condition(f)),),
+        "no disjoint (ideal, filter) pair with the filter satisfying the c-condition",
+    ),
+    "prime": _Hypotheses(
+        (_ANTITONE, _X_LE_XDD),
+        (
+            (FAIL_NOT_PRIME, lambda cp, f: f in cp.poset.facts.prime_filter_set),
+            (None, lambda cp, f: cp.facts.c_condition(f) or _internal_error("prime filter misses the c-condition")),
+        ),
+        "no disjoint (ideal, prime filter) pair",
+    ),
+    # the construction is THM_SEP1's: distributivity and a qualifying
+    # ultrafilter force the c-condition and an involution, hence x<=x''
+    "second": _Hypotheses(
+        (
+            (FAIL_NOT_DISTRIBUTIVE, "poset is not distributive", lambda cp: cp.poset.facts.distributivity.holds),
+            _ANTITONE,
+        ),
+        (
+            (FAIL_NOT_ULTRA, lambda cp, f: f in cp.poset.facts.ultrafilter_set),
+            (None, lambda cp, f: cp.poset.least(f) is not None or _internal_error("finite filter without least element")),
+            (FAIL_MEET_MISSING, lambda cp, f: cp.poset.facts.generator_meets(f)),
+            (None, lambda cp, f: cp.facts.c_condition(f) or _internal_error("qualifying ultrafilter misses the c-condition")),
+            (None, lambda cp, f: cp.props.involution or _internal_error("distributivity did not force an involution")),
+            (None, lambda cp, f: cp.props.x_le_xdd or _internal_error("an involution without x<=x''")),
+        ),
+        "no disjoint (ideal, qualifying ultrafilter) pair",
+        lambda cp, f: f"ultrafilter generated by {cp.poset.names[cp.poset.facts.up_generator[f]]}",
+    ),
+}
+
+
 def _verify_separation_witness(
     cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int
 ) -> bool:
@@ -413,59 +468,24 @@ def _verify_separation_witness(
     )
 
 
-def _separation_pairs(ctx: _Context, filter_ok) -> list[tuple[int, int]]:
-    return [
-        (i, f)
-        for f in ctx.order.filters
-        if filter_ok(f)
-        for i in ctx.order.ideals
-        if not i & f
-    ]
-
-
 def _check_separation(ctx: _Context, mode: str):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.order
-    props = cp.props
-    notes = []
-    if mode == "second":
-        if not a.distributivity.holds:
-            notes.append("poset is not distributive")
-        if not props.antitone:
-            notes.append("complementation is not antitone")
-
-        def filter_ok(f: int) -> bool:
-            return f in a.ultrafilter_set and a.generator_meets(f)
-
-    else:
-        if not props.antitone:
-            notes.append("complementation is not antitone")
-        if not props.x_le_xdd:
-            notes.append("x<=x'' fails")
-        if mode == "prime":
-            def filter_ok(f: int) -> bool:
-                return f in a.prime_filter_set
-        else:
-            filter_ok = ctx.cfacts.c_condition
-
-    pairs = _separation_pairs(ctx, filter_ok)
+    """Met when every global hypothesis holds and some disjoint pair passes
+    the per-filter checks; then each such pair goes through :func:`separate`.
+    Unmet, each pair's candidate F_0 is still probed."""
+    cp, p, o = ctx.cp, ctx.cp.poset, ctx.order
+    hyps = _MODES[mode]
+    notes = [note for _code, note, holds in hyps.global_checks if not holds(cp)]
+    qualifying = o.filters
+    for code, holds in hyps.filter_checks:
+        if code:
+            qualifying = [f for f in qualifying if holds(cp, f)]
+    pairs = [(i, f) for f in qualifying for i in o.ideals if not i & f]
     if not pairs:
-        kind = {
-            "first": "no disjoint (ideal, filter) pair with the filter satisfying the c-condition",
-            "prime": "no disjoint (ideal, prime filter) pair",
-            "second": "no disjoint (ideal, qualifying ultrafilter) pair",
-        }[mode]
-        notes.append(kind)
+        notes.append(hyps.no_pair)
     met = not notes
     cex = None
     for i, f in pairs:
-        if met:
-            if mode == "second":
-                result = separate_second(cp, i, f)
-            else:
-                result = separate_first(cp, i, f, prime_mode=(mode == "prime"))
-            witness = result.witness
-        else:
-            witness = cp.comp_preimage(f)
+        witness = separate(cp, i, f, mode).witness if met else cp.comp_preimage(f)
         if witness is None or not _verify_separation_witness(cp, i, f, witness):
             cex = {
                 "ideal": _fmt(p, i),
@@ -488,10 +508,10 @@ _CHECKERS = {
     StatementId.COR_INVOLUTION: _check_cor_involution,
     StatementId.REM_PRINCIPAL_L0: _check_rem_principal_l0,
     StatementId.LEM_PRIME_CCOND: _check_lem_prime_ccond,
-    StatementId.THM5_I_II: _check_thm5_i_ii,
-    StatementId.THM5_II_III_IV_I: _check_thm5_ii_iii_iv_i,
-    StatementId.THM5_V_VI: _check_thm5_v_vi,
-    StatementId.THM5_III_VI_VII_V: _check_thm5_iii_vi_vii_v,
+    StatementId.THM5_I_II: lambda ctx: _check_thm5_maximal(ctx, "ideal"),
+    StatementId.THM5_II_III_IV_I: lambda ctx: _check_thm5_ccond(ctx, "ideal"),
+    StatementId.THM5_V_VI: lambda ctx: _check_thm5_maximal(ctx, "filter"),
+    StatementId.THM5_III_VI_VII_V: lambda ctx: _check_thm5_ccond(ctx, "filter"),
     StatementId.LEM_JOINSEMI_LU: _check_lem_joinsemi_lu,
     StatementId.THM_SEP1: lambda ctx: _check_separation(ctx, "first"),
     StatementId.COR_SEP1_PRIME: lambda ctx: _check_separation(ctx, "prime"),
@@ -554,98 +574,56 @@ def _check_inputs(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> N
         raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
 
-def separate_first(
-    cp: ComplementedPoset,
-    ideal_mask: int,
-    filter_mask: int,
-    prime_mode: bool = False,
-) -> SeparationResult:
-    """Build the separating c-ideal J := F_0 once the hypotheses hold.
-
-    Hypotheses are checked in order: antitone; x<=x'' for all x; the filter
-    satisfies the c-condition (or is prime, in prime mode); disjointness.
-    The first failure is reported without a witness.  Malformed inputs raise
-    ``NotIdeal``/``NotFilter``.
-    """
-    _check_inputs(cp, ideal_mask, filter_mask)
-    a, cf = cp.poset.facts, cp.facts
-
-    def fail(reason: str) -> SeparationResult:
-        return SeparationResult(ideal_mask, filter_mask, failure=reason)
-
-    if not cp.props.antitone:
-        return fail(FAIL_NOT_ANTITONE)
-    if not cp.props.x_le_xdd:
-        return fail(FAIL_X_LE_XDD)
-    if prime_mode:
-        if filter_mask not in a.prime_filter_set:
-            return fail(FAIL_NOT_PRIME)
-        if not cf.c_condition(filter_mask):  # guaranteed for prime filters
-            raise PosetError("internal error: prime filter misses the c-condition")
-    elif not cf.c_condition(filter_mask):
-        return fail(FAIL_NO_CCOND)
-    if ideal_mask & filter_mask:
-        return fail(FAIL_NOT_DISJOINT)
-
-    witness = cp.comp_preimage(filter_mask)
-    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness):
-        raise PosetError("internal error: constructed witness failed verification")
-    return SeparationResult(ideal_mask, filter_mask, witness=witness)
-
-
-def separate_second(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> SeparationResult:
-    """Separation via distributivity and an ultrafilter with enough meets.
-
-    Checks, in order: the poset is distributive; the complementation is
-    antitone; the filter is an ultrafilter; its least element g (every finite
-    filter is principal) admits a meet with every element outside the filter;
-    disjointness.  The construction then forces the filter to satisfy the
-    c-condition and the complementation to be an involution; both are
-    verified before delegating to :func:`separate_first`.
-    """
-    _check_inputs(cp, ideal_mask, filter_mask)
-    p, a = cp.poset, cp.poset.facts
-
-    def fail(reason: str) -> SeparationResult:
-        return SeparationResult(ideal_mask, filter_mask, failure=reason)
-
-    if not a.distributivity.holds:
-        return fail(FAIL_NOT_DISTRIBUTIVE)
-    if not cp.props.antitone:
-        return fail(FAIL_NOT_ANTITONE)
-    if filter_mask not in a.ultrafilter_set:
-        return fail(FAIL_NOT_ULTRA)
-    g = p.least(filter_mask)
-    if g is None:
-        raise PosetError("internal error: finite filter without least element")
-    if not a.generator_meets(filter_mask):
-        return fail(FAIL_MEET_MISSING)
-    if ideal_mask & filter_mask:
-        return fail(FAIL_NOT_DISJOINT)
-    if not cp.facts.c_condition(filter_mask):
-        raise PosetError("internal error: qualifying ultrafilter misses the c-condition")
-    if not cp.props.involution:
-        raise PosetError("internal error: distributivity did not force an involution")
-    delegated = separate_first(cp, ideal_mask, filter_mask)
-    return SeparationResult(
-        ideal_mask,
-        filter_mask,
-        witness=delegated.witness,
-        detail=f"ultrafilter generated by {p.names[g]}",
-    )
-
-
 def separate(
     cp: ComplementedPoset,
     ideal_mask: int,
     filter_mask: int,
     mode: str,
 ) -> SeparationResult:
-    """Dispatch by mode: ``first``, ``prime`` or ``second``."""
-    if mode == "first":
-        return separate_first(cp, ideal_mask, filter_mask)
-    if mode == "prime":
-        return separate_first(cp, ideal_mask, filter_mask, prime_mode=True)
-    if mode == "second":
-        return separate_second(cp, ideal_mask, filter_mask)
-    raise PosetError(f"unknown separation mode {mode!r}")
+    """Build the separating c-ideal J := F_0 once the hypotheses of ``mode``
+    (``first``, ``prime`` or ``second``) hold.
+
+    The hypotheses are checked in order.  ``first``: the complementation is
+    antitone; x<=x'' for all x; the filter satisfies the c-condition.
+    ``prime``: the same, with the filter prime instead.  ``second``: the
+    poset is distributive; the complementation is antitone; the filter is an
+    ultrafilter; its least element g (every finite filter is principal) has a
+    meet with every element outside the filter.  Every mode then checks that
+    the ideal and filter are disjoint.  The first failure is reported without
+    a witness.  What the hypotheses imply is asserted: a prime filter, and in
+    ``second`` the ultrafilter, satisfies the c-condition, and ``second``
+    forces an involution.  The witness is re-verified definition-level before
+    it is returned.  Malformed inputs raise ``NotIdeal``/``NotFilter``.
+    """
+    hyps = _MODES.get(mode)
+    if hyps is None:
+        raise PosetError(f"unknown separation mode {mode!r}")
+    _check_inputs(cp, ideal_mask, filter_mask)
+    for code, _note, holds in hyps.global_checks:
+        if not holds(cp):
+            return SeparationResult(ideal_mask, filter_mask, failure=code)
+    for code, holds in hyps.filter_checks:
+        if not holds(cp, filter_mask):
+            return SeparationResult(ideal_mask, filter_mask, failure=code)
+    if ideal_mask & filter_mask:
+        return SeparationResult(ideal_mask, filter_mask, failure=FAIL_NOT_DISJOINT)
+    witness = cp.comp_preimage(filter_mask)
+    if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness):
+        raise PosetError("internal error: constructed witness failed verification")
+    detail = hyps.detail(cp, filter_mask) if hyps.detail else ""
+    return SeparationResult(ideal_mask, filter_mask, witness=witness, detail=detail)
+
+
+def separate_first(
+    cp: ComplementedPoset,
+    ideal_mask: int,
+    filter_mask: int,
+    prime_mode: bool = False,
+) -> SeparationResult:
+    """:func:`separate` in mode ``first``, or ``prime`` with ``prime_mode``."""
+    return separate(cp, ideal_mask, filter_mask, "prime" if prime_mode else "first")
+
+
+def separate_second(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> SeparationResult:
+    """:func:`separate` in mode ``second``."""
+    return separate(cp, ideal_mask, filter_mask, "second")

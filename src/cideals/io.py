@@ -52,6 +52,10 @@ class Instance:
     cp: ComplementedPoset | None
 
 
+#: the pair sections and the arrow between the two names of each line
+_PAIR_ARROWS = {"le": "<", "comp": "->"}
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Parse instance text; raises ParseError/UnknownName with line numbers."""
     name: str | None = None
@@ -93,29 +97,19 @@ def parse_instance(text: str) -> InstanceFile:
             if dupes:
                 raise ParseError(f"duplicate element {sorted(dupes)[0]!r} on line {ln}", line=ln)
             elements = parts
-        elif key == "le":
+        elif key in _PAIR_ARROWS:
             if elements is None:
-                raise ParseError(f"le line before elements (line {ln})", line=ln)
-            if seen_comp:
+                raise ParseError(f"{key} line before elements (line {ln})", line=ln)
+            if key == "le" and seen_comp:
                 raise ParseError(f"le line after comp section (line {ln})", line=ln)
+            seen_comp = seen_comp or key == "comp"
             parts = rest.split()
-            if len(parts) != 3 or parts[1] != "<":
-                raise ParseError(f"expected 'le: a < b' on line {ln}", line=ln)
+            if len(parts) != 3 or parts[1] != _PAIR_ARROWS[key]:
+                raise ParseError(f"expected '{key}: a {_PAIR_ARROWS[key]} b' on line {ln}", line=ln)
             for tok in (parts[0], parts[2]):
                 if tok not in elements:
                     raise UnknownName(f"unknown element {tok!r} on line {ln}", line=ln)
-            le.append((parts[0], parts[2]))
-        elif key == "comp":
-            if elements is None:
-                raise ParseError(f"comp line before elements (line {ln})", line=ln)
-            seen_comp = True
-            parts = rest.split()
-            if len(parts) != 3 or parts[1] != "->":
-                raise ParseError(f"expected 'comp: a -> b' on line {ln}", line=ln)
-            for tok in (parts[0], parts[2]):
-                if tok not in elements:
-                    raise UnknownName(f"unknown element {tok!r} on line {ln}", line=ln)
-            comp.append((parts[0], parts[2]))
+            (le if key == "le" else comp).append((parts[0], parts[2]))
         else:
             raise ParseError(f"unknown section {key!r} on line {ln}", line=ln)
     if name is None:
@@ -433,12 +427,13 @@ def parse_machine_report(text: str) -> ParsedReport:
 
 
 def text_class_label(p: Poset, row: ClassRow, kind: str) -> str:
-    """Text label of an ideal as L(greatest), of a filter as U(least); every
-    ideal and filter of a finite poset is principal.  Unlike the machine
-    ``principal`` field, the improper filter reads U(bottom), not top."""
+    """Text label of an ideal as L(greatest), of a filter as U(least), read
+    from the generator maps; every ideal and filter of a finite poset is
+    principal.  Unlike the machine ``principal`` field, the improper filter
+    reads U(bottom), not top."""
     if kind == "ideal":
-        return f"L({p.names[p.greatest(row.mask)]})"
-    return f"U({p.names[p.least(row.mask)]})"
+        return f"L({p.names[p.facts.down_generator[row.mask]]})"
+    return f"U({p.names[p.facts.up_generator[row.mask]]})"
 
 
 def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:

@@ -28,7 +28,7 @@ from cideals import (
     ul_union,
 )
 from cideals.complement import ComplementedPoset
-from cideals.harness import _CHECKERS, _Context, _lu_condition, _ul_condition
+from cideals.harness import _CHECKERS, _Context, _union_condition
 from cideals.poset import iter_bits
 from cideals.substructures import (
     find_c_filter_witness,
@@ -188,13 +188,13 @@ def test_union_conditions_match_the_unions(instances):
     held = failed = 0
     for cp in instances:
         p, a = cp.poset, cp.poset.facts
-        for family, condition, union_of in (
-            (a.ideals, _lu_condition, lu_union),
-            (a.filters, _ul_condition, ul_union),
+        for kind, family, union_of in (
+            ("ideal", a.ideals, lu_union),
+            ("filter", a.filters, ul_union),
         ):
             for s in family:
                 want = all(union_of(p, x, s)[1] for x in iter_bits(p.all_mask & ~s))
-                assert condition(a, s) == want, (p, s)
+                assert _union_condition(a, kind, s) == want, (p, s)
                 held, failed = held + want, failed + (not want)
     assert held and failed
 
