@@ -7,14 +7,16 @@ the property flags record which of the usual extras actually hold, and
 everything downstream (ideal classification, theorem checks) branches on
 them.
 
-A complemented poset is immutable.  Its ``facts`` (c-ideals, c-filters,
-the c-condition) are built on first read, as the poset's own ``facts`` are,
-and belong to this complementation alone.
+A complemented poset is immutable.  Its ``facts`` (c-ideals and the
+c-condition) are built on first read, as the poset's own ``facts`` are, and
+belong to this complementation alone.  Its order dual, ``dual()``, is built
+on first call and kept, over the poset's kept dual and the same map; its
+c-ideals are the c-filters of this complementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap
@@ -41,7 +43,7 @@ class ComplementProperties:
 class ComplementedPoset:
     """A bounded poset together with a validated complementation."""
 
-    __slots__ = ("poset", "comp", "props", "_facts")
+    __slots__ = ("poset", "comp", "props", "_facts", "_dual")
 
     def __init__(self, poset: Poset, comp: Sequence[int]):
         if not poset.bounded:
@@ -64,7 +66,7 @@ class ComplementedPoset:
         self.poset = poset
         self.comp = comp
         self.props = self._compute_properties()
-        self._facts = None
+        self._facts = self._dual = None
 
     def __repr__(self) -> str:
         table = " ".join(
@@ -129,8 +131,22 @@ class ComplementedPoset:
         return True
 
     def dual(self) -> "ComplementedPoset":
-        """Order-dual with the complement map unchanged (axioms dualize)."""
-        return ComplementedPoset(self.poset.dual(), self.comp)
+        """Order-dual with the complement map unchanged, built on first call
+        and kept; its own dual is this object.
+
+        Nothing is re-validated: the axioms dualize (join and meet swap, as
+        do top and bottom), and so do the flags.  x<=x'' and x''<=x trade
+        places; antitone, De Morgan (its two identities trade places) and
+        the order-free involution and triple identity carry over.
+        """
+        if self._dual is None:
+            dual = ComplementedPoset.__new__(ComplementedPoset)
+            dual.poset, dual.comp = self.poset.dual(), self.comp
+            props = self.props
+            dual.props = replace(props, x_le_xdd=props.xdd_le_x, xdd_le_x=props.x_le_xdd)
+            dual._facts, dual._dual = None, self
+            self._dual = dual
+        return self._dual
 
     # -- property computation -------------------------------------------------
 

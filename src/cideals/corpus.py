@@ -176,8 +176,8 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     Ideal/filter families are reported by their principal generators (on a
     finite poset every ideal and filter is principal).
     """
-    p, a, cf = cp.poset, cp.poset.facts, cp.facts
-    down, up = a.down_generator, a.up_generator
+    p, cf, df = cp.poset, cp.facts, cp.dual().facts  # filters are the dual's ideals
+    a, da = cf.order, df.order
 
     def gens(masks: Iterable[int], generator: dict[int, int]) -> frozenset[str]:
         try:
@@ -185,15 +185,16 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
         except KeyError:
             raise PosetError("internal error: non-principal ideal/filter on a finite poset") from None
 
+    down, up = a.down_generator, da.down_generator
     return {
         "boolean": frozenset(p.names_of(cp.boolean_elements())),
         "maximal_ideals": gens(a.maximal_ideals, down),
-        "ultrafilters": gens(a.ultrafilters, up),
+        "ultrafilters": gens(da.maximal_ideals, up),
         "prime_ideals": gens(a.prime_ideals, down),
-        "prime_filters": gens(a.prime_filters, up),
+        "prime_filters": gens(da.prime_ideals, up),
         "c_ideals": gens(cf.c_ideals, down),
-        "c_filters": gens(cf.c_filters, up),
-        "c_condition_filters": gens(cf.ccond_filters, up),
+        "c_filters": gens(df.c_ideals, up),
+        "c_condition_filters": gens(df.ccond_ideals, up),
     }
 
 

@@ -8,9 +8,11 @@ distinguish "verified" from "not applicable"; a probe note records whether
 the unguarded conclusion would have held anyway, which shows when the
 hypotheses are doing real work.
 
-Each dual pair of statements is checked by one checker with a ``kind``
-argument: the filter halves of Theorem 5 are its ideal halves read on the
-filter family.
+Every filter fact is the ideal fact of the order dual: the filters of P are
+the ideals of P^d, and ``cp.dual()`` keeps the complement map.  So each
+statement about both families runs one loop over the two sides, ``cp`` for
+ideals and ``cp.dual()`` for filters, and the filter halves of Theorem 5 are
+its ideal checkers run on the dual side.
 
 The separation theorems are also exposed as one constructive procedure,
 :func:`separate`, with a mode per theorem.  Each mode's hypotheses are
@@ -27,6 +29,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import starmap
 
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
@@ -111,7 +114,6 @@ FAIL_NO_CCOND = "NoCCondition"
 FAIL_NOT_PRIME = "NotPrime"
 FAIL_NOT_DISJOINT = "NotDisjoint"
 FAIL_NOT_ULTRA = "NotUltrafilter"
-FAIL_MEET_MISSING = "MeetMissing"
 FAIL_NOT_DISTRIBUTIVE = "NotDistributive"
 
 
@@ -129,7 +131,8 @@ class SeparationResult:
 @dataclass
 class _Context:
     """What the checkers share for one instance: the facts of its order and
-    of its complementation, and the LEM_CL_PRINCIPAL walk budget."""
+    of its complementation, its two sides, and the LEM_CL_PRINCIPAL walk
+    budget."""
 
     cp: ComplementedPoset
     budget: int
@@ -137,6 +140,12 @@ class _Context:
     def __post_init__(self):
         self.order = self.cp.poset.facts
         self.cfacts = self.cp.facts
+
+    @property
+    def sides(self) -> dict[str, ComplementedPoset]:
+        """Family name -> the complemented poset whose ideals that family
+        is: the filters of ``cp`` are the ideals of ``cp.dual()``."""
+        return {"ideal": self.cp, "filter": self.cp.dual()}
 
 
 def _fmt(p: Poset, mask: int) -> str:
@@ -164,21 +173,21 @@ def _check_lem_boolean(ctx: _Context):
 
 def _check_lem_cl_prime(ctx: _Context):
     """Every filter is an up-cone (LEM_CL_PRINCIPAL), so P\\I is a prime
-    filter exactly when it is in the prime-filter family."""
-    p, a = ctx.cp.poset, ctx.order
+    filter exactly when it is a prime ideal of the dual."""
+    p, a, f = ctx.cp.poset, ctx.order, ctx.sides["filter"].poset.facts
     cex = None
     for i in a.ideals:
         rest = complement_pairing(p, i)
-        facts = (i in a.prime_ideal_set, rest in a.prime_filter_set, a.is_filter(rest))
+        facts = (i in a.prime_ideal_set, rest in f.prime_ideal_set, f.is_ideal(rest))
         if len(set(facts)) != 1:
             cex = {"ideal": _fmt(p, i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
             break
     if cex is None:
         image = {complement_pairing(p, i) for i in a.prime_ideals}
-        if image != a.prime_filter_set:
+        if image != f.prime_ideal_set:
             cex = {
                 "prime_ideal_complements": "+".join(sorted(_fmt(p, m) for m in image)),
-                "prime_filters": "+".join(sorted(_fmt(p, m) for m in a.prime_filters)),
+                "prime_filters": "+".join(sorted(_fmt(p, m) for m in f.prime_ideals)),
             }
     return True, "", cex is None, cex
 
@@ -186,16 +195,13 @@ def _check_lem_cl_prime(ctx: _Context):
 def _check_lem_cl_principal(ctx: _Context):
     """Walks the downsets, not the cone families, which assume the result;
     the filter side walks the dual.  Over budget, nothing is concluded."""
-    p = ctx.cp.poset
     try:
-        for kind, order, generator, cones in (
-            ("ideal", p, p.greatest, p.down),
-            ("filter", p.dual(), p.least, p.up),
-        ):
-            for s in directed_downsets(order, ctx.budget):
-                g = generator(s)
-                if g is None or cones[g] != s:
-                    return True, "", False, {f"non_principal_{kind}": _fmt(p, s)}
+        for kind, side in ctx.sides.items():
+            q = side.poset
+            for s in directed_downsets(q, ctx.budget):
+                g = q.greatest(s)
+                if g is None or q.down[g] != s:
+                    return True, "", False, {f"non_principal_{kind}": _fmt(q, s)}
     except ScaleLimit as exc:
         return False, f"downset walk over budget: {exc}", None, None
     return True, "", True, None
@@ -203,8 +209,8 @@ def _check_lem_cl_principal(ctx: _Context):
 
 def _check_lem_proper_pair(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    for kind, family in (("ideal", ctx.order.ideals), ("filter", ctx.order.filters)):
-        for s in family:
+    for kind, side in ctx.sides.items():
+        for s in side.poset.facts.ideals:
             for a in iter_bits(s) if s != p.all_mask else ():  # proper members only
                 if (s >> cp.comp[a]) & 1 and cp.comp[a] != a:
                     return True, "", False, {f"proper_{kind}": _fmt(p, s), "element": p.names[a]}
@@ -213,35 +219,29 @@ def _check_lem_proper_pair(ctx: _Context):
 
 def _check_prop_proper_equiv(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    cex = None
-    for kind, family in (("ideal", ctx.order.ideals), ("filter", ctx.order.filters)):
-        for s in family:
+    for kind, side in ctx.sides.items():
+        for s in side.poset.facts.ideals:
             pre = cp.comp_preimage(s)
             facts = (s != p.all_mask, pre != p.all_mask, not s & pre)
             if len(set(facts)) != 1:
-                cex = {kind: _fmt(p, s), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
-                break
-        if cex:
-            break
-    return True, "", cex is None, cex
+                return True, "", False, {kind: _fmt(p, s), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
+    return True, "", True, None
 
 
 def _check_lem_cideal_dd(ctx: _Context):
-    cp, p = ctx.cp, ctx.cp.poset
-    c = cp.comp
-    hyp_i = all(p.le(c[x], c[c[c[x]]]) for x in range(p.n))
-    hyp_ii = all(p.le(c[c[c[x]]], c[x]) for x in range(p.n))
-    met = hyp_i or hyp_ii
+    """x'<=x''' read on the dual order is x'''<=x', the filter side's
+    hypothesis."""
+    cp, p, c, sides = ctx.cp, ctx.cp.poset, ctx.cp.comp, ctx.sides
+    pairs = [(c[x], c[c[c[x]]]) for x in range(p.n)]
+    hyps = {kind: all(starmap(side.poset.le, pairs)) for kind, side in sides.items()}
+    met = any(hyps.values())
     note = "" if met else "needs x'<=x''' for all x (or the dual x'''<=x')"
     # unmet, both sides are probed
-    for kind, family, hyp in (
-        ("c_ideal", ctx.cfacts.c_ideals, hyp_i),
-        ("c_filter", ctx.cfacts.c_filters, hyp_ii),
-    ):
-        for s in family if hyp or not met else ():
+    for kind, side in sides.items():
+        for s in side.facts.c_ideals if hyps[kind] or not met else ():
             img2 = cp.comp_image(cp.comp_image(s))
             if img2 & ~s:
-                return met, note, False, {kind: _fmt(p, s), "double_image": _fmt(p, img2)}
+                return met, note, False, {f"c_{kind}": _fmt(p, s), "double_image": _fmt(p, img2)}
     return met, note, True, None
 
 
@@ -262,17 +262,17 @@ def _check_lem_triple_a0(ctx: _Context):
 
 
 def _check_thm_f0_cideal(ctx: _Context):
-    cp, p, a, cf = ctx.cp, ctx.cp.poset, ctx.order, ctx.cfacts
-    props = cp.props
-    hyp_i = props.antitone and props.x_le_xdd
-    hyp_ii = props.antitone and props.xdd_le_x
-    met = hyp_i or hyp_ii
+    """On each side, F_0 is a c-ideal for every filter F, the members of the
+    other side's family; on the dual side that reads "I_0 is a c-filter for
+    every ideal I", and its x<=x'' flag is the original's x''<=x."""
+    cp, p = ctx.cp, ctx.cp.poset
+    sides = list(ctx.sides.items())
+    hyps = [side.props.antitone and side.props.x_le_xdd for _, side in sides]
+    met = any(hyps)
     note = "" if met else "needs antitone with x<=x'' (or the dual x''<=x)"
-    for kind, family, test, witnesses, hyp in (
-        ("filter", a.filters, a.is_ideal, cf.c_ideal_witnesses, hyp_i),
-        ("ideal", a.ideals, a.is_filter, cf.c_filter_witnesses, hyp_ii),
-    ):
-        for s in family if hyp or not met else ():
+    for (_, side), (kind, other), hyp in zip(sides, reversed(sides), hyps):
+        test, witnesses = side.poset.facts.is_ideal, side.facts.c_ideal_witnesses
+        for s in other.poset.facts.ideals if hyp or not met else ():
             pre = cp.comp_preimage(s)
             if not test(pre) or pre not in witnesses:
                 return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
@@ -280,14 +280,13 @@ def _check_thm_f0_cideal(ctx: _Context):
 
 
 def _check_cor_involution(ctx: _Context):
-    cp, p, a, cf = ctx.cp, ctx.cp.poset, ctx.order, ctx.cfacts
+    cp, p = ctx.cp, ctx.cp.poset
     met = cp.props.antitone and cp.props.involution
     note = "" if met else "needs an antitone involution"
-    for kind, family, test, witnesses in (
-        ("ideal", a.ideals, a.is_filter, cf.c_ideal_witnesses),
-        ("filter", a.filters, a.is_ideal, cf.c_filter_witnesses),
-    ):
-        for s in family:
+    sides = list(ctx.sides.items())
+    for (kind, side), (_, other) in zip(sides, reversed(sides)):
+        test, witnesses = other.poset.facts.is_ideal, side.facts.c_ideal_witnesses
+        for s in side.poset.facts.ideals:
             pre = cp.comp_preimage(s)
             if not test(pre) or cp.comp_preimage(pre) != s or s not in witnesses:
                 return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
@@ -308,45 +307,40 @@ def _check_rem_principal_l0(ctx: _Context):
 
 
 def _check_lem_prime_ccond(ctx: _Context):
-    cp, p, a = ctx.cp, ctx.cp.poset, ctx.order
-    met = bool(a.prime_ideals or a.prime_filters)
+    cp, p = ctx.cp, ctx.cp.poset
+    primes = {kind: side.poset.facts.prime_ideals for kind, side in ctx.sides.items()}
+    met = any(primes.values())
     note = "" if met else "no prime ideals and no prime filters on this instance"
-    for kind, family in (("prime_ideal", a.prime_ideals), ("prime_filter", a.prime_filters)):
+    for kind, family in primes.items():
         for s in family:
             if not cp.c_condition(s):
-                return met, note, False, {kind: _fmt(p, s)}
+                return met, note, False, {f"prime_{kind}": _fmt(p, s)}
     return met, note, True, None
 
 
 def _check_thm5_maximal(ctx: _Context, kind: str):
     """THM5_I_II (ideals), THM5_V_VI (filters): a member of the family with
     the c-condition is maximal."""
-    p, cf = ctx.cp.poset, ctx.cfacts
-    if kind == "ideal":
-        members, maximal = cf.ccond_ideals, ctx.order.maximal_ideal_set
-    else:
-        members, maximal = cf.ccond_filters, ctx.order.ultrafilter_set
-    met = bool(members)
+    cf = ctx.sides[kind].facts
+    met = bool(cf.ccond_ideals)
     note = "" if met else f"no {kind} satisfies the c-condition"
     cex = None
-    for s in members:
-        if s not in maximal:
-            cex = {kind: _fmt(p, s)}
+    for s in cf.ccond_ideals:
+        if s not in cf.order.maximal_ideal_set:
+            cex = {kind: _fmt(ctx.cp.poset, s)}
             break
     return met, note, cex is None, cex
 
 
-def _union_condition(facts: OrderFacts, kind: str, mask: int) -> bool:
-    """Is every LU-union over the ideal (UL-union over the filter), for x
-    outside it, an ideal (a filter)?  Over the principal ideal down[g] that
-    union is the one cell lu[x][g] (see :func:`~cideals.substructures.lu_union`),
-    over up[g] the cell ul[x][g]; LEM_JOINSEMI_LU reads the lu cells too."""
+def _union_condition(facts: OrderFacts, mask: int) -> bool:
+    """Is every LU-union over the ideal, for x outside it, an ideal?  Over
+    the principal ideal down[g] that union is the one cell lu[x][g] (see
+    :func:`~cideals.substructures.lu_union`); LEM_JOINSEMI_LU reads those
+    cells too.  On the dual's facts it asks the same of the UL-unions over
+    a filter."""
     p = facts.poset
-    if kind == "ideal":
-        cells, test = p.lu[facts.down_generator[mask]], facts.is_ideal
-    else:
-        cells, test = p.ul[facts.up_generator[mask]], facts.is_filter
-    return all(test(cells[x]) for x in iter_bits(p.all_mask & ~mask))
+    cells = p.lu[facts.down_generator[mask]]
+    return all(facts.is_ideal(cells[x]) for x in iter_bits(p.all_mask & ~mask))
 
 
 #: the maximal members THM5_II_III_IV_I and THM5_III_VI_VII_V quantify over
@@ -360,10 +354,12 @@ def _check_thm5_ccond(ctx: _Context, kind: str):
     """THM5_II_III_IV_I (ideals), THM5_III_VI_VII_V (filters): on a
     distributive poset, a maximal member whose unions all stay in the family
     satisfies the c-condition."""
-    cp, p, o = ctx.cp, ctx.cp.poset, ctx.order
-    distributive = o.distributivity.holds
-    maximal = o.maximal_ideals if kind == "ideal" else o.ultrafilters
-    qualifying = [s for s in maximal if _union_condition(o, kind, s)]
+    cp, p = ctx.cp, ctx.cp.poset
+    # the identity and its dual are equivalent globally, so the instance's
+    # own scan answers for both sides
+    distributive = ctx.order.distributivity.holds
+    o = ctx.sides[kind].poset.facts
+    qualifying = [s for s in o.maximal_ideals if _union_condition(o, s)]
     met = distributive and bool(qualifying)
     if distributive:
         note = "" if qualifying else f"no {_THM5_QUALIFYING[kind]}"
@@ -403,18 +399,20 @@ class _Hypotheses:
     """The hypotheses of one separation mode, in the order they are checked.
 
     ``global_checks`` holds (failure code, checker note, holds(cp)) triples
-    and ``filter_checks`` (failure code, holds(cp, filter_mask)) pairs.  A
-    step with no code is a guarantee: the steps before it imply it, so the
-    procedure raises an internal error if it fails, and the checker skips
-    it.  Disjointness of the ideal and the filter is checked last.
-    ``no_pair`` is the checker's note when no disjoint (ideal, filter) pair
-    passes the per-filter checks; ``detail``, if set, describes a success.
+    and ``filter_checks`` (failure code, holds(cp, dual, filter_mask))
+    pairs, where ``dual`` is ``cp.dual()``, the side that holds the filter
+    facts, bound once by the caller.  A step with no code is a guarantee:
+    the steps before it imply it, so the procedure raises an internal error
+    if it fails, and the checker skips it.  Disjointness of the ideal and
+    the filter is checked last.  ``no_pair`` is the checker's note when no
+    disjoint (ideal, filter) pair passes the per-filter checks; ``detail``,
+    if set, describes a success from the same arguments.
     """
 
     global_checks: tuple
     filter_checks: tuple
     no_pair: str
-    detail: Callable[[ComplementedPoset, int], str] | None = None
+    detail: Callable[[ComplementedPoset, ComplementedPoset, int], str] | None = None
 
 
 _ANTITONE = (FAIL_NOT_ANTITONE, "complementation is not antitone", lambda cp: cp.props.antitone)
@@ -424,34 +422,36 @@ _X_LE_XDD = (FAIL_X_LE_XDD, "x<=x'' fails", lambda cp: cp.props.x_le_xdd)
 _MODES = {
     "first": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
-        ((FAIL_NO_CCOND, lambda cp, f: cp.facts.c_condition(f)),),
+        ((FAIL_NO_CCOND, lambda cp, d, f: d.facts.c_condition(f)),),
         "no disjoint (ideal, filter) pair with the filter satisfying the c-condition",
     ),
     "prime": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
         (
-            (FAIL_NOT_PRIME, lambda cp, f: f in cp.poset.facts.prime_filter_set),
-            (None, lambda cp, f: cp.facts.c_condition(f) or _internal_error("prime filter misses the c-condition")),
+            (FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideal_set),
+            (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("prime filter misses the c-condition")),
         ),
         "no disjoint (ideal, prime filter) pair",
     ),
-    # the construction is THM_SEP1's: distributivity and a qualifying
-    # ultrafilter force the c-condition and an involution, hence x<=x''
+    # the construction is THM_SEP1's: distributivity and an ultrafilter
+    # force the c-condition and an involution, hence x<=x''.  An ultrafilter
+    # of a bounded poset is U(a) for an atom a, and a meets every element
+    # outside U(a) in the bottom, so the meets the theorem asks for exist
     "second": _Hypotheses(
         (
             (FAIL_NOT_DISTRIBUTIVE, "poset is not distributive", lambda cp: cp.poset.facts.distributivity.holds),
             _ANTITONE,
         ),
         (
-            (FAIL_NOT_ULTRA, lambda cp, f: f in cp.poset.facts.ultrafilter_set),
-            (None, lambda cp, f: cp.poset.least(f) is not None or _internal_error("finite filter without least element")),
-            (FAIL_MEET_MISSING, lambda cp, f: cp.poset.facts.generator_meets(f)),
-            (None, lambda cp, f: cp.facts.c_condition(f) or _internal_error("qualifying ultrafilter misses the c-condition")),
-            (None, lambda cp, f: cp.props.involution or _internal_error("distributivity did not force an involution")),
-            (None, lambda cp, f: cp.props.x_le_xdd or _internal_error("an involution without x<=x''")),
+            (FAIL_NOT_ULTRA, lambda cp, d, f: f in d.poset.facts.maximal_ideal_set),
+            (None, lambda cp, d, f: cp.poset.least(f) is not None or _internal_error("finite filter without least element")),
+            (None, lambda cp, d, f: cp.poset.down[d.poset.facts.down_generator[f]].bit_count() == 2 or _internal_error("ultrafilter not generated by an atom")),
+            (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("qualifying ultrafilter misses the c-condition")),
+            (None, lambda cp, d, f: cp.props.involution or _internal_error("distributivity did not force an involution")),
+            (None, lambda cp, d, f: cp.props.x_le_xdd or _internal_error("an involution without x<=x''")),
         ),
         "no disjoint (ideal, qualifying ultrafilter) pair",
-        lambda cp, f: f"ultrafilter generated by {cp.poset.names[cp.poset.facts.up_generator[f]]}",
+        lambda cp, d, f: f"ultrafilter generated by {cp.poset.names[d.poset.facts.down_generator[f]]}",
     ),
 }
 
@@ -472,13 +472,13 @@ def _check_separation(ctx: _Context, mode: str):
     """Met when every global hypothesis holds and some disjoint pair passes
     the per-filter checks; then each such pair goes through :func:`separate`.
     Unmet, each pair's candidate F_0 is still probed."""
-    cp, p, o = ctx.cp, ctx.cp.poset, ctx.order
+    cp, p, o, dual = ctx.cp, ctx.cp.poset, ctx.order, ctx.sides["filter"]
     hyps = _MODES[mode]
     notes = [note for _code, note, holds in hyps.global_checks if not holds(cp)]
-    qualifying = o.filters
+    qualifying = dual.poset.facts.ideals
     for code, holds in hyps.filter_checks:
         if code:
-            qualifying = [f for f in qualifying if holds(cp, f)]
+            qualifying = [f for f in qualifying if holds(cp, dual, f)]
     pairs = [(i, f) for f in qualifying for i in o.ideals if not i & f]
     if not pairs:
         notes.append(hyps.no_pair)
@@ -563,14 +563,15 @@ def run_all(
 # -- constructive separation procedures --------------------------------------
 
 
-def _check_inputs(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> None:
-    """Raise NotIdeal/NotFilter on malformed inputs.  A principal cone is an
-    ideal (filter); any other mask gets the definition-level test afresh,
-    so the memos of the facts never keep a caller's mask."""
-    p, a = cp.poset, cp.poset.facts
-    if ideal_mask not in a.down_generator and not is_ideal(p, ideal_mask):
+def _check_inputs(cp: ComplementedPoset, dual: ComplementedPoset, ideal_mask: int, filter_mask: int) -> None:
+    """Raise NotIdeal/NotFilter on malformed inputs.  A principal cone of
+    ``cp`` (of ``dual``, ``cp.dual()``) is an ideal (a filter); any other
+    mask gets the definition-level test afresh, so the memos of the facts
+    never keep a caller's mask."""
+    p = cp.poset
+    if ideal_mask not in p.facts.down_generator and not is_ideal(p, ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if filter_mask not in a.up_generator and not is_filter(p, filter_mask):
+    if filter_mask not in dual.poset.facts.down_generator and not is_filter(p, filter_mask):
         raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
 
@@ -587,30 +588,33 @@ def separate(
     antitone; x<=x'' for all x; the filter satisfies the c-condition.
     ``prime``: the same, with the filter prime instead.  ``second``: the
     poset is distributive; the complementation is antitone; the filter is an
-    ultrafilter; its least element g (every finite filter is principal) has a
-    meet with every element outside the filter.  Every mode then checks that
-    the ideal and filter are disjoint.  The first failure is reported without
-    a witness.  What the hypotheses imply is asserted: a prime filter, and in
-    ``second`` the ultrafilter, satisfies the c-condition, and ``second``
-    forces an involution.  The witness is re-verified definition-level before
-    it is returned.  Malformed inputs raise ``NotIdeal``/``NotFilter``.
+    ultrafilter.  The theorem's last hypothesis, that the filter's least
+    element g has a meet with every element outside the filter, always
+    holds: g is an atom, so that meet is the bottom.  Every mode then checks
+    that the ideal and filter are disjoint.  The first failure is reported
+    without a witness.  What the hypotheses imply is asserted: a prime
+    filter, and in ``second`` the ultrafilter, satisfies the c-condition,
+    the ultrafilter's generator is an atom, and ``second`` forces an
+    involution.  The witness is re-verified definition-level before it is
+    returned.  Malformed inputs raise ``NotIdeal``/``NotFilter``.
     """
     hyps = _MODES.get(mode)
     if hyps is None:
         raise PosetError(f"unknown separation mode {mode!r}")
-    _check_inputs(cp, ideal_mask, filter_mask)
+    dual = cp.dual()
+    _check_inputs(cp, dual, ideal_mask, filter_mask)
     for code, _note, holds in hyps.global_checks:
         if not holds(cp):
             return SeparationResult(ideal_mask, filter_mask, failure=code)
     for code, holds in hyps.filter_checks:
-        if not holds(cp, filter_mask):
+        if not holds(cp, dual, filter_mask):
             return SeparationResult(ideal_mask, filter_mask, failure=code)
     if ideal_mask & filter_mask:
         return SeparationResult(ideal_mask, filter_mask, failure=FAIL_NOT_DISJOINT)
     witness = cp.comp_preimage(filter_mask)
     if not _verify_separation_witness(cp, ideal_mask, filter_mask, witness):
         raise PosetError("internal error: constructed witness failed verification")
-    detail = hyps.detail(cp, filter_mask) if hyps.detail else ""
+    detail = hyps.detail(cp, dual, filter_mask) if hyps.detail else ""
     return SeparationResult(ideal_mask, filter_mask, witness=witness, detail=detail)
 
 

@@ -176,24 +176,24 @@ class Report:
 
 def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
     """The classified ideals (``kind`` "ideal") or filters ("filter") of an
-    instance, without the report's flags and statement results."""
-    p, cp, a = instance.poset, instance.cp, instance.poset.facts
-    if kind == "ideal":
-        family, maximal, prime = a.ideals, a.maximal_ideal_set, a.prime_ideal_set
-        witnesses = cp.facts.c_ideal_witnesses if cp else {}
-    else:
-        family, maximal, prime = a.filters, a.ultrafilter_set, a.prime_filter_set
-        witnesses = cp.facts.c_filter_witnesses if cp else {}
+    instance, without the report's flags and statement results.  The
+    filters are the ideals of the order dual, classified the same way; the
+    ``principal`` column still prefers the ideal reading of the instance."""
+    p, cp, generator = instance.poset, instance.cp, instance.poset.facts.generator
+    if kind == "filter":
+        p, cp = p.dual(), cp and cp.dual()
+    a = p.facts
+    witnesses = cp.facts.c_ideal_witnesses if cp else {}
     rows = []
-    for mask in family:
+    for mask in a.ideals:
         witness = witnesses.get(mask)
         rows.append(
             ClassRow(
                 mask=mask,
                 proper=mask != p.all_mask,
-                principal=a.generator(mask),
-                maximal=mask in maximal,
-                prime=mask in prime,
+                principal=generator(mask),
+                maximal=mask in a.maximal_ideal_set,
+                prime=mask in a.prime_ideal_set,
                 ccond=cp.facts.c_condition(mask) if cp else None,
                 is_c=(witness is not None) if cp else None,
                 witness=witness,
@@ -429,11 +429,11 @@ def parse_machine_report(text: str) -> ParsedReport:
 def text_class_label(p: Poset, row: ClassRow, kind: str) -> str:
     """Text label of an ideal as L(greatest), of a filter as U(least), read
     from the generator maps; every ideal and filter of a finite poset is
-    principal.  Unlike the machine ``principal`` field, the improper filter
-    reads U(bottom), not top."""
-    if kind == "ideal":
-        return f"L({p.names[p.facts.down_generator[row.mask]]})"
-    return f"U({p.names[p.facts.up_generator[row.mask]]})"
+    principal.  A filter's least element is its greatest in the dual.
+    Unlike the machine ``principal`` field, the improper filter reads
+    U(bottom), not top."""
+    letter, side = ("L", p) if kind == "ideal" else ("U", p.dual())
+    return f"{letter}({p.names[side.facts.down_generator[row.mask]]})"
 
 
 def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:

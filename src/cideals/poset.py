@@ -5,11 +5,13 @@ plain ``int`` bitmasks over those indices, which keeps every cone and ideal
 computation a handful of word operations at the target scale (n <= 24).
 
 A poset is immutable after construction; every operation here is a pure
-function of its arguments and is safe for concurrent reads.  The two pair
-tables ``lu``/``ul`` and ``facts``, the facts of the order alone (ideal and
-filter families, their flags, distributivity), are filled on first read,
-each whole before it is stored; the fill is idempotent, so readers racing
-on it at worst build the same value twice.
+function of its arguments and is safe for concurrent reads.  The order dual
+``dual()``, the pair table ``lu`` and ``facts``, the facts of the order
+alone (the ideal family and its flags, distributivity), are filled on first
+read, each whole before it is stored; the fill is idempotent, so readers
+racing on it at worst build the same value twice.  The filters of a poset
+are the ideals of its dual, so every filter fact is read from
+``dual().facts``, and ``ul`` is ``dual().lu``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class Poset:
 
     __slots__ = (
         "n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index",
-        "_lu", "_ul", "_facts",
+        "_lu", "_facts", "_dual",
     )
 
     def __init__(self, names: Sequence[str], down: Sequence[int]):
@@ -120,7 +122,7 @@ class Poset:
         self.bottom = next((i for i in range(n) if self.up[i] == all_mask), None)
         self.top = next((i for i in range(n) if down[i] == all_mask), None)
         # built on first read: most posets never need them
-        self._lu = self._ul = self._facts = None
+        self._lu = self._facts = self._dual = None
 
     # -- basics ------------------------------------------------------------
 
@@ -206,17 +208,20 @@ class Poset:
 
     @property
     def lu(self) -> tuple[tuple[int, ...], ...]:
-        """The pair table ``lu[x][y]`` = L(U(x,y)), built on first read."""
+        """The pair table ``lu[x][y]`` = L(U(x,y)), once per unordered pair,
+        built whole on first read."""
         if self._lu is None:
-            self._lu = self._pair_table(self.up, self.lower_cone)
+            rows = [[0] * self.n for _ in range(self.n)]
+            for x in range(self.n):
+                for y in range(x, self.n):
+                    rows[x][y] = rows[y][x] = self.lower_cone(self.up[x] & self.up[y])
+            self._lu = tuple(map(tuple, rows))
         return self._lu
 
     @property
     def ul(self) -> tuple[tuple[int, ...], ...]:
-        """The pair table ``ul[x][y]`` = U(L(x,y)), built on first read."""
-        if self._ul is None:
-            self._ul = self._pair_table(self.down, self.upper_cone)
-        return self._ul
+        """The pair table ``ul[x][y]`` = U(L(x,y)): the dual's ``lu``."""
+        return self.dual().lu
 
     @property
     def facts(self):
@@ -227,16 +232,6 @@ class Poset:
 
             self._facts = OrderFacts(self)
         return self._facts
-
-    def _pair_table(self, cones, outer) -> tuple[tuple[int, ...], ...]:
-        """``table[x][y]`` = outer(cones[x] & cones[y]), once per unordered
-        pair.  The whole table is built before it is returned, so a reader
-        never sees a partial one."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for x in range(self.n):
-            for y in range(x, self.n):
-                rows[x][y] = rows[y][x] = outer(cones[x] & cones[y])
-        return tuple(map(tuple, rows))
 
     # -- global structure ----------------------------------------------------
 
@@ -277,8 +272,18 @@ class Poset:
         return has_join, has_meet
 
     def dual(self) -> "Poset":
-        """The order-dual poset over the same named elements."""
-        return Poset(self.names, self.up)
+        """The order-dual poset over the same named elements, built on first
+        call and kept; its own dual is this object.  Nothing is re-validated:
+        the cones, the covers and the bounds swap."""
+        if self._dual is None:
+            dual = Poset.__new__(Poset)
+            dual.n, dual.names, dual.all_mask, dual._index = self.n, self.names, self.all_mask, self._index
+            dual.down, dual.up, dual.bottom, dual.top = self.up, self.down, self.top, self.bottom
+            dual.covers = tuple(sorted((j, i) for i, j in self.covers))
+            dual._lu = dual._facts = None
+            dual._dual = self
+            self._dual = dual
+        return self._dual
 
     def le_pairs(self) -> list[tuple[str, str]]:
         """All strict related name pairs (a, b) with a < b."""

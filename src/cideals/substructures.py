@@ -7,11 +7,14 @@ the families are read off the principal cones: the n sets ``down[i]`` are
 the ideals and the n sets ``up[i]`` the filters.
 
 Each fact lives on the immutable object it describes.  :class:`OrderFacts`,
-read as ``Poset.facts``, holds the families and every flag of their members
-that the order alone fixes, and answers each ideal or filter test once per
+read as ``Poset.facts``, holds the ideal family and every flag of its
+members that the order alone fixes, and answers each ideal test once per
 distinct mask.  :class:`ComplementFacts`, read as ``ComplementedPoset.facts``,
-holds the c-ideals, c-filters and the c-condition; one poset can carry many
-complementations, and they all share its order facts.
+holds the c-ideals and the c-condition; one poset can carry many
+complementations, and they all share its order facts.  Both hold the ideal
+side only: the filters of P are the ideals of its order dual, so each filter
+fact is the ideal fact of ``p.dual().facts`` or ``cp.dual().facts``, read
+from the duals the objects keep.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -251,66 +254,45 @@ class _Memo(dict):
         return value
 
 
-def _generator_meets(p: Poset, filter_mask: int) -> bool:
-    """Has the filter's least element a meet with every element outside it?"""
-    g = p.least(filter_mask)
-    return all(p.meet(x, g) is not None for x in iter_bits(p.all_mask & ~filter_mask))
-
-
 class OrderFacts:
-    """The ideal and filter families of one poset and every flag of their
-    members that the order alone fixes, each computed on first use and then
-    kept.  Read it as ``Poset.facts``: every complementation built on that
-    poset object shares it.
+    """The ideal family of one poset and every flag of its members that the
+    order alone fixes, each computed on first use and then kept.  Read it as
+    ``Poset.facts``: every complementation built on that poset object shares
+    it.  The filter side is ``poset.dual().facts``.
 
     List attributes keep family order; the ``*_set`` attributes hold the
     same members for membership tests.  ``down_generator`` maps each
-    principal ideal ``down[g]`` to g and ``up_generator`` each principal
-    filter ``up[g]`` to g; the cones of distinct elements differ, so both
-    maps are one-to-one.
+    principal ideal ``down[g]`` to g; the cones of distinct elements differ,
+    so the map is one-to-one.
 
-    ``is_ideal(mask)`` and ``is_filter(mask)`` are the definition-level
-    tests of :func:`is_ideal`/:func:`is_filter`, and
-    ``generator_meets(filter_mask)`` that of separate_second's meet
-    hypothesis (see :func:`_generator_meets`); each runs once per distinct mask
-    and is then answered from a memo that lives as long as the poset.  The
-    statement checkers put every mask they test through them: family
-    members, complements, preimages, separation witnesses and the pair-table
-    cells ``lu[a][g]``/``ul[a][g]`` that are the LU/UL-unions over principal
-    ideals/filters (see :func:`lu_union`).  Those masks number O(n^2).
+    ``is_ideal(mask)`` is the definition-level test of :func:`is_ideal`; it
+    runs once per distinct mask and is then answered from a memo that lives
+    as long as the poset.  The statement checkers put every mask they test
+    through it: family members, complements, preimages, separation witnesses
+    and the pair-table cells ``lu[a][g]`` that are the LU-unions over
+    principal ideals (see :func:`lu_union`).  Those masks number O(n^2).
     """
 
     def __init__(self, poset: Poset):
         self.poset = poset
         self._ideal_memo = _Memo(is_ideal, poset)
-        self._filter_memo = _Memo(is_filter, poset)
-        self._meets_memo = _Memo(_generator_meets, poset)
         self.is_ideal = self._ideal_memo.__getitem__
-        self.is_filter = self._filter_memo.__getitem__
-        self.generator_meets = self._meets_memo.__getitem__
 
     def generator(self, mask: int) -> int | None:
         """:func:`principal_generator` of ``mask``, read from the generator
-        maps: a principal ideal ``down[g]`` is exactly an ideal whose
-        greatest element g has it as its cone, and dually."""
+        maps of the poset and its dual: a principal ideal ``down[g]`` is
+        exactly an ideal whose greatest element g has it as its cone, and
+        dually."""
         g = self.down_generator.get(mask)
-        return self.up_generator.get(mask) if g is None else g
+        return self.poset.dual().facts.down_generator.get(mask) if g is None else g
 
     @cached_property
     def down_generator(self) -> dict[int, int]:
         return {cone: g for g, cone in enumerate(self.poset.down)}
 
     @cached_property
-    def up_generator(self) -> dict[int, int]:
-        return {cone: g for g, cone in enumerate(self.poset.up)}
-
-    @cached_property
     def ideals(self) -> list[int]:
         return enumerate_ideals(self.poset)
-
-    @cached_property
-    def filters(self) -> list[int]:
-        return enumerate_filters(self.poset)
 
     @cached_property
     def distributivity(self) -> DistributivityReport:
@@ -326,44 +308,28 @@ class OrderFacts:
         return [i for i in self.ideals if is_maximal_ideal(self.poset, i, self.ideals)]
 
     @cached_property
-    def ultrafilters(self) -> list[int]:
-        return [f for f in self.filters if is_ultrafilter(self.poset, f, self.filters)]
-
-    @cached_property
     def prime_ideals(self) -> list[int]:
         return [i for i in self.ideals if is_prime_ideal(self.poset, i)]
-
-    @cached_property
-    def prime_filters(self) -> list[int]:
-        return [f for f in self.filters if is_prime_filter(self.poset, f)]
 
     @cached_property
     def maximal_ideal_set(self) -> frozenset[int]:
         return frozenset(self.maximal_ideals)
 
     @cached_property
-    def ultrafilter_set(self) -> frozenset[int]:
-        return frozenset(self.ultrafilters)
-
-    @cached_property
     def prime_ideal_set(self) -> frozenset[int]:
         return frozenset(self.prime_ideals)
-
-    @cached_property
-    def prime_filter_set(self) -> frozenset[int]:
-        return frozenset(self.prime_filters)
 
 
 class ComplementFacts:
     """The facts of one complementation that its order alone does not fix,
     each computed on first use and then kept.  Read it as
-    ``ComplementedPoset.facts``; ``order`` is the poset's ``facts``.
+    ``ComplementedPoset.facts``; ``order`` is the poset's ``facts``.  The
+    c-filter side is ``cp.dual().facts``.
 
     ``c_ideal_witnesses`` maps a preimage F_0 to the first filter F with
     it, so an ideal is a c-ideal exactly when it is a key, with that F as
-    its witness; ``c_filter_witnesses`` is the dual.  ``c_condition(mask)``
-    answers each distinct mask once, from a memo that lives as long as the
-    complemented poset.
+    its witness.  ``c_condition(mask)`` answers each distinct mask once,
+    from a memo that lives as long as the complemented poset.
     """
 
     def __init__(self, cp: ComplementedPoset):
@@ -374,36 +340,25 @@ class ComplementFacts:
 
     @cached_property
     def c_ideal_witnesses(self) -> dict[int, int]:
-        return _first_by_preimage(self.cp, self.order.filters)
-
-    @cached_property
-    def c_filter_witnesses(self) -> dict[int, int]:
-        return _first_by_preimage(self.cp, self.order.ideals)
+        return _first_by_preimage(self.cp, self.cp.poset.dual().facts.ideals)
 
     @cached_property
     def c_ideals(self) -> list[int]:
         return [i for i in self.order.ideals if i in self.c_ideal_witnesses]
 
     @cached_property
-    def c_filters(self) -> list[int]:
-        return [f for f in self.order.filters if f in self.c_filter_witnesses]
-
-    @cached_property
     def ccond_ideals(self) -> list[int]:
         return [i for i in self.order.ideals if self.c_condition(i)]
 
-    @cached_property
-    def ccond_filters(self) -> list[int]:
-        return [f for f in self.order.filters if self.c_condition(f)]
-
 
 def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
-    """Every classification flag of one subset, read from the facts."""
-    p = cp.poset
+    """Every classification flag of one subset, read from the facts of
+    ``cp`` and, for the filter flags, of ``cp.dual()``."""
+    p, dual = cp.poset, cp.dual()
     p.check_mask(mask)
-    o, c = p.facts, cp.facts
+    o, do = p.facts, dual.poset.facts
     ideal_flag = mask in o.down_generator
-    filter_flag = mask in o.up_generator
+    filter_flag = mask in do.down_generator
     proper = (ideal_flag or filter_flag) and mask != p.all_mask
     # each list is computed only when its family holds the mask, so a
     # one-off call derives no list it does not read
@@ -415,10 +370,10 @@ def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
         principal_generator=o.generator(mask),
         maximal_ideal=ideal_flag and mask in o.maximal_ideal_set,
         prime_ideal=ideal_flag and mask in o.prime_ideal_set,
-        ultrafilter=filter_flag and mask in o.ultrafilter_set,
-        prime_filter=filter_flag and mask in o.prime_filter_set,
-        c_ideal_witness=c.c_ideal_witnesses.get(mask) if ideal_flag else None,
-        c_filter_witness=c.c_filter_witnesses.get(mask) if filter_flag else None,
+        ultrafilter=filter_flag and mask in do.maximal_ideal_set,
+        prime_filter=filter_flag and mask in do.prime_ideal_set,
+        c_ideal_witness=cp.facts.c_ideal_witnesses.get(mask) if ideal_flag else None,
+        c_filter_witness=dual.facts.c_ideal_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
     )
 

@@ -109,19 +109,19 @@ def assert_distributivity_agrees(p, elements, le):
 
 def assert_subset_tests_agree(p):
     """On every subset S of ``p``: ``is_ideal``/``is_filter`` and the
-    memoised tests of the poset's shared ``facts``, asked twice, give the
-    naive all-pairs verdicts; ``facts.generator`` is
+    memoised ideal tests of the shared ``facts`` of the poset and of its
+    dual, asked twice, give the naive all-pairs verdicts; ``facts.generator`` is
     ``principal_generator``; and for every a, ``lu_union``/``ul_union`` over
     S give the naive union of the cones LU(a,s)/UL(a,s) with its naive
     ideal/filter verdict."""
     elements, le = naive_order(p)
-    shared = p.facts
+    shared, dual = p.facts, p.dual().facts
     verdicts = {}
     for s in range(p.all_mask + 1):
         members = names(p, s)
         verdicts[s] = naive.is_ideal(elements, le, members), naive.is_filter(elements, le, members)
         assert (is_ideal(p, s), is_filter(p, s)) == verdicts[s]
-        assert (shared.is_ideal(s), shared.is_filter(s)) == verdicts[s]
+        assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
         assert shared.generator(s) == principal_generator(p, s)
         for a in elements:
             for union_of, inner, outer, verdict in (
@@ -135,17 +135,17 @@ def assert_subset_tests_agree(p):
                 assert names(p, union) == want
                 assert ok == verdict(elements, le, want)
     for s in reversed(range(p.all_mask + 1)):  # now answered from the memo
-        assert (shared.is_ideal(s), shared.is_filter(s)) == verdicts[s]
+        assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
 
 
 def assert_union_cells_agree(p):
     """For every a and g, the pair-table cell ``lu[a][g]`` with the shared
     ``facts`` ideal test on it is ``lu_union(p, a, down[g])``; dually
-    ``ul[a][g]`` and the filter test are ``ul_union(p, a, up[g])``."""
-    shared = p.facts
+    ``ul[a][g]`` and the dual's ideal test are ``ul_union(p, a, up[g])``."""
+    shared, dual = p.facts, p.dual().facts
     for g in range(p.n):
         for a in range(p.n):
             cell = p.lu[a][g]
             assert lu_union(p, a, p.down[g]) == (cell, shared.is_ideal(cell))
             cell = p.ul[a][g]
-            assert ul_union(p, a, p.up[g]) == (cell, shared.is_filter(cell))
+            assert ul_union(p, a, p.up[g]) == (cell, dual.is_ideal(cell))

@@ -1,8 +1,9 @@
 """The facts kept on posets and complemented posets stay correct when shared.
 
 Order facts live on the ``Poset`` and are shared by every complementation
-built on that object; c-facts live on each ``ComplementedPoset``.  Answers
-read from shared, warm objects must equal those computed on fresh ones.
+built on that object; c-facts live on each ``ComplementedPoset``.  Filter
+facts are the ideal facts of the kept order duals.  Answers read from
+shared, warm objects must equal those computed on fresh ones.
 """
 
 import itertools
@@ -22,10 +23,13 @@ from cideals import (
     classify,
     emit_instance,
     load_instance,
+    random_complemented_poset,
     run_all,
     separate,
     substructures,
 )
+from cideals.complement import ComplementedPoset
+from cideals.poset import Poset
 from conftest import boolean_lattice, bounded_antichain
 
 M3 = (["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
@@ -42,9 +46,9 @@ def _complementations(p):
 
 
 def _c_facts(cp):
-    c = cp.facts
-    return (c.c_ideals, c.c_filters, c.ccond_ideals, c.ccond_filters,
-            c.c_ideal_witnesses, c.c_filter_witnesses)
+    c, d = cp.facts, cp.dual().facts  # the c-filter side is the dual's c-ideals
+    return (c.c_ideals, d.c_ideals, c.ccond_ideals, d.ccond_ideals,
+            c.c_ideal_witnesses, d.c_ideal_witnesses)
 
 
 def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):
@@ -62,13 +66,43 @@ def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):
     assert len(cps) == 8
     shared = [(_c_facts(cp), run_all(cp)) for cp in cps]
     assert all(cp.poset.facts is p.facts for cp in cps)
-    assert sorted(name for name, q in calls if q is p) == ["enumerate_filters", "enumerate_ideals"]
+    # once on p and once on its dual, whose ideals are the filters
+    dual = p.dual()
+    assert sorted((name, q is dual) for name, q in calls if q is p or q is dual) == [
+        ("enumerate_ideals", False),
+        ("enumerate_ideals", True),
+    ]
+    assert not any(name == "enumerate_filters" for name, _ in calls)
     assert len({tuple(facts[0]) for facts, _ in shared}) > 1  # the c-ideal lists differ
     for cp, got in zip(cps, shared):
         table = {p.names[x]: p.names[y] for x, y in enumerate(cp.comp)}
         fresh = attach_complementation(build_poset(*M3), table)
         assert fresh.poset.facts is not p.facts
         assert got == (_c_facts(fresh), run_all(fresh))
+
+
+def test_duals_are_kept_and_carry_the_flags_over(corpus):
+    cps = [entry.cp for entry in corpus.values()]
+    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    for d in (2, 3, 4):
+        elements, covers, comp = boolean_lattice(d)
+        cps.append(attach_complementation(build_poset(elements, covers), comp))
+    cps += _complementations(build_poset(*M3))
+    lopsided = 0
+    for cp in cps:
+        p = cp.poset
+        assert p.dual() is p.dual()
+        assert p.dual().dual() is p
+        d, fresh = p.dual(), Poset(p.names, p.up)  # kept without re-validation
+        assert (d.names, d.down, d.up, d.covers, d.bottom, d.top) == (
+            fresh.names, fresh.down, fresh.up, fresh.covers, fresh.bottom, fresh.top
+        )
+        assert cp.dual().dual() is cp
+        assert cp.dual().poset is p.dual()
+        assert cp.dual().comp == cp.comp
+        assert cp.dual().props == ComplementedPoset(p.dual(), cp.comp).props
+        lopsided += cp.props.x_le_xdd != cp.props.xdd_le_x
+    assert lopsided  # some instance tells a swapped pair of flags apart
 
 
 def _texts():
@@ -99,7 +133,28 @@ def _queries(objects, rng):
     return queries
 
 
+def _filter_side(cp):
+    """The filter facts, read from the dual before anything else fills it."""
+    d = cp.dual()
+    o = d.poset.facts
+    return repr((
+        d.dual() is cp,
+        d.poset.dual() is cp.poset,
+        d.props,
+        o.ideals,
+        o.maximal_ideals,
+        o.prime_ideals,
+        [o.is_ideal(m) for m in cp.poset.down],
+        d.facts.c_ideals,
+        d.facts.ccond_ideals,
+        d.facts.c_ideal_witnesses,
+        cp.poset.ul,
+    ))
+
+
 def _answer(cp, kind, arg):
+    if kind == "filters":
+        return _filter_side(cp)
     try:
         if kind == "check":
             return repr(check_statement(cp, arg))
@@ -128,7 +183,7 @@ def test_caller_masks_do_not_grow_the_memos():
     p = build_poset(elements, covers)
     cp = attach_complementation(p, comp)
     run_all(cp)
-    memos = (p.facts._ideal_memo, p.facts._filter_memo, p.facts._meets_memo, cp.facts._ccond_memo)
+    memos = (p.facts._ideal_memo, p.dual().facts._ideal_memo, cp.facts._ccond_memo, cp.dual().facts._ccond_memo)
     sizes = [len(memo) for memo in memos]
     rng = random.Random(0)
     for _ in range(300):
@@ -142,9 +197,11 @@ def test_caller_masks_do_not_grow_the_memos():
 
 def test_concurrent_readers_of_shared_objects_agree_with_one_reader():
     # more threads than cores race on every lazy fill and memo of fresh
-    # objects; each must read what a single reader on a fresh object reads
+    # objects, the kept duals and their facts first; each must read what a
+    # single reader on a fresh object reads
     texts = _texts()
     queries = _queries({name: load_instance(text).cp for name, text in texts.items()}, random.Random(1))
+    queries = [("filters", name, None) for name in texts] + queries
     want = [_answer(load_instance(texts[name]).cp, kind, arg) for kind, name, arg in queries]
     objects = {name: load_instance(text).cp for name, text in texts.items()}
     got = {}

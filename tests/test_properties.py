@@ -7,6 +7,7 @@ import naive
 from cideals import (
     attach_complementation,
     build_poset,
+    enumerate_filters,
     enumerate_ideals,
     is_filter,
     is_ideal,
@@ -15,6 +16,7 @@ from cideals import (
     random_poset,
 )
 from cideals.poset import iter_bits
+from cideals.substructures import is_ultrafilter
 from conftest import (
     assert_distributivity_agrees,
     assert_families_agree,
@@ -244,3 +246,38 @@ def test_campaign_validity_and_determinism(seed):
         (one.poset.names[x], one.poset.names[one.comp[x]]) for x in range(one.poset.n)
     ]
     attach_complementation(one.poset, table)
+
+
+def assert_ultrafilters_are_atom_cones(p):
+    """Each ultrafilter of the bounded poset ``p`` is U(a) for an atom a,
+    and a has a meet with every element outside U(a); so the meet hypothesis
+    of THM_SEP2 always holds.  Returns the number of ultrafilters."""
+    filters = enumerate_filters(p)
+    count = 0
+    for f in filters:
+        if not is_ultrafilter(p, f, filters):
+            continue
+        g = p.least(f)
+        assert g is not None and p.up[g] == f
+        assert g != p.bottom and p.down[g] == (1 << p.bottom) | (1 << g)
+        assert all(p.meet(x, g) is not None for x in iter_bits(p.all_mask & ~f))
+        count += 1
+    return count
+
+
+@given(any_posets())
+@settings(max_examples=80, deadline=None)
+def test_ultrafilters_of_bounded_posets_are_cones_of_atoms(p):
+    # the drawn poset when it is bounded, and always the same order between
+    # a new bottom and a new top
+    if p.bounded:
+        assert_ultrafilters_are_atom_cones(p)
+    names = list(p.names)
+    pairs = [("bot", x) for x in names] + [(x, "top") for x in names] + p.cover_pairs()
+    assert assert_ultrafilters_are_atom_cones(build_poset(["bot", *names, "top"], pairs)) >= 1
+
+
+def test_ultrafilters_of_the_corpus_and_campaign_are_cones_of_atoms(corpus):
+    posets = [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    assert sum(assert_ultrafilters_are_atom_cones(p) for p in posets) > len(posets)

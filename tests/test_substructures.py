@@ -163,11 +163,11 @@ def test_witness_maps_give_the_first_witness_of_the_linear_scan(corpus):
     cps = [entry.cp for entry in corpus.values()]
     cps += [random_complemented_poset(seed)[0] for seed in range(1, 41)]
     for cp in cps:
-        a, c = cp.poset.facts, cp.facts
+        a, c, d = cp.poset.facts, cp.facts, cp.dual().facts  # filters: the dual's ideals
         for i in a.ideals:
-            assert c.c_ideal_witnesses.get(i) == find_c_ideal_witness(cp, i, a.filters)
-        for f in a.filters:
-            assert c.c_filter_witnesses.get(f) == find_c_filter_witness(cp, f, a.ideals)
+            assert c.c_ideal_witnesses.get(i) == find_c_ideal_witness(cp, i, d.order.ideals)
+        for f in d.order.ideals:
+            assert d.c_ideal_witnesses.get(f) == find_c_filter_witness(cp, f, a.ideals)
 
 
 def test_lu_union_examples(fig1, fig4):
