@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 usage error (including a non-positive --budget, a
---density outside [0, 1], an unknown gen --require constraint, or a corpus
---emit path that is a file or not writable); 2 parse error (including
-unreadable input files and files that are not valid UTF-8); 3 validation
-failure (not a poset, axiom violation, malformed ideal/filter argument, a
-gen --size outside 2-24); 4 a requested check found a counterexample, an
-explicitly requested statement was not applicable or not verified, or a
-separation hypothesis failed.
+Exit codes: 0 success; 1 usage error (including a --density outside
+[0, 1], an unknown gen --require constraint, or a corpus --emit path that is
+a file or not writable); 2 parse error (including unreadable input files and
+files that are not valid UTF-8); 3 validation failure (not a poset, axiom
+violation, malformed ideal/filter argument, a gen --size outside 2-24); 4 a
+requested check found a counterexample, an explicitly requested statement
+was not applicable or not verified (LEM_CL_PRINCIPAL past the downset
+walk's cap), or a separation hypothesis failed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .io import (
     text_theorem_row,
 )
 from .poset import Poset
-from .substructures import DEFAULT_BUDGET
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,13 +56,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
 
 
 def _probability(text: str) -> float:
@@ -142,7 +134,7 @@ def _select_rows(rows, wanted: str):
 
 def _cmd_analyze(args) -> int:
     instance = _load(args.file)
-    report = build_report(instance, budget=args.budget)
+    report = build_report(instance)
     out = render_machine(report) if args.format == "machine" else render_text(report)
     print(out, end="")
     return EXIT_OK
@@ -181,9 +173,9 @@ def _cmd_check(args) -> int:
                 tags.append(StatementId(tok))
             except ValueError:
                 raise _UsageError(f"unknown statement tag {tok!r}") from None
-        results = [check_statement(cp, tag, budget=args.budget) for tag in tags]
+        results = [check_statement(cp, tag) for tag in tags]
     else:
-        results = run_all(cp, budget=args.budget)
+        results = run_all(cp)
     worst = EXIT_OK
     for res in results:
         print(machine_theorem_row(res) if args.format == "machine" else text_theorem_row(res))
@@ -280,14 +272,9 @@ def make_parser() -> _Parser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default=None)
-    budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                          help="cap on the downward-closed sets the LEM_CL_PRINCIPAL check "
-                          "walks; over it the statement is not verified")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cmd = sub.add_parser("analyze", parents=[common, budgeted],
-                         help="full classification and statement report")
+    cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
     cmd.add_argument("file")
     cmd.set_defaults(func=_cmd_analyze)
 
@@ -301,7 +288,7 @@ def make_parser() -> _Parser:
     cmd.add_argument("--class", dest="klass", choices=FILTER_CLASSES, default="all")
     cmd.set_defaults(func=_cmd_filters)
 
-    cmd = sub.add_parser("check", parents=[common, budgeted], help="verify statements on the instance")
+    cmd = sub.add_parser("check", parents=[common], help="verify statements on the instance")
     cmd.add_argument("file")
     cmd.add_argument("--statement", help="comma-separated statement tags (default: all)")
     cmd.set_defaults(func=_cmd_check)

@@ -51,6 +51,8 @@ class ComplementedPoset:
         comp = tuple(comp)
         if len(comp) != poset.n:
             raise PartialMap("complement table must cover every element")
+        if any(not 0 <= cx < poset.n for cx in comp):
+            raise PartialMap("complement table names an element outside the poset")
         for x in range(poset.n):
             cx = comp[x]
             if poset.join(x, cx) != poset.top:

@@ -44,7 +44,7 @@ class AxiomViolation(PosetError):
 
 
 class ScaleLimit(PosetError):
-    """Subset enumeration would exceed the configured budget."""
+    """The downset walk would pass its fixed cap of downward-closed sets."""
 
 
 class BadSize(PosetError):

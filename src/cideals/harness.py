@@ -12,7 +12,9 @@ Every filter fact is the ideal fact of the order dual: the filters of P are
 the ideals of P^d, and ``cp.dual()`` keeps the complement map.  So each
 statement about both families runs one loop over the two sides, ``cp`` for
 ideals and ``cp.dual()`` for filters, and the filter halves of Theorem 5 are
-its ideal checkers run on the dual side.
+its ideal checkers run on the dual side.  LEM_CL_PRINCIPAL reads neither
+family, since both assume it: each side's verdict is the downset walk kept
+on its order facts, which stops at one fixed cap.
 
 The separation theorems are also exposed as one constructive procedure,
 :func:`separate`, with a mode per theorem.  Each mode's hypotheses are
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from .complement import ComplementedPoset
-from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
+from .errors import NotFilter, NotIdeal, PosetError
 from .poset import Poset, iter_bits
-from .substructures import DEFAULT_BUDGET, OrderFacts, complement_pairing, directed_downsets, is_filter, is_ideal
+from .substructures import OrderFacts, complement_pairing, is_filter, is_ideal
 
 
 class StatementId(str, enum.Enum):
@@ -96,7 +98,8 @@ class TheoremCheckResult:
     hypothesis-minimality note (what the unguarded conclusion would do) and
     is informational only.  Unmet hypotheses without a probe mean the
     conclusion could not be evaluated at all: the LEM_CL_PRINCIPAL walk
-    passed its budget, and ``detail`` says so.
+    passed its fixed cap of ``DEFAULT_BUDGET`` downsets, and ``detail`` says
+    so.
     """
 
     statement: StatementId
@@ -131,15 +134,12 @@ class SeparationResult:
 @dataclass
 class _Context:
     """What the checkers share for one instance: the facts of its order and
-    of its complementation, its two sides, and the LEM_CL_PRINCIPAL walk
-    budget."""
+    its two sides."""
 
     cp: ComplementedPoset
-    budget: int
 
     def __post_init__(self):
         self.order = self.cp.poset.facts
-        self.cfacts = self.cp.facts
 
     @property
     def sides(self) -> dict[str, ComplementedPoset]:
@@ -193,17 +193,17 @@ def _check_lem_cl_prime(ctx: _Context):
 
 
 def _check_lem_cl_principal(ctx: _Context):
-    """Walks the downsets, not the cone families, which assume the result;
-    the filter side walks the dual.  Over budget, nothing is concluded."""
-    try:
-        for kind, side in ctx.sides.items():
-            q = side.poset
-            for s in directed_downsets(q, ctx.budget):
-                g = q.greatest(s)
-                if g is None or q.down[g] != s:
-                    return True, "", False, {f"non_principal_{kind}": _fmt(q, s)}
-    except ScaleLimit as exc:
-        return False, f"downset walk over budget: {exc}", None, None
+    """Reads the downset walk kept on each side's order facts, not the cone
+    families, which assume the result; the filter side walks the dual, and
+    only when the ideal side is decided and holds.  Over the walk's cap,
+    nothing is concluded."""
+    for kind, side in ctx.sides.items():
+        q = side.poset
+        found, over_cap = q.facts.principal_walk
+        if over_cap:
+            return False, f"downset walk over budget: {over_cap}", None, None
+        if found is not None:
+            return True, "", False, {f"non_principal_{kind}": _fmt(q, found)}
     return True, "", True, None
 
 
@@ -532,31 +532,20 @@ def _run_checker(ctx: _Context, sid: StatementId) -> TheoremCheckResult:
     return TheoremCheckResult(sid, False, None, None, detail=note, probe=probe)
 
 
-def check_statement(
-    cp: ComplementedPoset,
-    sid: StatementId | str,
-    budget: int = DEFAULT_BUDGET,
-) -> TheoremCheckResult:
-    """Check one statement on one instance; ``budget`` caps the
-    LEM_CL_PRINCIPAL downset walk only."""
+def check_statement(cp: ComplementedPoset, sid: StatementId | str) -> TheoremCheckResult:
+    """Check one statement on one instance."""
     sid = StatementId(sid)
-    return _run_checker(_Context(cp, budget), sid)
+    return _run_checker(_Context(cp), sid)
 
 
-def run_all(
-    cp: ComplementedPoset,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    seed: int | None = None,
-) -> list[TheoremCheckResult]:
+def run_all(cp: ComplementedPoset, *, seed: int | None = None) -> list[TheoremCheckResult]:
     """Check every statement; output order and content are deterministic.
 
-    ``budget`` caps the LEM_CL_PRINCIPAL downset walk only.  ``seed`` is
-    accepted and ignored, since no statement samples.  It stays only because
-    ``perfbench/workloads.py`` passes ``CAMPAIGN_RUN_SEED``; it goes with
-    that constant at the next change to the benchmark.
+    ``seed`` is accepted and ignored, since no statement samples.  It stays
+    only because ``perfbench/workloads.py`` passes ``CAMPAIGN_RUN_SEED``; it
+    goes with that constant at the next change to the benchmark.
     """
-    ctx = _Context(cp, budget)
+    ctx = _Context(cp)
     return [_run_checker(ctx, sid) for sid in StatementId]
 
 

@@ -28,7 +28,6 @@ from .complement import ComplementedPoset, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
 from .harness import StatementId, TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, build_poset, iter_bits
-from .substructures import DEFAULT_BUDGET
 
 # -- instance files -----------------------------------------------------------
 
@@ -202,16 +201,16 @@ def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
     return tuple(rows)
 
 
-def build_report(instance: Instance, budget: int = DEFAULT_BUDGET) -> Report:
+def build_report(instance: Instance) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
 
     The rows and the harness read the facts kept on the poset and on the
-    complementation; ``budget`` caps only the LEM_CL_PRINCIPAL downset walk.
+    complementation.
     """
     p, cp = instance.poset, instance.cp
     ideal_rows = family_rows(instance, "ideal")
     filter_rows = family_rows(instance, "filter")
-    theorems = tuple(run_all(cp, budget)) if cp else None
+    theorems = tuple(run_all(cp)) if cp else None
     join_sl, meet_sl = p.facts.semilattice_flags
     return Report(
         name=instance.name,
@@ -390,11 +389,11 @@ def parse_machine_report(text: str) -> ParsedReport:
             if fname == "boolean":
                 boolean = _parse_set_literal(fval)
         elif key == "witness":
-            chunks = rest.split()
-            fields = _parse_fields(chunks, ln)
-            triple = fields["distributivity"]
-            names = tuple(triple.strip("()").split(","))
-            dist_witness = (names, fields["lhs"], fields["rhs"])
+            fields = _parse_fields(rest.split(), ln)
+            triple, lhs, rhs = (fields.get(k) for k in ("distributivity", "lhs", "rhs"))
+            if not (isinstance(triple, str) and isinstance(lhs, frozenset) and isinstance(rhs, frozenset)):
+                raise ParseError(f"malformed distributivity witness on line {ln}", line=ln)
+            dist_witness = (tuple(triple.strip("()").split(",")), lhs, rhs)
         elif key == "element":
             element_rows.append(_parse_fields(rest.split(), ln))
         elif key == "ideal":
@@ -405,9 +404,10 @@ def parse_machine_report(text: str) -> ParsedReport:
             row = _parse_fields(rest.split(), ln)
             cex = row.get("counterexample")
             if isinstance(cex, str):
-                row["counterexample"] = dict(
-                    pair.split(":", 1) for pair in cex.split(";")
-                )
+                pairs = [pair.split(":", 1) for pair in cex.split(";")]
+                if any(len(pair) != 2 for pair in pairs):
+                    raise ParseError(f"malformed counterexample {cex!r} on line {ln}", line=ln)
+                row["counterexample"] = dict(pairs)
             theorem_rows.append(row)
         else:
             raise ParseError(f"unknown record {key!r} on line {ln}", line=ln)

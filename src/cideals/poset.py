@@ -90,6 +90,10 @@ class Poset:
             raise PosetError("a poset needs at least one element")
         all_mask = (1 << n) - 1
         down = tuple(down)
+        if len(down) != n:
+            raise PosetError(f"{len(down)} down-cones for {n} elements")
+        if any(d < 0 or d & ~all_mask for d in down):
+            raise PosetError("a down-cone is outside this poset's universe")
         # reflexivity, antisymmetry, transitivity are all machine-checked here
         for i in range(n):
             if not (down[i] >> i) & 1:

@@ -18,7 +18,9 @@ from the duals the objects keep.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
-downward closed subset, up to a budget, and keeps the directed ones.
+downward closed subset, up to the fixed cap ``DEFAULT_BUDGET``, and keeps
+the directed ones.  The verdict depends on the order alone, so it is kept
+on the order facts as ``principal_walk``.
 
 All enumerations and witness searches use one deterministic order: subsets
 sorted by size, then lexicographically by membership.
@@ -116,15 +118,12 @@ def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
         below = p.down[e] ^ bit
         grown = [d | bit for d in out if not below & ~d]
         if len(out) + len(grown) > budget:
-            raise ScaleLimit(
-                f"more than {budget} downward-closed subsets; "
-                "raise the walk budget to decide"
-            )
+            raise ScaleLimit(f"more than {budget} downward-closed subsets")
         out += grown
     return out
 
 
-def directed_downsets(p: Poset, budget: int = DEFAULT_BUDGET) -> list[int]:
+def directed_downsets(p: Poset) -> list[int]:
     """Every ideal of ``p`` found by walking all downward-closed subsets.
 
     A walked set is kept when it is nonempty and every pair of its members
@@ -132,9 +131,9 @@ def directed_downsets(p: Poset, budget: int = DEFAULT_BUDGET) -> list[int]:
     since the walk only emits downsets.  No principality is assumed, so this
     is the oracle for it.  On ``p.dual()`` it yields the filters of ``p``.
     Sorted like the families.  Raises ScaleLimit once the walk passes
-    ``budget`` downsets.
+    ``DEFAULT_BUDGET`` downsets.
     """
-    found = [d for d in _enumerate_downsets(p, budget) if d and _directed(p, d)]
+    found = [d for d in _enumerate_downsets(p, DEFAULT_BUDGET) if d and _directed(p, d)]
     found.sort(key=sort_key)
     return found
 
@@ -302,6 +301,24 @@ class OrderFacts:
     def semilattice_flags(self) -> tuple[bool, bool]:
         """(is_join_semilattice, is_meet_semilattice)."""
         return self.poset.semilattice_flags()
+
+    @cached_property
+    def principal_walk(self) -> tuple[int | None, str]:
+        """LEM_CL_PRINCIPAL on this order, by :func:`directed_downsets`:
+        the first walked ideal without a greatest element, or None, and the
+        ScaleLimit message when the walk passed its cap, else "".  An
+        over-cap walk is kept too: the cap is fixed, so a second walk ends
+        the same way."""
+        q = self.poset
+        try:
+            found = directed_downsets(q)
+        except ScaleLimit as exc:
+            return None, str(exc)
+        for s in found:
+            g = q.greatest(s)
+            if g is None or q.down[g] != s:
+                return s, ""
+        return None, ""
 
     @cached_property
     def maximal_ideals(self) -> list[int]:

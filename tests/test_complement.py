@@ -9,6 +9,7 @@ from cideals import (
     build_poset,
     complement_properties,
 )
+from cideals.complement import ComplementedPoset
 from conftest import mask, names
 
 
@@ -41,6 +42,13 @@ def test_fixed_point_rejected(fig1):
 def test_partial_map_rejected(fig1):
     with pytest.raises(PartialMap):
         attach_complementation(fig1.poset, [("0", "1"), ("1", "0")])
+
+
+@pytest.mark.parametrize("comp", [[3, 2, 1, 9], [-1, 2, 1, 0], [3, 2, 1, 4]])
+def test_complement_indices_outside_the_poset_rejected(comp):
+    p = build_poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    with pytest.raises(PartialMap):
+        ComplementedPoset(p, comp)
 
 
 def test_unbounded_rejected():

@@ -9,7 +9,6 @@ import pytest
 
 import naive
 from cideals import (
-    DEFAULT_BUDGET,
     builtin_corpus,
     enumerate_filters,
     enumerate_ideals,
@@ -88,7 +87,7 @@ def test_lem_triple_a0_singletons_match_subset_brute_force():
     # the singleton scan reports the first failing subset of all 2^n
     for label, cp in _small_instances():
         assert cp.poset.n <= 12, label
-        met, _note, ok, cex = _check_lem_triple_a0(_Context(cp, DEFAULT_BUDGET))
+        met, _note, ok, cex = _check_lem_triple_a0(_Context(cp))
         elements, _le, comp = to_naive(cp)
         assert met == all(comp[comp[comp[x]]] == comp[x] for x in elements), label
         found = naive.triple_a0_counterexample(elements, comp)

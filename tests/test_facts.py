@@ -81,6 +81,45 @@ def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):
         assert got == (_c_facts(fresh), run_all(fresh))
 
 
+def _count_walks(monkeypatch):
+    """Patch the downset walk to record the poset of each call."""
+    walked = []
+    real = substructures._enumerate_downsets
+
+    def counted(q, budget):
+        walked.append(q)
+        return real(q, budget)
+
+    monkeypatch.setattr(substructures, "_enumerate_downsets", counted)
+    return walked
+
+
+def test_principal_walk_runs_once_per_poset_and_side(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    p = build_poset(*M3)
+    cps = _complementations(p)
+    for cp in cps:
+        for _ in range(2):
+            assert check_statement(cp, "LEM_CL_PRINCIPAL").conclusion_holds is True
+            run_all(cp)
+    assert len(cps) == 8
+    assert len(walked) == 2  # once on p and once on its dual, for the filters
+    assert walked[0] is p and walked[1] is p.dual()
+
+
+def test_over_cap_walk_is_kept(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
+    p = build_poset(*bounded_antichain(4)[:2])  # 2^4 + 2 downsets
+    first = p.facts.principal_walk
+    assert first == (None, "more than 10 downward-closed subsets")
+    assert p.facts.principal_walk is first
+    assert walked == [p]
+    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 1 << 20)
+    assert p.facts.principal_walk is first  # the kept verdict, not a new walk
+    assert walked == [p]
+
+
 def test_duals_are_kept_and_carry_the_flags_over(corpus):
     cps = [entry.cp for entry in corpus.values()]
     cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]

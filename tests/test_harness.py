@@ -9,7 +9,9 @@ from cideals import (
     separate,
     separate_first,
     separate_second,
+    substructures,
 )
+from cideals.corpus import corpus_entry
 from cideals.harness import (
     FAIL_NO_CCOND,
     FAIL_NOT_DISJOINT,
@@ -206,30 +208,32 @@ def test_subset_statement_exact_above_twelve_elements():
     assert res.hypotheses_met and res.conclusion_holds is True
 
 
-def test_lem_cl_principal_over_budget_is_not_verified(fig3):
-    # fig3 has more than 10 downsets, so the walk passes a budget of 10
-    res = check_statement(fig3.cp, StatementId.LEM_CL_PRINCIPAL, budget=10)
+def test_lem_cl_principal_over_budget_is_not_verified(monkeypatch):
+    # fig3 has more than 10 downsets, so the walk passes a cap of 10; the
+    # verdict is kept on the poset, so the object must be fresh
+    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
+    res = check_statement(corpus_entry("fig3").cp, StatementId.LEM_CL_PRINCIPAL)
     assert not res.hypotheses_met and res.conclusion_holds is None
     assert res.counterexample is None
     assert res.detail.startswith("downset walk over budget: more than 10 ")
     assert res.probe is None  # claims nothing about the conclusion
 
 
-def test_over_budget_leaves_other_statements_alone(fig3):
+def test_over_budget_leaves_other_statements_alone(fig3, monkeypatch):
     principal = StatementId.LEM_CL_PRINCIPAL
     full = [r for r in run_all(fig3.cp) if r.statement != principal]
-    capped = [r for r in run_all(fig3.cp, budget=10) if r.statement != principal]
+    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
+    capped = [r for r in run_all(corpus_entry("fig3").cp) if r.statement != principal]
     assert capped == full and len(capped) == 18
 
 
-def test_lem_cl_principal_reports_what_the_walk_finds(fig1, monkeypatch):
+def test_lem_cl_principal_reports_what_the_walk_finds(monkeypatch):
     # the statement holds on every finite poset; a doctored walk shows that a
     # non-principal directed set would still be the counterexample
-    from cideals import harness
-
+    fig1 = corpus_entry("fig1")  # fresh: the walk's verdict is kept on the poset
     p = fig1.poset
     fake = mask(p, "0 a b")
-    monkeypatch.setattr(harness, "directed_downsets", lambda order, budget: [fake])
+    monkeypatch.setattr(substructures, "directed_downsets", lambda order: [fake])
     res = check_statement(fig1.cp, StatementId.LEM_CL_PRINCIPAL)
     assert res.hypotheses_met and res.conclusion_holds is False
     assert res.counterexample == {"non_principal_ideal": "{0,a,b}"}

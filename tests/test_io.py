@@ -116,6 +116,21 @@ def test_machine_report_round_trip(fig1):
     assert lhs == frozenset({"0", "c"}) and rhs == frozenset({"0"})
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        "witness: foo=1",
+        "witness: distributivity=none lhs={} rhs={}",
+        "theorem: tag=A counterexample=abc",
+    ],
+    ids=["witness-without-triple", "witness-triple-none", "counterexample-without-colon"],
+)
+def test_malformed_machine_record_is_parse_error(record):
+    with pytest.raises(ParseError) as info:
+        parse_machine_report(f"report: t\nelements: a\n{record}\n")
+    assert info.value.line == 3
+
+
 def test_machine_report_round_trip_poset_only():
     instance = load_instance("name: chain\nelements: 0 m 1\nle: 0 < m\nle: m < 1\n")
     report = build_report(instance)

@@ -9,6 +9,7 @@ from cideals import (
     build_poset,
     random_complemented_poset,
 )
+from cideals.poset import Poset
 from conftest import assert_distributivity_agrees, boolean_lattice, mask, naive_order, names
 
 
@@ -59,6 +60,16 @@ def test_bad_name_tokens():
         build_poset(["a{"], [])
     with pytest.raises(PosetError):
         build_poset(["none"], [])
+
+
+@pytest.mark.parametrize(
+    "down",
+    [[1, 2, 3], [1], [1, 2 | 4], [1, -2], [-1, 2]],
+    ids=["extra-cone", "missing-cone", "bit-outside", "negative", "negative-reflexive"],
+)
+def test_malformed_down_cones_rejected(down):
+    with pytest.raises(PosetError):
+        Poset(["a", "b"], down)
 
 
 def test_unbounded_poset_detected():

@@ -14,7 +14,6 @@ counterexample.
 import pytest
 
 from cideals import (
-    DEFAULT_BUDGET,
     PosetError,
     StatementId,
     attach_complementation,
@@ -261,7 +260,7 @@ def instances(corpus):
 def test_checker_matches_its_reference(instances, sid):
     seen = {"met": 0, "failed": 0}
     for cp in instances:
-        met, _note, ok, cex = _CHECKERS[sid](_Context(cp, DEFAULT_BUDGET))
+        met, _note, ok, cex = _CHECKERS[sid](_Context(cp))
         assert (met, ok, cex) == REFERENCES[sid](cp), (sid, cp.poset)
         seen["met"] += met
         seen["failed"] += not ok

@@ -48,7 +48,7 @@ def test_check_exit_4_on_counterexample(monkeypatch, tmp_path, capsys):
     path = tmp_path / "fig1.poset"
     assert main(["corpus", "--emit", str(tmp_path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "run_all", lambda cp, budget: [fake_failure()])
+    monkeypatch.setattr(cli, "run_all", lambda cp: [fake_failure()])
     code = main(["check", str(path)])
     out = capsys.readouterr().out
     assert code == 4

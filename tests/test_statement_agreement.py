@@ -11,7 +11,6 @@ the harness's table.
 import pytest
 
 from cideals import (
-    DEFAULT_BUDGET,
     StatementId,
     attach_complementation,
     build_poset,
@@ -81,8 +80,8 @@ def test_filter_half_is_the_ideal_half_on_the_dual(instances, sid):
     # unmet statement is compared too
     met = 0
     for cp in instances:
-        f_met, _note, f_ok, f_cex = _CHECKERS[sid](_Context(cp, DEFAULT_BUDGET))
-        i_met, _note, i_ok, i_cex = _CHECKERS[DUALS[sid]](_Context(cp.dual(), DEFAULT_BUDGET))
+        f_met, _note, f_ok, f_cex = _CHECKERS[sid](_Context(cp))
+        i_met, _note, i_ok, i_cex = _CHECKERS[DUALS[sid]](_Context(cp.dual()))
         assert (f_met, f_ok, _swap_kind(f_cex)) == (i_met, i_ok, i_cex), cp.poset
         assert f_cex is None or set(f_cex) == {"filter"}
         r, d = check_statement(cp, sid), check_statement(cp.dual(), DUALS[sid])

@@ -14,7 +14,7 @@ from cideals import (
     subset_role,
     ul_union,
 )
-from cideals.substructures import find_c_filter_witness, find_c_ideal_witness
+from cideals.substructures import _enumerate_downsets, find_c_filter_witness, find_c_ideal_witness
 from cideals.poset import sort_key
 from conftest import (
     assert_families_agree,
@@ -77,15 +77,15 @@ def test_enumeration_matches_oracle(corpus):
 
 
 def test_budget_scale_limit():
-    # a 12-antichain plus bounds has 2^12 downsets; a tiny budget must refuse
+    # a 12-antichain plus bounds has 2^12 downsets; a walk capped at 1000 must refuse
     mids = [f"x{i}" for i in range(12)]
     p = build_poset(
         ["bot", *mids, "top"],
         [("bot", m) for m in mids] + [(m, "top") for m in mids],
     )
     with pytest.raises(ScaleLimit):
-        directed_downsets(p, budget=1000)
-    assert len(directed_downsets(p, budget=1 << 15)) == 14
+        _enumerate_downsets(p, 1000)
+    assert len(directed_downsets(p)) == 14
 
 
 def test_families_match_walk_and_oracle_on_corpus(corpus):
