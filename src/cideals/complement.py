@@ -124,11 +124,12 @@ class ComplementedPoset:
         return out
 
     def c_condition(self, mask: int) -> bool:
-        """Does ``mask`` contain exactly one of x and x' for every x?"""
+        """Does ``mask`` contain exactly one of x and x' for every x, that
+        is, (x in mask) xor (x' in mask)?  On the one-element poset x = x',
+        and no set qualifies."""
         self.poset.check_mask(mask)
-        for x in range(self.poset.n):
-            pair = (1 << x) | (1 << self.comp[x])
-            if (mask & pair).bit_count() != 1:
+        for x, cx in enumerate(self.comp):
+            if not ((mask >> x) ^ (mask >> cx)) & 1:
                 return False
         return True
 

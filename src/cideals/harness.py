@@ -6,7 +6,9 @@ never by replaying a proof.  A statement whose hypotheses fail reports
 ``hypotheses_met=False`` with the conclusion left undecided, so reports
 distinguish "verified" from "not applicable"; a probe note records whether
 the unguarded conclusion would have held anyway, which shows when the
-hypotheses are doing real work.
+hypotheses are doing real work.  Each checker returns only a note (empty
+when the hypotheses hold) and its first counterexample, or None; one
+function, ``_run_checker``, turns that pair into every result.
 
 Every filter fact is the ideal fact of the order dual: the filters of P are
 the ideals of P^d, and ``cp.dual()`` keeps the complement map.  So each
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from .complement import ComplementedPoset
-from .errors import NotFilter, NotIdeal, PosetError
-from .poset import Poset, iter_bits
+from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
+from .poset import iter_bits
 from .substructures import OrderFacts, complement_pairing, is_filter, is_ideal
 
 
@@ -97,9 +99,9 @@ class TheoremCheckResult:
     counterexample implies ``conclusion_holds=False``.  ``probe`` carries the
     hypothesis-minimality note (what the unguarded conclusion would do) and
     is informational only.  Unmet hypotheses without a probe mean the
-    conclusion could not be evaluated at all: the LEM_CL_PRINCIPAL walk
-    passed its fixed cap of ``DEFAULT_BUDGET`` downsets, and ``detail`` says
-    so.
+    conclusion could not be evaluated at all: the LEM_CL_PRINCIPAL checker
+    raised ScaleLimit because the walk passed its fixed cap of
+    ``DEFAULT_BUDGET`` downsets, and ``detail`` carries that message.
     """
 
     statement: StatementId
@@ -148,63 +150,56 @@ class _Context:
         return {"ideal": self.cp, "filter": self.cp.dual()}
 
 
-def _fmt(p: Poset, mask: int) -> str:
-    return p.format_set(mask)
-
-
 # -- individual checkers ----------------------------------------------------
-# each returns (hypotheses_met, hypothesis_note, conclusion_ok, counterexample)
+# each returns (note, counterexample): an empty note means the hypotheses
+# hold, otherwise it says which fail; a counterexample of None means the
+# conclusion holds, guarded when the hypotheses hold and unguarded (the
+# probe) when they do not.  Each returns at its first counterexample.
 
 
 def _check_lem_boolean(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    props = cp.props
-    met = props.antitone and props.x_le_xdd
+    met = cp.props.antitone and cp.props.x_le_xdd
     note = "" if met else "needs an antitone complementation with x<=x'' for all x"
-    cex = None
     for a in range(p.n):
         add = cp.comp[cp.comp[a]]
         forced = all((i >> add) & 1 for i in ctx.order.ideals if (i >> a) & 1)
         if forced and add != a:
-            cex = {"element": p.names[a], "double_complement": p.names[add]}
-            break
-    return met, note, cex is None, cex
+            return note, {"element": p.names[a], "double_complement": p.names[add]}
+    return note, None
 
 
 def _check_lem_cl_prime(ctx: _Context):
     """Every filter is an up-cone (LEM_CL_PRINCIPAL), so P\\I is a prime
     filter exactly when it is a prime ideal of the dual."""
     p, a, f = ctx.cp.poset, ctx.order, ctx.sides["filter"].poset.facts
-    cex = None
     for i in a.ideals:
         rest = complement_pairing(p, i)
         facts = (i in a.prime_ideal_set, rest in f.prime_ideal_set, f.is_ideal(rest))
         if len(set(facts)) != 1:
-            cex = {"ideal": _fmt(p, i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
-            break
-    if cex is None:
-        image = {complement_pairing(p, i) for i in a.prime_ideals}
-        if image != f.prime_ideal_set:
-            cex = {
-                "prime_ideal_complements": "+".join(sorted(_fmt(p, m) for m in image)),
-                "prime_filters": "+".join(sorted(_fmt(p, m) for m in f.prime_ideals)),
-            }
-    return True, "", cex is None, cex
+            return "", {"ideal": p.format_set(i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
+    image = {complement_pairing(p, i) for i in a.prime_ideals}
+    if image != f.prime_ideal_set:
+        return "", {
+            "prime_ideal_complements": "+".join(sorted(p.format_set(m) for m in image)),
+            "prime_filters": "+".join(sorted(p.format_set(m) for m in f.prime_ideals)),
+        }
+    return "", None
 
 
 def _check_lem_cl_principal(ctx: _Context):
     """Reads the downset walk kept on each side's order facts, not the cone
     families, which assume the result; the filter side walks the dual, and
-    only when the ideal side is decided and holds.  Over the walk's cap,
-    nothing is concluded."""
+    only when the ideal side is decided and holds.  Over the walk's cap it
+    raises ScaleLimit with the kept message: nothing is concluded."""
     for kind, side in ctx.sides.items():
         q = side.poset
         found, over_cap = q.facts.principal_walk
         if over_cap:
-            return False, f"downset walk over budget: {over_cap}", None, None
+            raise ScaleLimit(over_cap)
         if found is not None:
-            return True, "", False, {f"non_principal_{kind}": _fmt(q, found)}
-    return True, "", True, None
+            return "", {f"non_principal_{kind}": q.format_set(found)}
+    return "", None
 
 
 def _check_lem_proper_pair(ctx: _Context):
@@ -213,8 +208,8 @@ def _check_lem_proper_pair(ctx: _Context):
         for s in side.poset.facts.ideals:
             for a in iter_bits(s) if s != p.all_mask else ():  # proper members only
                 if (s >> cp.comp[a]) & 1 and cp.comp[a] != a:
-                    return True, "", False, {f"proper_{kind}": _fmt(p, s), "element": p.names[a]}
-    return True, "", True, None
+                    return "", {f"proper_{kind}": p.format_set(s), "element": p.names[a]}
+    return "", None
 
 
 def _check_prop_proper_equiv(ctx: _Context):
@@ -224,8 +219,8 @@ def _check_prop_proper_equiv(ctx: _Context):
             pre = cp.comp_preimage(s)
             facts = (s != p.all_mask, pre != p.all_mask, not s & pre)
             if len(set(facts)) != 1:
-                return True, "", False, {kind: _fmt(p, s), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
-    return True, "", True, None
+                return "", {kind: p.format_set(s), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
+    return "", None
 
 
 def _check_lem_cideal_dd(ctx: _Context):
@@ -241,8 +236,8 @@ def _check_lem_cideal_dd(ctx: _Context):
         for s in side.facts.c_ideals if hyps[kind] or not met else ():
             img2 = cp.comp_image(cp.comp_image(s))
             if img2 & ~s:
-                return met, note, False, {f"c_{kind}": _fmt(p, s), "double_image": _fmt(p, img2)}
-    return met, note, True, None
+                return note, {f"c_{kind}": p.format_set(s), "double_image": p.format_set(img2)}
+    return note, None
 
 
 def _check_lem_triple_a0(ctx: _Context):
@@ -252,13 +247,12 @@ def _check_lem_triple_a0(ctx: _Context):
     singleton is no larger a mask: the first failing singleton is the first
     failing subset in mask order."""
     cp, p, c = ctx.cp, ctx.cp.poset, ctx.cp.comp
-    met = cp.props.triple_identity
-    note = "" if met else "needs the identity x''' = x'"
+    note = "" if cp.props.triple_identity else "needs the identity x''' = x'"
     for k in range(p.n):
         for a in range(p.n):
             if (c[a] == k) != (c[c[c[a]]] == k):
-                return met, note, False, {"subset": _fmt(p, 1 << k), "element": p.names[a]}
-    return met, note, True, None
+                return note, {"subset": p.format_set(1 << k), "element": p.names[a]}
+    return note, None
 
 
 def _check_thm_f0_cideal(ctx: _Context):
@@ -275,61 +269,53 @@ def _check_thm_f0_cideal(ctx: _Context):
         for s in other.poset.facts.ideals if hyp or not met else ():
             pre = cp.comp_preimage(s)
             if not test(pre) or pre not in witnesses:
-                return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
-    return met, note, True, None
+                return note, {kind: p.format_set(s), "preimage": p.format_set(pre)}
+    return note, None
 
 
 def _check_cor_involution(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    met = cp.props.antitone and cp.props.involution
-    note = "" if met else "needs an antitone involution"
+    note = "" if cp.props.antitone and cp.props.involution else "needs an antitone involution"
     sides = list(ctx.sides.items())
     for (kind, side), (_, other) in zip(sides, reversed(sides)):
         test, witnesses = other.poset.facts.is_ideal, side.facts.c_ideal_witnesses
         for s in side.poset.facts.ideals:
             pre = cp.comp_preimage(s)
             if not test(pre) or cp.comp_preimage(pre) != s or s not in witnesses:
-                return met, note, False, {kind: _fmt(p, s), "preimage": _fmt(p, pre)}
-    return met, note, True, None
+                return note, {kind: p.format_set(s), "preimage": p.format_set(pre)}
+    return note, None
 
 
 def _check_rem_principal_l0(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
-    met = cp.props.antitone and cp.props.involution
-    note = "" if met else "needs an antitone involution"
-    cex = None
+    note = "" if cp.props.antitone and cp.props.involution else "needs an antitone involution"
     for a in range(p.n):
         ca = cp.comp[a]
         if cp.comp_preimage(p.down[a]) != p.up[ca] or cp.comp_preimage(p.up[ca]) != p.down[a]:
-            cex = {"element": p.names[a]}
-            break
-    return met, note, cex is None, cex
+            return note, {"element": p.names[a]}
+    return note, None
 
 
 def _check_lem_prime_ccond(ctx: _Context):
     cp, p = ctx.cp, ctx.cp.poset
     primes = {kind: side.poset.facts.prime_ideals for kind, side in ctx.sides.items()}
-    met = any(primes.values())
-    note = "" if met else "no prime ideals and no prime filters on this instance"
+    note = "" if any(primes.values()) else "no prime ideals and no prime filters on this instance"
     for kind, family in primes.items():
         for s in family:
             if not cp.c_condition(s):
-                return met, note, False, {f"prime_{kind}": _fmt(p, s)}
-    return met, note, True, None
+                return note, {f"prime_{kind}": p.format_set(s)}
+    return note, None
 
 
 def _check_thm5_maximal(ctx: _Context, kind: str):
     """THM5_I_II (ideals), THM5_V_VI (filters): a member of the family with
     the c-condition is maximal."""
     cf = ctx.sides[kind].facts
-    met = bool(cf.ccond_ideals)
-    note = "" if met else f"no {kind} satisfies the c-condition"
-    cex = None
+    note = "" if cf.ccond_ideals else f"no {kind} satisfies the c-condition"
     for s in cf.ccond_ideals:
         if s not in cf.order.maximal_ideal_set:
-            cex = {kind: _fmt(ctx.cp.poset, s)}
-            break
-    return met, note, cex is None, cex
+            return note, {kind: ctx.cp.poset.format_set(s)}
+    return note, None
 
 
 def _union_condition(facts: OrderFacts, mask: int) -> bool:
@@ -355,39 +341,34 @@ def _check_thm5_ccond(ctx: _Context, kind: str):
     distributive poset, a maximal member whose unions all stay in the family
     satisfies the c-condition."""
     cp, p = ctx.cp, ctx.cp.poset
-    # the identity and its dual are equivalent globally, so the instance's
-    # own scan answers for both sides
-    distributive = ctx.order.distributivity.holds
     o = ctx.sides[kind].poset.facts
     qualifying = [s for s in o.maximal_ideals if _union_condition(o, s)]
-    met = distributive and bool(qualifying)
-    if distributive:
-        note = "" if qualifying else f"no {_THM5_QUALIFYING[kind]}"
-    else:
+    # the identity and its dual are equivalent globally, so the instance's
+    # own scan answers for both sides
+    if not ctx.order.distributivity.holds:
         note = "poset is not distributive"
-    cex = None
+    else:
+        note = "" if qualifying else f"no {_THM5_QUALIFYING[kind]}"
     for s in qualifying:
         if not cp.c_condition(s):
-            cex = {kind: _fmt(p, s)}
-            break
-    return met, note, cex is None, cex
+            return note, {kind: p.format_set(s)}
+    return note, None
 
 
 def _check_lem_joinsemi_lu(ctx: _Context):
     p, an = ctx.cp.poset, ctx.order
-    met = an.semilattice_flags[0]
-    note = "" if met else "poset is not a join-semilattice"
-    cex = None
+    note = "" if an.semilattice_flags[0] else "poset is not a join-semilattice"
     for i in an.ideals:
         g = an.down_generator[i]
         for a in range(p.n):
             union = p.lu[a][g]
             if not an.is_ideal(union):
-                cex = {"ideal": _fmt(p, i), "element": p.names[a], "union": _fmt(p, union)}
-                break
-        if cex:
-            break
-    return met, note, cex is None, cex
+                return note, {
+                    "ideal": p.format_set(i),
+                    "element": p.names[a],
+                    "union": p.format_set(union),
+                }
+    return note, None
 
 
 def _internal_error(message: str):
@@ -482,18 +463,16 @@ def _check_separation(ctx: _Context, mode: str):
     pairs = [(i, f) for f in qualifying for i in o.ideals if not i & f]
     if not pairs:
         notes.append(hyps.no_pair)
-    met = not notes
-    cex = None
+    note = "; ".join(notes)
     for i, f in pairs:
-        witness = separate(cp, i, f, mode).witness if met else cp.comp_preimage(f)
+        witness = cp.comp_preimage(f) if note else separate(cp, i, f, mode).witness
         if witness is None or not _verify_separation_witness(cp, i, f, witness):
-            cex = {
-                "ideal": _fmt(p, i),
-                "filter": _fmt(p, f),
-                "candidate": _fmt(p, cp.comp_preimage(f)),
+            return note, {
+                "ideal": p.format_set(i),
+                "filter": p.format_set(f),
+                "candidate": p.format_set(cp.comp_preimage(f)),
             }
-            break
-    return met, "; ".join(notes), cex is None, cex
+    return note, None
 
 
 _CHECKERS = {
@@ -520,16 +499,19 @@ _CHECKERS = {
 
 
 def _run_checker(ctx: _Context, sid: StatementId) -> TheoremCheckResult:
-    met, note, ok, cex = _CHECKERS[sid](ctx)
-    if met:
-        return TheoremCheckResult(sid, True, ok, cex, detail=note)
-    if ok is None:  # the conclusion was not evaluated; claim nothing about it
-        probe = None
-    elif ok:
+    """The one place a result is built: met, with the verdict; unmet, with
+    the probe; or, when the checker raises ScaleLimit, unmet and unprobed."""
+    try:
+        note, cex = _CHECKERS[sid](ctx)
+    except ScaleLimit as exc:
+        return TheoremCheckResult(sid, False, None, detail=f"downset walk over budget: {exc}")
+    if not note:
+        return TheoremCheckResult(sid, True, cex is None, cex)
+    if cex is None:
         probe = "unguarded conclusion happens to hold"
     else:
         probe = "unguarded conclusion fails: " + ", ".join(f"{k}={v}" for k, v in cex.items())
-    return TheoremCheckResult(sid, False, None, None, detail=note, probe=probe)
+    return TheoremCheckResult(sid, False, None, detail=note, probe=probe)
 
 
 def check_statement(cp: ComplementedPoset, sid: StatementId | str) -> TheoremCheckResult:
@@ -607,14 +589,9 @@ def separate(
     return SeparationResult(ideal_mask, filter_mask, witness=witness, detail=detail)
 
 
-def separate_first(
-    cp: ComplementedPoset,
-    ideal_mask: int,
-    filter_mask: int,
-    prime_mode: bool = False,
-) -> SeparationResult:
-    """:func:`separate` in mode ``first``, or ``prime`` with ``prime_mode``."""
-    return separate(cp, ideal_mask, filter_mask, "prime" if prime_mode else "first")
+def separate_first(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> SeparationResult:
+    """:func:`separate` in mode ``first``."""
+    return separate(cp, ideal_mask, filter_mask, "first")
 
 
 def separate_second(cp: ComplementedPoset, ideal_mask: int, filter_mask: int) -> SeparationResult:

@@ -22,7 +22,7 @@ flag exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .complement import ComplementedPoset, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
@@ -229,10 +229,6 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _set_token(p: Poset, mask: int) -> str:
-    return "{" + ",".join(p.names_of(mask)) + "}"
-
-
 def _opt_name(p: Poset, idx: int | None) -> str:
     return "none" if idx is None else p.names[idx]
 
@@ -244,16 +240,8 @@ def render_machine(report: Report) -> str:
     lines.append(f"flag: bounded={_flag(p.bounded)}")
     lines.append(f"flag: has_complement={_flag(cp is not None)}")
     if cp is not None:
-        pr = cp.props
-        for key, value in (
-            ("antitone", pr.antitone),
-            ("involution", pr.involution),
-            ("x_le_xdd", pr.x_le_xdd),
-            ("xdd_le_x", pr.xdd_le_x),
-            ("triple_identity", pr.triple_identity),
-            ("de_morgan", pr.de_morgan),
-        ):
-            lines.append(f"flag: {key}={_flag(value)}")
+        for field in fields(cp.props):
+            lines.append(f"flag: {field.name}={_flag(getattr(cp.props, field.name))}")
     lines.append(f"flag: distributive={_flag(report.distributivity.holds)}")
     lines.append(f"flag: join_semilattice={_flag(report.join_semilattice)}")
     lines.append(f"flag: meet_semilattice={_flag(report.meet_semilattice)}")
@@ -264,12 +252,12 @@ def render_machine(report: Report) -> str:
                 p.names[x],
                 p.names[y],
                 p.names[z],
-                _set_token(p, report.distributivity.lhs),
-                _set_token(p, report.distributivity.rhs),
+                p.format_set(report.distributivity.lhs),
+                p.format_set(report.distributivity.rhs),
             )
         )
     if cp is not None:
-        lines.append(f"set: boolean={_set_token(p, cp.boolean_elements())}")
+        lines.append(f"set: boolean={p.format_set(cp.boolean_elements())}")
         for x in range(p.n):
             cx = cp.comp[x]
             lines.append(
@@ -288,7 +276,7 @@ def machine_class_row(p: Poset, row: ClassRow, kind: str, with_comp: bool) -> st
     """One ideal/filter record of the machine format."""
     max_key = "maximal" if kind == "ideal" else "ultrafilter"
     parts = [
-        f"{kind}: set={_set_token(p, row.mask)}",
+        f"{kind}: set={p.format_set(row.mask)}",
         f"proper={_flag(row.proper)}",
         f"principal={_opt_name(p, row.principal)}",
         f"{max_key}={_flag(row.maximal)}",
@@ -298,7 +286,7 @@ def machine_class_row(p: Poset, row: ClassRow, kind: str, with_comp: bool) -> st
         parts.append(f"ccond={_flag(row.ccond)}")
         parts.append(f"c{kind}={_flag(row.is_c)}")
         parts.append(
-            "witness=" + (_set_token(p, row.witness) if row.witness is not None else "none")
+            "witness=" + (p.format_set(row.witness) if row.witness is not None else "none")
         )
     return " ".join(parts)
 
@@ -332,30 +320,35 @@ class ParsedReport:
     theorem_rows: tuple[dict, ...]
 
 
-def _parse_set_literal(token: str) -> frozenset[str]:
+def _parse_set_literal(token: str, line: int) -> frozenset[str]:
     if not (token.startswith("{") and token.endswith("}")):
-        raise ParseError(f"malformed set literal {token!r}")
+        raise ParseError(f"malformed set literal {token!r} on line {line}", line=line)
     inner = token[1:-1]
     return frozenset(inner.split(",")) if inner else frozenset()
 
 
-def _parse_scalar(token: str):
+def _parse_scalar(token: str, line: int):
     if token == "none":
         return None
     if token in ("true", "false"):
         return token == "true"
     if token.startswith("{"):
-        return _parse_set_literal(token)
+        return _parse_set_literal(token, line)
     return token
 
 
 def _parse_fields(chunks: list[str], line: int) -> dict:
+    """``key=value`` fields; ``set`` needs a set literal, as does
+    ``witness`` unless it is ``none``."""
     row = {}
     for chunk in chunks:
         key, eq, value = chunk.partition("=")
         if not eq:
             raise ParseError(f"malformed field {chunk!r} on line {line}", line=line)
-        row[key] = _parse_scalar(value)
+        if key == "set" or (key == "witness" and value != "none"):
+            row[key] = _parse_set_literal(value, line)
+        else:
+            row[key] = _parse_scalar(value, line)
     return row
 
 
@@ -383,14 +376,17 @@ def parse_machine_report(text: str) -> ParsedReport:
             elements = tuple(rest.split())
         elif key == "flag":
             fname, _, fval = rest.partition("=")
+            if fval not in ("true", "false"):
+                raise ParseError(f"expected 'flag: name=true|false' on line {ln}", line=ln)
             flags[fname] = fval == "true"
         elif key == "set":
             fname, _, fval = rest.partition("=")
+            members = _parse_set_literal(fval, ln)
             if fname == "boolean":
-                boolean = _parse_set_literal(fval)
+                boolean = members
         elif key == "witness":
-            fields = _parse_fields(rest.split(), ln)
-            triple, lhs, rhs = (fields.get(k) for k in ("distributivity", "lhs", "rhs"))
+            record = _parse_fields(rest.split(), ln)
+            triple, lhs, rhs = (record.get(k) for k in ("distributivity", "lhs", "rhs"))
             if not (isinstance(triple, str) and isinstance(lhs, frozenset) and isinstance(rhs, frozenset)):
                 raise ParseError(f"malformed distributivity witness on line {ln}", line=ln)
             dist_witness = (tuple(triple.strip("()").split(",")), lhs, rhs)

@@ -144,7 +144,7 @@ def comp_preimage(elements, comp, s):
 
 
 def c_condition(elements, comp, s):
-    return all(len(s & {x, comp[x]}) == 1 for x in elements)
+    return all((x in s) != (comp[x] in s) for x in elements)
 
 
 def boolean_elements(elements, comp):

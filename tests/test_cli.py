@@ -77,6 +77,19 @@ def test_check_all_ok(instdir, capsys):
     assert out.count("\n") == 19
 
 
+def test_check_one_element_poset_exits_0(tmp_path, capsys):
+    # x = x' = 0: {0} holds both x and x', so it misses the c-condition and
+    # THM5_I_II/THM5_V_VI are not applicable rather than refuted
+    path = tmp_path / "one.poset"
+    path.write_text("name: one\nelements: 0\ncomp: 0 -> 0\n")
+    code, out, _ = run_cli(capsys, ["check", str(path)])
+    assert code == 0
+    assert "COUNTEREXAMPLE" not in out
+    assert "THM5_I_II: not applicable (no ideal satisfies the c-condition" in out
+    assert "THM5_V_VI: not applicable (no filter satisfies the c-condition" in out
+    assert out.count("\n") == 19
+
+
 def test_check_explicit_unmet_statement_exits_4(instdir, capsys):
     code, out, _ = run_cli(
         capsys, ["check", str(instdir / "fig2a.poset"), "--statement", "THM_SEP1"]

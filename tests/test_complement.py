@@ -129,6 +129,14 @@ def test_c_condition(fig1, fig2b):
     assert not cq.c_condition(q.all_mask)
 
 
+def test_c_condition_on_the_one_element_poset():
+    # x = x': a set holds both or neither, never exactly one
+    cp = attach_complementation(build_poset(["0"], []), {"0": "0"})
+    for m, combo in ((0, set()), (1, {"0"})):
+        assert not cp.c_condition(m)
+        assert not naive.c_condition(["0"], {"0": "0"}, combo)
+
+
 def test_props_match_oracle(corpus):
     for entry in corpus.values():
         elements, le, comp = naive.figure(entry.name)

@@ -101,10 +101,10 @@ def test_separate_first_fig3(fig3):
 
 def test_separate_first_prime_mode(fig3):
     p, cp = fig3.poset, fig3.cp
-    res = separate_first(cp, p.down[p.index("a")], p.up[p.index("d")], prime_mode=True)
+    res = separate(cp, p.down[p.index("a")], p.up[p.index("d")], "prime")
     assert res.witness == p.down[p.index("d'")]
     # U(d') is not prime, so prime mode refuses it
-    res = separate_first(cp, p.down[p.index("0")], p.up[p.index("d'")], prime_mode=True)
+    res = separate(cp, p.down[p.index("0")], p.up[p.index("d'")], "prime")
     assert res.failure == FAIL_NOT_PRIME
 
 

@@ -122,8 +122,20 @@ def test_machine_report_round_trip(fig1):
         "witness: foo=1",
         "witness: distributivity=none lhs={} rhs={}",
         "theorem: tag=A counterexample=abc",
+        "set: boolean=abc",
+        "flag: distributive=maybe",
+        "flag: bounded",
+        "ideal: set=abc}",
     ],
-    ids=["witness-without-triple", "witness-triple-none", "counterexample-without-colon"],
+    ids=[
+        "witness-without-triple",
+        "witness-triple-none",
+        "counterexample-without-colon",
+        "set-record-without-literal",
+        "flag-not-boolean",
+        "flag-without-value",
+        "set-field-without-literal",
+    ],
 )
 def test_malformed_machine_record_is_parse_error(record):
     with pytest.raises(ParseError) as info:

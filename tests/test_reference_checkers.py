@@ -260,10 +260,10 @@ def instances(corpus):
 def test_checker_matches_its_reference(instances, sid):
     seen = {"met": 0, "failed": 0}
     for cp in instances:
-        met, _note, ok, cex = _CHECKERS[sid](_Context(cp))
-        assert (met, ok, cex) == REFERENCES[sid](cp), (sid, cp.poset)
-        seen["met"] += met
-        seen["failed"] += not ok
+        note, cex = _CHECKERS[sid](_Context(cp))
+        assert (not note, cex is None, cex) == REFERENCES[sid](cp), (sid, cp.poset)
+        seen["met"] += not note
+        seen["failed"] += cex is not None
     # the set meets every statement's hypotheses somewhere, and fails the
     # unguarded conclusion somewhere, except those that hold on every
     # complemented poset, which it never fails

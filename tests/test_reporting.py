@@ -62,7 +62,7 @@ def test_run_checker_wraps_failure_without_probe():
 
     def stub(ctx):
         calls["ran"] = True
-        return True, "", False, {"witness": "{0}"}
+        return "", {"witness": "{0}"}
 
     class DummyCtx:
         pass
@@ -79,6 +79,22 @@ def test_run_checker_wraps_failure_without_probe():
     assert result.hypotheses_met and result.conclusion_holds is False
     assert result.counterexample == {"witness": "{0}"}
     assert result.probe is None
+
+
+def test_run_checker_reports_scale_limit_as_not_verified(monkeypatch):
+    # a checker that raises ScaleLimit concluded nothing: unmet, no probe
+    from cideals import ScaleLimit, harness
+
+    def stub(ctx):
+        raise ScaleLimit("x")
+
+    monkeypatch.setitem(harness._CHECKERS, StatementId.LEM_CL_PRINCIPAL, stub)
+    result = harness._run_checker(None, StatementId.LEM_CL_PRINCIPAL)
+    assert result.hypotheses_met is False
+    assert result.conclusion_holds is None
+    assert result.probe is None
+    assert result.counterexample is None
+    assert result.detail == "downset walk over budget: x"
 
 
 def test_machine_render_deterministic(fig3):
