@@ -8,6 +8,12 @@ violation, malformed ideal/filter argument, a gen --size outside 2-24); 4 a
 requested check found a counterexample, an explicitly requested statement
 was not applicable or not verified (LEM_CL_PRINCIPAL past the downset
 walk's cap), or a separation hypothesis failed.
+
+``main`` may be called repeatedly in one process.  It builds its argument
+parser on the first call, keeps it in the module and reuses it; the parser
+holds options only, no handler or instance data.  Each call maps the parsed
+subcommand to its ``_cmd_<name>`` function at call time, so a handler
+replaced after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -276,38 +282,31 @@ def make_parser() -> _Parser:
 
     cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
     cmd.add_argument("file")
-    cmd.set_defaults(func=_cmd_analyze)
 
     cmd = sub.add_parser("ideals", parents=[common], help="list ideals of a class")
     cmd.add_argument("file")
     cmd.add_argument("--class", dest="klass", choices=IDEAL_CLASSES, default="all")
-    cmd.set_defaults(func=_cmd_ideals)
 
     cmd = sub.add_parser("filters", parents=[common], help="list filters of a class")
     cmd.add_argument("file")
     cmd.add_argument("--class", dest="klass", choices=FILTER_CLASSES, default="all")
-    cmd.set_defaults(func=_cmd_filters)
 
     cmd = sub.add_parser("check", parents=[common], help="verify statements on the instance")
     cmd.add_argument("file")
     cmd.add_argument("--statement", help="comma-separated statement tags (default: all)")
-    cmd.set_defaults(func=_cmd_check)
 
     cmd = sub.add_parser("separate", parents=[common], help="run a separation procedure")
     cmd.add_argument("file")
     cmd.add_argument("--ideal", required=True, help="generator token, L(a), or {x,y} literal")
     cmd.add_argument("--filter", required=True, help="generator token, U(a), or {x,y} literal")
     cmd.add_argument("--mode", choices=("first", "prime", "second"), default="first")
-    cmd.set_defaults(func=_cmd_separate)
 
     cmd = sub.add_parser("dot", parents=[common], help="DOT rendering of the cover relation")
     cmd.add_argument("file")
     cmd.add_argument("--highlight", action="append", help="set to fill; repeatable")
-    cmd.set_defaults(func=_cmd_dot)
 
     cmd = sub.add_parser("corpus", parents=[common], help="built-in instances and divergences")
     cmd.add_argument("--emit", help="directory to write .poset files into")
-    cmd.set_defaults(func=_cmd_corpus)
 
     cmd = sub.add_parser("gen", parents=[common], help="generate a random complemented instance")
     cmd.add_argument("--size", type=int, required=True)
@@ -316,12 +315,18 @@ def make_parser() -> _Parser:
                      help="comma-separated constraints: " + ",".join(corpus_mod.SUPPORTED_CONSTRAINTS))
     cmd.add_argument("--density", type=_probability, default=corpus_mod.DEFAULT_EDGE_DENSITY,
                      help="edge probability between adjacent ranks, in [0, 1]")
-    cmd.set_defaults(func=_cmd_gen)
     return parser
 
 
+#: the parser ``main`` builds on its first call and reuses
+_PARSER: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    global _PARSER
+    parser = _PARSER
+    if parser is None:  # built whole, then stored: racing first calls build two
+        parser = _PARSER = make_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -330,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     # --format may be given before or after the subcommand
     args.format = args.format or args.format_global or "text"
     try:
-        return args.func(args)
+        # looked up per call, so a handler replaced after the first call runs
+        return globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -352,21 +352,39 @@ def _parse_fields(chunks: list[str], line: int) -> dict:
     return row
 
 
+#: the boolean fields of each row record; ``theorem:``'s conclusion may also
+#: read ``none``
+_BOOL_FIELDS = {
+    "element": ("boolean",),
+    "ideal": ("proper", "maximal", "prime", "ccond", "cideal"),
+    "filter": ("proper", "ultrafilter", "prime", "ccond", "cfilter"),
+    "theorem": ("hypotheses", "conclusion"),
+}
+
+
+def _parse_row(key: str, rest: str, line: int) -> dict:
+    row = _parse_fields(rest.split(), line)
+    for field in _BOOL_FIELDS[key]:
+        value = row.get(field, False)
+        if not (isinstance(value, bool) or (value is None and field == "conclusion")):
+            raise ParseError(f"expected {field}=true|false in {key} record on line {line}", line=line)
+    return row
+
+
 def parse_machine_report(text: str) -> ParsedReport:
     """Recover every set and flag from a machine-format report."""
     name = None
+    first_line = None
     elements: tuple[str, ...] = ()
     flags: dict[str, bool] = {}
     boolean = None
     dist_witness = None
-    element_rows: list[dict] = []
-    ideal_rows: list[dict] = []
-    filter_rows: list[dict] = []
-    theorem_rows: list[dict] = []
+    rows: dict[str, list[dict]] = {key: [] for key in _BOOL_FIELDS}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        first_line = first_line or ln
         key, sep, rest = line.partition(": ")
         if not sep:
             raise ParseError(f"expected 'key: value' on line {ln}", line=ln)
@@ -390,35 +408,29 @@ def parse_machine_report(text: str) -> ParsedReport:
             if not (isinstance(triple, str) and isinstance(lhs, frozenset) and isinstance(rhs, frozenset)):
                 raise ParseError(f"malformed distributivity witness on line {ln}", line=ln)
             dist_witness = (tuple(triple.strip("()").split(",")), lhs, rhs)
-        elif key == "element":
-            element_rows.append(_parse_fields(rest.split(), ln))
-        elif key == "ideal":
-            ideal_rows.append(_parse_fields(rest.split(), ln))
-        elif key == "filter":
-            filter_rows.append(_parse_fields(rest.split(), ln))
-        elif key == "theorem":
-            row = _parse_fields(rest.split(), ln)
-            cex = row.get("counterexample")
+        elif key in rows:
+            row = _parse_row(key, rest, ln)
+            cex = row.get("counterexample") if key == "theorem" else None
             if isinstance(cex, str):
                 pairs = [pair.split(":", 1) for pair in cex.split(";")]
                 if any(len(pair) != 2 for pair in pairs):
                     raise ParseError(f"malformed counterexample {cex!r} on line {ln}", line=ln)
                 row["counterexample"] = dict(pairs)
-            theorem_rows.append(row)
+            rows[key].append(row)
         else:
             raise ParseError(f"unknown record {key!r} on line {ln}", line=ln)
     if name is None:
-        raise ParseError("missing report line")
+        raise ParseError("missing report line", line=first_line or 1)
     return ParsedReport(
         name=name,
         elements=elements,
         flags=flags,
         boolean=boolean,
         distributivity_witness=dist_witness,
-        element_rows=tuple(element_rows),
-        ideal_rows=tuple(ideal_rows),
-        filter_rows=tuple(filter_rows),
-        theorem_rows=tuple(theorem_rows),
+        element_rows=tuple(rows["element"]),
+        ideal_rows=tuple(rows["ideal"]),
+        filter_rows=tuple(rows["filter"]),
+        theorem_rows=tuple(rows["theorem"]),
     )
 
 

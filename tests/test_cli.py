@@ -3,6 +3,7 @@ import argparse
 import pytest
 
 from cideals import Instance, attach_complementation, build_poset, emit_instance, substructures
+from cideals import cli
 from cideals.cli import main, make_parser
 from conftest import boolean_lattice
 
@@ -423,3 +424,88 @@ def test_not_applicable_rows_print_their_probe(instdir, capsys):
         "counterexample=none\n"
     ) in out
     assert "probe" not in out
+
+
+# -- one parser per process ----------------------------------------------------
+
+REUSE_SEQUENCE = [
+    [],
+    ["frobnicate"],
+    ["analyze"],
+    ["separate", "fig1.poset", "--ideal", "a"],
+    ["analyze", "fig1.poset", "--bogus"],
+    ["--format", "machine", "analyze", "fig1.poset"],
+    ["analyze", "fig1.poset", "--format", "machine"],
+    ["analyze", "fig1.poset", "--format", "json"],
+    ["--format", "text", "ideals", "fig2b.poset", "--class", "prime", "--format", "machine"],
+    ["filters", "fig3.poset", "--class", "c-filter"],
+    ["dot", "fig1.poset", "--highlight", "a", "--highlight", "{b,c}", "--highlight", "U(b)"],
+    ["dot", "fig1.poset"],
+    ["dot", "fig1.poset", "--highlight", "nope"],
+    ["gen", "--size", "6", "--seed", "4", "--require", "antitone,involution"],
+    ["gen", "--size", "6", "--seed", "4", "--require", "foo"],
+    ["gen", "--size", "6", "--seed", "4"],
+    ["check", "fig1.poset", "--statement", "LEM_BOOLEAN,THM_SEP1"],
+    ["check", "fig1.poset", "--statement", "NOPE"],
+    ["check", "fig4.poset", "--format", "machine"],
+    ["separate", "fig1.poset", "--ideal", "L(b)", "--filter", "c", "--mode", "second"],
+    ["corpus", "--format", "machine"],
+    ["analyze", "missing.poset"],
+]
+
+
+def _run_sequence(instdir, capsys, fresh_each_call, monkeypatch):
+    results = []
+    for argv in REUSE_SEQUENCE:
+        if fresh_each_call:
+            monkeypatch.setattr(cli, "_PARSER", None)
+        results.append(run_cli(capsys, _argv(instdir, argv)))
+    return results
+
+
+def test_main_builds_its_parser_once(instdir, capsys, monkeypatch):
+    built = []
+
+    def counting_make_parser():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+    for i in range(20):
+        argv = ["analyze", "fig1.poset"] if i % 2 else ["ideals", "fig1.poset", "--bogus"]
+        run_cli(capsys, _argv(instdir, argv))
+    assert len(built) == 1
+
+
+def test_reused_parser_answers_like_a_fresh_one(instdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = _run_sequence(instdir, capsys, False, monkeypatch)
+    assert reused == _run_sequence(instdir, capsys, False, monkeypatch)
+    fresh = _run_sequence(instdir, capsys, True, monkeypatch)
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [
+        1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 3, 0, 1, 0, 4, 1, 0, 4, 0, 2
+    ]
+
+
+def test_handler_replaced_after_first_call_runs(instdir, capsys, monkeypatch):
+    path = str(instdir / "fig1.poset")
+    assert run_cli(capsys, ["analyze", path])[0] == 0
+    seen = []
+
+    def fake(args):
+        seen.append(args.file)
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fake)
+    assert run_cli(capsys, ["analyze", path]) == (7, "", "")
+    assert seen == [path]
+    monkeypatch.undo()
+    assert run_cli(capsys, ["analyze", path])[0] == 0
+    assert seen == [path]
+
+
+def test_parser_holds_no_handler():
+    args = make_parser().parse_args(["corpus"])
+    assert sorted(vars(args)) == ["command", "emit", "format", "format_global"]

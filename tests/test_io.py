@@ -126,6 +126,14 @@ def test_machine_report_round_trip(fig1):
         "flag: distributive=maybe",
         "flag: bounded",
         "ideal: set=abc}",
+        "element: name=a comp=a comp2=a boolean=yes",
+        "ideal: set={a} proper=maybe",
+        "ideal: set={a} prime=none",
+        "filter: set={a} ultrafilter=yes",
+        "filter: set={a} cfilter={a}",
+        "theorem: tag=A hypotheses=maybe",
+        "theorem: tag=A hypotheses=none",
+        "theorem: tag=A hypotheses=true conclusion=maybe",
     ],
     ids=[
         "witness-without-triple",
@@ -135,12 +143,64 @@ def test_machine_report_round_trip(fig1):
         "flag-not-boolean",
         "flag-without-value",
         "set-field-without-literal",
+        "element-boolean-not-boolean",
+        "ideal-proper-not-boolean",
+        "ideal-prime-none",
+        "filter-ultrafilter-not-boolean",
+        "filter-cfilter-set",
+        "theorem-hypotheses-not-boolean",
+        "theorem-hypotheses-none",
+        "theorem-conclusion-not-boolean",
     ],
 )
 def test_malformed_machine_record_is_parse_error(record):
     with pytest.raises(ParseError) as info:
         parse_machine_report(f"report: t\nelements: a\n{record}\n")
     assert info.value.line == 3
+
+
+def test_theorem_conclusion_may_read_none():
+    parsed = parse_machine_report("report: t\ntheorem: tag=A hypotheses=false conclusion=none\n")
+    assert parsed.theorem_rows == ({"tag": "A", "hypotheses": False, "conclusion": None},)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("elements: a\n", 1), ("# header\n\nelements: a\nflag: bounded=true\n", 3), ("", 1)],
+)
+def test_missing_report_line_names_the_first_record(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_machine_report(text)
+    assert info.value.line == line
+
+
+def test_machine_report_round_trips_every_field(corpus):
+    instances = [Instance(e.name, e.poset, e.cp) for e in corpus.values()]
+    for seed in range(1, 41):
+        cp, _ = random_complemented_poset(seed)
+        instances.append(Instance(f"r{seed}", cp.poset, cp))
+    for instance in instances:
+        report = build_report(instance)
+        parsed = parse_machine_report(render_machine(report))
+        p, cp = instance.poset, instance.cp
+        assert parsed.element_rows == tuple(
+            {"name": p.names[x], "comp": p.names[cp.comp[x]],
+             "comp2": p.names[cp.comp[cp.comp[x]]], "boolean": cp.comp[cp.comp[x]] == x}
+            for x in range(p.n)
+        )
+        for kind, rows, got in (("ideal", report.ideals, parsed.ideal_rows),
+                                ("filter", report.filters, parsed.filter_rows)):
+            max_key = "maximal" if kind == "ideal" else "ultrafilter"
+            assert got == tuple(
+                {"set": frozenset(p.names_of(r.mask)), "proper": r.proper,
+                 "principal": None if r.principal is None else p.names[r.principal],
+                 max_key: r.maximal, "prime": r.prime, "ccond": r.ccond, f"c{kind}": r.is_c,
+                 "witness": None if r.witness is None else frozenset(p.names_of(r.witness))}
+                for r in rows
+            )
+        assert [(t["tag"], t["hypotheses"], t["conclusion"]) for t in parsed.theorem_rows] == [
+            (r.statement.value, r.hypotheses_met, r.conclusion_holds) for r in report.theorems
+        ]
 
 
 def test_machine_report_round_trip_poset_only():
