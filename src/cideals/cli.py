@@ -59,9 +59,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse is done with the call (``--help``); ``args[0]`` is the status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # main returns the status, no SystemExit
+        sys.stderr.write(message or "")
+        raise _Exit(status)
 
 
 def _probability(text: str) -> float:
@@ -332,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     # --format may be given before or after the subcommand
     args.format = args.format or args.format_global or "text"
     try:

@@ -14,19 +14,52 @@ optional (poset-only analyses are allowed).  ``le`` pairs may be any subset
 of the order; the reflexive-transitive closure is always applied.  Parse
 errors carry 1-based line numbers.
 
-The machine report format is also line-oriented, one ``key: value`` record
-per line with space-free tokens, set literals like ``{0,b,1}``, and ``none``
-for absent values, so that parsing a rendered report recovers every set and
-flag exactly.
+The machine report format is line-oriented too: one record ``kind: fields``
+per line, each field ``key=token`` with a space-free token.
+``MACHINE_RECORDS`` is the only place the fields are written; rendering and
+parsing both walk it.  The records, in report order, with each field's type::
+
+    report:   the report name (tag)
+    elements: the element names (names)
+    flag:     one per line, each at most once, all of type flag: bounded,
+              has_complement, antitone, involution, x_le_xdd, xdd_le_x,
+              triple_identity, de_morgan, distributive, join_semilattice,
+              meet_semilattice
+    witness:  distributivity (triple), lhs (set), rhs (set)
+    set:      boolean (set)
+    element:  name (name), comp (name), comp2 (name), boolean (flag)
+    ideal:    set (set), proper (flag), principal (optional name),
+              maximal (flag), prime (flag), ccond (flag), cideal (flag),
+              witness (optional set)
+    filter:   as ideal, with ultrafilter for maximal and cfilter for cideal
+    theorem:  tag (tag), hypotheses (flag), conclusion (conclusion),
+              counterexample (counterexample)
+
+The complementation flags, ``set:`` and ``element:`` need a complementation;
+a poset-only report says ``has_complement=false`` and ends each ideal and
+filter row after ``prime``.  ``witness:`` appears when distributivity fails.
+A flag is ``true|false``, a name one of ``elements:``, a set ``{a,b}``, a
+triple ``(x,y,z)``, a tag one space-free token, names distinct tokens, a
+conclusion ``true|false|none``, a counterexample ``none`` or ``key:value``
+pairs joined by ``;``; optional means the type or ``none``.
+
+``parse_machine_report`` recovers every set and flag exactly and raises
+ParseError with the line number on an unknown record; a line whose fields
+are not exactly its record's fields in order (missing, unknown, repeated,
+reordered or extra); a token not of its field's type, such as a name or set
+member not in ``elements:`` or a triple without three parts; a second
+``report:``, ``elements:``, ``set:`` or ``witness:`` line or a repeated
+``flag:``; and a text without a ``report:`` line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
-from .complement import ComplementedPoset, attach_complementation
+from .complement import ComplementedPoset, ComplementProperties, attach_complementation
 from .errors import DuplicateSection, ParseError, UnknownName
-from .harness import StatementId, TheoremCheckResult, run_all
+from .harness import TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, build_poset, iter_bits
 
 # -- instance files -----------------------------------------------------------
@@ -225,84 +258,178 @@ def build_report(instance: Instance) -> Report:
     )
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+# -- machine format -----------------------------------------------------------
 
 
-def _opt_name(p: Poset, idx: int | None) -> str:
-    return "none" if idx is None else p.names[idx]
+class _Writer:
+    """Writes the tokens of one report over the element ``names``.  Each set
+    is written once: a report repeats many, since a witness is an ideal or
+    filter."""
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.names, self.sets = names, {}
+
+    def set_token(self, mask: int) -> str:
+        if mask not in self.sets:
+            self.sets[mask] = "{" + ",".join([self.names[i] for i in iter_bits(mask)]) + "}"
+        return self.sets[mask]
+
+
+class _Type:
+    """A field type: ``token(w)`` is the function that writes a value as one
+    token with ``_Writer`` ``w``; ``read(token, elements)`` reads a token
+    back and raises ValueError or KeyError on a malformed token or a name
+    that is not in ``elements``."""
+
+    def __init__(self, name: str, token, read) -> None:
+        self.name, self.token, self.read = name, token, read
+
+
+def _expect(ok: bool, value):
+    """``value``, or ValueError unless ``ok``."""
+    if not ok:
+        raise ValueError(value)
+    return value
+
+
+def _read_name(token: str, elements) -> str:
+    return _expect(token in elements, token)
+
+
+def _read_members(token: str, elements, brackets: str) -> list[str]:
+    """The comma-separated names between ``brackets``."""
+    inner = _expect(token[:1] + token[-1:] == brackets, token)[1:-1]
+    return [_read_name(m, elements) for m in inner.split(",")] if inner else []
+
+
+def _read_triple(token: str, elements) -> tuple[str, str, str]:
+    x, y, z = _read_members(token, elements, "()")  # ValueError unless three
+    return x, y, z
+
+
+def _read_names(token: str, _) -> tuple[str, ...]:
+    names = tuple(token.split())
+    return _expect(len(set(names)) == len(names), names)
+
+
+def _counterexample(v: dict[str, str] | None) -> str:
+    return ";".join(f"{k}:{x}" for k, x in v.items()) if v else "none"
+
+
+def _read_counterexample(token: str, _) -> dict[str, str] | None:
+    return None if token == "none" else dict(pair.split(":", 1) for pair in token.split(";"))
+
+
+def _optional(t: _Type) -> _Type:
+    """``t``, or ``none`` for an absent value."""
+
+    def token(w: _Writer):
+        present = t.token(w)
+        return lambda v: "none" if v is None else present(v)
+
+    return _Type(f"optional {t.name}", token,
+                 lambda token, elements: None if token == "none" else t.read(token, elements))
+
+
+def _words(name: str, words: dict) -> _Type:
+    """A type whose tokens are the keys of ``words``, read as its values."""
+    tokens = {value: token for token, value in words.items()}
+    return _Type(name, lambda w: tokens.__getitem__, lambda token, _: words[token])
+
+
+_FLAG = _words("flag", {"true": True, "false": False})
+_NAME = _Type("name", lambda w: w.names.__getitem__, _read_name)
+_SET = _Type("set", lambda w: w.set_token,
+             lambda token, elements: frozenset(_read_members(token, elements, "{}")))
+_TRIPLE = _Type("triple", lambda w: lambda v: f"({','.join(w.names[x] for x in v)})", _read_triple)
+_TAG = _Type("tag", lambda w: str, lambda token, _: _expect(token.split() == [token], token))
+_NAMES = _Type("names", lambda w: " ".join, _read_names)
+_COUNTEREXAMPLE = _Type("counterexample", lambda w: _counterexample, _read_counterexample)
+
+
+def _class_fields(max_key: str, c_key: str) -> tuple:
+    """An ideal or filter row; a poset-only report ends it after ``prime``."""
+    return (("set", _SET), ("proper", _FLAG), ("principal", _optional(_NAME)), (max_key, _FLAG),
+            ("prime", _FLAG), ("ccond", _FLAG), (c_key, _FLAG), ("witness", _optional(_SET)))
+
+
+_FLAG_KEYS = ("bounded", "has_complement", *(f.name for f in fields(ComplementProperties)),
+              "distributive", "join_semilattice", "meet_semilattice")
+
+#: record kind -> its fields in order, as (key, type); the one field of
+#: ``report:`` and ``elements:`` has no key and takes the rest of the line.
+#: This is the only place a record's fields are written: rendering and
+#: parsing both walk it, and README's machine-format table mirrors it.
+MACHINE_RECORDS = {
+    "report": (("", _TAG),),
+    "elements": (("", _NAMES),),
+    "flag": tuple((key, _FLAG) for key in _FLAG_KEYS),
+    "set": (("boolean", _SET),),
+    "witness": (("distributivity", _TRIPLE), ("lhs", _SET), ("rhs", _SET)),
+    "element": (("name", _NAME), ("comp", _NAME), ("comp2", _NAME), ("boolean", _FLAG)),
+    "ideal": _class_fields("maximal", "cideal"),
+    "filter": _class_fields("ultrafilter", "cfilter"),
+    "theorem": (("tag", _TAG), ("hypotheses", _FLAG),
+                ("conclusion", _words("conclusion", {"true": True, "false": False, "none": None})),
+                ("counterexample", _COUNTEREXAMPLE)),
+}
+#: the records written one field per line; the others hold all their fields
+_ONE_FIELD_PER_LINE = ("flag", "set")
+#: the records a report holds many of; in the others each field appears once
+_ROWS = ("element", "ideal", "filter", "theorem")
+#: the fields an ideal or filter row keeps in a report that says
+#: ``has_complement=false``
+_ORDER_FIELDS = [key for key, _ in MACHINE_RECORDS["ideal"]].index("prime") + 1
+
+#: per record, each field's ``%`` template: ``key=%s``, or ``%s`` when bare
+_TEMPLATES = {
+    kind: [f"{key}=%s" if key else "%s" for key, _ in record] for kind, record in MACHINE_RECORDS.items()
+}
+
+
+def _lines(kind: str, w: _Writer, rows, width: int | None = None) -> list[str]:
+    """One ``kind`` line per tuple of field values in ``rows``, holding its
+    first ``width`` fields (all by default); rendered a column at a time."""
+    record = MACHINE_RECORDS[kind][:width]
+    template = f"{kind}: " + " ".join(_TEMPLATES[kind][:width])
+    columns = [map(t.token(w), column) for (_, t), column in zip(record, zip(*rows))]
+    return [template % tokens for tokens in zip(*columns)]
+
+
+#: the field values of an ideal or filter row, and of a theorem row
+_CLASS_VALUES = attrgetter("mask", "proper", "principal", "maximal", "prime", "ccond", "is_c", "witness")
+_THEOREM_VALUES = attrgetter("statement.value", "hypotheses_met", "conclusion_holds", "counterexample")
 
 
 def render_machine(report: Report) -> str:
     """Stable machine-readable rendering; see the module docstring."""
-    p, cp = report.poset, report.cp
-    lines = [f"report: {report.name}", "elements: " + " ".join(p.names)]
-    lines.append(f"flag: bounded={_flag(p.bounded)}")
-    lines.append(f"flag: has_complement={_flag(cp is not None)}")
+    p, cp, dist = report.poset, report.cp, report.distributivity
+    flags = {"bounded": p.bounded, "has_complement": cp is not None, **(vars(cp.props) if cp else {}),
+             "distributive": dist.holds, "join_semilattice": report.join_semilattice,
+             "meet_semilattice": report.meet_semilattice}
+    w = _Writer(p.names)
+    lines = _lines("report", w, [(report.name,)]) + _lines("elements", w, [(p.names,)])
+    lines += [f"flag: {key}={t.token(w)(flags[key])}" for key, t in MACHINE_RECORDS["flag"] if key in flags]
+    if not dist.holds:
+        lines += _lines("witness", w, [(dist.witness, dist.lhs, dist.rhs)])
     if cp is not None:
-        for field in fields(cp.props):
-            lines.append(f"flag: {field.name}={_flag(getattr(cp.props, field.name))}")
-    lines.append(f"flag: distributive={_flag(report.distributivity.holds)}")
-    lines.append(f"flag: join_semilattice={_flag(report.join_semilattice)}")
-    lines.append(f"flag: meet_semilattice={_flag(report.meet_semilattice)}")
-    if not report.distributivity.holds:
-        x, y, z = report.distributivity.witness
-        lines.append(
-            "witness: distributivity=({},{},{}) lhs={} rhs={}".format(
-                p.names[x],
-                p.names[y],
-                p.names[z],
-                p.format_set(report.distributivity.lhs),
-                p.format_set(report.distributivity.rhs),
-            )
-        )
-    if cp is not None:
-        lines.append(f"set: boolean={p.format_set(cp.boolean_elements())}")
-        for x in range(p.n):
-            cx = cp.comp[x]
-            lines.append(
-                f"element: name={p.names[x]} comp={p.names[cx]} "
-                f"comp2={p.names[cp.comp[cx]]} boolean={_flag(cp.comp[cx] == x)}"
-            )
-    for kind, rows in (("ideal", report.ideals), ("filter", report.filters)):
-        for row in rows:
-            lines.append(machine_class_row(p, row, kind, with_comp=cp is not None))
+        lines += _lines("set", w, [(cp.boolean_elements(),)])
+        lines += _lines("element", w, [(x, cx, cp.comp[cx], cp.comp[cx] == x) for x, cx in enumerate(cp.comp)])
+    width = None if cp is not None else _ORDER_FIELDS
+    lines += _lines("ideal", w, map(_CLASS_VALUES, report.ideals), width)
+    lines += _lines("filter", w, map(_CLASS_VALUES, report.filters), width)
     if report.theorems is not None:
-        lines.extend(machine_theorem_row(res) for res in report.theorems)
+        lines += _lines("theorem", w, map(_THEOREM_VALUES, report.theorems))
     return "\n".join(lines) + "\n"
 
 
 def machine_class_row(p: Poset, row: ClassRow, kind: str, with_comp: bool) -> str:
     """One ideal/filter record of the machine format."""
-    max_key = "maximal" if kind == "ideal" else "ultrafilter"
-    parts = [
-        f"{kind}: set={p.format_set(row.mask)}",
-        f"proper={_flag(row.proper)}",
-        f"principal={_opt_name(p, row.principal)}",
-        f"{max_key}={_flag(row.maximal)}",
-        f"prime={_flag(row.prime)}",
-    ]
-    if with_comp:
-        parts.append(f"ccond={_flag(row.ccond)}")
-        parts.append(f"c{kind}={_flag(row.is_c)}")
-        parts.append(
-            "witness=" + (p.format_set(row.witness) if row.witness is not None else "none")
-        )
-    return " ".join(parts)
+    return _lines(kind, _Writer(p.names), [_CLASS_VALUES(row)], None if with_comp else _ORDER_FIELDS)[0]
 
 
 def machine_theorem_row(res: TheoremCheckResult) -> str:
-    parts = [
-        f"theorem: tag={res.statement.value}",
-        f"hypotheses={_flag(res.hypotheses_met)}",
-        "conclusion=" + ("none" if res.conclusion_holds is None else _flag(res.conclusion_holds)),
-    ]
-    if res.counterexample:
-        payload = ";".join(f"{k}:{v}" for k, v in res.counterexample.items())
-        parts.append(f"counterexample={payload}")
-    else:
-        parts.append("counterexample=none")
-    return " ".join(parts)
+    return _lines("theorem", _Writer(()), [_THEOREM_VALUES(res)])[0]
 
 
 @dataclass(frozen=True)
@@ -320,117 +447,64 @@ class ParsedReport:
     theorem_rows: tuple[dict, ...]
 
 
-def _parse_set_literal(token: str, line: int) -> frozenset[str]:
-    if not (token.startswith("{") and token.endswith("}")):
-        raise ParseError(f"malformed set literal {token!r} on line {line}", line=line)
-    inner = token[1:-1]
-    return frozenset(inner.split(",")) if inner else frozenset()
-
-
-def _parse_scalar(token: str, line: int):
-    if token == "none":
-        return None
-    if token in ("true", "false"):
-        return token == "true"
-    if token.startswith("{"):
-        return _parse_set_literal(token, line)
-    return token
-
-
-def _parse_fields(chunks: list[str], line: int) -> dict:
-    """``key=value`` fields; ``set`` needs a set literal, as does
-    ``witness`` unless it is ``none``."""
+def _read_fields(record, rest: str, elements) -> dict:
+    """The fields of one line, which holds exactly ``record``'s fields in
+    order; raises ValueError."""
+    tokens = rest.split() if record[0][0] else [rest]
+    if len(tokens) != len(record):
+        raise ValueError(f"expected the fields {' '.join(k for k, _ in record)}, got {len(tokens)} tokens")
     row = {}
-    for chunk in chunks:
-        key, eq, value = chunk.partition("=")
-        if not eq:
-            raise ParseError(f"malformed field {chunk!r} on line {line}", line=line)
-        if key == "set" or (key == "witness" and value != "none"):
-            row[key] = _parse_set_literal(value, line)
-        else:
-            row[key] = _parse_scalar(value, line)
-    return row
-
-
-#: the boolean fields of each row record; ``theorem:``'s conclusion may also
-#: read ``none``
-_BOOL_FIELDS = {
-    "element": ("boolean",),
-    "ideal": ("proper", "maximal", "prime", "ccond", "cideal"),
-    "filter": ("proper", "ultrafilter", "prime", "ccond", "cfilter"),
-    "theorem": ("hypotheses", "conclusion"),
-}
-
-
-def _parse_row(key: str, rest: str, line: int) -> dict:
-    row = _parse_fields(rest.split(), line)
-    for field in _BOOL_FIELDS[key]:
-        value = row.get(field, False)
-        if not (isinstance(value, bool) or (value is None and field == "conclusion")):
-            raise ParseError(f"expected {field}=true|false in {key} record on line {line}", line=line)
+    for (key, t), token in zip(record, tokens):
+        got, eq, value = token.partition("=") if key else ("", "=", token)
+        if got != key or not eq:
+            raise ValueError(f"expected field {key!r}, got {token!r}")
+        try:
+            row[key] = t.read(value, elements)
+        except (KeyError, ValueError):
+            raise ValueError(f"bad {t.name} {value!r}" + (f" in field {key!r}" if key else "")) from None
     return row
 
 
 def parse_machine_report(text: str) -> ParsedReport:
-    """Recover every set and flag from a machine-format report."""
-    name = None
-    first_line = None
-    elements: tuple[str, ...] = ()
-    flags: dict[str, bool] = {}
-    boolean = None
-    dist_witness = None
-    rows: dict[str, list[dict]] = {key: [] for key in _BOOL_FIELDS}
+    """Read a machine report back, strictly; see the module docstring."""
+    first_line, elements = None, frozenset()
+    once: dict[str, dict] = {kind: {} for kind in MACHINE_RECORDS if kind not in _ROWS}
+    rows: dict[str, list[dict]] = {kind: [] for kind in _ROWS}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         first_line = first_line or ln
-        key, sep, rest = line.partition(": ")
-        if not sep:
-            raise ParseError(f"expected 'key: value' on line {ln}", line=ln)
-        if key == "report":
-            name = rest.strip()
-        elif key == "elements":
-            elements = tuple(rest.split())
-        elif key == "flag":
-            fname, _, fval = rest.partition("=")
-            if fval not in ("true", "false"):
-                raise ParseError(f"expected 'flag: name=true|false' on line {ln}", line=ln)
-            flags[fname] = fval == "true"
-        elif key == "set":
-            fname, _, fval = rest.partition("=")
-            members = _parse_set_literal(fval, ln)
-            if fname == "boolean":
-                boolean = members
-        elif key == "witness":
-            record = _parse_fields(rest.split(), ln)
-            triple, lhs, rhs = (record.get(k) for k in ("distributivity", "lhs", "rhs"))
-            if not (isinstance(triple, str) and isinstance(lhs, frozenset) and isinstance(rhs, frozenset)):
-                raise ParseError(f"malformed distributivity witness on line {ln}", line=ln)
-            dist_witness = (tuple(triple.strip("()").split(",")), lhs, rhs)
-        elif key in rows:
-            row = _parse_row(key, rest, ln)
-            cex = row.get("counterexample") if key == "theorem" else None
-            if isinstance(cex, str):
-                pairs = [pair.split(":", 1) for pair in cex.split(";")]
-                if any(len(pair) != 2 for pair in pairs):
-                    raise ParseError(f"malformed counterexample {cex!r} on line {ln}", line=ln)
-                row["counterexample"] = dict(pairs)
-            rows[key].append(row)
-        else:
-            raise ParseError(f"unknown record {key!r} on line {ln}", line=ln)
-    if name is None:
+        kind, sep, rest = line.partition(": ")
+        record = MACHINE_RECORDS.get(kind) if sep else None
+        if record is None:
+            what = f"unknown record {kind!r}" if sep else "expected 'kind: fields'"
+            raise ParseError(f"{what} on line {ln}", line=ln)
+        try:
+            if kind in _ONE_FIELD_PER_LINE:
+                key = rest.partition("=")[0]
+                record = [field for field in record if field[0] == key]
+                if not record:
+                    raise ValueError(f"unknown field {key!r}")
+            elif kind in ("ideal", "filter") and once["flag"].get("has_complement") is False:
+                record = record[:_ORDER_FIELDS]
+            row = _read_fields(record, rest, elements)
+            if kind in rows:
+                rows[kind].append(row)
+            elif once[kind].keys() & row.keys():
+                raise ValueError("repeated record or field")
+            else:
+                once[kind].update(row)
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {kind} record on line {ln}", line=ln) from None
+        if kind == "elements":
+            elements = frozenset(once[kind][""])
+    if not once["report"]:
         raise ParseError("missing report line", line=first_line or 1)
     return ParsedReport(
-        name=name,
-        elements=elements,
-        flags=flags,
-        boolean=boolean,
-        distributivity_witness=dist_witness,
-        element_rows=tuple(rows["element"]),
-        ideal_rows=tuple(rows["ideal"]),
-        filter_rows=tuple(rows["filter"]),
-        theorem_rows=tuple(rows["theorem"]),
+        name=once["report"][""], elements=once["elements"].get("", ()), flags=once["flag"],
+        boolean=once["set"].get("boolean"), distributivity_witness=tuple(once["witness"].values()) or None,
+        **{f"{kind}_rows": tuple(found) for kind, found in rows.items()},
     )
 
 
@@ -442,6 +516,10 @@ def text_class_label(p: Poset, row: ClassRow, kind: str) -> str:
     U(bottom), not top."""
     letter, side = ("L", p) if kind == "ideal" else ("U", p.dual())
     return f"{letter}({p.names[side.facts.down_generator[row.mask]]})"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import sys
 
 import pytest
 
@@ -275,6 +276,23 @@ def test_flag_inventory():
         "gen": ["--density", "--format", "--require", "--seed", "--size"],
     }
     assert sum(map(len, got.values())) == 21
+
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["gen", "-h"]])
+def test_help_returns_zero_in_process(capsys, argv):
+    # argparse's help action calls parser.exit(); main returns its status
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+    assert main(["analyze", "--no-such-flag"]) == 1
+
+
+def test_run_exits_zero_on_help(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cideals", "--help"])
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 HARNESS_COMMANDS = [["analyze", "fig1.poset"], ["check", "fig1.poset"]]

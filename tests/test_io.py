@@ -1,13 +1,17 @@
+import dataclasses
 import re
 
 import pytest
+from conftest import boolean_lattice, bounded_antichain
 
 from cideals import (
     DuplicateSection,
     Instance,
     ParseError,
     UnknownName,
+    attach_complementation,
     build_instance,
+    build_poset,
     build_report,
     emit_dot,
     emit_instance,
@@ -116,6 +120,10 @@ def test_machine_report_round_trip(fig1):
     assert lhs == frozenset({"0", "c"}) and rhs == frozenset({"0"})
 
 
+IDEAL_ROW = "ideal: set={a} proper=false principal=a maximal=true prime=true ccond=true cideal=true witness={a}"
+THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=none"
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -134,6 +142,34 @@ def test_machine_report_round_trip(fig1):
         "theorem: tag=A hypotheses=maybe",
         "theorem: tag=A hypotheses=none",
         "theorem: tag=A hypotheses=true conclusion=maybe",
+        # records with a missing, unknown, repeated, reordered or extra field
+        "ideal: proper=true bogus=1",
+        "element: boolean=true",
+        "theorem: conclusion=true",
+        "set: foo={a}",
+        "flag: made_up=true",
+        "elements: b",
+        "report: y",
+        "ideal: set={a} set={a}",
+        THEOREM_ROW + " extra=1",
+        IDEAL_ROW.replace("ideal:", "filter:").replace("cideal", "cfilter"),
+        IDEAL_ROW.replace("proper=false principal=a", "principal=a proper=false"),
+        IDEAL_ROW.replace(" cideal=true witness={a}", ""),
+        IDEAL_ROW.split(" ccond=")[0],
+        # complete records in which one token is bad, one per field type
+        "flag: bounded=yes",
+        IDEAL_ROW.replace("prime=true", "prime=none"),
+        "element: name=a comp=zz comp2=a boolean=true",
+        IDEAL_ROW.replace("principal=a", "principal=zz"),
+        "set: boolean={a,,b}",
+        "set: boolean={a,zz}",
+        IDEAL_ROW.replace("set={a}", "set={zz}"),
+        IDEAL_ROW.replace("witness={a}", "witness={a"),
+        "witness: distributivity=(a) lhs={} rhs={}",
+        "witness: distributivity=(a,a,zz) lhs={a} rhs={a}",
+        THEOREM_ROW.replace("tag=A", "tag="),
+        THEOREM_ROW.replace("conclusion=true", "conclusion=maybe"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=abc"),
     ],
     ids=[
         "witness-without-triple",
@@ -151,6 +187,32 @@ def test_machine_report_round_trip(fig1):
         "theorem-hypotheses-not-boolean",
         "theorem-hypotheses-none",
         "theorem-conclusion-not-boolean",
+        "ideal-without-set-with-unknown-field",
+        "element-without-name",
+        "theorem-without-tag",
+        "set-record-unknown-name",
+        "flag-unknown-name",
+        "second-elements-line",
+        "second-report-line",
+        "ideal-repeated-field",
+        "theorem-extra-field",
+        "filter-with-maximal-key",
+        "ideal-fields-reordered",
+        "ideal-cut-after-ccond",
+        "ideal-cut-after-prime-without-has-complement-false",
+        "flag-type",
+        "flag-type-in-row",
+        "name-type-unknown-element",
+        "optional-name-type-unknown-element",
+        "set-type-empty-member",
+        "set-type-unknown-member",
+        "set-type-unknown-member-in-row",
+        "optional-set-type-malformed",
+        "triple-type-one-part",
+        "triple-type-unknown-member",
+        "tag-type-empty",
+        "conclusion-type-not-boolean",
+        "counterexample-type-without-colon",
     ],
 )
 def test_malformed_machine_record_is_parse_error(record):
@@ -159,9 +221,35 @@ def test_malformed_machine_record_is_parse_error(record):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "record",
+    [IDEAL_ROW, "flag: has_complement=false\n" + IDEAL_ROW.split(" ccond=")[0], THEOREM_ROW, "flag: bounded=true",
+     "witness: distributivity=(a,a,a) lhs={} rhs={a}", "element: name=a comp=a comp2=a boolean=true"],
+    ids=["ideal-row", "poset-only-ideal-row", "theorem-row", "flag", "witness", "element-row"],
+)
+def test_well_formed_machine_record_parses(record):
+    parse_machine_report(f"report: t\nelements: a\n{record}\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("report: a b\n", 1), ("report: t\nelements: a b a\n", 2),
+     ("report: t\nelements: a\nflag: bounded=true\nflag: bounded=true\n", 4)],
+    ids=["report-name-two-tokens", "elements-repeated-name", "flag-repeated"],
+)
+def test_malformed_header_record_is_parse_error(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_machine_report(text)
+    assert info.value.line == line
+
+
 def test_theorem_conclusion_may_read_none():
-    parsed = parse_machine_report("report: t\ntheorem: tag=A hypotheses=false conclusion=none\n")
-    assert parsed.theorem_rows == ({"tag": "A", "hypotheses": False, "conclusion": None},)
+    parsed = parse_machine_report(
+        "report: t\ntheorem: tag=A hypotheses=false conclusion=none counterexample=none\n"
+    )
+    assert parsed.theorem_rows == (
+        {"tag": "A", "hypotheses": False, "conclusion": None, "counterexample": None},
+    )
 
 
 @pytest.mark.parametrize(
@@ -175,32 +263,65 @@ def test_missing_report_line_names_the_first_record(text, line):
 
 
 def test_machine_report_round_trips_every_field(corpus):
+    # the corpus, campaign seeds 1-200, B2-B5, bounds plus a 10-antichain,
+    # and two poset-only instances
     instances = [Instance(e.name, e.poset, e.cp) for e in corpus.values()]
-    for seed in range(1, 41):
+    for seed in range(1, 201):
         cp, _ = random_complemented_poset(seed)
         instances.append(Instance(f"r{seed}", cp.poset, cp))
+    for name, (elements, covers, comp) in [(f"B{d}", boolean_lattice(d)) for d in range(2, 6)] + [
+        ("antichain10", bounded_antichain(10))
+    ]:
+        poset = build_poset(elements, covers)
+        instances.append(Instance(name, poset, attach_complementation(poset, comp)))
+    instances.append(load_instance("name: chain\nelements: 0 m 1\nle: 0 < m\nle: m < 1\n"))
+    instances.append(Instance("B3-poset", build_poset(*boolean_lattice(3)[:2]), None))
     for instance in instances:
         report = build_report(instance)
         parsed = parse_machine_report(render_machine(report))
-        p, cp = instance.poset, instance.cp
-        assert parsed.element_rows == tuple(
+        p, cp, dist = instance.poset, instance.cp, report.distributivity
+        assert parsed.name == instance.name
+        assert parsed.elements == p.names
+        assert parsed.flags == {
+            "bounded": p.bounded,
+            "has_complement": cp is not None,
+            **(dataclasses.asdict(cp.props) if cp else {}),
+            "distributive": dist.holds,
+            "join_semilattice": report.join_semilattice,
+            "meet_semilattice": report.meet_semilattice,
+        }
+        assert parsed.boolean == (frozenset(p.names_of(cp.boolean_elements())) if cp else None)
+        assert parsed.distributivity_witness == (
+            None if dist.holds else (
+                tuple(p.names[x] for x in dist.witness),
+                frozenset(p.names_of(dist.lhs)),
+                frozenset(p.names_of(dist.rhs)),
+            )
+        )
+        assert parsed.element_rows == (tuple(
             {"name": p.names[x], "comp": p.names[cp.comp[x]],
              "comp2": p.names[cp.comp[cp.comp[x]]], "boolean": cp.comp[cp.comp[x]] == x}
             for x in range(p.n)
-        )
+        ) if cp else ())
         for kind, rows, got in (("ideal", report.ideals, parsed.ideal_rows),
                                 ("filter", report.filters, parsed.filter_rows)):
             max_key = "maximal" if kind == "ideal" else "ultrafilter"
-            assert got == tuple(
+            expected = [
                 {"set": frozenset(p.names_of(r.mask)), "proper": r.proper,
                  "principal": None if r.principal is None else p.names[r.principal],
-                 max_key: r.maximal, "prime": r.prime, "ccond": r.ccond, f"c{kind}": r.is_c,
-                 "witness": None if r.witness is None else frozenset(p.names_of(r.witness))}
+                 max_key: r.maximal, "prime": r.prime}
                 for r in rows
-            )
-        assert [(t["tag"], t["hypotheses"], t["conclusion"]) for t in parsed.theorem_rows] == [
-            (r.statement.value, r.hypotheses_met, r.conclusion_holds) for r in report.theorems
-        ]
+            ]
+            if cp:
+                for row, r in zip(expected, rows):
+                    row.update({"ccond": r.ccond, f"c{kind}": r.is_c,
+                                "witness": None if r.witness is None else frozenset(p.names_of(r.witness))})
+            assert got == tuple(expected)
+        assert parsed.theorem_rows == tuple(
+            {"tag": r.statement.value, "hypotheses": r.hypotheses_met,
+             "conclusion": r.conclusion_holds, "counterexample": r.counterexample or None}
+            for r in report.theorems or ()
+        )
 
 
 def test_machine_report_round_trip_poset_only():

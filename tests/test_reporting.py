@@ -113,6 +113,25 @@ def test_readme_documents_every_statement_tag():
         assert f"`{sid.value}`" in readme, sid
 
 
+
+def test_readme_documents_every_machine_record_field():
+    import pathlib
+
+    from cideals.io import MACHINE_RECORDS
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("## Machine report format", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines() if line.startswith("| `")}
+    assert set(rows) == {f"`{kind}:`" for kind in MACHINE_RECORDS}
+    for kind, record in MACHINE_RECORDS.items():
+        # each field in order, as "`key=` type", or ": type" for a bare field
+        cells = [f"`{key}=` {t.name}" if key else f": {t.name}" for key, t in record]
+        row = rows[f"`{kind}:`"]
+        assert all(cell in row for cell in cells), kind
+        assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), kind
+
 def test_separate_unknown_element_exit_3(tmp_path, capsys):
     assert main(["corpus", "--emit", str(tmp_path)]) == 0
     capsys.readouterr()
