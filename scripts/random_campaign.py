@@ -13,7 +13,7 @@ import collections
 import sys
 import time
 
-from cideals import StatementId, builtin_corpus, random_complemented_poset, run_all
+from cideals import BadSize, StatementId, builtin_corpus, random_complemented_poset, run_all
 
 
 def main() -> int:
@@ -26,9 +26,12 @@ def main() -> int:
     instances = []
     if not args.skip_corpus:
         instances += [(e.name, e.cp) for e in builtin_corpus()]
-    for seed in range(1, args.seeds + 1):
-        cp, profile = random_complemented_poset(seed, max_size=args.max_size)
-        instances.append((f"seed{seed}({'+'.join(sorted(profile)) or 'free'})", cp))
+    try:
+        for seed in range(1, args.seeds + 1):
+            cp, profile = random_complemented_poset(seed, max_size=args.max_size)
+            instances.append((f"seed{seed}({'+'.join(sorted(profile)) or 'free'})", cp))
+    except BadSize as exc:
+        parser.error(str(exc))
 
     verified = collections.Counter()
     skipped = collections.Counter()

@@ -3,7 +3,7 @@ harness that verifies the whole catalog of results about them, plus both
 constructive separation procedures.
 """
 
-from .complement import ComplementedPoset, ComplementProperties, attach_complementation, complement_properties
+from .complement import ComplementedPoset, ComplementProperties, attach_complementation
 from .corpus import (
     CorpusEntry,
     PublishedLists,
@@ -60,14 +60,12 @@ from .substructures import (
     DEFAULT_BUDGET,
     SubsetClassification,
     classify,
-    complement_pairing,
     directed_downsets,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
     is_ideal,
     lu_union,
-    subset_role,
     ul_union,
 )
 

@@ -11,7 +11,9 @@ A complemented poset is immutable.  Its ``facts`` (c-ideals and the
 c-condition) are built on first read, as the poset's own ``facts`` are, and
 belong to this complementation alone.  Its order dual, ``dual()``, is built
 on first call and kept, over the poset's kept dual and the same map; its
-c-ideals are the c-filters of this complementation.
+c-ideals are the c-filters of this complementation.  The flags are read
+from ``props``; De Morgan's second identity is checked as the first one on
+the poset's dual.
 """
 
 from __future__ import annotations
@@ -53,14 +55,17 @@ class ComplementedPoset:
             raise PartialMap("complement table must cover every element")
         if any(not 0 <= cx < poset.n for cx in comp):
             raise PartialMap("complement table names an element outside the poset")
+        # join(x, x') is top exactly when U(x,x') = {top}, and meet(x, x')
+        # is bottom exactly when L(x,x') = {bottom}
+        top, bottom = 1 << poset.top, 1 << poset.bottom
         for x in range(poset.n):
             cx = comp[x]
-            if poset.join(x, cx) != poset.top:
+            if poset.up[x] & poset.up[cx] != top:
                 raise AxiomViolation(
                     poset.names[x],
                     f"join({poset.names[x]}, {poset.names[cx]}) is not the top element",
                 )
-            if poset.meet(x, cx) != poset.bottom:
+            if poset.down[x] & poset.down[cx] != bottom:
                 raise AxiomViolation(
                     poset.names[x],
                     f"meet({poset.names[x]}, {poset.names[cx]}) is not the bottom element",
@@ -165,25 +170,23 @@ class ComplementedPoset:
         x_le_xdd = all(p.le(x, comp[comp[x]]) for x in range(n))
         xdd_le_x = all(p.le(comp[comp[x]], x) for x in range(n))
         triple_identity = all(comp[comp[comp[x]]] == comp[x] for x in range(n))
-        de_morgan = True
-        for x in range(n):
-            for y in range(n):
-                cx, cy = comp[x], comp[y]
-                if self.comp_image(p.down[x] & p.down[y]) != (p.up[cx] & p.up[cy]):
-                    de_morgan = False
-                    break
-                if self.comp_image(p.up[x] & p.up[y]) != (p.down[cx] & p.down[cy]):
-                    de_morgan = False
-                    break
-            if not de_morgan:
-                break
         return ComplementProperties(
             antitone=antitone,
             involution=involution,
             x_le_xdd=x_le_xdd,
             xdd_le_x=xdd_le_x,
             triple_identity=triple_identity,
-            de_morgan=de_morgan,
+            de_morgan=all(self._first_de_morgan(q) for q in (p, p.dual())),
+        )
+
+    def _first_de_morgan(self, q: Poset) -> bool:
+        """De Morgan's first identity on ``q``: L(x,y)' = U(x',y') for all
+        x, y.  On the dual it reads U(x,y)' = L(x',y'), the second."""
+        comp = self.comp
+        return all(
+            self.comp_image(q.down[x] & q.down[y]) == q.up[comp[x]] & q.up[comp[y]]
+            for x in range(q.n)
+            for y in range(q.n)
         )
 
 
@@ -208,8 +211,3 @@ def attach_complementation(
     if missing:
         raise PartialMap(f"complement table misses {', '.join(missing)}")
     return ComplementedPoset(poset, [table[x] for x in range(poset.n)])
-
-
-def complement_properties(cp: ComplementedPoset) -> ComplementProperties:
-    """The cached property flags of a validated complementation."""
-    return cp.props

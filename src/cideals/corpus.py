@@ -267,12 +267,15 @@ def random_complementation(
         raise PosetError(f"unsupported constraint flags: {sorted(unknown)}")
     rng = random.Random(f"comp:{p.n}:{seed}:{','.join(sorted(wanted))}")
     n = p.n
+    # join(x, y) is top exactly when U(x,y) = {top}, and meet(x, y) is
+    # bottom exactly when L(x,y) = {bottom}
+    top, bottom = 1 << p.top, 1 << p.bottom
     candidates: list[list[int]] = []
     for x in range(n):
         options = [
             y
             for y in range(n)
-            if p.join(x, y) == p.top and p.meet(x, y) == p.bottom
+            if p.up[x] & p.up[y] == top and p.down[x] & p.down[y] == bottom
         ]
         if not options:
             return None
@@ -362,8 +365,11 @@ def random_complemented_poset(
     Cycles through constraint profiles by seed; sizes avoid 3 (no bounded
     3-element poset is complemented) and stay even when an involution is
     required.  Falls back to an antichain template if the random search
-    finds nothing after a fixed number of attempts.
+    finds nothing after a fixed number of attempts.  Raises BadSize unless
+    2 <= max_size <= 24, the sizes ``random_poset`` accepts.
     """
+    if not 2 <= max_size <= 24:
+        raise BadSize(f"max_size must be between 2 and 24, got {max_size}")
     profile = _PROFILES[seed % len(_PROFILES)]
     sizes = [s for s in range(2, max_size + 1) if s != 3]
     if "involution" in profile:

@@ -39,15 +39,17 @@ The complementation flags, ``set:`` and ``element:`` need a complementation;
 a poset-only report says ``has_complement=false`` and ends each ideal and
 filter row after ``prime``.  ``witness:`` appears when distributivity fails.
 A flag is ``true|false``, a name one of ``elements:``, a set ``{a,b}``, a
-triple ``(x,y,z)``, a tag one space-free token, names distinct tokens, a
-conclusion ``true|false|none``, a counterexample ``none`` or ``key:value``
-pairs joined by ``;``; optional means the type or ``none``.
+triple ``(x,y,z)``, a tag one space-free token, names distinct tokens that
+a ``Poset`` accepts as element names, a conclusion ``true|false|none``, a
+counterexample ``none`` or ``key:value`` pairs joined by ``;``; optional
+means the type or ``none``.
 
 ``parse_machine_report`` recovers every set and flag exactly and raises
 ParseError with the line number on an unknown record; a line whose fields
 are not exactly its record's fields in order (missing, unknown, repeated,
 reordered or extra); a token not of its field's type, such as a name or set
-member not in ``elements:`` or a triple without three parts; a second
+member not in ``elements:``, an ``elements:`` name that repeats or that
+no ``Poset`` accepts, or a triple without three parts; a second
 ``report:``, ``elements:``, ``set:`` or ``witness:`` line or a repeated
 ``flag:``; and a text without a ``report:`` line.
 """
@@ -58,9 +60,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .complement import ComplementedPoset, ComplementProperties, attach_complementation
-from .errors import DuplicateSection, ParseError, UnknownName
+from .errors import DuplicateSection, ParseError, PosetError, UnknownName
 from .harness import TheoremCheckResult, run_all
-from .poset import DistributivityReport, Poset, build_poset, iter_bits
+from .poset import DistributivityReport, Poset, _validate_names, build_poset, iter_bits
 
 # -- instance files -----------------------------------------------------------
 
@@ -278,8 +280,8 @@ class _Writer:
 class _Type:
     """A field type: ``token(w)`` is the function that writes a value as one
     token with ``_Writer`` ``w``; ``read(token, elements)`` reads a token
-    back and raises ValueError or KeyError on a malformed token or a name
-    that is not in ``elements``."""
+    back and raises ValueError, KeyError or PosetError on a malformed token
+    or a name that is not in ``elements``."""
 
     def __init__(self, name: str, token, read) -> None:
         self.name, self.token, self.read = name, token, read
@@ -308,8 +310,10 @@ def _read_triple(token: str, elements) -> tuple[str, str, str]:
 
 
 def _read_names(token: str, _) -> tuple[str, ...]:
+    """Element names, by the rule every ``Poset`` applies to its names."""
     names = tuple(token.split())
-    return _expect(len(set(names)) == len(names), names)
+    _validate_names(names)
+    return names
 
 
 def _counterexample(v: dict[str, str] | None) -> str:
@@ -460,7 +464,7 @@ def _read_fields(record, rest: str, elements) -> dict:
             raise ValueError(f"expected field {key!r}, got {token!r}")
         try:
             row[key] = t.read(value, elements)
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, PosetError):
             raise ValueError(f"bad {t.name} {value!r}" + (f" in field {key!r}" if key else "")) from None
     return row
 

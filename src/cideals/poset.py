@@ -11,7 +11,10 @@ alone (the ideal family and its flags, distributivity), are filled on first
 read, each whole before it is stored; the fill is idempotent, so readers
 racing on it at worst build the same value twice.  The filters of a poset
 are the ideals of its dual, so every filter fact is read from
-``dual().facts``, and ``ul`` is ``dual().lu``.
+``dual().facts``, and ``ul`` is ``dual().lu``.  Each dual method has one
+body: ``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
+``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
+dual, and the semilattice flags are one all-meets scan run on both.
 """
 
 from __future__ import annotations
@@ -184,11 +187,7 @@ class Poset:
         return result
 
     def upper_cone(self, mask: int) -> int:
-        self.check_mask(mask)
-        result = self.all_mask
-        for y in iter_bits(mask):
-            result &= self.up[y]
-        return result
+        return self.dual().lower_cone(mask)
 
     def greatest(self, mask: int) -> int | None:
         """The maximum element of ``mask``, if it has one."""
@@ -198,17 +197,14 @@ class Poset:
         return None
 
     def least(self, mask: int) -> int | None:
-        for g in iter_bits(mask):
-            if not mask & ~self.up[g]:
-                return g
-        return None
+        return self.dual().greatest(mask)
 
     def meet(self, x: int, y: int) -> int | None:
         """Greatest element of L(x,y), or ``None``; absence is a value."""
         return self.greatest(self.down[x] & self.down[y])
 
     def join(self, x: int, y: int) -> int | None:
-        return self.least(self.up[x] & self.up[y])
+        return self.dual().meet(x, y)
 
     @property
     def lu(self) -> tuple[tuple[int, ...], ...]:
@@ -247,7 +243,7 @@ class Poset:
         L(U(x,y)) is read from ``lu`` once per pair; LU of each distinct
         mask L(x,z) | L(y,z) is computed once per scan.
         """
-        down = self.down
+        down, upper_cone = self.down, self.dual().lower_cone
         rhs_of: dict[int, int] = {}
         for x, row in enumerate(self.lu):
             for y in range(x, self.n):
@@ -256,7 +252,7 @@ class Poset:
                     union = dz & below
                     rhs = rhs_of.get(union)
                     if rhs is None:
-                        rhs = rhs_of[union] = self.lower_cone(self.upper_cone(union))
+                        rhs = rhs_of[union] = self.lower_cone(upper_cone(union))
                     if luxy & dz != rhs:
                         return DistributivityReport(False, (x, y, z), luxy & dz, rhs)
         return DistributivityReport(True)
@@ -266,14 +262,12 @@ class Poset:
         return self.dual().is_distributive()
 
     def semilattice_flags(self) -> tuple[bool, bool]:
-        """(is_join_semilattice, is_meet_semilattice)."""
-        has_join = all(
-            self.join(x, y) is not None for x in range(self.n) for y in range(x, self.n)
+        """(is_join_semilattice, is_meet_semilattice): the joins are the
+        meets of the dual, so one all-meets scan runs on the dual, then here."""
+        return tuple(
+            all(q.meet(x, y) is not None for x in range(q.n) for y in range(x, q.n))
+            for q in (self.dual(), self)
         )
-        has_meet = all(
-            self.meet(x, y) is not None for x in range(self.n) for y in range(x, self.n)
-        )
-        return has_join, has_meet
 
     def dual(self) -> "Poset":
         """The order-dual poset over the same named elements, built on first
@@ -288,15 +282,6 @@ class Poset:
             dual._dual = self
             self._dual = dual
         return self._dual
-
-    def le_pairs(self) -> list[tuple[str, str]]:
-        """All strict related name pairs (a, b) with a < b."""
-        return [
-            (self.names[i], self.names[j])
-            for j in range(self.n)
-            for i in iter_bits(self.down[j])
-            if i != j
-        ]
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         return [(self.names[i], self.names[j]) for i, j in self.covers]

@@ -14,7 +14,11 @@ holds the c-ideals and the c-condition; one poset can carry many
 complementations, and they all share its order facts.  Both hold the ideal
 side only: the filters of P are the ideals of its order dual, so each filter
 fact is the ideal fact of ``p.dual().facts`` or ``cp.dual().facts``, read
-from the duals the objects keep.
+from the duals the objects keep.  The filter-side functions are written the
+same way: each of ``is_filter``, ``enumerate_filters``, ``is_prime_filter``,
+``is_ultrafilter``, ``find_c_filter_witness`` and ``ul_union`` is one call
+to its ideal twin on ``p.dual()`` or ``cp.dual()``, and
+``principal_generator`` runs one greatest-element test on both.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -67,25 +71,18 @@ def is_downset(p: Poset, mask: int) -> bool:
     return all(not p.down[x] & ~mask for x in iter_bits(mask))
 
 
-def is_upset(p: Poset, mask: int) -> bool:
-    return all(not p.up[x] & ~mask for x in iter_bits(mask))
+def _pairs_bounded(up: tuple[int, ...], mask: int) -> bool:
+    """Does every pair of members of ``mask`` have an upper bound in it?
 
-
-def _pairs_bounded(cone: tuple[int, ...], mask: int) -> bool:
-    """Does every pair of members of ``mask`` have a common bound in it?
-
-    ``cone[x]`` is the cone of x in the direction of the bound: ``p.up``
-    asks for upper bounds (ideals), ``p.down`` for lower bounds (filters).
-    Only the extreme members, those whose cone meets ``mask`` in themselves
-    alone (the maximal members for ``p.up``, the minimal ones for
-    ``p.down``), are tested pairwise.  This is exact.  ``mask`` is finite,
-    so every member x has an extreme member e_x in its cone, and a bound in
-    ``mask`` of e_x and e_y is also one of x and y; conversely, extreme
-    members are members.
+    ``up`` holds the upper cones.  Only the maximal members, those whose
+    upper cone meets ``mask`` in themselves alone, are tested pairwise.
+    This is exact.  ``mask`` is finite, so every member x has a maximal
+    member m_x above it, and a bound in ``mask`` of m_x and m_y is also one
+    of x and y; conversely, maximal members are members.
     """
-    extremes = [x for x in iter_bits(mask) if cone[x] & mask == 1 << x]
+    maximal = [x for x in iter_bits(mask) if up[x] & mask == 1 << x]
     return all(
-        cone[x] & cone[y] & mask for i, x in enumerate(extremes) for y in extremes[i + 1 :]
+        up[x] & up[y] & mask for i, x in enumerate(maximal) for y in maximal[i + 1 :]
     )
 
 
@@ -95,13 +92,7 @@ def is_ideal(p: Poset, mask: int) -> bool:
 
 
 def is_filter(p: Poset, mask: int) -> bool:
-    p.check_mask(mask)
-    return bool(mask) and is_upset(p, mask) and _pairs_bounded(p.down, mask)
-
-
-def subset_role(p: Poset, mask: int) -> tuple[bool, bool]:
-    """(is_ideal, is_filter); the empty set is neither."""
-    return is_ideal(p, mask), is_filter(p, mask)
+    return is_ideal(p.dual(), mask)
 
 
 def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
@@ -169,53 +160,48 @@ def enumerate_ideals(p: Poset) -> list[int]:
 
 def enumerate_filters(p: Poset) -> list[int]:
     """All filters, the principal up-cones, in the same deterministic order."""
-    return sorted(p.up, key=sort_key)
+    return enumerate_ideals(p.dual())
 
 
 def principal_generator(p: Poset, mask: int) -> int | None:
     """Generator of a principal ideal or filter: its greatest (resp. least)
-    element, preferring the ideal reading when both apply."""
-    if is_ideal(p, mask):
-        g = p.greatest(mask)
-        if g is not None and p.down[g] == mask:
-            return g
-    if is_filter(p, mask):
-        g = p.least(mask)
-        if g is not None and p.up[g] == mask:
+    element, preferring the ideal reading when both apply.  A set is the
+    principal ideal ``down[g]`` exactly when g is its greatest element and
+    ``down[g]`` is the set; a principal filter is that of the dual."""
+    p.check_mask(mask)
+    for q in (p, p.dual()):
+        g = q.greatest(mask)
+        if g is not None and q.down[g] == mask:
             return g
     return None
 
 
-def _is_prime(p: Poset, mask: int, cones: tuple[int, ...]) -> bool:
-    """Does {x,y} meet ``mask`` whenever cones[x] & cones[y] lies inside it?"""
+def is_prime_ideal(p: Poset, mask: int) -> bool:
+    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I."""
+    if mask == p.all_mask or not is_ideal(p, mask):
+        return False
+    down = p.down
     for x in range(p.n):
         for y in range(x, p.n):
-            if not (cones[x] & cones[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
+            if not (down[x] & down[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
                 return False
     return True
 
 
-def is_prime_ideal(p: Poset, mask: int) -> bool:
-    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I."""
-    return mask != p.all_mask and is_ideal(p, mask) and _is_prime(p, mask, p.down)
-
-
 def is_prime_filter(p: Poset, mask: int) -> bool:
-    return mask != p.all_mask and is_filter(p, mask) and _is_prime(p, mask, p.up)
-
-
-def _is_maximal(p: Poset, mask: int, family: list[int]) -> bool:
-    """Is no other proper member of ``family`` a superset of ``mask``?"""
-    return not any(s != p.all_mask and s != mask and not mask & ~s for s in family)
+    return is_prime_ideal(p.dual(), mask)
 
 
 def is_maximal_ideal(p: Poset, mask: int, ideals: list[int]) -> bool:
-    """Maximal proper ideal, by pairwise inclusion over all enumerated ideals."""
-    return mask != p.all_mask and is_ideal(p, mask) and _is_maximal(p, mask, ideals)
+    """Maximal proper ideal: no other proper member of ``ideals``, the
+    enumerated ideals, is a superset of it."""
+    return mask != p.all_mask and is_ideal(p, mask) and not any(
+        s != p.all_mask and s != mask and not mask & ~s for s in ideals
+    )
 
 
 def is_ultrafilter(p: Poset, mask: int, filters: list[int]) -> bool:
-    return mask != p.all_mask and is_filter(p, mask) and _is_maximal(p, mask, filters)
+    return is_maximal_ideal(p.dual(), mask, filters)
 
 
 def find_c_ideal_witness(cp: ComplementedPoset, mask: int, filters: list[int]) -> int | None:
@@ -227,10 +213,7 @@ def find_c_ideal_witness(cp: ComplementedPoset, mask: int, filters: list[int]) -
 
 
 def find_c_filter_witness(cp: ComplementedPoset, mask: int, ideals: list[int]) -> int | None:
-    for i in ideals:
-        if cp.comp_preimage(i) == mask:
-            return i
-    return None
+    return find_c_ideal_witness(cp.dual(), mask, ideals)
 
 
 def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
@@ -417,17 +400,7 @@ def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
 
 def ul_union(p: Poset, a: int, filter_mask: int) -> tuple[int, bool]:
     """Dual construction for filters: union of UL({a, f}) over f in the
-    filter, from the rows of ``p.ul``; a union of upsets is an upset.  Over
-    a principal filter ``up[g]`` the union is the one cell ``p.ul[a][g]``,
-    since UL(a,f) lies inside UL(a,g) for every f >= g."""
-    p.check_mask(filter_mask)
-    row, union = p.ul[a], 0
-    for f in iter_bits(filter_mask):
-        union |= row[f]
-    return union, bool(union) and _pairs_bounded(p.down, union)
-
-
-def complement_pairing(p: Poset, mask: int) -> int:
-    """The set complement P minus the given subset."""
-    p.check_mask(mask)
-    return p.all_mask & ~mask
+    filter, with its filter status; the rows of ``p.ul`` are those of the
+    dual's ``lu``.  Over a principal filter ``up[g]`` the union is the one
+    cell ``p.ul[a][g]``."""
+    return lu_union(p.dual(), a, filter_mask)

@@ -7,7 +7,6 @@ from cideals import (
     PartialMap,
     attach_complementation,
     build_poset,
-    complement_properties,
 )
 from cideals.complement import ComplementedPoset
 from conftest import mask, names
@@ -19,7 +18,7 @@ def two_chain():
 
 def test_two_chain_swap_is_fully_regular():
     cp = attach_complementation(two_chain(), [("0", "1"), ("1", "0")])
-    props = complement_properties(cp)
+    props = cp.props
     assert props.antitone and props.involution and props.de_morgan
     assert props.x_le_xdd and props.xdd_le_x and props.triple_identity
 

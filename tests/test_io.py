@@ -234,8 +234,11 @@ def test_well_formed_machine_record_parses(record):
 @pytest.mark.parametrize(
     "text, line",
     [("report: a b\n", 1), ("report: t\nelements: a b a\n", 2),
-     ("report: t\nelements: a\nflag: bounded=true\nflag: bounded=true\n", 4)],
-    ids=["report-name-two-tokens", "elements-repeated-name", "flag-repeated"],
+     ("report: t\nelements: a\nflag: bounded=true\nflag: bounded=true\n", 4),
+     ("report: x\nelements: none a\n", 2), ("report: x\nelements: a,b c\n", 2),
+     ("report: x\nelements: a{ b\n", 2)],
+    ids=["report-name-two-tokens", "elements-repeated-name", "flag-repeated",
+         "elements-reserved-word", "elements-set-separator", "elements-reserved-character"],
 )
 def test_malformed_header_record_is_parse_error(text, line):
     with pytest.raises(ParseError) as info:

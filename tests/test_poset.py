@@ -9,7 +9,7 @@ from cideals import (
     build_poset,
     random_complemented_poset,
 )
-from cideals.poset import Poset
+from cideals.poset import Poset, iter_bits
 from conftest import assert_distributivity_agrees, boolean_lattice, mask, naive_order, names
 
 
@@ -37,7 +37,8 @@ def test_closure_accepts_non_cover_pairs():
 
 def test_closure_idempotent(fig3):
     p = fig3.poset
-    rebuilt = build_poset(list(p.names), p.le_pairs())
+    strict = [(p.names[i], p.names[j]) for j in range(p.n) for i in iter_bits(p.down[j]) if i != j]
+    rebuilt = build_poset(list(p.names), strict)
     assert rebuilt.down == p.down
 
 

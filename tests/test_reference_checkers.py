@@ -5,10 +5,10 @@ definition-level functions: ``lu_union``/``ul_union`` OR one table row per
 member of the ideal or filter, and primality, ideal and filter tests run
 afresh on every set.  The checkers instead read one pair-table cell per
 union, the prime families and the per-mask memos of the shared ``facts``,
-and read every filter fact on the order dual.  The references write the
-filter side directly, through the filter functions, and never call
-``dual()``.  Both must give the same hypothesis flag, verdict and first
-counterexample.
+and read every filter fact on the order dual.  The references reach the
+filter side through the filter functions, each one call to its ideal twin
+on the order dual, and never read the facts or their memos.  Both must give
+the same hypothesis flag, verdict and first counterexample.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from cideals import (
     attach_complementation,
     build_poset,
     check_statement,
-    complement_pairing,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
@@ -120,11 +119,11 @@ def ref_lem_cl_prime(cp):
     p = cp.poset
     ideals, filters = enumerate_ideals(p), enumerate_filters(p)
     for i in ideals:
-        rest = complement_pairing(p, i)
+        rest = p.all_mask & ~i
         facts = (is_prime_ideal(p, i), is_prime_filter(p, rest), is_filter(p, rest))
         if len(set(facts)) != 1:
             return True, False, {"ideal": _fmt(p, i), "equivalences": "({},{},{})".format(*facts)}
-    image = {complement_pairing(p, i) for i in ideals if is_prime_ideal(p, i)}
+    image = {p.all_mask & ~i for i in ideals if is_prime_ideal(p, i)}
     primes = {f for f in filters if is_prime_filter(p, f)}
     if image != primes:
         return True, False, {

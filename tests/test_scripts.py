@@ -31,6 +31,14 @@ def test_random_campaign_prints_every_statement_and_no_counterexample():
     assert lines[-1] == "no counterexamples"
 
 
+def test_random_campaign_rejects_a_bad_max_size_as_a_usage_error():
+    for bad in ("1", "0", "-3", "25"):
+        run = run_script("random_campaign.py", "--seeds", "2", "--skip-corpus", "--max-size", bad)
+        assert run.returncode == 2 and not run.stdout
+        assert "Traceback" not in run.stderr
+        assert f"max_size must be between 2 and 24, got {bad}" in run.stderr
+
+
 def test_corpus_report_machine_names_each_instance_and_the_fig3_divergence():
     run = run_script("corpus_report.py", "--format", "machine")
     assert run.returncode == 0 and not run.stderr

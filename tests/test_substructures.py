@@ -5,13 +5,13 @@ from cideals import (
     ScaleLimit,
     build_poset,
     classify,
-    complement_pairing,
     directed_downsets,
     enumerate_filters,
     enumerate_ideals,
+    is_filter,
+    is_ideal,
     lu_union,
     random_complemented_poset,
-    subset_role,
     ul_union,
 )
 from cideals.substructures import _enumerate_downsets, find_c_filter_witness, find_c_ideal_witness
@@ -29,10 +29,14 @@ from conftest import (
 
 def test_subset_role_examples(fig1):
     p = fig1.poset
-    assert subset_role(p, mask(p, "0 a")) == (True, False)
-    assert subset_role(p, mask(p, "0 a b")) == (False, False)
-    assert subset_role(p, p.all_mask) == (True, True)
-    assert subset_role(p, 0) == (False, False)
+
+    def role(m):
+        return is_ideal(p, m), is_filter(p, m)
+
+    assert role(mask(p, "0 a")) == (True, False)
+    assert role(mask(p, "0 a b")) == (False, False)
+    assert role(p.all_mask) == (True, True)
+    assert role(0) == (False, False)
 
 
 def test_enumerate_ideals_fig1(fig1):
@@ -214,9 +218,11 @@ def test_ul_union_dual(fig1):
 
 
 def test_complement_pairing(fig2b, fig3):
+    """The set complement of a principal ideal, written as the harness
+    writes it, is the expected principal filter."""
     p = fig2b.poset
-    assert complement_pairing(p, p.down[p.index("e")]) == p.up[p.index("f")]
-    assert complement_pairing(p, 0) == p.all_mask
+    assert p.all_mask & ~p.down[p.index("e")] == p.up[p.index("f")]
+    assert p.all_mask & ~0 == p.all_mask
     q = fig3.poset
-    assert names(q, complement_pairing(q, q.down[q.index("a'")])) == {"a", "d'", "c'", "b'", "1"}
-    assert complement_pairing(q, q.down[q.index("a'")]) == q.up[q.index("a")]
+    assert names(q, q.all_mask & ~q.down[q.index("a'")]) == {"a", "d'", "c'", "b'", "1"}
+    assert q.all_mask & ~q.down[q.index("a'")] == q.up[q.index("a")]
