@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
-from .complement import ComplementedPoset
+from .complement import ComplementedPoset, attach_complementation
 from .errors import ParseError, PosetError
 from .harness import StatementId, check_statement, run_all, separate
 from .io import (
@@ -272,8 +272,6 @@ def _cmd_gen(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FINDING
-    from .complement import attach_complementation
-
     cp = attach_complementation(poset, table)
     print(emit_instance(Instance(f"gen-{args.size}-{args.seed}", poset, cp)), end="")
     return EXIT_OK

@@ -12,8 +12,11 @@ c-condition) are built on first read, as the poset's own ``facts`` are, and
 belong to this complementation alone.  Its order dual, ``dual()``, is built
 on first call and kept, over the poset's kept dual and the same map; its
 c-ideals are the c-filters of this complementation.  The flags are read
-from ``props``; De Morgan's second identity is checked as the first one on
-the poset's dual.
+from ``props``.  De Morgan's identities L(x,y)' = U(x',y') and
+U(x,y)' = L(x',y') hold exactly when the map is an antitone bijection:
+with x = y = top the first makes the map onto, with x = y it makes the map
+antitone, and an antitone bijection of a finite poset is an order
+anti-automorphism, for which both hold.
 """
 
 from __future__ import annotations
@@ -29,9 +32,13 @@ from .poset import Poset, iter_bits
 class ComplementProperties:
     """Exhaustively verified flags of a validated complementation.
 
-    ``involution`` implies ``x_le_xdd``, ``xdd_le_x`` and ``triple_identity``;
-    ``antitone and involution`` implies ``de_morgan``.  The flags are still
-    all computed independently so the implications can be cross-checked.
+    ``involution`` implies ``x_le_xdd``, ``xdd_le_x`` and ``triple_identity``,
+    and these four are computed independently so the implications can be
+    cross-checked.  ``de_morgan`` (both identities L(x,y)' = U(x',y') and
+    U(x,y)' = L(x',y')) is computed as "antitone and onto": with x = y = top
+    the first identity makes the map onto, with x = y it makes it antitone,
+    and an antitone bijection of a finite poset is an order
+    anti-automorphism, for which both identities hold.
     """
 
     antitone: bool
@@ -144,8 +151,9 @@ class ComplementedPoset:
 
         Nothing is re-validated: the axioms dualize (join and meet swap, as
         do top and bottom), and so do the flags.  x<=x'' and x''<=x trade
-        places; antitone, De Morgan (its two identities trade places) and
-        the order-free involution and triple identity carry over.
+        places; antitone, De Morgan (an antitone bijection stays one; its two
+        identities trade places) and the order-free involution and triple
+        identity carry over.
         """
         if self._dual is None:
             dual = ComplementedPoset.__new__(ComplementedPoset)
@@ -176,17 +184,7 @@ class ComplementedPoset:
             x_le_xdd=x_le_xdd,
             xdd_le_x=xdd_le_x,
             triple_identity=triple_identity,
-            de_morgan=all(self._first_de_morgan(q) for q in (p, p.dual())),
-        )
-
-    def _first_de_morgan(self, q: Poset) -> bool:
-        """De Morgan's first identity on ``q``: L(x,y)' = U(x',y') for all
-        x, y.  On the dual it reads U(x,y)' = L(x',y'), the second."""
-        comp = self.comp
-        return all(
-            self.comp_image(q.down[x] & q.down[y]) == q.up[comp[x]] & q.up[comp[y]]
-            for x in range(q.n)
-            for y in range(q.n)
+            de_morgan=antitone and len(set(comp)) == n,
         )
 
 

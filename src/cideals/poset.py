@@ -97,19 +97,18 @@ class Poset:
             raise PosetError(f"{len(down)} down-cones for {n} elements")
         if any(d < 0 or d & ~all_mask for d in down):
             raise PosetError("a down-cone is outside this poset's universe")
-        # reflexivity, antisymmetry, transitivity are all machine-checked here
+        # reflexivity, antisymmetry, transitivity are all machine-checked
+        # here; the same pass fills the up-cones
         for i in range(n):
             if not (down[i] >> i) & 1:
                 raise PosetError(f"relation not reflexive at {names[i]!r}")
+        up = [0] * n
         for j in range(n):
             for i in iter_bits(down[j]):
                 if i != j and (down[i] >> j) & 1:
                     raise CycleDetected(f"{names[i]!r} <= {names[j]!r} <= {names[i]!r}")
                 if down[i] & ~down[j]:
                     raise PosetError(f"relation not transitive below {names[j]!r}")
-        up = [0] * n
-        for j in range(n):
-            for i in iter_bits(down[j]):
                 up[i] |= 1 << j
         self.n = n
         self.names = tuple(names)
@@ -293,6 +292,10 @@ def build_poset(names: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset
     ``pairs`` are (lower, upper) name pairs; the reflexive-transitive closure
     is always taken, so inputs may mix covers with longer relations.  Raises
     ``CycleDetected`` when the closure would violate antisymmetry.
+
+    The closure is one pass of Warshall's algorithm over the down-cones:
+    after pivot k, ``down[j]`` holds every i with a path i -> ... -> j whose
+    inner points are all among the first k + 1 elements.
     """
     _validate_names(names)
     index = {name: i for i, name in enumerate(names)}
@@ -303,14 +306,8 @@ def build_poset(names: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset
             if name not in index:
                 raise UnknownName(f"unknown element name {name!r}")
         down[index[b]] |= 1 << index[a]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
         for j in range(n):
-            merged = down[j]
-            for i in iter_bits(down[j]):
-                merged |= down[i]
-            if merged != down[j]:
-                down[j] = merged
-                changed = True
+            if (down[j] >> k) & 1:
+                down[j] |= down[k]
     return Poset(names, down)

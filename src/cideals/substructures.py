@@ -74,16 +74,14 @@ def is_downset(p: Poset, mask: int) -> bool:
 def _pairs_bounded(up: tuple[int, ...], mask: int) -> bool:
     """Does every pair of members of ``mask`` have an upper bound in it?
 
-    ``up`` holds the upper cones.  Only the maximal members, those whose
-    upper cone meets ``mask`` in themselves alone, are tested pairwise.
-    This is exact.  ``mask`` is finite, so every member x has a maximal
-    member m_x above it, and a bound in ``mask`` of m_x and m_y is also one
-    of x and y; conversely, maximal members are members.
+    ``up`` holds the upper cones.  This holds exactly when ``mask`` has at
+    most one maximal member, one whose upper cone meets ``mask`` in itself
+    alone.  Two distinct maximal members have no common bound in ``mask``,
+    since such a bound would equal each of them.  Conversely ``mask`` is
+    finite, so every member lies below a maximal one, and a sole maximal
+    member bounds every pair.
     """
-    maximal = [x for x in iter_bits(mask) if up[x] & mask == 1 << x]
-    return all(
-        up[x] & up[y] & mask for i, x in enumerate(maximal) for y in maximal[i + 1 :]
-    )
+    return sum(up[x] & mask == 1 << x for x in iter_bits(mask)) <= 1
 
 
 def is_ideal(p: Poset, mask: int) -> bool:
@@ -133,7 +131,12 @@ def _directed(p: Poset, mask: int) -> bool:
     """Does every pair of members have a common upper bound in ``mask``?
 
     Bits are peeled inline rather than with ``iter_bits``: this runs once
-    per walked downset, and most pairs fail early.
+    per walked downset, and most pairs fail early.  The at-most-one-maximal
+    test of :func:`_pairs_bounded` is exact here too but stays out of the
+    walk: written inline with the same bit peeling (2 cores, Python 3.11),
+    it walked naturally labelled B5 1.9x and the bounded 16-antichain 2.3x
+    faster, but the relabelled B5 of the benchmark's ``lattice`` workload
+    1.5x slower.  Each test wins on its own inputs.
     """
     rest = mask
     while rest:
@@ -383,8 +386,8 @@ def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
 
     The cones are rows of ``p.lu``.  Each is a lower cone, hence a downset,
     and a union of downsets is a downset; so the union is an ideal exactly
-    when it is nonempty and every pair of its maximal members has an upper
-    bound in it (see :func:`_pairs_bounded`).
+    when it is nonempty and has at most one maximal member (see
+    :func:`_pairs_bounded`).
 
     Over a principal ideal ``down[g]`` the union is the one cell
     ``p.lu[a][g]``: for i <= g, U(a,g) is inside U(a,i), so LU(a,i) is

@@ -63,14 +63,55 @@ def test_bad_name_tokens():
         build_poset(["none"], [])
 
 
+OUTSIDE = "a down-cone is outside this poset's universe"
+
+
 @pytest.mark.parametrize(
-    "down",
-    [[1, 2, 3], [1], [1, 2 | 4], [1, -2], [-1, 2]],
-    ids=["extra-cone", "missing-cone", "bit-outside", "negative", "negative-reflexive"],
+    "elements, down, error, message",
+    [
+        ("ab", [1, 2, 3], PosetError, "3 down-cones for 2 elements"),
+        ("ab", [1], PosetError, "1 down-cones for 2 elements"),
+        ("ab", [1, 2 | 4], PosetError, OUTSIDE),
+        ("ab", [1, -2], PosetError, OUTSIDE),
+        ("ab", [-1, 2], PosetError, OUTSIDE),
+        ("ab", [1, 0], PosetError, "relation not reflexive at 'b'"),
+        ("ab", [3, 3], CycleDetected, "'b' <= 'a' <= 'b'"),
+        ("abc", [1, 3, 6], PosetError, "relation not transitive below 'c'"),
+    ],
+    ids=[
+        "extra-cone", "missing-cone", "bit-outside", "negative", "negative-reflexive",
+        "not-reflexive", "two-cycle", "not-transitive",
+    ],
 )
-def test_malformed_down_cones_rejected(down):
-    with pytest.raises(PosetError):
-        Poset(["a", "b"], down)
+def test_malformed_down_cones_rejected(elements, down, error, message):
+    """Each check of ``Poset(names, down)`` raises its own error type with
+    its own message."""
+    with pytest.raises(PosetError) as caught:
+        Poset(list(elements), down)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_build_poset_closes_every_relation_on_four_points():
+    """Every set of pairs (i, j), i != j, on 4 labelled points, cycles
+    included: ``build_poset`` gives the naive closure, or raises
+    ``CycleDetected`` exactly when that closure is not antisymmetric.  The
+    labels are arbitrary, so the closure needs every pivot, the first and
+    the last included."""
+    elements = ["p0", "p1", "p2", "p3"]
+    pairs = [(a, b) for a in elements for b in elements if a != b]
+    cyclic = 0
+    for bits in range(1 << len(pairs)):
+        chosen = [pair for k, pair in enumerate(pairs) if bits >> k & 1]
+        le = naive.closure(elements, chosen)
+        if any((b, a) in le for a, b in le if a != b):
+            cyclic += 1
+            with pytest.raises(CycleDetected):
+                build_poset(elements, chosen)
+        else:
+            assert naive_order(build_poset(elements, chosen)) == (elements, le)
+    # the acyclic ones are the 543 labelled DAGs on 4 points (OEIS A003024)
+    assert (1 << len(pairs)) - cyclic == 543
 
 
 def test_unbounded_poset_detected():

@@ -6,19 +6,29 @@ kept per distinct cone tuple.  That gives 1, 2, 7, 40 and 357 posets, the
 naturally labelled posets counted by OEIS A006455; every isomorphism type
 appears.  Every complementation of every bounded poset on at most 6 points
 is found from the naive join and meet alone, and its property flags are
-recomputed from their definitions.
+recomputed from their definitions, as are those of the corpus, B2-B4 and
+the campaign instances.
 """
 
 import itertools
 
 import naive
-from cideals import AxiomViolation, Poset, attach_complementation, enumerate_filters, random_complementation
+from cideals import (
+    AxiomViolation,
+    Poset,
+    attach_complementation,
+    build_poset,
+    enumerate_filters,
+    random_complementation,
+    random_complemented_poset,
+)
 from cideals.poset import iter_bits
 from cideals.substructures import is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
     assert_distributivity_agrees,
     assert_families_agree,
     assert_subset_tests_agree,
+    boolean_lattice,
     names,
     naive_order,
 )
@@ -149,6 +159,24 @@ def test_every_complementation_up_to_six_points_has_its_naive_flags():
         found = random_complementation(p, seed=0)
         assert (dict(found) in comps) if comps else found is None
     assert (seen, de_morgan_false) == (398, 381)
+
+
+def test_named_instances_have_their_naive_flags(corpus):
+    """The corpus, B2-B4 and campaign seeds 1-200, where De Morgan holds far
+    more often than on the small posets above."""
+    cps = [entry.cp for entry in corpus.values()]
+    for d in (2, 3, 4):
+        elements, covers, comp = boolean_lattice(d)
+        cps.append(attach_complementation(build_poset(elements, covers), comp))
+    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    de_morgan_true = 0
+    for cp in cps:
+        elements, le = naive_order(cp.poset)
+        comp = dict(zip(elements, (cp.poset.names[cx] for cx in cp.comp)))
+        want = naive_props(elements, le, comp)
+        assert {key: getattr(cp.props, key) for key in want} == want, cp
+        de_morgan_true += want["de_morgan"]
+    assert (len(cps), de_morgan_true) == (208, 111)
 
 
 def test_attach_accepts_exactly_the_naive_complementations_up_to_five_points():
