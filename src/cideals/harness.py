@@ -344,7 +344,7 @@ def _check_thm5_ccond(ctx: _Context, kind: str):
     o = ctx.sides[kind].poset.facts
     qualifying = [s for s in o.maximal_ideals if _union_condition(o, s)]
     # the identity and its dual are equivalent globally, so the instance's
-    # own scan answers for both sides
+    # own distributivity report answers for both sides
     if not ctx.order.distributivity.holds:
         note = "poset is not distributive"
     else:

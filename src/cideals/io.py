@@ -111,8 +111,6 @@ def parse_instance(text: str) -> InstanceFile:
         if key == "name":
             if name is not None:
                 raise DuplicateSection(f"second name section on line {ln}", line=ln)
-            if elements is not None or le or comp:
-                raise ParseError(f"name section must come first (line {ln})", line=ln)
             parts = rest.split()
             if len(parts) != 1:
                 raise ParseError(f"name needs exactly one token on line {ln}", line=ln)
@@ -122,8 +120,6 @@ def parse_instance(text: str) -> InstanceFile:
                 raise DuplicateSection(f"second elements section on line {ln}", line=ln)
             if name is None:
                 raise ParseError(f"elements section before name (line {ln})", line=ln)
-            if le or comp:
-                raise ParseError(f"elements section must precede le/comp (line {ln})", line=ln)
             parts = tuple(rest.split())
             if not parts:
                 raise ParseError(f"elements section is empty on line {ln}", line=ln)

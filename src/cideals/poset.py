@@ -15,6 +15,9 @@ are the ideals of its dual, so every filter fact is read from
 body: ``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
 ``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
 dual, and the semilattice flags are one all-meets scan run on both.
+Distributivity is decided by one test per pair of elements, on the
+join-irreducibles of the Dedekind-MacNeille completion, not by a scan of
+every triple.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DistributivityReport:
-    """Outcome of the triple scan for L(U(x,y),z) = LU(L(x,z),L(y,z)).
+    """Whether L(U(x,y),z) = LU(L(x,z),L(y,z)) holds for every triple.
 
     ``witness`` is the lexicographically first violating triple of element
     indices, or ``None`` when the identity holds everywhere; ``lhs``/``rhs``
@@ -235,25 +238,42 @@ class Poset:
     # -- global structure ----------------------------------------------------
 
     def is_distributive(self) -> DistributivityReport:
-        """Scan the triples (x, y, z) for L(U(x,y),z) = LU(L(x,z),L(y,z)).
+        """Decide L(U(x,y),z) = LU(L(x,z),L(y,z)) for all x, y, z by pairs.
 
-        Both sides are symmetric in x and y, so the lexicographically first
-        violating triple has x <= y (as indices) and only those are scanned.
-        L(U(x,y)) is read from ``lu`` once per pair; LU of each distinct
-        mask L(x,z) | L(y,z) is computed once per scan.
+        Both sides are symmetric in x and y, so the report names the first
+        violating triple (x, y, z) with x <= y (as indices), in the order
+        x, then y, then z.  Write J for the elements j such that LU of the
+        elements strictly below j is not down(j): the join-irreducibles of
+        the Dedekind-MacNeille completion, in which P is join-dense.  A pair
+        (x, y) has a violating z exactly when some j in J and in LU(x,y)
+        lies below neither x nor y:
+
+        - if so, take z = j: the left side is down(j), and the right side
+          lies inside LU of the elements strictly below j, which is not
+          down(j);
+        - if not, the right side always lies inside the left.  Every w in
+          the left side lies in LU of the members of J below w, and each of
+          those is below z and in LU(x,y), so below x or below y, hence in
+          L(x,z) or L(y,z); so w lies in the right side.
+
+        So the first pair that fails this test is the first pair with any
+        violating z, and one pass over z gives the triple and both sides.
         """
         down, upper_cone = self.down, self.dual().lower_cone
-        rhs_of: dict[int, int] = {}
+
+        def closure(mask: int) -> int:
+            return self.lower_cone(upper_cone(mask))
+
+        irreducible = sum(1 << j for j, dj in enumerate(down) if closure(dj & ~(1 << j)) != dj)
         for x, row in enumerate(self.lu):
             for y in range(x, self.n):
-                luxy, below = row[y], down[x] | down[y]
-                for z, dz in enumerate(down):
-                    union = dz & below
-                    rhs = rhs_of.get(union)
-                    if rhs is None:
-                        rhs = rhs_of[union] = self.lower_cone(upper_cone(union))
-                    if luxy & dz != rhs:
-                        return DistributivityReport(False, (x, y, z), luxy & dz, rhs)
+                below = down[x] | down[y]
+                if row[y] & irreducible & ~below:
+                    for z, dz in enumerate(down):
+                        lhs, rhs = row[y] & dz, closure(dz & below)
+                        if lhs != rhs:
+                            return DistributivityReport(False, (x, y, z), lhs, rhs)
+                    raise PosetError("internal error: a join-irreducible of LU(x,y) gave no violating z")
         return DistributivityReport(True)
 
     def is_dual_distributive(self) -> DistributivityReport:
@@ -295,9 +315,10 @@ def build_poset(names: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset
 
     The closure is one pass of Warshall's algorithm over the down-cones:
     after pivot k, ``down[j]`` holds every i with a path i -> ... -> j whose
-    inner points are all among the first k + 1 elements.
+    inner points are all among the first k + 1 elements.  The names are
+    validated once, by ``Poset``; an unknown name in ``pairs`` is reported
+    first.
     """
-    _validate_names(names)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     down = [1 << i for i in range(n)]

@@ -11,7 +11,7 @@ from cideals import (
     lu_union,
     ul_union,
 )
-from cideals.poset import iter_bits
+from cideals.poset import DistributivityReport, iter_bits
 from cideals.substructures import principal_generator
 
 
@@ -105,6 +105,37 @@ def assert_distributivity_agrees(p, elements, le):
         assert tuple(p.names[i] for i in report.witness) == witness
         assert names(p, report.lhs) == lhs
         assert names(p, report.rhs) == rhs
+
+
+def reference_is_distributive(p):
+    """The triple scan ``Poset.is_distributive`` replaced: every triple
+    (x, y, z) with x <= y, in order, with LU of each distinct mask
+    L(x,z) | L(y,z) computed once per scan."""
+    down, upper_cone = p.down, p.dual().lower_cone
+    rhs_of: dict[int, int] = {}
+    for x, row in enumerate(p.lu):
+        for y in range(x, p.n):
+            luxy, below = row[y], down[x] | down[y]
+            for z, dz in enumerate(down):
+                union = dz & below
+                rhs = rhs_of.get(union)
+                if rhs is None:
+                    rhs = rhs_of[union] = p.lower_cone(upper_cone(union))
+                if luxy & dz != rhs:
+                    return DistributivityReport(False, (x, y, z), luxy & dz, rhs)
+    return DistributivityReport(True)
+
+
+def assert_distributivity_matches_reference(p):
+    """``is_distributive`` on ``p`` and on its dual gives the reference
+    scan's report: verdict, first violating triple and both sides.  Returns
+    how many of the two are not distributive."""
+    failures = 0
+    for q in (p, p.dual()):
+        report = q.is_distributive()
+        assert report == reference_is_distributive(q)
+        failures += not report.holds
+    return failures
 
 
 def assert_subset_tests_agree(p):

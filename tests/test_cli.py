@@ -167,6 +167,16 @@ def test_corpus_lists_divergence(capsys):
     assert "DIVERGES prime_filters" in out
 
 
+def test_corpus_machine_names_each_instance_and_the_fig3_divergence(capsys):
+    code, out, err = run_cli(capsys, ["corpus", "--format", "machine"])
+    assert code == 0 and not err
+    lines = out.splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("corpus: ")]
+    assert names == [f"name={name}" for name in ("fig1", "fig2a", "fig2b", "fig3", "fig4")]
+    divergences = [line for line in lines if line.startswith("divergence: ")]
+    assert divergences == ["divergence: instance=fig3 list=prime_filters published={a,b} computed={a,d}"]
+
+
 def test_gen_round_trips(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["gen", "--size", "6", "--seed", "4"])
     assert code == 0

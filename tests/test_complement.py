@@ -3,6 +3,7 @@ import pytest
 import naive
 from cideals import (
     AxiomViolation,
+    DuplicateName,
     NotBounded,
     PartialMap,
     attach_complementation,
@@ -54,6 +55,24 @@ def test_unbounded_rejected():
     p = build_poset(["a", "b"], [])
     with pytest.raises(NotBounded):
         attach_complementation(p, [("a", "b"), ("b", "a")])
+
+
+def test_complemented_poset_rejects_an_unbounded_poset():
+    with pytest.raises(NotBounded) as info:
+        ComplementedPoset(build_poset(["a", "b"], []), [1, 0])
+    assert str(info.value) == "complementation requires both bottom and top"
+
+
+def test_complemented_poset_rejects_a_short_table():
+    with pytest.raises(PartialMap) as info:
+        ComplementedPoset(two_chain(), [1])
+    assert str(info.value) == "complement table must cover every element"
+
+
+def test_repeated_complement_entry_rejected():
+    with pytest.raises(DuplicateName) as info:
+        attach_complementation(two_chain(), [("0", "1"), ("1", "0"), ("0", "1")])
+    assert str(info.value) == "duplicate complement entry for '0'"
 
 
 def test_bounds_swap_forced(corpus):

@@ -2,7 +2,10 @@ import pytest
 
 from cideals import (
     BadSize,
+    NotBounded,
+    PosetError,
     attach_complementation,
+    build_poset,
     builtin_corpus,
     computed_lists,
     corpus_entry,
@@ -109,8 +112,6 @@ def test_random_complementation_two_chain_forced():
 
 
 def test_random_complementation_three_chain_absent():
-    from cideals import build_poset
-
     p = build_poset(["0", "m", "1"], [("0", "m"), ("m", "1")])
     assert random_complementation(p, seed=1) is None
 
@@ -129,6 +130,19 @@ def test_random_complementation_constraints(fig1):
         assert cp.props.involution
     # fig1's poset has 3 middle elements: no fixed-point-free pairing exists
     assert table is None
+
+
+def test_random_complementation_rejects_an_unbounded_poset():
+    with pytest.raises(NotBounded) as info:
+        random_complementation(build_poset(["a", "b"], []), seed=1)
+    assert str(info.value) == "random complementation needs a bounded poset"
+
+
+def test_random_complementation_rejects_an_unknown_constraint(fig1):
+    with pytest.raises(PosetError) as info:
+        random_complementation(fig1.poset, seed=1, constraints=["antitone", "bogus"])
+    assert type(info.value) is PosetError
+    assert str(info.value) == "unsupported constraint flags: ['bogus']"
 
 
 def test_random_complementation_deterministic(fig2a):

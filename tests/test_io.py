@@ -22,6 +22,7 @@ from cideals import (
     render_machine,
     render_text,
 )
+from cideals.cli import main as cli_main
 
 FIG1_TEXT = """\
 # five elements, three middle atoms
@@ -71,6 +72,44 @@ def test_parse_errors_carry_lines():
     with pytest.raises(ParseError) as info:
         parse_instance("name: t\nelements: a\nwhat: ever\n")
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line",
+    [
+        ("name: t\nelements: a\nno colon here\n", ParseError, "expected 'key: value' on line 3", 3),
+        ("name: t\nname: u\nelements: a\n", DuplicateSection, "second name section on line 2", 2),
+        ("name: t u\nelements: a\n", ParseError, "name needs exactly one token on line 1", 1),
+        ("name: t\nelements: a\nelements: b\n", DuplicateSection, "second elements section on line 3", 3),
+        ("elements: a\nname: t\n", ParseError, "elements section before name (line 1)", 1),
+        ("name: t\nelements:\n", ParseError, "elements section is empty on line 2", 2),
+        ("name: t\nelements: a b a\n", ParseError, "duplicate element 'a' on line 2", 2),
+        ("name: t\nle: a < b\nelements: a b\n", ParseError, "le line before elements (line 2)", 2),
+        ("name: t\nelements: a b\ncomp: a -> b\nle: a < b\n", ParseError, "le line after comp section (line 4)", 4),
+        ("name: t\nelements: a b\nle: a b\n", ParseError, "expected 'le: a < b' on line 3", 3),
+        ("name: t\nelements: a b\ncomp: a -> z\n", UnknownName, "unknown element 'z' on line 3", 3),
+        ("name: t\nelements: a\nwhat: ever\n", ParseError, "unknown section 'what' on line 3", 3),
+        ("# only\n# comments\n", ParseError, "missing name section", 2),
+        ("name: t\n", ParseError, "missing elements section", 1),
+    ],
+    ids=[
+        "no-colon", "second-name", "two-token-name", "second-elements", "elements-before-name",
+        "empty-elements", "duplicate-element", "le-before-elements", "le-after-comp", "bad-pair",
+        "unknown-element", "unknown-section", "no-name-section", "no-elements-section",
+    ],
+)
+def test_every_instance_parse_error(text, error, message, line, tmp_path, capsys):
+    """Each raise site of ``parse_instance`` gives its own error type,
+    message and line; ``cideals analyze`` reports it and exits 2."""
+    with pytest.raises(error) as info:
+        parse_instance(text)
+    assert type(info.value) is error
+    assert str(info.value) == message and info.value.line == line
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    assert cli_main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {message}\n"
 
 
 def test_le_after_comp_rejected():
@@ -170,6 +209,9 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         THEOREM_ROW.replace("tag=A", "tag="),
         THEOREM_ROW.replace("conclusion=true", "conclusion=maybe"),
         THEOREM_ROW.replace("counterexample=none", "counterexample=abc"),
+        # a record kind no table names, and a record without ": "
+        "bogus: x=1",
+        "ideal:set={a}",
     ],
     ids=[
         "witness-without-triple",
@@ -213,6 +255,8 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         "tag-type-empty",
         "conclusion-type-not-boolean",
         "counterexample-type-without-colon",
+        "unknown-record",
+        "record-without-separator",
     ],
 )
 def test_malformed_machine_record_is_parse_error(record):

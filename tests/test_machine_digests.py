@@ -1,6 +1,8 @@
 """Smoke test of ``scripts/machine_digests.py`` on the built-in corpus, its
-read-many ``api`` replay and its ``separate`` runs."""
+read-many ``api`` replay and its ``separate`` runs, and the byte-identity
+gate: each group's output hashes to its line in ``machine_digests.sha256``."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -88,3 +90,19 @@ def test_separate_group_covers_every_cone_pair(fig4, tmp_path, monkeypatch):
                 argv = ["separate", path, "--ideal", f"L({x})", "--filter", f"U({y})", "--mode", mode, "--format", fmt]
                 assert script.digest(argv) == digests[key.format(fmt)]
             assert digests[key.format("text")] != digests[key.format("machine")]
+
+
+def test_every_group_matches_its_recorded_digest():
+    """Every machine output, exit code, stderr and library answer the
+    script covers is byte-identical to the recorded one.  When output
+    changes on purpose, re-record the file as README's Scripts section says."""
+    recorded = {}
+    for line in (ROOT / "tests" / "machine_digests.sha256").read_text().splitlines():
+        sha, group = line.split()
+        recorded[group] = sha
+    assert list(recorded) == ["corpus", "campaign", "boolean", "antichain", "api", "separate"]
+    for group, sha in recorded.items():
+        result = run_script(group)
+        assert result.returncode == 0 and not result.stderr
+        got = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+        assert got == sha, f"group {group!r} differs from its recorded digest"

@@ -9,8 +9,17 @@ from cideals import (
     build_poset,
     random_complemented_poset,
 )
+from cideals import poset as poset_module
 from cideals.poset import Poset, iter_bits
-from conftest import assert_distributivity_agrees, boolean_lattice, mask, naive_order, names
+from conftest import (
+    assert_distributivity_agrees,
+    assert_distributivity_matches_reference,
+    boolean_lattice,
+    bounded_antichain,
+    mask,
+    naive_order,
+    names,
+)
 
 
 def test_build_singleton():
@@ -52,6 +61,17 @@ def test_duplicate_and_unknown_names():
         build_poset(["p", "p"], [])
     with pytest.raises(UnknownName):
         build_poset(["p"], [("p", "q")])
+
+
+def test_build_poset_validates_the_names_once(monkeypatch):
+    calls = []
+    validate = poset_module._validate_names
+    monkeypatch.setattr(poset_module, "_validate_names", lambda names: calls.append(names) or validate(names))
+    build_poset(["p", "q"], [("p", "q")])
+    assert calls == [["p", "q"]]
+    # a bad name and an unknown pair name: the pair is read first
+    with pytest.raises(UnknownName):
+        build_poset(["p", "p"], [("p", "q")])
 
 
 def test_bad_name_tokens():
@@ -187,6 +207,19 @@ def test_distributivity_matches_oracle(corpus):
             assert_distributivity_agrees(p, *naive_order(p))
             violations += not p.is_distributive().holds
     assert violations > 100  # the witness comparison is not vacuous
+
+
+def test_distributivity_matches_the_reference_scan(corpus):
+    # the whole report of the pair test equals the triple scan's, on each
+    # poset and its dual: the corpus, campaign seeds 1-200, B1-B6 and the
+    # bounds plus a 2- to 11-antichain; on campaign seeds 13 and 134 and the
+    # dual of seed 45, the scan's z is not the first flagged join-irreducible
+    posets = [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(1, 7)]
+    posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 12)]
+    failures = sum(assert_distributivity_matches_reference(p) for p in posets)
+    assert failures == 8 + 266 + 18  # corpus, campaign, the 3- to 11-antichains
 
 
 def test_pair_tables_are_the_pair_cones(corpus):

@@ -1,4 +1,4 @@
-"""Smoke tests of ``scripts/random_campaign.py`` and ``scripts/corpus_report.py``."""
+"""Smoke tests of ``scripts/random_campaign.py``."""
 
 import os
 import subprocess
@@ -38,14 +38,3 @@ def test_random_campaign_rejects_a_bad_max_size_as_a_usage_error():
         assert "Traceback" not in run.stderr
         assert f"max_size must be between 2 and 24, got {bad}" in run.stderr
 
-
-def test_corpus_report_machine_names_each_instance_and_the_fig3_divergence():
-    run = run_script("corpus_report.py", "--format", "machine")
-    assert run.returncode == 0 and not run.stderr
-    lines = run.stdout.splitlines()
-    headers = [line for line in lines if line.startswith("report: ")]
-    assert headers == [f"report: {name}" for name in ("fig1", "fig2a", "fig2b", "fig3", "fig4")]
-    notes = [line for line in lines if line.startswith("# NOTE")]
-    assert notes == [
-        "# NOTE fig3: computed prime_filters {a,d} diverges from the published list {a,b}"
-    ]

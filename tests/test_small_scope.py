@@ -26,6 +26,7 @@ from cideals.poset import iter_bits
 from cideals.substructures import is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
     assert_distributivity_agrees,
+    assert_distributivity_matches_reference,
     assert_families_agree,
     assert_subset_tests_agree,
     boolean_lattice,
@@ -62,6 +63,11 @@ def test_families_and_distributivity_agree_on_every_small_poset():
         elements, le = naive_order(p)
         assert_families_agree(p, elements, le)
         assert_distributivity_agrees(p, elements, le)
+
+
+def test_distributivity_matches_the_reference_scan_on_every_small_poset():
+    failures = sum(assert_distributivity_matches_reference(p) for p in POSETS)
+    assert failures == 730  # of the 2 x 407 posets and duals
 
 
 def test_subset_tests_agree_on_every_poset_up_to_four_points():
