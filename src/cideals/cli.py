@@ -33,7 +33,6 @@ from .io import (
     build_report,
     emit_dot,
     emit_instance,
-    family_rows,
     machine_class_row,
     machine_theorem_row,
     parse_instance,
@@ -43,16 +42,13 @@ from .io import (
     text_theorem_row,
 )
 from .poset import Poset
+from .substructures import CLASSES, family_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_FINDING = 4
-
-IDEAL_CLASSES = ("all", "proper", "maximal", "prime", "c-ideal", "c-condition")
-FILTER_CLASSES = ("all", "proper", "ultrafilter", "prime", "c-filter", "c-condition")
-COMP_ONLY_CLASSES = {"c-ideal", "c-filter", "c-condition"}
 
 
 class _UsageError(Exception):
@@ -125,24 +121,6 @@ def parse_set_spec(p: Poset, spec: str, kind: str) -> int:
     return 1 << p.index(spec)
 
 
-#: each listable class and the ClassRow flag that selects it
-_CLASS_FIELDS = {
-    "proper": "proper",
-    "maximal": "maximal",
-    "ultrafilter": "maximal",
-    "prime": "prime",
-    "c-ideal": "is_c",
-    "c-filter": "is_c",
-    "c-condition": "ccond",
-}
-
-
-def _select_rows(rows, wanted: str):
-    if wanted == "all":
-        return list(rows)
-    return [r for r in rows if getattr(r, _CLASS_FIELDS[wanted])]
-
-
 # -- subcommand implementations ------------------------------------------------
 
 
@@ -156,10 +134,13 @@ def _cmd_analyze(args) -> int:
 
 def _list_family(args, kind: str) -> int:
     instance = _load(args.file)
-    if args.klass in COMP_ONLY_CLASSES:
-        _require_comp(instance)
     p, with_comp = instance.poset, instance.cp is not None
-    for row in _select_rows(family_rows(instance, kind), args.klass):
+    rows, flag = family_rows(p, instance.cp, kind), CLASSES[kind][args.klass]
+    if flag and getattr(rows[0], flag) is None:  # the column needs a complementation
+        _require_comp(instance)
+    for row in rows:
+        if flag and not getattr(row, flag):
+            continue
         if args.format == "machine":
             print(machine_class_row(p, row, kind, with_comp))
         else:
@@ -289,13 +270,10 @@ def make_parser() -> _Parser:
     cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
     cmd.add_argument("file")
 
-    cmd = sub.add_parser("ideals", parents=[common], help="list ideals of a class")
-    cmd.add_argument("file")
-    cmd.add_argument("--class", dest="klass", choices=IDEAL_CLASSES, default="all")
-
-    cmd = sub.add_parser("filters", parents=[common], help="list filters of a class")
-    cmd.add_argument("file")
-    cmd.add_argument("--class", dest="klass", choices=FILTER_CLASSES, default="all")
+    for kind, classes in CLASSES.items():
+        cmd = sub.add_parser(f"{kind}s", parents=[common], help=f"list {kind}s of a class")
+        cmd.add_argument("file")
+        cmd.add_argument("--class", dest="klass", choices=tuple(classes), default="all")
 
     cmd = sub.add_parser("check", parents=[common], help="verify statements on the instance")
     cmd.add_argument("file")

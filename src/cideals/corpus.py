@@ -15,12 +15,13 @@ complement table honoring requested property constraints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .complement import ComplementedPoset, attach_complementation
 from .errors import BadSize, NotBounded, PosetError
-from .poset import Poset, build_poset, iter_bits
+from .poset import Poset, build_poset
+from .substructures import CLASSES, family_rows
 
 #: edge probability between rank-adjacent middle elements of random posets
 DEFAULT_EDGE_DENSITY = 0.3
@@ -28,21 +29,27 @@ DEFAULT_EDGE_DENSITY = 0.3
 SUPPORTED_CONSTRAINTS = ("antitone", "involution")
 
 
+def _listing(kind: str, klass: str):
+    """A published list of the generators of one ``--class`` listing."""
+    return field(default=None, metadata={"listing": (kind, klass)})
+
+
 @dataclass(frozen=True)
 class PublishedLists:
     """Classification lists as published with the reference diagrams.
 
-    Ideal/filter lists are given by their principal generators.
+    Ideal/filter lists are given by their principal generators; each field
+    names the family and the ``--class`` class whose listing it publishes.
     """
 
     boolean: frozenset[str] | None = None
-    maximal_ideals: frozenset[str] | None = None
-    ultrafilters: frozenset[str] | None = None
-    prime_ideals: frozenset[str] | None = None
-    prime_filters: frozenset[str] | None = None
-    c_ideals: frozenset[str] | None = None
-    c_filters: frozenset[str] | None = None
-    c_condition_filters: frozenset[str] | None = None
+    maximal_ideals: frozenset[str] | None = _listing("ideal", "maximal")
+    ultrafilters: frozenset[str] | None = _listing("filter", "ultrafilter")
+    prime_ideals: frozenset[str] | None = _listing("ideal", "prime")
+    prime_filters: frozenset[str] | None = _listing("filter", "prime")
+    c_ideals: frozenset[str] | None = _listing("ideal", "c-ideal")
+    c_filters: frozenset[str] | None = _listing("filter", "c-filter")
+    c_condition_filters: frozenset[str] | None = _listing("filter", "c-condition")
 
 
 @dataclass(frozen=True)
@@ -173,29 +180,17 @@ def corpus_entry(name: str) -> CorpusEntry:
 def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     """Compute, by definition, the same lists the diagrams publish.
 
-    Ideal/filter families are reported by their principal generators (on a
-    finite poset every ideal and filter is principal).
+    Each ideal/filter list holds the generators of the rows of
+    :func:`family_rows` that the ``--class`` class of its field selects.
     """
-    p, cf, df = cp.poset, cp.facts, cp.dual().facts  # filters are the dual's ideals
-    a, da = cf.order, df.order
-
-    def gens(masks: Iterable[int], generator: dict[int, int]) -> frozenset[str]:
-        try:
-            return frozenset(p.names[generator[mask]] for mask in masks)
-        except KeyError:
-            raise PosetError("internal error: non-principal ideal/filter on a finite poset") from None
-
-    down, up = a.down_generator, da.down_generator
-    return {
-        "boolean": frozenset(p.names_of(cp.boolean_elements())),
-        "maximal_ideals": gens(a.maximal_ideals, down),
-        "ultrafilters": gens(da.maximal_ideals, up),
-        "prime_ideals": gens(a.prime_ideals, down),
-        "prime_filters": gens(da.prime_ideals, up),
-        "c_ideals": gens(cf.c_ideals, down),
-        "c_filters": gens(df.c_ideals, up),
-        "c_condition_filters": gens(df.ccond_ideals, up),
-    }
+    p = cp.poset
+    rows = {kind: family_rows(p, cp, kind) for kind in CLASSES}
+    lists = {"boolean": frozenset(p.names_of(cp.boolean_elements()))}
+    for listed in fields(PublishedLists)[1:]:  # all but boolean
+        kind, klass = listed.metadata["listing"]
+        flag = CLASSES[kind][klass]
+        lists[listed.name] = frozenset(p.names[r.generator] for r in rows[kind] if getattr(r, flag))
+    return lists
 
 
 def published_divergences(entry: CorpusEntry) -> list[tuple[str, frozenset[str], frozenset[str]]]:

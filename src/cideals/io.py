@@ -11,8 +11,9 @@ Instance files are line-oriented::
 
 Sections appear in order name, elements, le, comp; the comp section is
 optional (poset-only analyses are allowed).  ``le`` pairs may be any subset
-of the order; the reflexive-transitive closure is always applied.  Parse
-errors carry 1-based line numbers.
+of the order; the reflexive-transitive closure is always applied.  Element
+names follow the rule every ``Poset`` applies to its names.  Parse errors,
+a name that breaks that rule included, carry 1-based line numbers.
 
 The machine report format is line-oriented too: one record ``kind: fields``
 per line, each field ``key=token`` with a space-free token.
@@ -63,6 +64,7 @@ from .complement import ComplementedPoset, ComplementProperties, attach_compleme
 from .errors import DuplicateSection, ParseError, PosetError, UnknownName
 from .harness import TheoremCheckResult, run_all
 from .poset import DistributivityReport, Poset, _validate_names, build_poset, iter_bits
+from .substructures import CLASSES, ClassRow, family_rows
 
 # -- instance files -----------------------------------------------------------
 
@@ -126,6 +128,10 @@ def parse_instance(text: str) -> InstanceFile:
             dupes = {e for e in parts if parts.count(e) > 1}
             if dupes:
                 raise ParseError(f"duplicate element {sorted(dupes)[0]!r} on line {ln}", line=ln)
+            try:  # the name rule every Poset applies, reported at its line
+                _validate_names(parts)
+            except PosetError as exc:
+                raise ParseError(f"{exc} on line {ln}", line=ln) from None
             elements = parts
         elif key in _PAIR_ARROWS:
             if elements is None:
@@ -175,23 +181,6 @@ def emit_instance(instance: Instance) -> str:
 
 
 @dataclass(frozen=True)
-class ClassRow:
-    """One ideal or filter with its classification columns.
-
-    ``ccond``/``is_c``/``witness`` are ``None`` on poset-only instances.
-    """
-
-    mask: int
-    proper: bool
-    principal: int | None
-    maximal: bool
-    prime: bool
-    ccond: bool | None
-    is_c: bool | None
-    witness: int | None
-
-
-@dataclass(frozen=True)
 class Report:
     name: str
     poset: Poset
@@ -204,34 +193,6 @@ class Report:
     theorems: tuple[TheoremCheckResult, ...] | None
 
 
-def family_rows(instance: Instance, kind: str) -> tuple[ClassRow, ...]:
-    """The classified ideals (``kind`` "ideal") or filters ("filter") of an
-    instance, without the report's flags and statement results.  The
-    filters are the ideals of the order dual, classified the same way; the
-    ``principal`` column still prefers the ideal reading of the instance."""
-    p, cp, generator = instance.poset, instance.cp, instance.poset.facts.generator
-    if kind == "filter":
-        p, cp = p.dual(), cp and cp.dual()
-    a = p.facts
-    witnesses = cp.facts.c_ideal_witnesses if cp else {}
-    rows = []
-    for mask in a.ideals:
-        witness = witnesses.get(mask)
-        rows.append(
-            ClassRow(
-                mask=mask,
-                proper=mask != p.all_mask,
-                principal=generator(mask),
-                maximal=mask in a.maximal_ideal_set,
-                prime=mask in a.prime_ideal_set,
-                ccond=cp.facts.c_condition(mask) if cp else None,
-                is_c=(witness is not None) if cp else None,
-                witness=witness,
-            )
-        )
-    return tuple(rows)
-
-
 def build_report(instance: Instance) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
 
@@ -239,8 +200,8 @@ def build_report(instance: Instance) -> Report:
     complementation.
     """
     p, cp = instance.poset, instance.cp
-    ideal_rows = family_rows(instance, "ideal")
-    filter_rows = family_rows(instance, "filter")
+    ideal_rows = family_rows(p, cp, "ideal")
+    filter_rows = family_rows(p, cp, "filter")
     theorems = tuple(run_all(cp)) if cp else None
     join_sl, meet_sl = p.facts.semilattice_flags
     return Report(
@@ -509,13 +470,10 @@ def parse_machine_report(text: str) -> ParsedReport:
 
 
 def text_class_label(p: Poset, row: ClassRow, kind: str) -> str:
-    """Text label of an ideal as L(greatest), of a filter as U(least), read
-    from the generator maps; every ideal and filter of a finite poset is
-    principal.  A filter's least element is its greatest in the dual.
-    Unlike the machine ``principal`` field, the improper filter reads
-    U(bottom), not top."""
-    letter, side = ("L", p) if kind == "ideal" else ("U", p.dual())
-    return f"{letter}({p.names[side.facts.down_generator[row.mask]]})"
+    """Text label of an ideal as L(greatest), of a filter as U(least): the
+    row's ``generator``.  Unlike the machine ``principal`` field, the
+    improper filter reads U(bottom), not top."""
+    return f"{'L' if kind == 'ideal' else 'U'}({p.names[row.generator]})"
 
 
 def _flag(value: bool) -> str:
@@ -523,18 +481,11 @@ def _flag(value: bool) -> str:
 
 
 def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:
+    """A text report row, tagged with each ``CLASSES`` class that holds it
+    but ``all`` and ``proper``; the improper row is tagged so."""
     label = text_class_label(p, row, kind)
-    tags = []
-    if not row.proper:
-        tags.append("improper")
-    if row.maximal:
-        tags.append("maximal" if kind == "ideal" else "ultrafilter")
-    if row.prime:
-        tags.append("prime")
-    if row.is_c:
-        tags.append(f"c-{kind}")
-    if row.ccond:
-        tags.append("c-condition")
+    tags = [] if row.proper else ["improper"]
+    tags += [k for k, flag in CLASSES[kind].items() if flag not in (None, "proper") and getattr(row, flag)]
     suffix = f"  [{', '.join(tags)}]" if tags else ""
     witness = ""
     if row.witness is not None:

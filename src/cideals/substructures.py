@@ -28,6 +28,11 @@ on the order facts as ``principal_walk``.
 
 All enumerations and witness searches use one deterministic order: subsets
 sorted by size, then lexicographically by membership.
+
+:func:`family_rows` gives every ideal or filter with its class columns, and
+``CLASSES`` names the class each column selects.  The ``ideals``/``filters
+--class`` listings, the text report's row tags and the corpus diff against
+the published lists all read those rows through that one table.
 """
 
 from __future__ import annotations
@@ -65,6 +70,36 @@ class SubsetClassification:
     c_ideal_witness: int | None
     c_filter_witness: int | None
     c_condition: bool
+
+
+@dataclass(frozen=True)
+class ClassRow:
+    """One ideal or filter with its classification columns.
+
+    ``generator`` names the row in listings: an ideal's greatest element, a
+    filter's least.  ``ccond``/``is_c``/``witness`` are ``None`` on
+    poset-only instances.
+    """
+
+    mask: int
+    generator: int
+    proper: bool
+    principal: int | None
+    maximal: bool
+    prime: bool
+    ccond: bool | None
+    is_c: bool | None
+    witness: int | None
+
+
+#: per family, each ``ideals``/``filters --class`` class, in listing order,
+#: and the ClassRow flag that selects it; ``all`` selects every row
+CLASSES = {
+    "ideal": {"all": None, "proper": "proper", "maximal": "maximal", "prime": "prime",
+              "c-ideal": "is_c", "c-condition": "ccond"},
+    "filter": {"all": None, "proper": "proper", "ultrafilter": "maximal", "prime": "prime",
+               "c-filter": "is_c", "c-condition": "ccond"},
+}
 
 
 def is_downset(p: Poset, mask: int) -> bool:
@@ -379,6 +414,35 @@ def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
         c_filter_witness=dual.facts.c_ideal_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
     )
+
+
+def family_rows(p: Poset, cp: ComplementedPoset | None, kind: str) -> tuple[ClassRow, ...]:
+    """The classified ideals (``kind`` "ideal") or filters ("filter") of
+    ``p``, with the complementation columns of ``cp`` when it is given.  The
+    filters are the ideals of the order dual, classified the same way; the
+    ``principal`` column still prefers the ideal reading of ``p``."""
+    generator = p.facts.generator
+    if kind == "filter":
+        p, cp = p.dual(), cp and cp.dual()
+    a = p.facts
+    witnesses = cp.facts.c_ideal_witnesses if cp else {}
+    rows = []
+    for mask in a.ideals:
+        witness = witnesses.get(mask)
+        rows.append(
+            ClassRow(
+                mask=mask,
+                generator=a.down_generator[mask],
+                proper=mask != p.all_mask,
+                principal=generator(mask),
+                maximal=mask in a.maximal_ideal_set,
+                prime=mask in a.prime_ideal_set,
+                ccond=cp.facts.c_condition(mask) if cp else None,
+                is_c=(witness is not None) if cp else None,
+                witness=witness,
+            )
+        )
+    return tuple(rows)
 
 
 def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:

@@ -2,13 +2,18 @@ import pytest
 
 import naive
 from cideals import (
+    Instance,
+    attach_complementation,
+    build_poset,
     builtin_corpus,
     directed_downsets,
+    emit_instance,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
     is_ideal,
     lu_union,
+    random_complemented_poset,
     ul_union,
 )
 from cideals.poset import DistributivityReport, iter_bits
@@ -43,6 +48,26 @@ def fig3(corpus):
 @pytest.fixture(scope="session")
 def fig4(corpus):
     return corpus["fig4"]
+
+
+@pytest.fixture(scope="session")
+def listing_instances(corpus, tmp_path_factory):
+    """(instance file path, ComplementedPoset) for the corpus, campaign
+    seeds 1-50 and the Boolean lattices B2-B4: the instances on which the
+    ``ideals``/``filters --class`` listings are checked."""
+    found = [(name, entry.cp) for name, entry in corpus.items()]
+    found += [(f"campaign-{seed}", random_complemented_poset(seed)[0]) for seed in range(1, 51)]
+    for dim in range(2, 5):
+        elements, covers, comp = boolean_lattice(dim)
+        p = build_poset(elements, covers)
+        found.append((f"B{dim}", attach_complementation(p, comp)))
+    folder = tmp_path_factory.mktemp("listing")
+    out = []
+    for name, cp in found:
+        path = folder / f"{name}.poset"
+        path.write_text(emit_instance(Instance(name, cp.poset, cp)))
+        out.append((str(path), cp))
+    return out
 
 
 def names(poset, mask):

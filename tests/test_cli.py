@@ -142,6 +142,24 @@ def test_separate_set_literals(instdir, capsys):
     assert "J = {0,a,b,c,d,e}" in out
 
 
+@pytest.mark.parametrize(
+    "instance, ideal, filt, code, line",
+    [
+        ("fig2b", "L(e)", "U(f)", 0,
+         "separation: mode=first ideal={0,a,b,c,d,e} filter={f,1} witness={0,a,b,c,d,e} failure=none"),
+        ("fig1", "L(a)", "U(b)", 4,
+         "separation: mode=first ideal={0,a} filter={b,1} witness=none failure=XLeXddFails"),
+    ],
+    ids=["witness", "hypothesis-fails"],
+)
+def test_separate_machine_line(instdir, capsys, instance, ideal, filt, code, line):
+    got = run_cli(
+        capsys,
+        ["separate", str(instdir / f"{instance}.poset"), "--ideal", ideal, "--filter", filt, "--format", "machine"],
+    )
+    assert got == (code, line + "\n", "")
+
+
 def test_separate_malformed_ideal_exit_3(instdir, capsys):
     code, _, err = run_cli(
         capsys,
@@ -262,6 +280,43 @@ def test_poset_only_refusals(tmp_path, capsys):
     assert code == 3
     code, out, _ = run_cli(capsys, ["ideals", str(plain), "--class", "maximal"])
     assert code == 0 and out.splitlines() == ["L(m) = {0,m}"]
+
+
+#: each family's ``--class`` choices in listing order, and the machine
+#: column that is true on exactly the rows a class selects
+CLASS_COLUMNS = {
+    "ideals": {"proper": "proper", "maximal": "maximal", "prime": "prime", "c-ideal": "cideal",
+               "c-condition": "ccond"},
+    "filters": {"proper": "proper", "ultrafilter": "ultrafilter", "prime": "prime",
+                "c-filter": "cfilter", "c-condition": "ccond"},
+}
+
+
+def test_class_choices_keep_their_order():
+    commands = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for family, columns in CLASS_COLUMNS.items():
+        option = next(a for a in commands.choices[family]._actions if "--class" in a.option_strings)
+        assert tuple(option.choices) == ("all", *columns)
+
+
+@pytest.mark.parametrize(
+    "family, klass", [(family, klass) for family, columns in CLASS_COLUMNS.items() for klass in columns]
+)
+def test_class_lists_the_all_rows_whose_column_is_true(family, klass, listing_instances, capsys):
+    """``--class K --format machine`` prints exactly the ``--class all``
+    rows whose column for K reads ``true``."""
+    column, kept, dropped = CLASS_COLUMNS[family][klass], 0, 0
+    for path, _ in listing_instances:
+        code, out, err = run_cli(capsys, [family, path, "--class", "all", "--format", "machine"])
+        assert code == 0 and not err
+        rows = out.splitlines()
+        fields = [dict(tok.split("=", 1) for tok in row.partition(": ")[2].split()) for row in rows]
+        want = [row for row, f in zip(rows, fields) if f[column] == "true"]
+        assert all(f[column] in ("true", "false") for f in fields)
+        code, out, err = run_cli(capsys, [family, path, "--class", klass, "--format", "machine"])
+        assert (code, out.splitlines(), err) == (0, want, ""), path
+        kept, dropped = kept + len(want), dropped + len(rows) - len(want)
+    assert kept and dropped  # the class both selects and leaves out rows
 
 
 def _flags(parser):

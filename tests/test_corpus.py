@@ -14,6 +14,7 @@ from cideals import (
     random_complemented_poset,
     random_poset,
 )
+from cideals.cli import main as cli_main
 
 
 def test_builtin_corpus_names_and_sizes():
@@ -43,6 +44,34 @@ def test_published_lists_reproduce(corpus):
             assert computed == frozenset({"a", "d"})
         else:
             assert divergences == []
+
+
+#: each published list, the command that lists its family and the
+#: ``--class`` class that selects it
+PUBLISHED_LISTINGS = {
+    "maximal_ideals": ("ideals", "maximal"),
+    "ultrafilters": ("filters", "ultrafilter"),
+    "prime_ideals": ("ideals", "prime"),
+    "prime_filters": ("filters", "prime"),
+    "c_ideals": ("ideals", "c-ideal"),
+    "c_filters": ("filters", "c-filter"),
+    "c_condition_filters": ("filters", "c-condition"),
+}
+
+
+def test_computed_lists_are_the_class_listings(listing_instances, capsys):
+    """Each computed ideal/filter list holds the generators x of the
+    ``L(x)``/``U(x)`` labels that the text listing of its class prints."""
+    assert set(computed_lists(listing_instances[0][1])) == {"boolean", *PUBLISHED_LISTINGS}
+    for path, cp in listing_instances:
+        lists = computed_lists(cp)
+        for name, (command, klass) in PUBLISHED_LISTINGS.items():
+            assert cli_main([command, path, "--class", klass]) == 0
+            out, err = capsys.readouterr()
+            letter = "L" if command == "ideals" else "U"
+            labels = [line.partition(" = ")[0] for line in out.splitlines()]
+            assert not err and all(label[:2] == f"{letter}(" and label[-1] == ")" for label in labels)
+            assert lists[name] == frozenset(label[2:-1] for label in labels), (path, name)
 
 
 def test_fig3_prime_filters_satisfy_bijection(fig3):

@@ -22,6 +22,12 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("build", [Poset, build_poset], ids=["Poset", "build_poset"])
+def test_empty_poset_rejected(build):
+    with pytest.raises(PosetError, match="^a poset needs at least one element$"):
+        build([], [])
+
+
 def test_build_singleton():
     p = build_poset(["x"], [])
     assert p.n == 1
