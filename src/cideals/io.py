@@ -97,8 +97,7 @@ def parse_instance(text: str) -> InstanceFile:
     name: str | None = None
     elements: tuple[str, ...] | None = None
     le: list[tuple[str, str]] = []
-    comp: list[tuple[str, str]] = []
-    seen_comp = False
+    comp: dict[str, str] = {}
     last_line = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         last_line = ln
@@ -136,23 +135,27 @@ def parse_instance(text: str) -> InstanceFile:
         elif key in _PAIR_ARROWS:
             if elements is None:
                 raise ParseError(f"{key} line before elements (line {ln})", line=ln)
-            if key == "le" and seen_comp:
+            if key == "le" and comp:
                 raise ParseError(f"le line after comp section (line {ln})", line=ln)
-            seen_comp = seen_comp or key == "comp"
             parts = rest.split()
             if len(parts) != 3 or parts[1] != _PAIR_ARROWS[key]:
                 raise ParseError(f"expected '{key}: a {_PAIR_ARROWS[key]} b' on line {ln}", line=ln)
             for tok in (parts[0], parts[2]):
                 if tok not in elements:
                     raise UnknownName(f"unknown element {tok!r} on line {ln}", line=ln)
-            (le if key == "le" else comp).append((parts[0], parts[2]))
+            if key == "le":
+                le.append((parts[0], parts[2]))
+            elif parts[0] in comp:
+                raise ParseError(f"duplicate complement entry for {parts[0]!r} on line {ln}", line=ln)
+            else:
+                comp[parts[0]] = parts[2]
         else:
             raise ParseError(f"unknown section {key!r} on line {ln}", line=ln)
     if name is None:
         raise ParseError("missing name section", line=last_line or 1)
     if elements is None:
         raise ParseError("missing elements section", line=last_line or 1)
-    return InstanceFile(name, elements, tuple(le), tuple(comp) if seen_comp else None)
+    return InstanceFile(name, elements, tuple(le), tuple(comp.items()) if comp else None)
 
 
 def build_instance(source: InstanceFile) -> Instance:

@@ -23,8 +23,10 @@ to its ideal twin on ``p.dual()`` or ``cp.dual()``, and
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
 downward closed subset, up to the fixed cap ``DEFAULT_BUDGET``, and keeps
-the directed ones.  The verdict depends on the order alone, so it is kept
-on the order facts as ``principal_walk``.
+the directed ones: a walked set is directed exactly when it lies inside
+the cone of its last element in the walk's linear extension.  The verdict
+depends on the order alone, so it is kept on the order facts as
+``principal_walk``.
 
 All enumerations and witness searches use one deterministic order: subsets
 sorted by size, then lexicographically by membership.
@@ -128,16 +130,21 @@ def is_filter(p: Poset, mask: int) -> bool:
     return is_ideal(p.dual(), mask)
 
 
+def _extension(p: Poset) -> list[int]:
+    """The walk's linear extension: elements by cone size, then index."""
+    return sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i))
+
+
 def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
     """All downward-closed subsets, including the empty one.
 
-    Elements are added along a linear extension: once the downsets inside
+    Elements are added along :func:`_extension`: once the downsets inside
     the first k elements are known, element k extends exactly those that
-    hold everything strictly below it.  Raises ScaleLimit as soon as the
-    count of downsets passes ``budget``.
+    hold everything strictly below it, as one block.  Raises ScaleLimit as
+    soon as the count of downsets passes ``budget``.
     """
     out = [0]
-    for e in sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i)):
+    for e in _extension(p):
         bit = 1 << e
         below = p.down[e] ^ bit
         grown = [d | bit for d in out if not below & ~d]
@@ -150,41 +157,28 @@ def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
 def directed_downsets(p: Poset) -> list[int]:
     """Every ideal of ``p`` found by walking all downward-closed subsets.
 
-    A walked set is kept when it is nonempty and every pair of its members
-    has a common upper bound inside it; downward closure needs no re-check,
-    since the walk only emits downsets.  No principality is assumed, so this
-    is the oracle for it.  On ``p.dual()`` it yields the filters of ``p``.
-    Sorted like the families.  Raises ScaleLimit once the walk passes
-    ``DEFAULT_BUDGET`` downsets.
+    A walked set is kept when it is nonempty and directed, which one cone
+    test decides.  A set S in the block of element e holds e and earlier
+    elements of the extension only; an element above e comes later, so e is
+    the only member of S that is >= e.  An upper bound in S of x and e is
+    then e, so x <= e: S is directed exactly when it lies inside ``down[e]``.
+    This uses the definition alone, not that S is downward closed, nor any
+    principality, so this is the oracle for it.  The blocks come in
+    extension order, so one pointer into the extension finds each e.  On
+    ``p.dual()`` it yields the filters of ``p``.  Sorted like the families.
+    Raises ScaleLimit once the walk passes ``DEFAULT_BUDGET`` downsets,
+    before any set is tested.
     """
-    found = [d for d in _enumerate_downsets(p, DEFAULT_BUDGET) if d and _directed(p, d)]
+    order, down = _extension(p), p.down
+    found, t, outside, off_cone = [], 0, ~(1 << order[0]), ~down[order[0]]
+    for s in _enumerate_downsets(p, DEFAULT_BUDGET):
+        while s & outside:  # s is in a later block
+            t += 1
+            outside, off_cone = outside & ~(1 << order[t]), ~down[order[t]]
+        if s and not s & off_cone:
+            found.append(s)
     found.sort(key=sort_key)
     return found
-
-
-def _directed(p: Poset, mask: int) -> bool:
-    """Does every pair of members have a common upper bound in ``mask``?
-
-    Bits are peeled inline rather than with ``iter_bits``: this runs once
-    per walked downset, and most pairs fail early.  The at-most-one-maximal
-    test of :func:`_pairs_bounded` is exact here too but stays out of the
-    walk: written inline with the same bit peeling (2 cores, Python 3.11),
-    it walked naturally labelled B5 1.9x and the bounded 16-antichain 2.3x
-    faster, but the relabelled B5 of the benchmark's ``lattice`` workload
-    1.5x slower.  Each test wins on its own inputs.
-    """
-    rest = mask
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1  # the members after x
-        above = p.up[x] & mask
-        others = rest
-        while others:
-            low = others & -others
-            if not above & p.up[low.bit_length() - 1]:
-                return False
-            others ^= low
-    return True
 
 
 def enumerate_ideals(p: Poset) -> list[int]:

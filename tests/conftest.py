@@ -16,8 +16,8 @@ from cideals import (
     random_complemented_poset,
     ul_union,
 )
-from cideals.poset import DistributivityReport, iter_bits
-from cideals.substructures import principal_generator
+from cideals.poset import DistributivityReport, iter_bits, sort_key
+from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets, principal_generator
 
 
 @pytest.fixture(scope="session")
@@ -109,6 +109,42 @@ def assert_families_agree(p, elements, le):
     assert filters == directed_downsets(p.dual())
     assert {names(p, m) for m in ideals} == set(naive.ideals(elements, le))
     assert {names(p, m) for m in filters} == set(naive.filters(elements, le))
+
+
+def reference_directed_downsets(p):
+    """The filter ``directed_downsets`` replaced: every nonempty set of the
+    downset walk that passes the all-pairs test, sorted like the families."""
+    found = [d for d in _enumerate_downsets(p, DEFAULT_BUDGET) if d and _all_pairs_bounded(p, d)]
+    found.sort(key=sort_key)
+    return found
+
+
+def _all_pairs_bounded(p, mask):
+    """Does every pair of members have a common upper bound in ``mask``?"""
+    rest = mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1  # the members after x
+        above = p.up[x] & mask
+        others = rest
+        while others:
+            low = others & -others
+            if not above & p.up[low.bit_length() - 1]:
+                return False
+            others ^= low
+    return True
+
+
+def assert_directed_downsets_match_reference(p):
+    """``directed_downsets`` on ``p`` and on its dual keeps the reference's
+    sets, which are the principal cones.  Returns how many nonempty walked
+    sets the two rejected."""
+    rejected = 0
+    for q in (p, p.dual()):
+        found = directed_downsets(q)
+        assert found == reference_directed_downsets(q) == enumerate_ideals(q)
+        rejected += len(_enumerate_downsets(q, DEFAULT_BUDGET)) - 1 - len(found)
+    return rejected
 
 
 def naive_order(p):

@@ -92,6 +92,8 @@ def test_parse_errors_carry_lines():
         ("name: t\nelements: a b\ncomp: a -> b\nle: a < b\n", ParseError, "le line after comp section (line 4)", 4),
         ("name: t\nelements: a b\nle: a b\n", ParseError, "expected 'le: a < b' on line 3", 3),
         ("name: t\nelements: a b\ncomp: a -> z\n", UnknownName, "unknown element 'z' on line 3", 3),
+        ("name: t\nelements: 0 1\nle: 0 < 1\ncomp: 0 -> 1\ncomp: 0 -> 1\ncomp: 1 -> 0\n", ParseError,
+         "duplicate complement entry for '0' on line 5", 5),
         ("name: t\nelements: a\nwhat: ever\n", ParseError, "unknown section 'what' on line 3", 3),
         ("# only\n# comments\n", ParseError, "missing name section", 2),
         ("name: t\n", ParseError, "missing elements section", 1),
@@ -100,7 +102,7 @@ def test_parse_errors_carry_lines():
         "no-colon", "second-name", "two-token-name", "second-elements", "elements-before-name",
         "empty-elements", "duplicate-element", "reserved-word-element", "reserved-character-element",
         "le-before-elements", "le-after-comp", "bad-pair",
-        "unknown-element", "unknown-section", "no-name-section", "no-elements-section",
+        "unknown-element", "repeated-comp", "unknown-section", "no-name-section", "no-elements-section",
     ],
 )
 def test_every_instance_parse_error(text, error, message, line, tmp_path, capsys):

@@ -25,6 +25,7 @@ from cideals import (
 from cideals.poset import iter_bits
 from cideals.substructures import is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
+    assert_directed_downsets_match_reference,
     assert_distributivity_agrees,
     assert_distributivity_matches_reference,
     assert_families_agree,
@@ -68,6 +69,11 @@ def test_families_and_distributivity_agree_on_every_small_poset():
 def test_distributivity_matches_the_reference_scan_on_every_small_poset():
     failures = sum(assert_distributivity_matches_reference(p) for p in POSETS)
     assert failures == 730  # of the 2 x 407 posets and duals
+
+
+def test_directed_downsets_match_the_reference_on_every_small_poset():
+    rejected = sum(assert_directed_downsets_match_reference(p) for p in POSETS)
+    assert rejected == 5704  # walked nonempty sets that are not directed
 
 
 def test_subset_tests_agree_on_every_poset_up_to_four_points():

@@ -17,6 +17,7 @@ from cideals import (
 from cideals.substructures import _enumerate_downsets, find_c_filter_witness, find_c_ideal_witness
 from cideals.poset import sort_key
 from conftest import (
+    assert_directed_downsets_match_reference,
     assert_families_agree,
     assert_subset_tests_agree,
     assert_union_cells_agree,
@@ -90,6 +91,18 @@ def test_budget_scale_limit():
     with pytest.raises(ScaleLimit):
         _enumerate_downsets(p, 1000)
     assert len(directed_downsets(p)) == 14
+
+
+def test_directed_downsets_match_the_reference(corpus):
+    # the cone test keeps exactly the walked sets the all-pairs test keeps,
+    # on each poset and its dual: the corpus, campaign seeds 1-200, B2-B5
+    # and the bounds plus a 2- to 12-antichain
+    posets = [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(2, 6)]
+    posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 13)]
+    rejected = sum(assert_directed_downsets_match_reference(p) for p in posets)
+    assert rejected == 48058  # walked nonempty sets that are not directed
 
 
 def test_families_match_walk_and_oracle_on_corpus(corpus):
