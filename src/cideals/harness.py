@@ -10,6 +10,11 @@ hypotheses are doing real work.  Each checker returns only a note (empty
 when the hypotheses hold) and its first counterexample, or None; one
 function, ``_run_checker``, turns that pair into every result.
 
+The catalog is one table, ``_CATALOG``, with one (tag, checker,
+description) row per statement in report order; :data:`StatementId`,
+``DESCRIPTIONS`` and the checker table are all built from it, so a new
+statement is one new row.
+
 Every filter fact is the ideal fact of the order dual: the filters of P are
 the ideals of P^d, and ``cp.dual()`` keeps the complement map.  So each
 statement about both families runs one loop over the two sides, ``cp`` for
@@ -41,54 +46,12 @@ from .poset import iter_bits
 from .substructures import OrderFacts, is_filter, is_ideal
 
 
-class StatementId(str, enum.Enum):
-    """Identifiers of the checkable statements, in fixed report order."""
+class _StatementTag(str, enum.Enum):
+    """Base of :data:`StatementId`, whose members are built from ``_CATALOG``:
+    a tag whose ``str`` is its value."""
 
-    LEM_BOOLEAN = "LEM_BOOLEAN"
-    LEM_CL_PRIME = "LEM_CL_PRIME"
-    LEM_CL_PRINCIPAL = "LEM_CL_PRINCIPAL"
-    LEM_PROPER_PAIR = "LEM_PROPER_PAIR"
-    PROP_PROPER_EQUIV = "PROP_PROPER_EQUIV"
-    LEM_CIDEAL_DD = "LEM_CIDEAL_DD"
-    LEM_TRIPLE_A0 = "LEM_TRIPLE_A0"
-    THM_F0_CIDEAL = "THM_F0_CIDEAL"
-    COR_INVOLUTION = "COR_INVOLUTION"
-    REM_PRINCIPAL_L0 = "REM_PRINCIPAL_L0"
-    LEM_PRIME_CCOND = "LEM_PRIME_CCOND"
-    THM5_I_II = "THM5_I_II"
-    THM5_II_III_IV_I = "THM5_II_III_IV_I"
-    THM5_V_VI = "THM5_V_VI"
-    THM5_III_VI_VII_V = "THM5_III_VI_VII_V"
-    LEM_JOINSEMI_LU = "LEM_JOINSEMI_LU"
-    THM_SEP1 = "THM_SEP1"
-    COR_SEP1_PRIME = "COR_SEP1_PRIME"
-    THM_SEP2 = "THM_SEP2"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
-
-
-DESCRIPTIONS: dict[StatementId, str] = {
-    StatementId.LEM_BOOLEAN: "if ' is antitone with x<=x'' everywhere, an element whose every ideal-membership forces in its double complement is Boolean",
-    StatementId.LEM_CL_PRIME: "I is a prime ideal iff P\\I is a filter iff P\\I is a prime filter; complementation of sets is a bijection between prime ideals and prime filters",
-    StatementId.LEM_CL_PRINCIPAL: "on a finite poset every ideal and every filter is principal",
-    StatementId.LEM_PROPER_PAIR: "a proper ideal never contains both an element and its complement",
-    StatementId.PROP_PROPER_EQUIV: "I proper iff I_0 != P iff I and I_0 are disjoint (dually for filters)",
-    StatementId.LEM_CIDEAL_DD: "x'<=x''' everywhere forces I''<=I for c-ideals; x'''<=x' dually for c-filters",
-    StatementId.LEM_TRIPLE_A0: "under x'''=x', membership of a in A_0 is equivalent to membership of a''",
-    StatementId.THM_F0_CIDEAL: "antitone with x<=x'': F_0 is a c-ideal for every filter F; antitone with x''<=x: I_0 is a c-filter for every ideal I",
-    StatementId.COR_INVOLUTION: "under an antitone involution, I_0 is a filter with (I_0)_0 = I, so every ideal is a c-ideal (dually for filters)",
-    StatementId.REM_PRINCIPAL_L0: "under an antitone involution, L(a)_0 = U(a') and L(a) = U(a')_0",
-    StatementId.LEM_PRIME_CCOND: "every prime ideal and every prime filter satisfies the c-condition",
-    StatementId.THM5_I_II: "an ideal satisfying the c-condition is maximal",
-    StatementId.THM5_II_III_IV_I: "on a distributive poset, a maximal ideal whose LU-unions are ideals satisfies the c-condition",
-    StatementId.THM5_V_VI: "a filter satisfying the c-condition is an ultrafilter",
-    StatementId.THM5_III_VI_VII_V: "on a distributive poset, an ultrafilter whose UL-unions are filters satisfies the c-condition",
-    StatementId.LEM_JOINSEMI_LU: "on a join-semilattice, the union of LU(a,i) over an ideal is always an ideal",
-    StatementId.THM_SEP1: "antitone, x<=x'', F with the c-condition disjoint from I: J := F_0 is a c-ideal separating them",
-    StatementId.COR_SEP1_PRIME: "antitone, x<=x'', F a prime filter disjoint from I: a separating c-ideal exists",
-    StatementId.THM_SEP2: "distributive, antitone, F a principal ultrafilter with all meets against its generator: a separating c-ideal exists",
-}
 
 
 @dataclass(frozen=True)
@@ -136,18 +99,15 @@ class SeparationResult:
 @dataclass
 class _Context:
     """What the checkers share for one instance: the facts of its order and
-    its two sides."""
+    its two sides, ``sides``, which maps a family name to the complemented
+    poset whose ideals that family is: the filters of ``cp`` are the ideals
+    of ``cp.dual()``."""
 
     cp: ComplementedPoset
 
     def __post_init__(self):
         self.order = self.cp.poset.facts
-
-    @property
-    def sides(self) -> dict[str, ComplementedPoset]:
-        """Family name -> the complemented poset whose ideals that family
-        is: the filters of ``cp`` are the ideals of ``cp.dual()``."""
-        return {"ideal": self.cp, "filter": self.cp.dual()}
+        self.sides = {"ideal": self.cp, "filter": self.cp.dual()}
 
 
 # -- individual checkers ----------------------------------------------------
@@ -475,27 +435,55 @@ def _check_separation(ctx: _Context, mode: str):
     return note, None
 
 
-_CHECKERS = {
-    StatementId.LEM_BOOLEAN: _check_lem_boolean,
-    StatementId.LEM_CL_PRIME: _check_lem_cl_prime,
-    StatementId.LEM_CL_PRINCIPAL: _check_lem_cl_principal,
-    StatementId.LEM_PROPER_PAIR: _check_lem_proper_pair,
-    StatementId.PROP_PROPER_EQUIV: _check_prop_proper_equiv,
-    StatementId.LEM_CIDEAL_DD: _check_lem_cideal_dd,
-    StatementId.LEM_TRIPLE_A0: _check_lem_triple_a0,
-    StatementId.THM_F0_CIDEAL: _check_thm_f0_cideal,
-    StatementId.COR_INVOLUTION: _check_cor_involution,
-    StatementId.REM_PRINCIPAL_L0: _check_rem_principal_l0,
-    StatementId.LEM_PRIME_CCOND: _check_lem_prime_ccond,
-    StatementId.THM5_I_II: lambda ctx: _check_thm5_maximal(ctx, "ideal"),
-    StatementId.THM5_II_III_IV_I: lambda ctx: _check_thm5_ccond(ctx, "ideal"),
-    StatementId.THM5_V_VI: lambda ctx: _check_thm5_maximal(ctx, "filter"),
-    StatementId.THM5_III_VI_VII_V: lambda ctx: _check_thm5_ccond(ctx, "filter"),
-    StatementId.LEM_JOINSEMI_LU: _check_lem_joinsemi_lu,
-    StatementId.THM_SEP1: lambda ctx: _check_separation(ctx, "first"),
-    StatementId.COR_SEP1_PRIME: lambda ctx: _check_separation(ctx, "prime"),
-    StatementId.THM_SEP2: lambda ctx: _check_separation(ctx, "second"),
-}
+#: the statement catalog, one (tag, checker, description) row per statement,
+#: in report order
+_CATALOG = (
+    ("LEM_BOOLEAN", _check_lem_boolean,
+     "if ' is antitone with x<=x'' everywhere, an element whose every ideal-membership forces in its double complement is Boolean"),
+    ("LEM_CL_PRIME", _check_lem_cl_prime,
+     "I is a prime ideal iff P\\I is a filter iff P\\I is a prime filter; complementation of sets is a bijection between prime ideals and prime filters"),
+    ("LEM_CL_PRINCIPAL", _check_lem_cl_principal,
+     "on a finite poset every ideal and every filter is principal"),
+    ("LEM_PROPER_PAIR", _check_lem_proper_pair,
+     "a proper ideal never contains both an element and its complement"),
+    ("PROP_PROPER_EQUIV", _check_prop_proper_equiv,
+     "I proper iff I_0 != P iff I and I_0 are disjoint (dually for filters)"),
+    ("LEM_CIDEAL_DD", _check_lem_cideal_dd,
+     "x'<=x''' everywhere forces I''<=I for c-ideals; x'''<=x' dually for c-filters"),
+    ("LEM_TRIPLE_A0", _check_lem_triple_a0,
+     "under x'''=x', membership of a in A_0 is equivalent to membership of a''"),
+    ("THM_F0_CIDEAL", _check_thm_f0_cideal,
+     "antitone with x<=x'': F_0 is a c-ideal for every filter F; antitone with x''<=x: I_0 is a c-filter for every ideal I"),
+    ("COR_INVOLUTION", _check_cor_involution,
+     "under an antitone involution, I_0 is a filter with (I_0)_0 = I, so every ideal is a c-ideal (dually for filters)"),
+    ("REM_PRINCIPAL_L0", _check_rem_principal_l0,
+     "under an antitone involution, L(a)_0 = U(a') and L(a) = U(a')_0"),
+    ("LEM_PRIME_CCOND", _check_lem_prime_ccond,
+     "every prime ideal and every prime filter satisfies the c-condition"),
+    ("THM5_I_II", lambda ctx: _check_thm5_maximal(ctx, "ideal"),
+     "an ideal satisfying the c-condition is maximal"),
+    ("THM5_II_III_IV_I", lambda ctx: _check_thm5_ccond(ctx, "ideal"),
+     "on a distributive poset, a maximal ideal whose LU-unions are ideals satisfies the c-condition"),
+    ("THM5_V_VI", lambda ctx: _check_thm5_maximal(ctx, "filter"),
+     "a filter satisfying the c-condition is an ultrafilter"),
+    ("THM5_III_VI_VII_V", lambda ctx: _check_thm5_ccond(ctx, "filter"),
+     "on a distributive poset, an ultrafilter whose UL-unions are filters satisfies the c-condition"),
+    ("LEM_JOINSEMI_LU", _check_lem_joinsemi_lu,
+     "on a join-semilattice, the union of LU(a,i) over an ideal is always an ideal"),
+    ("THM_SEP1", lambda ctx: _check_separation(ctx, "first"),
+     "antitone, x<=x'', F with the c-condition disjoint from I: J := F_0 is a c-ideal separating them"),
+    ("COR_SEP1_PRIME", lambda ctx: _check_separation(ctx, "prime"),
+     "antitone, x<=x'', F a prime filter disjoint from I: a separating c-ideal exists"),
+    ("THM_SEP2", lambda ctx: _check_separation(ctx, "second"),
+     "distributive, antitone, F a principal ultrafilter with all meets against its generator: a separating c-ideal exists"),
+)
+
+#: identifiers of the checkable statements, in fixed report order
+StatementId = _StatementTag(
+    "StatementId", [(tag, tag) for tag, _, _ in _CATALOG], module=__name__, qualname="StatementId"
+)
+DESCRIPTIONS: dict[StatementId, str] = {StatementId(tag): text for tag, _, text in _CATALOG}
+_CHECKERS = {StatementId(tag): check for tag, check, _ in _CATALOG}
 
 
 def _run_checker(ctx: _Context, sid: StatementId) -> TheoremCheckResult:

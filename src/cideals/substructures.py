@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .complement import ComplementedPoset
-from .errors import ScaleLimit
+from .errors import PosetError, ScaleLimit
 from .poset import DistributivityReport, Poset, iter_bits, sort_key
 
 #: cap on the number of downward-closed subsets one walk of
@@ -323,7 +323,10 @@ class OrderFacts:
         the first walked ideal without a greatest element, or None, and the
         ScaleLimit message when the walk passed its cap, else "".  An
         over-cap walk is kept too: the cap is fixed, so a second walk ends
-        the same way."""
+        the same way.  Past the loop every kept set is the cone of its
+        greatest element, and distinct elements have distinct cones, so
+        fewer than n kept sets means the walk dropped an ideal: an internal
+        error, not a verdict."""
         q = self.poset
         try:
             found = directed_downsets(q)
@@ -333,6 +336,8 @@ class OrderFacts:
             g = q.greatest(s)
             if g is None or q.down[g] != s:
                 return s, ""
+        if len(found) != q.n:
+            raise PosetError(f"internal error: kept {len(found)} of {q.n} principal ideals")
         return None, ""
 
     @cached_property

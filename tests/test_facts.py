@@ -11,10 +11,13 @@ import random
 import sys
 import threading
 
+import pytest
+
 from cideals import (
     Instance,
     NotFilter,
     NotIdeal,
+    PosetError,
     StatementId,
     attach_complementation,
     build_poset,
@@ -29,6 +32,7 @@ from cideals import (
     substructures,
 )
 from cideals.complement import ComplementedPoset
+from cideals.corpus import corpus_entry
 from cideals.poset import Poset
 from conftest import boolean_lattice, bounded_antichain
 
@@ -118,6 +122,16 @@ def test_over_cap_walk_is_kept(monkeypatch):
     monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 1 << 20)
     assert p.facts.principal_walk is first  # the kept verdict, not a new walk
     assert walked == [p]
+
+
+def test_walk_that_drops_an_ideal_is_an_internal_error(monkeypatch):
+    """Each set the walk keeps is a principal cone, so a walk that drops one
+    keeps fewer than n: LEM_CL_PRINCIPAL may not read that as verified."""
+    walk = substructures.directed_downsets
+    monkeypatch.setattr(substructures, "directed_downsets", lambda p: walk(p)[:-1])
+    cp = corpus_entry("fig2a").cp  # fresh objects: no walk kept yet
+    with pytest.raises(PosetError, match=r"^internal error: kept 8 of 9 principal ideals$"):
+        check_statement(cp, "LEM_CL_PRINCIPAL")
 
 
 def test_duals_are_kept_and_carry_the_flags_over(corpus):

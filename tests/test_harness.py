@@ -25,10 +25,23 @@ from conftest import mask, names
 
 def test_statement_catalog_has_19_entries():
     assert len(list(StatementId)) == 19
-    from cideals import DESCRIPTIONS
+    from cideals import DESCRIPTIONS, harness
 
-    assert set(DESCRIPTIONS) == set(StatementId)
+    # the three tables read the one catalog, so they list it in one order
+    assert list(StatementId) == list(DESCRIPTIONS) == list(harness._CHECKERS)
     assert all(DESCRIPTIONS[sid] for sid in StatementId)
+
+
+def test_statement_ids_read_as_their_tags():
+    """Reports print, hash and pickle the members, so each reads as its tag."""
+    import pickle
+
+    for sid in StatementId:
+        assert sid.value == sid.name
+        assert str(sid) == f"{sid}" == sid.value
+        assert StatementId(sid.value) is sid
+        assert pickle.loads(pickle.dumps(sid)) is sid
+    assert repr(StatementId.THM_SEP2) == "<StatementId.THM_SEP2: 'THM_SEP2'>"
 
 
 def test_run_all_fig1(fig1):

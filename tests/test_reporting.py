@@ -111,6 +111,10 @@ def test_readme_documents_every_statement_tag():
     )
     for sid in StatementId:
         assert f"`{sid.value}`" in readme, sid
+    # the catalog table lists exactly the tags, in catalog order
+    section = readme.split("## Statement catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [f"`{sid.value}`" for sid in StatementId]
 
 
 
