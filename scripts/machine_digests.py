@@ -34,6 +34,19 @@ label is printed.
 
       separate <instance>:<mode>:<format>:L(x):U(y) <sha256 of the exit code, stdout and stderr>
 
+One more group covers the seeded generator and the built-in corpus report,
+which no group above runs from the command line.
+
+- ``gen``: CLI ``gen`` for sizes 2-24 and seeds 0-7 under each ``--require``
+  profile (none, antitone, involution, both), then at seed 0 with
+  ``--density 0`` and ``1``, then ``corpus`` in text and machine format,
+  784 outputs; one line per output::
+
+      gen <size>:<seed>:<require>:<density> <sha256 of the exit code, stdout and stderr>
+      corpus <format> <sha256 of the exit code, stdout and stderr>
+
+  where ``-`` stands for no ``--require`` and for the default density.
+
 Two commits produce the same machine outputs, exit codes and stderr
 included, and the same library answers, exactly when the outputs of this
 script run at each of them are identical::
@@ -68,6 +81,10 @@ API_SEPARATION_PAIRS = 4
 API_CLASSIFY = 12
 SEPARATION_MODES = ("first", "prime", "second")
 FORMATS = ("text", "machine")
+GEN_SIZES = range(2, 25)
+GEN_SEEDS = range(8)
+GEN_PROFILES = ("", "antitone", "involution", "antitone,involution")
+GEN_DENSITIES = ("0", "1")
 
 
 def _instance(name, elements, covers, comp):
@@ -173,6 +190,19 @@ def run_separate():
                         yield f"separate {instance.name}:{mode}:{fmt}:L({x}):U({y}) {digest(argv)}"
 
 
+def run_gen():
+    """Yield one output line per CLI ``gen`` run and per ``corpus`` format."""
+    runs = [(size, seed, require, None) for size in GEN_SIZES for seed in GEN_SEEDS for require in GEN_PROFILES]
+    runs += [(size, 0, "", density) for size in GEN_SIZES for density in GEN_DENSITIES]
+    for size, seed, require, density in runs:
+        argv = ["gen", "--size", str(size), "--seed", str(seed)]
+        argv += ["--require", require] if require else []
+        argv += ["--density", density] if density else []
+        yield f"gen {size}:{seed}:{require or '-'}:{density or '-'} {digest(argv)}"
+    for fmt in FORMATS:
+        yield f"corpus {fmt} {digest(['corpus', '--format', fmt])}"
+
+
 def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -182,13 +212,14 @@ def digest(argv):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-EXTRA_GROUPS = {"api": run_api, "separate": run_separate}
+EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen}
 ALL_GROUPS = (*GROUPS, *EXTRA_GROUPS)
 
 
 def run(groups):
-    """Yield one output line per (instance, command), per api call and per
-    separate run; instance files are written to the current directory."""
+    """Yield one output line per (instance, command), per api call, per
+    separate run and per gen group run; instance files are written to the
+    current directory."""
     for group in groups:
         if group in EXTRA_GROUPS:
             yield from EXTRA_GROUPS[group]()

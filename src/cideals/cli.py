@@ -7,7 +7,8 @@ files that are not valid UTF-8); 3 validation failure (not a poset, axiom
 violation, malformed ideal/filter argument, a gen --size outside 2-24); 4 a
 requested check found a counterexample, an explicitly requested statement
 was not applicable or not verified (LEM_CL_PRINCIPAL past the downset
-walk's cap), or a separation hypothesis failed.
+walk's cap), a separation hypothesis failed, or gen found no complementation
+of its poset with the required constraints (stdout empty).
 
 ``main`` may be called repeatedly in one process.  It builds its argument
 parser on the first call, keeps it in the module and reuses it; the parser

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .complement import ComplementedPoset, attach_complementation
 from .errors import BadSize, NotBounded, PosetError
-from .poset import Poset, build_poset
+from .poset import Poset, build_poset, iter_bits
 from .substructures import CLASSES, family_rows
 
 #: edge probability between rank-adjacent middle elements of random posets
@@ -153,11 +153,7 @@ _RAW_CORPUS: list[dict] = [
 
 
 def _parse_pairs(spec: str, sep: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in spec.split():
-        a, b = chunk.split(sep)
-        pairs.append((a, b))
-    return pairs
+    return [tuple(chunk.split(sep)) for chunk in spec.split()]
 
 
 def builtin_corpus() -> list[CorpusEntry]:
@@ -196,21 +192,17 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
 def published_divergences(entry: CorpusEntry) -> list[tuple[str, frozenset[str], frozenset[str]]]:
     """(list name, published, computed) triples where the two disagree."""
     computed = computed_lists(entry.cp)
-    out = []
-    for field_name, published in vars(entry.expected).items():
-        if published is None:
-            continue
-        if published != computed[field_name]:
-            out.append((field_name, published, computed[field_name]))
-    return out
+    return [
+        (field_name, published, computed[field_name])
+        for field_name, published in vars(entry.expected).items()
+        if published is not None and published != computed[field_name]
+    ]
 
 
 # -- random generation --------------------------------------------------------
 
 
-def random_poset(
-    n: int, seed: int, density: float = DEFAULT_EDGE_DENSITY
-) -> Poset:
+def random_poset(n: int, seed: int, density: float = DEFAULT_EDGE_DENSITY) -> Poset:
     """A random bounded poset, deterministic in (n, seed).
 
     Middle elements are placed on ranks; edges appear between adjacent ranks
@@ -220,28 +212,17 @@ def random_poset(
         raise BadSize(f"size must be between 2 and 24, got {n}")
     rng = random.Random(f"poset:{n}:{seed}")
     mids = [f"x{i}" for i in range(1, n - 1)]
-    names = ["0", *mids, "1"]
-    pairs: list[tuple[str, str]] = [("0", "1")]
+    # 0 < m < 1 for every middle element m: the closure puts the bounds there anyway
+    pairs = [("0", "1"), *(("0", m) for m in mids), *((m, "1") for m in mids)]
     if mids:
         nranks = rng.randint(1, len(mids))
         ranks: list[list[str]] = [[] for _ in range(nranks)]
         for m in mids:
             ranks[rng.randrange(nranks)].append(m)
         ranks = [r for r in ranks if r]
-        for lower, upper in zip(ranks, ranks[1:]):
-            for a in lower:
-                for b in upper:
-                    if rng.random() < density:
-                        pairs.append((a, b))
-        have_below = {b for _, b in pairs}
-        have_above = {a for a, _ in pairs}
-        for rank in ranks:
-            for m in rank:
-                if m not in have_below:
-                    pairs.append(("0", m))
-                if m not in have_above:
-                    pairs.append((m, "1"))
-    return build_poset(names, pairs)
+        pairs += [(a, b) for lower, upper in zip(ranks, ranks[1:]) for a in lower for b in upper
+                  if rng.random() < density]
+    return build_poset(["0", *mids, "1"], pairs)
 
 
 def random_complementation(
@@ -260,10 +241,13 @@ def random_complementation(
     unknown = wanted.difference(SUPPORTED_CONSTRAINTS)
     if unknown:
         raise PosetError(f"unsupported constraint flags: {sorted(unknown)}")
-    rng = random.Random(f"comp:{p.n}:{seed}:{','.join(sorted(wanted))}")
     n = p.n
+    antitone, involution = "antitone" in wanted, "involution" in wanted
+    if involution and n % 2 and n > 1:
+        return None  # x' = x forces x = top = bottom, so an involution pairs the elements off
+    rng = random.Random(f"comp:{n}:{seed}:{','.join(sorted(wanted))}")
     # join(x, y) is top exactly when U(x,y) = {top}, and meet(x, y) is
-    # bottom exactly when L(x,y) = {bottom}
+    # bottom exactly when L(x,y) = {bottom}; both tests are symmetric in x, y
     top, bottom = 1 << p.top, 1 << p.bottom
     candidates: list[list[int]] = []
     for x in range(n):
@@ -280,41 +264,30 @@ def random_complementation(
     comp: list[int | None] = [None] * n
 
     def antitone_ok(x: int, y: int) -> bool:
-        for z in range(n):
-            cz = comp[z]
-            if cz is None or z == x:
-                continue
-            if p.le(z, x) and not p.le(y, cz):
-                return False
-            if p.le(x, z) and not p.le(cz, y):
-                return False
-        return True
+        """Would x' := y keep z <= x => x' <= z' and x <= z => z' <= x' for
+        every assigned z other than x?  Only z in x's cones can fail."""
+        return all(
+            comp[z] is None or (p.le(y, comp[z]) if p.le(z, x) else p.le(comp[z], y))
+            for z in iter_bits((p.down[x] | p.up[x]) & ~(1 << x))
+        )
 
     def assign(k: int) -> bool:
-        if k == len(order):
+        if k == n:
             return True
         x = order[k]
-        if comp[x] is not None:  # forced earlier by the involution constraint
+        if comp[x] is not None:  # the partner of an earlier element under involution
             return assign(k + 1)
         for y in candidates[x]:
-            if "antitone" in wanted and not antitone_ok(x, y):
+            # under involution every assigned element is paired, so an assigned y is taken
+            moves = [(x, y), (y, x)] if involution else [(x, y)]
+            if involution and comp[y] is not None or antitone and not all(antitone_ok(*m) for m in moves):
                 continue
-            forced = None
-            if "involution" in wanted:
-                if comp[y] is not None and comp[y] != x:
-                    continue
-                if comp[y] is None and y != x:
-                    if x not in candidates[y] or ("antitone" in wanted and not antitone_ok(y, x)):
-                        continue
-                    forced = y
-            comp[x] = y
-            if forced is not None:
-                comp[forced] = x
+            for a, b in moves:
+                comp[a] = b
             if assign(k + 1):
                 return True
-            comp[x] = None
-            if forced is not None:
-                comp[forced] = None
+            for a, _ in moves:
+                comp[a] = None
         return False
 
     if not assign(0):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import naive
@@ -13,6 +15,7 @@ from cideals import (
     is_filter,
     is_ideal,
     lu_union,
+    random_complementation,
     random_complemented_poset,
     ul_union,
 )
@@ -197,6 +200,92 @@ def assert_distributivity_matches_reference(p):
         assert report == reference_is_distributive(q)
         failures += not report.holds
     return failures
+
+
+def reference_random_complementation(p, seed, constraints=()):
+    """The search ``corpus.random_complementation`` replaced, kept verbatim
+    but for its argument checks: the same seeded candidate order, with the
+    partner test, the involution bookkeeping and the full antitone scan it
+    had.  It has no parity exit, so on an odd poset of two or more points
+    it searches to the end before it returns ``None`` under involution."""
+    wanted = set(constraints)
+    rng = random.Random(f"comp:{p.n}:{seed}:{','.join(sorted(wanted))}")
+    n = p.n
+    # join(x, y) is top exactly when U(x,y) = {top}, and meet(x, y) is
+    # bottom exactly when L(x,y) = {bottom}
+    top, bottom = 1 << p.top, 1 << p.bottom
+    candidates: list[list[int]] = []
+    for x in range(n):
+        options = [
+            y
+            for y in range(n)
+            if p.up[x] & p.up[y] == top and p.down[x] & p.down[y] == bottom
+        ]
+        if not options:
+            return None
+        rng.shuffle(options)
+        candidates.append(options)
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    comp: list[int | None] = [None] * n
+
+    def antitone_ok(x: int, y: int) -> bool:
+        for z in range(n):
+            cz = comp[z]
+            if cz is None or z == x:
+                continue
+            if p.le(z, x) and not p.le(y, cz):
+                return False
+            if p.le(x, z) and not p.le(cz, y):
+                return False
+        return True
+
+    def assign(k: int) -> bool:
+        if k == len(order):
+            return True
+        x = order[k]
+        if comp[x] is not None:  # forced earlier by the involution constraint
+            return assign(k + 1)
+        for y in candidates[x]:
+            if "antitone" in wanted and not antitone_ok(x, y):
+                continue
+            forced = None
+            if "involution" in wanted:
+                if comp[y] is not None and comp[y] != x:
+                    continue
+                if comp[y] is None and y != x:
+                    if x not in candidates[y] or ("antitone" in wanted and not antitone_ok(y, x)):
+                        continue
+                    forced = y
+            comp[x] = y
+            if forced is not None:
+                comp[forced] = x
+            if assign(k + 1):
+                return True
+            comp[x] = None
+            if forced is not None:
+                comp[forced] = None
+        return False
+
+    if not assign(0):
+        return None
+    return [(p.names[x], p.names[comp[x]]) for x in range(n)]
+
+
+#: the constraint profiles the campaign cycles through
+PROFILES = ((), ("antitone",), ("involution",), ("antitone", "involution"))
+
+
+def assert_complementation_matches_reference(p, seeds):
+    """``random_complementation`` on ``p`` returns the reference search's
+    table, or ``None`` with it, for each seed and profile.  Returns how many
+    of the searches found a table."""
+    found = 0
+    for seed in seeds:
+        for profile in PROFILES:
+            table = random_complementation(p, seed, profile)
+            assert table == reference_random_complementation(p, seed, profile), (p.names, p.down, seed, profile)
+            found += table is not None
+    return found
 
 
 def assert_subset_tests_agree(p):

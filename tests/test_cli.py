@@ -214,6 +214,19 @@ def test_gen_requires_constraints(capsys):
         assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv, require",
+    [
+        (["--size", "3", "--seed", "0"], "-"),  # the 3-chain has no complementation
+        (["--size", "23", "--seed", "1", "--require", "involution"], "involution"),
+    ],
+)
+def test_gen_without_a_complementation_exits_4(capsys, argv, require):
+    code, out, err = run_cli(capsys, ["gen", *argv])
+    assert code == 4 and out == ""
+    assert err == f"no complementation found for size={argv[1]} seed={argv[3]} require={require}\n"
+
+
 def test_gen_bad_size_exit_3(capsys):
     code, _, err = run_cli(capsys, ["gen", "--size", "25", "--seed", "1"])
     assert code == 3

@@ -15,6 +15,7 @@ from cideals import (
     random_poset,
 )
 from cideals.cli import main as cli_main
+from conftest import assert_complementation_matches_reference
 
 
 def test_builtin_corpus_names_and_sizes():
@@ -178,6 +179,30 @@ def test_random_complementation_deterministic(fig2a):
     one = random_complementation(fig2a.poset, seed=11, constraints=["antitone"])
     two = random_complementation(fig2a.poset, seed=11, constraints=["antitone"])
     assert one == two
+
+
+def test_random_complementation_has_no_involution_on_an_odd_size():
+    """x' = x forces x = top = bottom, so on two or more points an
+    involution pairs the elements off and an odd size has none."""
+    for n in range(3, 24, 2):
+        for seed in range(8):
+            p = random_poset(n, seed)
+            for profile in (["involution"], ["antitone", "involution"]):
+                assert random_complementation(p, seed, profile) is None
+    point = build_poset(["0"], [])
+    for profile in (["involution"], ["antitone", "involution"]):
+        assert random_complementation(point, 0, profile) == [("0", "0")]
+
+
+def test_random_complementation_matches_the_reference():
+    """The search gives the reference search's table on random posets of
+    2-12 points, seeds 0-3, under every constraint profile."""
+    found = sum(
+        assert_complementation_matches_reference(random_poset(n, seed), [seed])
+        for n in range(2, 13)
+        for seed in range(4)
+    )
+    assert found == 106  # of 176 searches
 
 
 def test_campaign_instances_honor_profiles():

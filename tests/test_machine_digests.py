@@ -19,6 +19,14 @@ MODES = ("first", "prime", "second")
 FORMATS = ("text", "machine")
 
 
+def load_script():
+    """The script as a module, for its constants and helpers."""
+    spec = importlib.util.spec_from_file_location("machine_digests", ROOT / "scripts" / "machine_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def run_script(*groups):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
@@ -77,9 +85,7 @@ def test_separate_group_covers_every_cone_pair(fig4, tmp_path, monkeypatch):
     assert len(rows) == 2484
     # a fresh in-process run of a sample of the same commands gives the
     # same digests, and the text and machine outputs of a run differ
-    spec = importlib.util.spec_from_file_location("machine_digests", ROOT / "scripts" / "machine_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script()
     monkeypatch.chdir(tmp_path)
     digests = {key: sha for _command, key, sha in rows}
     path = script.write_instance(script.Instance("fig4", fig4.poset, fig4.cp))
@@ -95,14 +101,36 @@ def test_separate_group_covers_every_cone_pair(fig4, tmp_path, monkeypatch):
 def test_every_group_matches_its_recorded_digest():
     """Every machine output, exit code, stderr and library answer the
     script covers is byte-identical to the recorded one.  When output
-    changes on purpose, re-record the file as README's Scripts section says."""
+    changes on purpose, re-record the file as README's Scripts section says.
+    A group the script runs by default needs a recorded digest."""
     recorded = {}
     for line in (ROOT / "tests" / "machine_digests.sha256").read_text().splitlines():
         sha, group = line.split()
         recorded[group] = sha
-    assert list(recorded) == ["corpus", "campaign", "boolean", "antichain", "api", "separate"]
+    assert list(recorded) == list(load_script().ALL_GROUPS)
     for group, sha in recorded.items():
         result = run_script(group)
         assert result.returncode == 0 and not result.stderr
         got = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
         assert got == sha, f"group {group!r} differs from its recorded digest"
+
+
+def test_gen_group_covers_every_run():
+    result = run_script("gen")
+    assert result.returncode == 0 and not result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    profiles = ("-", "antitone", "involution", "antitone,involution")
+    assert [row[:2] for row in rows] == (
+        [["gen", f"{n}:{seed}:{p}:-"] for n in range(2, 25) for seed in range(8) for p in profiles]
+        + [["gen", f"{n}:0:-:{d}"] for n in range(2, 25) for d in ("0", "1")]
+        + [["corpus", fmt] for fmt in FORMATS]
+    )
+    assert len(rows) == 784
+    # an odd size admits no involution: exit 4, nothing on stdout, one line on stderr
+    for _gen, key, sha in rows[:-2]:
+        n, seed, require, _density = key.split(":")
+        if int(n) % 2 and "involution" in require:
+            err = f"no complementation found for size={n} seed={seed} require={require}\n"
+            payload = f"exit=4\n--stdout--\n--stderr--\n{err}"
+            assert sha == hashlib.sha256(payload.encode("utf-8")).hexdigest()

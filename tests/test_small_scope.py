@@ -7,7 +7,8 @@ naturally labelled posets counted by OEIS A006455; every isomorphism type
 appears.  Every complementation of every bounded poset on at most 6 points
 is found from the naive join and meet alone, and its property flags are
 recomputed from their definitions, as are those of the corpus, B2-B4 and
-the campaign instances.
+the campaign instances.  The seeded complement search gives its reference
+search's table on every bounded poset here.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from cideals import (
 from cideals.poset import iter_bits
 from cideals.substructures import is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
+    assert_complementation_matches_reference,
     assert_directed_downsets_match_reference,
     assert_distributivity_agrees,
     assert_distributivity_matches_reference,
@@ -74,6 +76,12 @@ def test_distributivity_matches_the_reference_scan_on_every_small_poset():
 def test_directed_downsets_match_the_reference_on_every_small_poset():
     rejected = sum(assert_directed_downsets_match_reference(p) for p in POSETS)
     assert rejected == 5704  # walked nonempty sets that are not directed
+
+
+def test_random_complementation_matches_the_reference_on_every_small_poset():
+    bounded = [p for p in POSETS if p.bounded]
+    found = sum(assert_complementation_matches_reference(p, range(4)) for p in bounded)
+    assert (len(bounded), found) == (12, 80)  # 192 searches: seeds 0-3, four profiles
 
 
 def test_subset_tests_agree_on_every_poset_up_to_four_points():
