@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 per machine-format CLI output over a fixed instance set.
+"""One sha256 per CLI output or library answer over a fixed instance set.
 
 For each instance, runs ``analyze``, ``check``, ``ideals`` and ``filters``
 with ``--format machine`` in process and prints one line per output::
@@ -47,9 +47,20 @@ which no group above runs from the command line.
 
   where ``-`` stands for no ``--require`` and for the default density.
 
-Two commits produce the same machine outputs, exit codes and stderr
-included, and the same library answers, exactly when the outputs of this
-script run at each of them are identical::
+One more group covers the text reports and the DOT rendering, which no
+group above runs; ``dot`` is the one command besides ``gen`` that prints
+the cover relation.
+
+- ``text``: CLI ``analyze --format text``, ``check --format text`` and
+  ``dot`` on the 218 instances of the first four groups, 654 outputs; one
+  line per output::
+
+      text <command>:<instance> <sha256 of the exit code, stdout and stderr>
+
+Two commits produce the same machine outputs, text reports and DOT
+renderings, exit codes and stderr included, and the same library answers,
+exactly when the outputs of this script run at each of them are
+identical::
 
     PYTHONPATH=src python3 scripts/machine_digests.py > digests.txt
     PYTHONPATH=src python3 scripts/machine_digests.py corpus boolean separate
@@ -203,6 +214,16 @@ def run_gen():
         yield f"corpus {fmt} {digest(['corpus', '--format', fmt])}"
 
 
+def run_text():
+    """Yield one output line per text-format ``analyze``/``check`` run and
+    per ``dot`` run on the instances of the four instance groups."""
+    for instances in GROUPS.values():
+        for instance in instances():
+            path = write_instance(instance)
+            for argv in (["analyze", path, "--format", "text"], ["check", path, "--format", "text"], ["dot", path]):
+                yield f"text {argv[0]}:{instance.name} {digest(argv)}"
+
+
 def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -212,14 +233,14 @@ def digest(argv):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen}
+EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text}
 ALL_GROUPS = (*GROUPS, *EXTRA_GROUPS)
 
 
 def run(groups):
     """Yield one output line per (instance, command), per api call, per
-    separate run and per gen group run; instance files are written to the
-    current directory."""
+    separate run, per gen group run and per text group run; instance files
+    are written to the current directory."""
     for group in groups:
         if group in EXTRA_GROUPS:
             yield from EXTRA_GROUPS[group]()

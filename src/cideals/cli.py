@@ -27,16 +27,15 @@ import sys
 from . import corpus as corpus_mod
 from .complement import ComplementedPoset, attach_complementation
 from .errors import ParseError, PosetError
-from .harness import StatementId, check_statement, run_all, separate
+from .harness import SEPARATION_MODES, StatementId, check_statement, run_all, separate
 from .io import (
     Instance,
-    build_instance,
     build_report,
     emit_dot,
     emit_instance,
+    load_instance,
     machine_class_row,
     machine_theorem_row,
-    parse_instance,
     render_machine,
     render_text,
     text_class_label,
@@ -90,7 +89,7 @@ def _load(path: str) -> Instance:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return build_instance(parse_instance(text))
+    return load_instance(text)
 
 
 def _require_comp(instance: Instance) -> ComplementedPoset:
@@ -284,7 +283,7 @@ def make_parser() -> _Parser:
     cmd.add_argument("file")
     cmd.add_argument("--ideal", required=True, help="generator token, L(a), or {x,y} literal")
     cmd.add_argument("--filter", required=True, help="generator token, U(a), or {x,y} literal")
-    cmd.add_argument("--mode", choices=("first", "prime", "second"), default="first")
+    cmd.add_argument("--mode", choices=SEPARATION_MODES, default="first")
 
     cmd = sub.add_parser("dot", parents=[common], help="DOT rendering of the cover relation")
     cmd.add_argument("file")
@@ -314,19 +313,15 @@ def main(argv: list[str] | None = None) -> int:
         parser = _PARSER = make_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _Exit as exc:
-        return exc.args[0]
-    # --format may be given before or after the subcommand
-    args.format = args.format or args.format_global or "text"
-    try:
+        # --format may be given before or after the subcommand
+        args.format = args.format or args.format_global or "text"
         # looked up per call, so a handler replaced after the first call runs
         return globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError) or getattr(exc, "line", None) is not None:

@@ -8,20 +8,24 @@ everything downstream (ideal classification, theorem checks) branches on
 them.
 
 A complemented poset is immutable.  Its ``facts`` (c-ideals and the
-c-condition) are built on first read, as the poset's own ``facts`` are, and
-belong to this complementation alone.  Its order dual, ``dual()``, is built
-on first call and kept, over the poset's kept dual and the same map; its
-c-ideals are the c-filters of this complementation.  The flags are read
-from ``props``.  De Morgan's identities L(x,y)' = U(x',y') and
-U(x,y)' = L(x',y') hold exactly when the map is an antitone bijection:
-with x = y = top the first makes the map onto, with x = y it makes the map
-antitone, and an antitone bijection of a finite poset is an order
-anti-automorphism, for which both hold.
+c-condition) are a ``functools.cached_property``, built on first read, as
+the poset's own ``facts`` are, and belong to this complementation alone.
+Its order dual stays a method, ``dual()``, built on first call and kept
+like the poset's, over the poset's kept dual and the same map; its
+c-ideals are the c-filters of this complementation.  The flags,
+``props``, are computed by the constructor and kept in a slot: most
+statement checks and every separation read them, and the dual takes a
+copy with two flags swapped instead of recomputing them.  De Morgan's
+identities L(x,y)' = U(x',y') and U(x,y)' = L(x',y') hold exactly when
+the map is an antitone bijection: with x = y = top the first makes the map
+onto, with x = y it makes the map antitone, and an antitone bijection of a
+finite poset is an order anti-automorphism, for which both hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap
@@ -52,7 +56,7 @@ class ComplementProperties:
 class ComplementedPoset:
     """A bounded poset together with a validated complementation."""
 
-    __slots__ = ("poset", "comp", "props", "_facts", "_dual")
+    __slots__ = ("poset", "comp", "props", "_dual", "__dict__")
 
     def __init__(self, poset: Poset, comp: Sequence[int]):
         if not poset.bounded:
@@ -80,7 +84,7 @@ class ComplementedPoset:
         self.poset = poset
         self.comp = comp
         self.props = self._compute_properties()
-        self._facts = self._dual = None
+        self._dual = None
 
     def __repr__(self) -> str:
         table = " ".join(
@@ -98,15 +102,13 @@ class ComplementedPoset:
     def __hash__(self) -> int:
         return hash((self.poset, self.comp))
 
-    @property
+    @cached_property
     def facts(self):
         """The :class:`~cideals.substructures.ComplementFacts` of this
-        complementation, built on first read; order facts stay on the poset."""
-        if self._facts is None:
-            from .substructures import ComplementFacts  # it imports this module
+        complementation; order facts stay on the poset."""
+        from .substructures import ComplementFacts  # it imports this module
 
-            self._facts = ComplementFacts(self)
-        return self._facts
+        return ComplementFacts(self)
 
     # -- the complement map on sets ------------------------------------------
 
@@ -160,7 +162,7 @@ class ComplementedPoset:
             dual.poset, dual.comp = self.poset.dual(), self.comp
             props = self.props
             dual.props = replace(props, x_le_xdd=props.xdd_le_x, xdd_le_x=props.x_le_xdd)
-            dual._facts, dual._dual = None, self
+            dual._dual = self
             self._dual = dual
         return self._dual
 

@@ -135,11 +135,11 @@ def _check_lem_cl_prime(ctx: _Context):
     p, a, f = ctx.cp.poset, ctx.order, ctx.sides["filter"].poset.facts
     for i in a.ideals:
         rest = p.all_mask & ~i
-        facts = (i in a.prime_ideal_set, rest in f.prime_ideal_set, f.is_ideal(rest))
+        facts = (i in a.prime_ideals, rest in f.prime_ideals, f.is_ideal(rest))
         if len(set(facts)) != 1:
             return "", {"ideal": p.format_set(i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
     image = {p.all_mask & ~i for i in a.prime_ideals}
-    if image != f.prime_ideal_set:
+    if image != set(f.prime_ideals):
         return "", {
             "prime_ideal_complements": "+".join(sorted(p.format_set(m) for m in image)),
             "prime_filters": "+".join(sorted(p.format_set(m) for m in f.prime_ideals)),
@@ -273,7 +273,7 @@ def _check_thm5_maximal(ctx: _Context, kind: str):
     cf = ctx.sides[kind].facts
     note = "" if cf.ccond_ideals else f"no {kind} satisfies the c-condition"
     for s in cf.ccond_ideals:
-        if s not in cf.order.maximal_ideal_set:
+        if s not in cf.order.maximal_ideals:
             return note, {kind: ctx.cp.poset.format_set(s)}
     return note, None
 
@@ -369,7 +369,7 @@ _MODES = {
     "prime": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
         (
-            (FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideal_set),
+            (FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideals),
             (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("prime filter misses the c-condition")),
         ),
         "no disjoint (ideal, prime filter) pair",
@@ -384,7 +384,7 @@ _MODES = {
             _ANTITONE,
         ),
         (
-            (FAIL_NOT_ULTRA, lambda cp, d, f: f in d.poset.facts.maximal_ideal_set),
+            (FAIL_NOT_ULTRA, lambda cp, d, f: f in d.poset.facts.maximal_ideals),
             (None, lambda cp, d, f: cp.poset.least(f) is not None or _internal_error("finite filter without least element")),
             (None, lambda cp, d, f: cp.poset.down[d.poset.facts.down_generator[f]].bit_count() == 2 or _internal_error("ultrafilter not generated by an atom")),
             (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("qualifying ultrafilter misses the c-condition")),
@@ -395,6 +395,9 @@ _MODES = {
         lambda cp, d, f: f"ultrafilter generated by {cp.poset.names[d.poset.facts.down_generator[f]]}",
     ),
 }
+
+#: the names of the separation modes, in table order
+SEPARATION_MODES = tuple(_MODES)
 
 
 def _verify_separation_witness(

@@ -5,13 +5,20 @@ plain ``int`` bitmasks over those indices, which keeps every cone and ideal
 computation a handful of word operations at the target scale (n <= 24).
 
 A poset is immutable after construction; every operation here is a pure
-function of its arguments and is safe for concurrent reads.  The order dual
-``dual()``, the pair table ``lu`` and ``facts``, the facts of the order
-alone (the ideal family and its flags, distributivity), are filled on first
-read, each whole before it is stored; the fill is idempotent, so readers
-racing on it at worst build the same value twice.  The filters of a poset
-are the ideals of its dual, so every filter fact is read from
-``dual().facts``, and ``ul`` is ``dual().lu``.  Each dual method has one
+function of its arguments and is safe for concurrent reads.  The
+constructor checks the order and keeps the cones and bounds in
+``__slots__``, which the hot loops read.  Every derived value is a
+``functools.cached_property``, built from the cones on first read and kept
+in the instance dict: the cover relation ``covers``, which only the DOT and
+instance-file writers read, the pair table ``lu``, and ``facts``, the facts
+of the order alone (the ideal family and its flags, distributivity).  The
+order dual stays a method, ``dual()``, built on first call and kept: it is
+linked back to this object before it is stored, and it is a method that
+``perfbench/spans.py`` traces.  Each value is built whole before it is
+stored and the fill is idempotent, so readers racing on it at worst build
+the same value twice.  The filters of a poset are the ideals of its dual,
+so every filter fact is read from ``dual().facts``, and ``ul`` is
+``dual().lu``.  Each dual method has one
 body: ``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
 ``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
 dual, and the semilattice flags are one all-meets scan run on both.
@@ -23,6 +30,7 @@ every triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleDetected, DuplicateName, PosetError, UnknownName
@@ -79,15 +87,12 @@ class Poset:
     """A finite poset over named elements.
 
     ``down[i]`` is the bitmask of elements <= i, ``up[i]`` of elements >= i.
-    ``covers`` is the transitive reduction of the strict order.  ``bottom``
-    and ``top`` are element indices or ``None``; they are detected, never
-    required.  ``lu[x][y]`` is L(U(x,y)) and ``ul[x][y]`` is U(L(x,y)).
+    ``covers`` is the transitive reduction of the strict order, built on
+    first read.  ``bottom`` and ``top`` are element indices or ``None``;
+    they are detected, never required.  ``lu[x][y]`` is L(U(x,y)) and ``ul[x][y]`` is U(L(x,y)).
     """
 
-    __slots__ = (
-        "n", "names", "down", "up", "covers", "bottom", "top", "all_mask", "_index",
-        "_lu", "_facts", "_dual",
-    )
+    __slots__ = ("n", "names", "down", "up", "bottom", "top", "all_mask", "_index", "_dual", "__dict__")
 
     def __init__(self, names: Sequence[str], down: Sequence[int]):
         _validate_names(names)
@@ -118,20 +123,10 @@ class Poset:
         self.down = down
         self.up = tuple(up)
         self._index = {name: i for i, name in enumerate(self.names)}
-        covers = []
-        for j in range(n):
-            for i in iter_bits(down[j]):
-                if i == j:
-                    continue
-                between = down[j] & self.up[i] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers.append((i, j))
-        self.covers = tuple(sorted(covers))
         self.all_mask = all_mask
         self.bottom = next((i for i in range(n) if self.up[i] == all_mask), None)
         self.top = next((i for i in range(n) if down[i] == all_mask), None)
-        # built on first read: most posets never need them
-        self._lu = self._facts = self._dual = None
+        self._dual = None
 
     # -- basics ------------------------------------------------------------
 
@@ -208,32 +203,38 @@ class Poset:
     def join(self, x: int, y: int) -> int | None:
         return self.dual().meet(x, y)
 
-    @property
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The transitive reduction of the strict order as sorted (lower,
+        upper) index pairs: i < j with nothing strictly between them."""
+        return tuple(
+            (i, j)
+            for i in range(self.n)
+            for j in iter_bits(self.up[i] ^ (1 << i))
+            if self.up[i] & self.down[j] == (1 << i) | (1 << j)
+        )
+
+    @cached_property
     def lu(self) -> tuple[tuple[int, ...], ...]:
-        """The pair table ``lu[x][y]`` = L(U(x,y)), once per unordered pair,
-        built whole on first read."""
-        if self._lu is None:
-            rows = [[0] * self.n for _ in range(self.n)]
-            for x in range(self.n):
-                for y in range(x, self.n):
-                    rows[x][y] = rows[y][x] = self.lower_cone(self.up[x] & self.up[y])
-            self._lu = tuple(map(tuple, rows))
-        return self._lu
+        """The pair table ``lu[x][y]`` = L(U(x,y)), once per unordered pair."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for x in range(self.n):
+            for y in range(x, self.n):
+                rows[x][y] = rows[y][x] = self.lower_cone(self.up[x] & self.up[y])
+        return tuple(map(tuple, rows))
 
     @property
     def ul(self) -> tuple[tuple[int, ...], ...]:
         """The pair table ``ul[x][y]`` = U(L(x,y)): the dual's ``lu``."""
         return self.dual().lu
 
-    @property
+    @cached_property
     def facts(self):
-        """The order's :class:`~cideals.substructures.OrderFacts`, built on
-        first read and shared by every complementation on this object."""
-        if self._facts is None:
-            from .substructures import OrderFacts  # it imports this module
+        """The order's :class:`~cideals.substructures.OrderFacts`, shared by
+        every complementation on this object."""
+        from .substructures import OrderFacts  # it imports this module
 
-            self._facts = OrderFacts(self)
-        return self._facts
+        return OrderFacts(self)
 
     # -- global structure ----------------------------------------------------
 
@@ -291,13 +292,11 @@ class Poset:
     def dual(self) -> "Poset":
         """The order-dual poset over the same named elements, built on first
         call and kept; its own dual is this object.  Nothing is re-validated:
-        the cones, the covers and the bounds swap."""
+        the cones and the bounds swap."""
         if self._dual is None:
             dual = Poset.__new__(Poset)
             dual.n, dual.names, dual.all_mask, dual._index = self.n, self.names, self.all_mask, self._index
             dual.down, dual.up, dual.bottom, dual.top = self.up, self.down, self.top, self.bottom
-            dual.covers = tuple(sorted((j, i) for i, j in self.covers))
-            dual._lu = dual._facts = None
             dual._dual = self
             self._dual = dual
         return self._dual

@@ -274,8 +274,8 @@ class OrderFacts:
     ``Poset.facts``: every complementation built on that poset object shares
     it.  The filter side is ``poset.dual().facts``.
 
-    List attributes keep family order; the ``*_set`` attributes hold the
-    same members for membership tests.  ``down_generator`` maps each
+    The families are lists in family order, of at most n members each, and
+    are searched directly for membership.  ``down_generator`` maps each
     principal ideal ``down[g]`` to g; the cones of distinct elements differ,
     so the map is one-to-one.
 
@@ -348,14 +348,6 @@ class OrderFacts:
     def prime_ideals(self) -> list[int]:
         return [i for i in self.ideals if is_prime_ideal(self.poset, i)]
 
-    @cached_property
-    def maximal_ideal_set(self) -> frozenset[int]:
-        return frozenset(self.maximal_ideals)
-
-    @cached_property
-    def prime_ideal_set(self) -> frozenset[int]:
-        return frozenset(self.prime_ideals)
-
 
 class ComplementFacts:
     """The facts of one complementation that its order alone does not fix,
@@ -405,10 +397,10 @@ def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
         is_filter=filter_flag,
         proper=proper,
         principal_generator=o.generator(mask),
-        maximal_ideal=ideal_flag and mask in o.maximal_ideal_set,
-        prime_ideal=ideal_flag and mask in o.prime_ideal_set,
-        ultrafilter=filter_flag and mask in do.maximal_ideal_set,
-        prime_filter=filter_flag and mask in do.prime_ideal_set,
+        maximal_ideal=ideal_flag and mask in o.maximal_ideals,
+        prime_ideal=ideal_flag and mask in o.prime_ideals,
+        ultrafilter=filter_flag and mask in do.maximal_ideals,
+        prime_filter=filter_flag and mask in do.prime_ideals,
         c_ideal_witness=cp.facts.c_ideal_witnesses.get(mask) if ideal_flag else None,
         c_filter_witness=dual.facts.c_ideal_witnesses.get(mask) if filter_flag else None,
         c_condition=cp.c_condition(mask),
@@ -434,8 +426,8 @@ def family_rows(p: Poset, cp: ComplementedPoset | None, kind: str) -> tuple[Clas
                 generator=a.down_generator[mask],
                 proper=mask != p.all_mask,
                 principal=generator(mask),
-                maximal=mask in a.maximal_ideal_set,
-                prime=mask in a.prime_ideal_set,
+                maximal=mask in a.maximal_ideals,
+                prime=mask in a.prime_ideals,
                 ccond=cp.facts.c_condition(mask) if cp else None,
                 is_c=(witness is not None) if cp else None,
                 witness=witness,

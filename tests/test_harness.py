@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
 from cideals import (
     NotFilter,
     NotIdeal,
+    Poset,
+    PosetError,
     StatementId,
     check_statement,
     run_all,
@@ -250,3 +254,56 @@ def test_lem_cl_principal_reports_what_the_walk_finds(monkeypatch):
     res = check_statement(fig1.cp, StatementId.LEM_CL_PRINCIPAL)
     assert res.hypotheses_met and res.conclusion_holds is False
     assert res.counterexample == {"non_principal_ideal": "{0,a,b}"}
+
+
+def _set_flag(flag):
+    """Doctoring that turns one complementation flag off."""
+    return lambda mp, cp, f: mp.setattr(cp, "props", dataclasses.replace(cp.props, **{flag: False}))
+
+
+def _no_least(mp, cp, f):
+    mp.setattr(Poset, "least", lambda self, mask: None)
+
+
+def _no_c_condition(mp, cp, f):
+    mp.setattr(cp.dual().facts, "c_condition", lambda mask: False)
+
+
+def _generated_by_top(mp, cp, f):
+    facts = cp.dual().poset.facts
+    mp.setattr(facts, "down_generator", {**facts.down_generator, f: cp.poset.top})
+
+
+def _no_c_ideals(mp, cp, f):
+    mp.setattr(cp.facts, "c_ideal_witnesses", {})
+
+
+@pytest.mark.parametrize(
+    "mode,doctor,message",
+    [
+        ("prime", _no_c_condition, "prime filter misses the c-condition"),
+        ("second", _no_least, "finite filter without least element"),
+        ("second", _generated_by_top, "ultrafilter not generated by an atom"),
+        ("second", _no_c_condition, "qualifying ultrafilter misses the c-condition"),
+        ("second", _set_flag("involution"), "distributivity did not force an involution"),
+        ("second", _set_flag("x_le_xdd"), "an involution without x<=x''"),
+        ("first", _no_c_ideals, "constructed witness failed verification"),
+        ("prime", _no_c_ideals, "constructed witness failed verification"),
+        ("second", _no_c_ideals, "constructed witness failed verification"),
+    ],
+    ids=["prime-ccond", "second-least", "second-atom", "second-ccond", "second-involution",
+         "second-x_le_xdd", "first-witness", "prime-witness", "second-witness"],
+)
+def test_separation_guarantees_raise_internal_errors(monkeypatch, mode, doctor, message):
+    """Each step the earlier hypotheses imply, and the final re-check of the
+    witness, raises an internal error when the fact, flag or helper it reads
+    is doctored to fail; every other step still passes."""
+    cp = corpus_entry("fig4").cp  # fresh: the doctored facts stay on the object
+    p = cp.poset
+    ideal, filt = p.down[p.index("e'")], p.up[p.index("b")]
+    assert separate(cp, ideal, filt, mode).witness == p.down[p.index("b'")]
+    doctor(monkeypatch, cp, filt)
+    with pytest.raises(PosetError) as err:
+        separate(cp, ideal, filt, mode)
+    assert type(err.value) is PosetError
+    assert str(err.value) == f"internal error: {message}"
