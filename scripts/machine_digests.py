@@ -57,6 +57,23 @@ the cover relation.
 
       text <command>:<instance> <sha256 of the exit code, stdout and stderr>
 
+One more group covers the argument forms and options that no group above
+passes: the ``--class`` listings, an explicit ``--statement``, set literals
+and bare tokens, ``--highlight`` and ``corpus --emit``.
+
+- ``cli``: ``ideals``/``filters`` with every ``--class`` in both formats on
+  the corpus and on fig1 without its ``comp:`` lines (the complementation
+  classes exit 3 there); ``check --statement`` with each tag, and a two-tag
+  list, on the corpus in both formats, then an unknown tag and the
+  poset-only file; ``separate`` on fig4 with ``{...}`` literals and bare
+  tokens in every mode and format; ``dot --highlight`` on fig4 with cones,
+  a bare token, a literal and two highlights; ``corpus --emit`` into a
+  relative directory, then the emitted files, then into a path that is a
+  file; one line per output::
+
+      cli <command>:<key> <sha256 of the exit code, stdout and stderr>
+      cli emitted:<file> <sha256 of the file>
+
 Two commits produce the same machine outputs, text reports and DOT
 renderings, exit codes and stderr included, and the same library answers,
 exactly when the outputs of this script run at each of them are
@@ -81,6 +98,7 @@ from functools import partial
 
 from cideals import Instance, NotFilter, NotIdeal, StatementId, attach_complementation, build_poset
 from cideals import builtin_corpus, check_statement, classify, emit_instance, random_complemented_poset, separate
+from cideals.substructures import CLASSES
 from cideals.cli import main as cli_main
 
 COMMANDS = ("analyze", "check", "ideals", "filters")
@@ -96,6 +114,11 @@ GEN_SIZES = range(2, 25)
 GEN_SEEDS = range(8)
 GEN_PROFILES = ("", "antitone", "involution", "antitone,involution")
 GEN_DENSITIES = ("0", "1")
+CHECK_TAG_LISTS = (*(sid.value for sid in StatementId), "THM5_I_II, LEM_BOOLEAN")
+SEPARATE_IDEALS = ("a", "{0,a}", "{ 0 }", "{0,a,b}", "{}")
+SEPARATE_FILTERS = ("b", "{ 1, a', c', d', e, b }", "a'", "{1,a'}", "{1}")
+DOT_HIGHLIGHTS = (("L(e)",), ("U(c)",), ("b",), ("{a, e'}",), ("L(e)", "U(a)"), ("{}", "1"), ("q",))
+EMIT_DIR = "emitted"
 
 
 def _instance(name, elements, covers, comp):
@@ -224,6 +247,45 @@ def run_text():
                 yield f"text {argv[0]}:{instance.name} {digest(argv)}"
 
 
+def run_cli():
+    """Yield one output line per CLI run of the option and argument forms
+    that the other groups never pass, and one per file ``corpus --emit``
+    writes."""
+    corpus = {instance.name: instance for instance in GROUPS["corpus"]()}
+    paths = {name: write_instance(instance) for name, instance in corpus.items()}
+    order_only = Instance("fig1-order", corpus["fig1"].poset, None)
+    paths[order_only.name] = write_instance(order_only)
+    for name, path in paths.items():
+        for kind, classes in CLASSES.items():
+            for klass in classes:
+                for fmt in FORMATS:
+                    argv = [f"{kind}s", path, "--class", klass, "--format", fmt]
+                    yield f"cli {kind}s:{klass}:{fmt}:{name} {digest(argv)}"
+    for name in corpus:
+        for fmt in FORMATS:
+            for tags in CHECK_TAG_LISTS:
+                argv = ["check", paths[name], "--statement", tags, "--format", fmt]
+                yield f"cli check:{tags.replace(' ', '')}:{fmt}:{name} {digest(argv)}"
+    for name, tags in (("fig1", "NOPE"), ("fig1", "LEM_BOOLEAN,NOPE"), ("fig1-order", "LEM_BOOLEAN")):
+        yield f"cli check:{tags}:text:{name} {digest(['check', paths[name], '--statement', tags])}"
+    for mode in SEPARATION_MODES:
+        for fmt in FORMATS:
+            for ideal in SEPARATE_IDEALS:
+                for filt in SEPARATE_FILTERS:
+                    argv = ["separate", paths["fig4"], "--ideal", ideal, "--filter", filt,
+                            "--mode", mode, "--format", fmt]
+                    yield f"cli separate:{mode}:{fmt}:{ideal.replace(' ', '')}:{filt.replace(' ', '')} {digest(argv)}"
+    for highlights in DOT_HIGHLIGHTS:
+        argv = ["dot", paths["fig4"], *(arg for spec in highlights for arg in ("--highlight", spec))]
+        yield f"cli dot:{'+'.join(spec.replace(' ', '') for spec in highlights)}:fig4 {digest(argv)}"
+    for fmt in FORMATS:
+        yield f"cli corpus:emit:{fmt} {digest(['corpus', '--emit', EMIT_DIR, '--format', fmt])}"
+    for name in sorted(os.listdir(EMIT_DIR)):
+        with open(os.path.join(EMIT_DIR, name), "rb") as handle:
+            yield f"cli emitted:{name} {hashlib.sha256(handle.read()).hexdigest()}"
+    yield f"cli corpus:emit:file {digest(['corpus', '--emit', paths['fig1']])}"
+
+
 def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -233,14 +295,15 @@ def digest(argv):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text}
+EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text, "cli": run_cli}
 ALL_GROUPS = (*GROUPS, *EXTRA_GROUPS)
 
 
 def run(groups):
     """Yield one output line per (instance, command), per api call, per
-    separate run, per gen group run and per text group run; instance files
-    are written to the current directory."""
+    separate run, per gen group run, per text group run and per cli group
+    run or emitted file; instance files are written to the current
+    directory."""
     for group in groups:
         if group in EXTRA_GROUPS:
             yield from EXTRA_GROUPS[group]()

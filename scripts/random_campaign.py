@@ -5,7 +5,7 @@ Runs the whole statement catalog on deterministic random instances and
 prints a per-statement summary (verified / not-applicable counts).  Exits
 nonzero if any counterexample is found.
 
-Usage: python scripts/random_campaign.py [--seeds 200] [--max-size 10]
+Usage: python scripts/random_campaign.py [--seeds 200] [--max-size 10] [--skip-corpus]
 """
 
 import argparse

@@ -65,8 +65,6 @@ from .substructures import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    lu_union,
-    ul_union,
 )
 
 __version__ = "0.1.0"

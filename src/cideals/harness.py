@@ -279,9 +279,10 @@ def _check_thm5_maximal(ctx: _Context, kind: str):
 
 
 def _union_condition(facts: OrderFacts, mask: int) -> bool:
-    """Is every LU-union over the ideal, for x outside it, an ideal?  Over
-    the principal ideal down[g] that union is the one cell lu[x][g] (see
-    :func:`~cideals.substructures.lu_union`); LEM_JOINSEMI_LU reads those
+    """Is every LU-union over the ideal, for x outside it, an ideal?  Every
+    ideal is a principal down[g], and the union of LU(x,i) over i <= g is
+    the one cell lu[x][g]: U(x,g) lies inside U(x,i), so LU(x,i) lies
+    inside LU(x,g), which is one of the cones.  LEM_JOINSEMI_LU reads those
     cells too.  On the dual's facts it asks the same of the UL-unions over
     a filter."""
     p = facts.poset
@@ -331,10 +332,6 @@ def _check_lem_joinsemi_lu(ctx: _Context):
     return note, None
 
 
-def _internal_error(message: str):
-    raise PosetError(f"internal error: {message}")
-
-
 @dataclass(frozen=True)
 class _Hypotheses:
     """The hypotheses of one separation mode, in the order they are checked.
@@ -342,17 +339,20 @@ class _Hypotheses:
     ``global_checks`` holds (failure code, checker note, holds(cp)) triples
     and ``filter_checks`` (failure code, holds(cp, dual, filter_mask))
     pairs, where ``dual`` is ``cp.dual()``, the side that holds the filter
-    facts, bound once by the caller.  A step with no code is a guarantee:
-    the steps before it imply it, so the procedure raises an internal error
-    if it fails, and the checker skips it.  Disjointness of the ideal and
-    the filter is checked last.  ``no_pair`` is the checker's note when no
-    disjoint (ideal, filter) pair passes the per-filter checks; ``detail``,
-    if set, describes a success from the same arguments.
+    facts, bound once by the caller.  ``implied`` holds (message, holds(cp,
+    dual, filter_mask)) pairs, the guarantees: the checks before them imply
+    them, so the procedure raises an internal error with the message of the
+    first one that fails, and the checker does not read them.  Disjointness
+    of the ideal and the filter is checked last.  ``no_pair`` is the
+    checker's note when no disjoint (ideal, filter) pair passes the
+    per-filter checks; ``detail``, if set, describes a success from the same
+    arguments.
     """
 
     global_checks: tuple
     filter_checks: tuple
     no_pair: str
+    implied: tuple = ()
     detail: Callable[[ComplementedPoset, ComplementedPoset, int], str] | None = None
 
 
@@ -368,11 +368,9 @@ _MODES = {
     ),
     "prime": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
-        (
-            (FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideals),
-            (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("prime filter misses the c-condition")),
-        ),
+        ((FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideals),),
         "no disjoint (ideal, prime filter) pair",
+        (("prime filter misses the c-condition", lambda cp, d, f: d.facts.c_condition(f)),),
     ),
     # the construction is THM_SEP1's: distributivity and an ultrafilter
     # force the c-condition and an involution, hence x<=x''.  An ultrafilter
@@ -383,15 +381,16 @@ _MODES = {
             (FAIL_NOT_DISTRIBUTIVE, "poset is not distributive", lambda cp: cp.poset.facts.distributivity.holds),
             _ANTITONE,
         ),
-        (
-            (FAIL_NOT_ULTRA, lambda cp, d, f: f in d.poset.facts.maximal_ideals),
-            (None, lambda cp, d, f: cp.poset.least(f) is not None or _internal_error("finite filter without least element")),
-            (None, lambda cp, d, f: cp.poset.down[d.poset.facts.down_generator[f]].bit_count() == 2 or _internal_error("ultrafilter not generated by an atom")),
-            (None, lambda cp, d, f: d.facts.c_condition(f) or _internal_error("qualifying ultrafilter misses the c-condition")),
-            (None, lambda cp, d, f: cp.props.involution or _internal_error("distributivity did not force an involution")),
-            (None, lambda cp, d, f: cp.props.x_le_xdd or _internal_error("an involution without x<=x''")),
-        ),
+        ((FAIL_NOT_ULTRA, lambda cp, d, f: f in d.poset.facts.maximal_ideals),),
         "no disjoint (ideal, qualifying ultrafilter) pair",
+        (
+            ("finite filter without least element", lambda cp, d, f: cp.poset.least(f) is not None),
+            ("ultrafilter not generated by an atom",
+             lambda cp, d, f: cp.poset.down[d.poset.facts.down_generator[f]].bit_count() == 2),
+            ("qualifying ultrafilter misses the c-condition", lambda cp, d, f: d.facts.c_condition(f)),
+            ("distributivity did not force an involution", lambda cp, d, f: cp.props.involution),
+            ("an involution without x<=x''", lambda cp, d, f: cp.props.x_le_xdd),
+        ),
         lambda cp, d, f: f"ultrafilter generated by {cp.poset.names[d.poset.facts.down_generator[f]]}",
     ),
 }
@@ -420,9 +419,8 @@ def _check_separation(ctx: _Context, mode: str):
     hyps = _MODES[mode]
     notes = [note for _code, note, holds in hyps.global_checks if not holds(cp)]
     qualifying = dual.poset.facts.ideals
-    for code, holds in hyps.filter_checks:
-        if code:
-            qualifying = [f for f in qualifying if holds(cp, dual, f)]
+    for _code, holds in hyps.filter_checks:
+        qualifying = [f for f in qualifying if holds(cp, dual, f)]
     pairs = [(i, f) for f in qualifying for i in o.ideals if not i & f]
     if not pairs:
         notes.append(hyps.no_pair)
@@ -571,6 +569,9 @@ def separate(
     for code, holds in hyps.filter_checks:
         if not holds(cp, dual, filter_mask):
             return SeparationResult(ideal_mask, filter_mask, failure=code)
+    for message, holds in hyps.implied:
+        if not holds(cp, dual, filter_mask):
+            raise PosetError(f"internal error: {message}")
     if ideal_mask & filter_mask:
         return SeparationResult(ideal_mask, filter_mask, failure=FAIL_NOT_DISJOINT)
     witness = cp.comp_preimage(filter_mask)

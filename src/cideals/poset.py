@@ -17,9 +17,9 @@ linked back to this object before it is stored, and it is a method that
 ``perfbench/spans.py`` traces.  Each value is built whole before it is
 stored and the fill is idempotent, so readers racing on it at worst build
 the same value twice.  The filters of a poset are the ideals of its dual,
-so every filter fact is read from ``dual().facts``, and ``ul`` is
-``dual().lu``.  Each dual method has one
-body: ``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
+so every filter fact is read from ``dual().facts``, and the pair table
+U(L(x,y)) is ``dual().lu``.  Each dual method has one body:
+``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
 ``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
 dual, and the semilattice flags are one all-meets scan run on both.
 Distributivity is decided by one test per pair of elements, on the
@@ -89,7 +89,8 @@ class Poset:
     ``down[i]`` is the bitmask of elements <= i, ``up[i]`` of elements >= i.
     ``covers`` is the transitive reduction of the strict order, built on
     first read.  ``bottom`` and ``top`` are element indices or ``None``;
-    they are detected, never required.  ``lu[x][y]`` is L(U(x,y)) and ``ul[x][y]`` is U(L(x,y)).
+    they are detected, never required.  ``lu[x][y]`` is L(U(x,y)); U(L(x,y))
+    is ``dual().lu[x][y]``.
     """
 
     __slots__ = ("n", "names", "down", "up", "bottom", "top", "all_mask", "_index", "_dual", "__dict__")
@@ -222,11 +223,6 @@ class Poset:
             for y in range(x, self.n):
                 rows[x][y] = rows[y][x] = self.lower_cone(self.up[x] & self.up[y])
         return tuple(map(tuple, rows))
-
-    @property
-    def ul(self) -> tuple[tuple[int, ...], ...]:
-        """The pair table ``ul[x][y]`` = U(L(x,y)): the dual's ``lu``."""
-        return self.dual().lu
 
     @cached_property
     def facts(self):

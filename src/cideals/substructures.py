@@ -16,9 +16,14 @@ side only: the filters of P are the ideals of its order dual, so each filter
 fact is the ideal fact of ``p.dual().facts`` or ``cp.dual().facts``, read
 from the duals the objects keep.  The filter-side functions are written the
 same way: each of ``is_filter``, ``enumerate_filters``, ``is_prime_filter``,
-``is_ultrafilter``, ``find_c_filter_witness`` and ``ul_union`` is one call
-to its ideal twin on ``p.dual()`` or ``cp.dual()``, and
-``principal_generator`` runs one greatest-element test on both.
+``is_ultrafilter`` and ``find_c_filter_witness`` is one call to its ideal
+twin on ``p.dual()`` or ``cp.dual()``, and ``principal_generator`` reads
+the generator maps of both from the order facts.
+
+The LU-union over an ideal, which Theorem 5 and LEM_JOINSEMI_LU quantify
+over, is one cell of the pair table: every ideal is a principal ``down[g]``,
+and the union of LU(a,i) over i <= g is ``p.lu[a][g]``.  The UL-union over
+a filter ``up[g]`` is the cell ``p.dual().lu[a][g]``.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -197,15 +202,10 @@ def enumerate_filters(p: Poset) -> list[int]:
 
 def principal_generator(p: Poset, mask: int) -> int | None:
     """Generator of a principal ideal or filter: its greatest (resp. least)
-    element, preferring the ideal reading when both apply.  A set is the
-    principal ideal ``down[g]`` exactly when g is its greatest element and
-    ``down[g]`` is the set; a principal filter is that of the dual."""
+    element, preferring the ideal reading when both apply; read from the
+    order facts by :meth:`OrderFacts.generator`."""
     p.check_mask(mask)
-    for q in (p, p.dual()):
-        g = q.greatest(mask)
-        if g is not None and q.down[g] == mask:
-            return g
-    return None
+    return p.facts.generator(mask)
 
 
 def is_prime_ideal(p: Poset, mask: int) -> bool:
@@ -283,8 +283,8 @@ class OrderFacts:
     runs once per distinct mask and is then answered from a memo that lives
     as long as the poset.  The statement checkers put every mask they test
     through it: family members, complements, preimages, separation witnesses
-    and the pair-table cells ``lu[a][g]`` that are the LU-unions over
-    principal ideals (see :func:`lu_union`).  Those masks number O(n^2).
+    and the pair-table cells ``lu[a][g]`` that are the LU-unions over the
+    ideals ``down[g]``.  Those masks number O(n^2).
     """
 
     def __init__(self, poset: Poset):
@@ -293,10 +293,10 @@ class OrderFacts:
         self.is_ideal = self._ideal_memo.__getitem__
 
     def generator(self, mask: int) -> int | None:
-        """:func:`principal_generator` of ``mask``, read from the generator
-        maps of the poset and its dual: a principal ideal ``down[g]`` is
-        exactly an ideal whose greatest element g has it as its cone, and
-        dually."""
+        """The generator of ``mask`` as a principal ideal ``down[g]``, else
+        as a principal filter ``up[g]``, else None: read from the generator
+        maps of the poset and its dual, since distinct elements have
+        distinct cones."""
         g = self.down_generator.get(mask)
         return self.poset.dual().facts.down_generator.get(mask) if g is None else g
 
@@ -434,31 +434,3 @@ def family_rows(p: Poset, cp: ComplementedPoset | None, kind: str) -> tuple[Clas
             )
         )
     return tuple(rows)
-
-
-def lu_union(p: Poset, a: int, ideal_mask: int) -> tuple[int, bool]:
-    """Union of the cones LU({a, i}) over i in the ideal, plus ideal status.
-
-    The cones are rows of ``p.lu``.  Each is a lower cone, hence a downset,
-    and a union of downsets is a downset; so the union is an ideal exactly
-    when it is nonempty and has at most one maximal member (see
-    :func:`_pairs_bounded`).
-
-    Over a principal ideal ``down[g]`` the union is the one cell
-    ``p.lu[a][g]``: for i <= g, U(a,g) is inside U(a,i), so LU(a,i) is
-    inside LU(a,g), which is itself one of the cones.  The statement
-    checkers read that cell; this function ORs the rows of any mask.
-    """
-    p.check_mask(ideal_mask)
-    row, union = p.lu[a], 0
-    for i in iter_bits(ideal_mask):
-        union |= row[i]
-    return union, bool(union) and _pairs_bounded(p.up, union)
-
-
-def ul_union(p: Poset, a: int, filter_mask: int) -> tuple[int, bool]:
-    """Dual construction for filters: union of UL({a, f}) over f in the
-    filter, with its filter status; the rows of ``p.ul`` are those of the
-    dual's ``lu``.  Over a principal filter ``up[g]`` the union is the one
-    cell ``p.ul[a][g]``."""
-    return lu_union(p.dual(), a, filter_mask)

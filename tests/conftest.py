@@ -14,13 +14,11 @@ from cideals import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    lu_union,
     random_complementation,
     random_complemented_poset,
-    ul_union,
 )
 from cideals.poset import DistributivityReport, iter_bits, sort_key
-from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets, principal_generator
+from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets
 
 
 @pytest.fixture(scope="session")
@@ -291,10 +289,8 @@ def assert_complementation_matches_reference(p, seeds):
 def assert_subset_tests_agree(p):
     """On every subset S of ``p``: ``is_ideal``/``is_filter`` and the
     memoised ideal tests of the shared ``facts`` of the poset and of its
-    dual, asked twice, give the naive all-pairs verdicts; ``facts.generator`` is
-    ``principal_generator``; and for every a, ``lu_union``/``ul_union`` over
-    S give the naive union of the cones LU(a,s)/UL(a,s) with its naive
-    ideal/filter verdict."""
+    dual, asked twice, give the naive all-pairs verdicts, and
+    ``facts.generator`` gives the naive generator."""
     elements, le = naive_order(p)
     shared, dual = p.facts, p.dual().facts
     verdicts = {}
@@ -303,30 +299,30 @@ def assert_subset_tests_agree(p):
         verdicts[s] = naive.is_ideal(elements, le, members), naive.is_filter(elements, le, members)
         assert (is_ideal(p, s), is_filter(p, s)) == verdicts[s]
         assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
-        assert shared.generator(s) == principal_generator(p, s)
-        for a in elements:
-            for union_of, inner, outer, verdict in (
-                (lu_union, naive.upper_cone, naive.lower_cone, naive.is_ideal),
-                (ul_union, naive.lower_cone, naive.upper_cone, naive.is_filter),
-            ):
-                union, ok = union_of(p, p.index(a), s)
-                want = frozenset().union(
-                    *(outer(elements, le, inner(elements, le, {a, m})) for m in members)
-                )
-                assert names(p, union) == want
-                assert ok == verdict(elements, le, want)
+        g = shared.generator(s)
+        assert (None if g is None else p.names[g]) == naive.generator(elements, le, members)
     for s in reversed(range(p.all_mask + 1)):  # now answered from the memo
         assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
 
 
 def assert_union_cells_agree(p):
-    """For every a and g, the pair-table cell ``lu[a][g]`` with the shared
-    ``facts`` ideal test on it is ``lu_union(p, a, down[g])``; dually
-    ``ul[a][g]`` and the dual's ideal test are ``ul_union(p, a, up[g])``."""
-    shared, dual = p.facts, p.dual().facts
-    for g in range(p.n):
-        for a in range(p.n):
-            cell = p.lu[a][g]
-            assert lu_union(p, a, p.down[g]) == (cell, shared.is_ideal(cell))
-            cell = p.ul[a][g]
-            assert ul_union(p, a, p.up[g]) == (cell, dual.is_ideal(cell))
+    """For every a and g, the pair-table cell ``lu[a][g]`` is the naive
+    union of the cones LU(a,m) over m <= g, and the shared ``facts`` ideal
+    test on it is the naive ideal verdict; dually the dual's cell
+    ``dual().lu[a][g]`` is the naive union of UL(a,m) over m >= g, and the
+    dual's ideal test on it is the naive filter verdict."""
+    elements, le = naive_order(p)
+    for q, cone, union_of, verdict in (
+        (p, naive.lower_cone, naive.lu_union, naive.is_ideal),
+        (p.dual(), naive.upper_cone, naive.ul_union, naive.is_filter),
+    ):
+        facts, verdicts = q.facts, {}
+        for g in elements:
+            principal = cone(elements, le, {g})
+            for a in elements:
+                cell = q.lu[p.index(a)][p.index(g)]
+                want = union_of(elements, le, a, principal)
+                assert names(p, cell) == want, (p, a, g)
+                if want not in verdicts:
+                    verdicts[want] = verdict(elements, le, want)
+                assert facts.is_ideal(cell) == verdicts[want], (p, a, g)

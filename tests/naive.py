@@ -48,6 +48,25 @@ def join(elements, le, x, y):
     return None
 
 
+def generator(elements, le, s):
+    """The g whose down-cone is ``s``, else the g whose up-cone is ``s``."""
+    for cone in (lower_cone, upper_cone):
+        g = next((g for g in s if cone(elements, le, {g}) == s), None)
+        if g is not None:
+            return g
+    return None
+
+
+def lu_union(elements, le, a, s):
+    """The union of the cones L(U(a, m)) over the members m of ``s``."""
+    return frozenset().union(*(lower_cone(elements, le, upper_cone(elements, le, {a, m})) for m in s))
+
+
+def ul_union(elements, le, a, s):
+    """The union of the cones U(L(a, m)) over the members m of ``s``."""
+    return frozenset().union(*(upper_cone(elements, le, lower_cone(elements, le, {a, m})) for m in s))
+
+
 def all_subsets(elements):
     items = sorted(elements)
     return (

@@ -201,7 +201,7 @@ def _filter_side(cp):
         d.facts.c_ideals,
         d.facts.ccond_ideals,
         d.facts.c_ideal_witnesses,
-        cp.poset.ul,
+        cp.poset.dual().lu,
     ))
 
 

@@ -11,7 +11,6 @@ from cideals import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    lu_union,
     random_complemented_poset,
     random_poset,
 )
@@ -226,9 +225,9 @@ def test_principal_cone_families_match_walk_and_oracle(p):
 def test_join_semilattice_lu_union_lemma(p):
     assert p.semilattice_flags()[0]
     for ideal in enumerate_ideals(p):
+        g = p.greatest(ideal)  # the LU-union over L(g) is the cell lu[a][g]
         for a in range(p.n):
-            _, ok = lu_union(p, a, ideal)
-            assert ok
+            assert is_ideal(p, p.lu[a][g])
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=500))

@@ -1,14 +1,16 @@
 """The checkers that read the shared facts agree with plain references.
 
-Each reference below evaluates a statement from the public, unmemoised
-definition-level functions: ``lu_union``/``ul_union`` OR one table row per
-member of the ideal or filter, and primality, ideal and filter tests run
-afresh on every set.  The checkers instead read one pair-table cell per
-union, the prime families and the per-mask memos of the shared ``facts``,
-and read every filter fact on the order dual.  The references reach the
-filter side through the filter functions, each one call to its ideal twin
-on the order dual, and never read the facts or their memos.  Both must give
-the same hypothesis flag, verdict and first counterexample.
+Each reference below evaluates a statement from unmemoised
+definition-level functions: the local ``lu_union``/``ul_union`` build each
+cone LU(a,m) from ``lower_cone``/``upper_cone``, not from the pair table,
+and OR them over the members of the ideal or filter, and primality, ideal
+and filter tests run afresh on every set.  The checkers instead read one
+pair-table cell per union, the prime families and the per-mask memos of the
+shared ``facts``, and read every filter fact on the order dual.  The
+references reach the filter side through the filter functions, each one
+call to its ideal twin on the order dual, and never read the facts or their
+memos.  Both must give the same hypothesis flag, verdict and first
+counterexample.
 """
 
 import pytest
@@ -23,10 +25,8 @@ from cideals import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    lu_union,
     random_complemented_poset,
     separate_first,
-    ul_union,
 )
 from cideals.complement import ComplementedPoset
 from cideals.harness import _CHECKERS, _Context, _union_condition
@@ -44,6 +44,21 @@ from conftest import boolean_lattice, bounded_antichain
 
 def _fmt(p, m):
     return p.format_set(m)
+
+
+def lu_union(p, a, s):
+    """The union of the cones LU(a,m) over the members m of ``s``, each
+    built from the cone functions, with its unmemoised ideal verdict."""
+    union = 0
+    for m in iter_bits(s):
+        union |= p.lower_cone(p.upper_cone(1 << a | 1 << m))
+    return union, is_ideal(p, union)
+
+
+def ul_union(p, a, s):
+    """The union of the cones UL(a,m) over the members m of ``s``, with its
+    filter verdict: :func:`lu_union` on the order dual."""
+    return lu_union(p.dual(), a, s)
 
 
 def ref_lem_proper_pair(cp):

@@ -10,9 +10,7 @@ from cideals import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    lu_union,
     random_complemented_poset,
-    ul_union,
 )
 from cideals.substructures import _enumerate_downsets, find_c_filter_witness, find_c_ideal_witness
 from cideals.poset import sort_key
@@ -188,13 +186,14 @@ def test_witness_maps_give_the_first_witness_of_the_linear_scan(corpus):
 
 
 def test_lu_union_examples(fig1, fig4):
+    """The LU-union over the principal ideal L(g) is the cell lu[a][g]."""
     p = fig1.poset
-    union, ok = lu_union(p, p.index("a"), p.down[p.index("0")])
-    assert ok and names(p, union) == {"0", "a"}
+    union = p.lu[p.index("a")][p.index("0")]
+    assert is_ideal(p, union) and names(p, union) == {"0", "a"}
     q = fig4.poset
     ideal = q.down[q.index("e'")]
-    union, ok = lu_union(q, q.index("b"), ideal)
-    assert ok
+    union = q.lu[q.index("b")][q.index("e'")]
+    assert is_ideal(q, union)
     assert not ideal & ~union  # contains the ideal
     assert (union >> q.index("b")) & 1  # and the new element
     assert names(q, union) == {"0", "b", "c", "d", "e'", "a'"}
@@ -209,10 +208,11 @@ def test_subset_tests_and_unions_match_oracle_off_semilattices(bounded):
         pairs += [("0", "a"), ("0", "b"), ("c", "1"), ("d", "1")]
     bowtie = build_poset(["0", "a", "b", "c", "d", "1"] if bounded else ["a", "b", "c", "d"], pairs)
     assert bowtie.semilattice_flags() == (False, False)
-    union, ok = lu_union(bowtie, bowtie.index("a"), mask(bowtie, "b"))
-    assert names(bowtie, union) - {"0"} == {"a", "b"} and not ok
-    union, ok = ul_union(bowtie, bowtie.index("c"), mask(bowtie, "d"))
-    assert names(bowtie, union) - {"1"} == {"c", "d"} and not ok
+    # a union over the singleton {m} is the one cone LU(a,m), the cell lu[a][m]
+    union = bowtie.lu[bowtie.index("a")][bowtie.index("b")]
+    assert names(bowtie, union) - {"0"} == {"a", "b"} and not is_ideal(bowtie, union)
+    union = bowtie.dual().lu[bowtie.index("c")][bowtie.index("d")]
+    assert names(bowtie, union) - {"1"} == {"c", "d"} and not is_filter(bowtie, union)
     assert_subset_tests_agree(bowtie)
     assert_union_cells_agree(bowtie)
 
@@ -225,9 +225,10 @@ def test_union_over_a_principal_cone_is_one_table_cell(corpus):
 
 
 def test_ul_union_dual(fig1):
+    """The UL-union over the principal filter U(g) is the dual's cell lu[a][g]."""
     p = fig1.poset
-    union, ok = ul_union(p, p.index("a"), p.up[p.index("1")])
-    assert ok and names(p, union) == {"a", "1"}
+    union = p.dual().lu[p.index("a")][p.index("1")]
+    assert is_filter(p, union) and names(p, union) == {"a", "1"}
 
 
 def test_complement_pairing(fig2b, fig3):
