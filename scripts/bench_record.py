@@ -17,7 +17,10 @@ script exits 1, and writes nothing, unless every run reports
 
 Comparing prints, per workload and end-to-end metric, the two medians, the
 ratio b/a, the change in the worse direction and the metric's bound from
-``BENCHMARK.json``; it exits 1 when a change passes its bound.
+``BENCHMARK.json``; it exits 1 when a ratio passes its bound.  Two records
+are taken at different times, so host drift alone can move a ratio: the
+exit code is a drift alarm, not a regression gate, and a speed claim still
+cites at least 10 alternating parent/change pairs of runs.
 """
 
 from __future__ import annotations

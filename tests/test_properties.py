@@ -134,6 +134,7 @@ def test_distributivity_matches_oracle_on_random_posets(p):
 @settings(max_examples=40, deadline=None)
 def test_subset_tests_and_unions_match_oracle(p):
     assert_subset_tests_agree(p)
+    assert_union_cells_agree(p)
 
 
 @given(any_posets())

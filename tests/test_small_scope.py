@@ -32,6 +32,7 @@ from conftest import (
     assert_distributivity_matches_reference,
     assert_families_agree,
     assert_subset_tests_agree,
+    assert_union_cells_agree,
     boolean_lattice,
     names,
     naive_order,
@@ -88,6 +89,7 @@ def test_subset_tests_agree_on_every_poset_up_to_four_points():
     for p in POSETS:
         if p.n <= 4:
             assert_subset_tests_agree(p)
+            assert_union_cells_agree(p)
 
 
 def naive_least(le, s):
