@@ -84,6 +84,14 @@ identical::
 
 Instance files are written to a temporary directory and named by relative
 path, so the output does not depend on where that directory is.
+
+``GROUPS`` is the one table of groups, in output order: each entry yields
+its group's lines.  The four instance groups run ``run_machine`` on their
+entry of ``SOURCES``, the instance table that ``api``, ``separate``,
+``text`` and ``cli`` read too.  ``boolean_lattice`` and
+``bounded_antichain`` are the test suite's builders as well:
+``tests/conftest.py`` loads them from here.  ``tests/test_machine_digests.py``
+runs each group once per session and shares that run among its tests.
 """
 
 import argparse
@@ -127,7 +135,8 @@ def _instance(name, elements, covers, comp):
 
 
 def boolean_lattice(dim):
-    """All subsets of a dim-set under inclusion, with set complement."""
+    """(elements, cover pairs, complement) of all subsets of a dim-set under
+    inclusion, with set complement."""
     elements = [f"s{m:0{dim}b}" for m in range(1 << dim)]
     full = (1 << dim) - 1
     covers = [
@@ -137,15 +146,16 @@ def boolean_lattice(dim):
         if not m >> b & 1
     ]
     comp = {elements[m]: elements[full ^ m] for m in range(1 << dim)}
-    return _instance(f"B{dim}", elements, covers, comp)
+    return elements, covers, comp
 
 
 def bounded_antichain(k):
-    """Bounds plus a k-antichain; the complement shifts x_i to x_{i+1 mod k}."""
+    """(elements, cover pairs, complement) of bounds plus a k-antichain; the
+    complement shifts x_i to x_{i+1 mod k}."""
     mids = [f"x{i}" for i in range(k)]
     covers = [("0", m) for m in mids] + [(m, "1") for m in mids]
     comp = {"0": "1", "1": "0", **{m: mids[(i + 1) % k] for i, m in enumerate(mids)}}
-    return _instance(f"antichain{k}", ["0", *mids, "1"], covers, comp)
+    return ["0", *mids, "1"], covers, comp
 
 
 def _campaign():
@@ -154,12 +164,22 @@ def _campaign():
         yield Instance(f"seed{seed}", cp.poset, cp)
 
 
-GROUPS = {
+#: the instance sources of the four instance groups, which the other groups read too
+SOURCES = {
     "corpus": lambda: (Instance(e.name, e.poset, e.cp) for e in builtin_corpus()),
     "campaign": _campaign,
-    "boolean": lambda: (boolean_lattice(d) for d in BOOLEAN_DIMS),
-    "antichain": lambda: (bounded_antichain(k) for k in ANTICHAIN_KS),
+    "boolean": lambda: (_instance(f"B{d}", *boolean_lattice(d)) for d in BOOLEAN_DIMS),
+    "antichain": lambda: (_instance(f"antichain{k}", *bounded_antichain(k)) for k in ANTICHAIN_KS),
 }
+
+
+def run_machine(source):
+    """Yield one output line per machine-format command on each instance of
+    ``source``."""
+    for instance in source():
+        path = write_instance(instance)
+        for command in COMMANDS:
+            yield f"{command} {instance.name} {digest([command, path, '--format', 'machine'])}"
 
 
 def api_queries(objects, rng):
@@ -193,7 +213,8 @@ def api_queries(objects, rng):
 
 def run_api():
     """Yield one output line per call of the seeded read-many replay."""
-    instances = [*GROUPS["corpus"](), boolean_lattice(4), bounded_antichain(10)]
+    instances = [*SOURCES["corpus"](), _instance("B4", *boolean_lattice(4)),
+                 _instance("antichain10", *bounded_antichain(10))]
     objects = {instance.name: instance.cp for instance in instances}
     for index, (key, call) in enumerate(api_queries(objects, random.Random(API_SEED))):
         try:
@@ -213,7 +234,7 @@ def write_instance(instance):
 
 def run_separate():
     """Yield one output line per CLI ``separate`` run on a pair of cones."""
-    for instance in GROUPS["corpus"]():
+    for instance in SOURCES["corpus"]():
         path = write_instance(instance)
         for mode in SEPARATION_MODES:
             for fmt in FORMATS:
@@ -240,7 +261,7 @@ def run_gen():
 def run_text():
     """Yield one output line per text-format ``analyze``/``check`` run and
     per ``dot`` run on the instances of the four instance groups."""
-    for instances in GROUPS.values():
+    for instances in SOURCES.values():
         for instance in instances():
             path = write_instance(instance)
             for argv in (["analyze", path, "--format", "text"], ["check", path, "--format", "text"], ["dot", path]):
@@ -251,7 +272,7 @@ def run_cli():
     """Yield one output line per CLI run of the option and argument forms
     that the other groups never pass, and one per file ``corpus --emit``
     writes."""
-    corpus = {instance.name: instance for instance in GROUPS["corpus"]()}
+    corpus = {instance.name: instance for instance in SOURCES["corpus"]()}
     paths = {name: write_instance(instance) for name, instance in corpus.items()}
     order_only = Instance("fig1-order", corpus["fig1"].poset, None)
     paths[order_only.name] = write_instance(order_only)
@@ -295,39 +316,26 @@ def digest(argv):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-EXTRA_GROUPS = {"api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text, "cli": run_cli}
-ALL_GROUPS = (*GROUPS, *EXTRA_GROUPS)
-
-
-def run(groups):
-    """Yield one output line per (instance, command), per api call, per
-    separate run, per gen group run, per text group run and per cli group
-    run or emitted file; instance files are written to the current
-    directory."""
-    for group in groups:
-        if group in EXTRA_GROUPS:
-            yield from EXTRA_GROUPS[group]()
-            continue
-        for instance in GROUPS[group]():
-            path = write_instance(instance)
-            for command in COMMANDS:
-                yield f"{command} {instance.name} {digest([command, path, '--format', 'machine'])}"
+#: every group, in output order
+GROUPS = {**{name: partial(run_machine, source) for name, source in SOURCES.items()},
+          "api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text, "cli": run_cli}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("groups", nargs="*", metavar="GROUP",
-                        help=f"groups to run, of {', '.join(ALL_GROUPS)} (default: all)")
+                        help=f"groups to run, of {', '.join(GROUPS)} (default: all)")
     args = parser.parse_args()
-    unknown = sorted(set(args.groups).difference(ALL_GROUPS))
+    unknown = sorted(set(args.groups).difference(GROUPS))
     if unknown:
         parser.error(f"unknown group {unknown[0]!r}")
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for line in run(args.groups or ALL_GROUPS):
-                print(line)
+            for group in args.groups or GROUPS:
+                for line in GROUPS[group]():
+                    print(line)
         finally:
             os.chdir(start)
     return 0

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,16 @@ from cideals import (
 )
 from cideals.poset import DistributivityReport, iter_bits, sort_key
 from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: ``scripts/machine_digests.py`` as a module, loaded once: the digest tests
+#: read its constants and helpers, and every test its instance builders
+_spec = importlib.util.spec_from_file_location("machine_digests", ROOT / "scripts" / "machine_digests.py")
+SCRIPT = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(SCRIPT)
+#: (elements, cover pairs, complement) of B_dim and of bounds plus a k-antichain
+boolean_lattice, bounded_antichain = SCRIPT.boolean_lattice, SCRIPT.bounded_antichain
 
 
 @pytest.fixture(scope="session")
@@ -71,35 +83,23 @@ def listing_instances(corpus, tmp_path_factory):
     return out
 
 
+def corpus_campaign_boolean(corpus):
+    """The complemented posets of the corpus, campaign seeds 1-200 and B2-B4;
+    the seeds and lattices are built afresh on each call."""
+    cps = [entry.cp for entry in corpus.values()]
+    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    for dim in (2, 3, 4):
+        elements, covers, comp = boolean_lattice(dim)
+        cps.append(attach_complementation(build_poset(elements, covers), comp))
+    return cps
+
+
 def names(poset, mask):
     return frozenset(poset.names_of(mask))
 
 
 def mask(poset, tokens):
     return poset.mask_of(tokens.split())
-
-
-def boolean_lattice(dim):
-    """(elements, cover pairs, complement) of all subsets of a dim-set."""
-    elements = [f"s{m:0{dim}b}" for m in range(1 << dim)]
-    covers = [
-        (elements[m], elements[m | 1 << b])
-        for m in range(1 << dim)
-        for b in range(dim)
-        if not m >> b & 1
-    ]
-    full = (1 << dim) - 1
-    comp = {elements[m]: elements[full ^ m] for m in range(1 << dim)}
-    return elements, covers, comp
-
-
-def bounded_antichain(k):
-    """(elements, cover pairs, complement) of bounds plus a k-antichain whose
-    complement shifts each middle element to the next (k >= 2)."""
-    mids = [f"x{i}" for i in range(k)]
-    covers = [("0", m) for m in mids] + [(m, "1") for m in mids]
-    comp = {"0": "1", "1": "0", **{m: mids[(i + 1) % k] for i, m in enumerate(mids)}}
-    return ["0", *mids, "1"], covers, comp
 
 
 def assert_families_agree(p, elements, le):

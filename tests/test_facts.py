@@ -26,7 +26,6 @@ from cideals import (
     classify,
     emit_instance,
     load_instance,
-    random_complemented_poset,
     run_all,
     separate,
     substructures,
@@ -34,7 +33,7 @@ from cideals import (
 from cideals.complement import ComplementedPoset
 from cideals.corpus import corpus_entry
 from cideals.poset import Poset
-from conftest import boolean_lattice, bounded_antichain
+from conftest import boolean_lattice, bounded_antichain, corpus_campaign_boolean
 
 M3 = (["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
 
@@ -135,12 +134,7 @@ def test_walk_that_drops_an_ideal_is_an_internal_error(monkeypatch):
 
 
 def test_duals_are_kept_and_carry_the_flags_over(corpus):
-    cps = [entry.cp for entry in corpus.values()]
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
-    for d in (2, 3, 4):
-        elements, covers, comp = boolean_lattice(d)
-        cps.append(attach_complementation(build_poset(elements, covers), comp))
-    cps += _complementations(build_poset(*M3))
+    cps = corpus_campaign_boolean(corpus) + _complementations(build_poset(*M3))
     lopsided = 0
     for cp in cps:
         p = cp.poset

@@ -1,30 +1,25 @@
 """Smoke test of ``scripts/machine_digests.py`` on the built-in corpus, its
 read-many ``api`` replay and its ``separate`` runs, and the byte-identity
-gate: each group's output hashes to its line in ``machine_digests.sha256``."""
+gate: each group's output hashes to its line in ``machine_digests.sha256``.
+
+Each group runs once per session, in ``shared_run``, and the gate and the
+coverage tests read that run; the reproducibility tests compare it with one
+fresh run."""
 
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
+from functools import cache
 
 from cideals import builtin_corpus
+from conftest import ROOT, SCRIPT
 
-ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 COMMANDS = ("analyze", "check", "ideals", "filters")
 MODES = ("first", "prime", "second")
 FORMATS = ("text", "machine")
-
-
-def load_script():
-    """The script as a module, for its constants and helpers."""
-    spec = importlib.util.spec_from_file_location("machine_digests", ROOT / "scripts" / "machine_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def run_script(*groups):
@@ -37,8 +32,12 @@ def run_script(*groups):
     )
 
 
+#: one run per group, made on first request and shared by the tests below
+shared_run = cache(run_script)
+
+
 def test_corpus_digests_are_reproducible():
-    first, second = run_script("corpus"), run_script("corpus")
+    first, second = shared_run("corpus"), run_script("corpus")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout and not first.stderr
     rows = [line.split() for line in first.stdout.splitlines()]
@@ -54,7 +53,7 @@ def test_unknown_group_is_refused():
 
 
 def test_api_replay_is_reproducible():
-    first, second = run_script("api"), run_script("api")
+    first, second = shared_run("api"), run_script("api")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout and not first.stderr
     rows = [line.split() for line in first.stdout.splitlines()]
@@ -69,7 +68,7 @@ def test_api_replay_is_reproducible():
 
 
 def test_separate_group_covers_every_cone_pair(fig4, tmp_path, monkeypatch):
-    result = run_script("separate")
+    result = shared_run("separate")
     assert result.returncode == 0 and not result.stderr
     rows = [line.split() for line in result.stdout.splitlines()]
     assert all(len(row) == 3 and row[0] == "separate" and len(row[2]) == 64 for row in rows)
@@ -85,16 +84,15 @@ def test_separate_group_covers_every_cone_pair(fig4, tmp_path, monkeypatch):
     assert len(rows) == 2484
     # a fresh in-process run of a sample of the same commands gives the
     # same digests, and the text and machine outputs of a run differ
-    script = load_script()
     monkeypatch.chdir(tmp_path)
     digests = {key: sha for _command, key, sha in rows}
-    path = script.write_instance(script.Instance("fig4", fig4.poset, fig4.cp))
+    path = SCRIPT.write_instance(SCRIPT.Instance("fig4", fig4.poset, fig4.cp))
     for mode in MODES:
         for x, y in (("e'", "b"), ("0", "1"), ("b", "b")):
             key = f"fig4:{mode}:{{}}:L({x}):U({y})"
             for fmt in FORMATS:
                 argv = ["separate", path, "--ideal", f"L({x})", "--filter", f"U({y})", "--mode", mode, "--format", fmt]
-                assert script.digest(argv) == digests[key.format(fmt)]
+                assert SCRIPT.digest(argv) == digests[key.format(fmt)]
             assert digests[key.format("text")] != digests[key.format("machine")]
 
 
@@ -107,16 +105,16 @@ def test_every_group_matches_its_recorded_digest():
     for line in (ROOT / "tests" / "machine_digests.sha256").read_text().splitlines():
         sha, group = line.split()
         recorded[group] = sha
-    assert list(recorded) == list(load_script().ALL_GROUPS)
+    assert list(recorded) == list(SCRIPT.GROUPS)
     for group, sha in recorded.items():
-        result = run_script(group)
+        result = shared_run(group)
         assert result.returncode == 0 and not result.stderr
         got = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
         assert got == sha, f"group {group!r} differs from its recorded digest"
 
 
 def test_gen_group_covers_every_run():
-    result = run_script("gen")
+    result = shared_run("gen")
     assert result.returncode == 0 and not result.stderr
     rows = [line.split() for line in result.stdout.splitlines()]
     assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)

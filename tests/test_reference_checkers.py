@@ -25,7 +25,6 @@ from cideals import (
     enumerate_ideals,
     is_filter,
     is_ideal,
-    random_complemented_poset,
     separate_first,
 )
 from cideals.complement import ComplementedPoset
@@ -39,7 +38,7 @@ from cideals.substructures import (
     is_prime_ideal,
     is_ultrafilter,
 )
-from conftest import boolean_lattice, bounded_antichain
+from conftest import bounded_antichain, corpus_campaign_boolean
 
 
 def _fmt(p, m):
@@ -263,11 +262,7 @@ def _complemented(elements, covers, comp):
 @pytest.fixture(scope="module")
 def instances(corpus):
     """The corpus, campaign seeds 1-200, B2-B4 and bounded antichains."""
-    cps = [entry.cp for entry in corpus.values()]
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
-    cps += [_complemented(*boolean_lattice(d)) for d in (2, 3, 4)]
-    cps += [_complemented(*bounded_antichain(k)) for k in (2, 3, 5, 8)]
-    return cps
+    return corpus_campaign_boolean(corpus) + [_complemented(*bounded_antichain(k)) for k in (2, 3, 5, 8)]
 
 
 @pytest.mark.parametrize("sid", list(REFERENCES), ids=lambda sid: sid.value)

@@ -136,6 +136,38 @@ def test_readme_documents_every_machine_record_field():
         assert all(cell in row for cell in cells), kind
         assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), kind
 
+
+def test_readme_documents_the_machine_lines_outside_the_report_table(tmp_path, capsys):
+    """``separate`` and ``corpus`` write their machine lines by hand, outside
+    ``MACHINE_RECORDS``: README's Command-line section names each line's
+    keys in the order the CLI prints them."""
+    import pathlib
+
+    assert main(["corpus", "--emit", str(tmp_path)]) == 0
+    fig4 = str(tmp_path / "fig4.poset")
+    runs = [
+        (["separate", fig4, "--ideal", "e'", "--filter", "b", "--mode", "second"], 0),  # a witness
+        (["separate", fig4, "--ideal", "L(0)", "--filter", "U(1)", "--mode", "first"], 4),  # NoCCondition
+        (["corpus"], 0),  # fig3 diverges from its published prime filters
+    ]
+    lines = []
+    for argv, code in runs:
+        capsys.readouterr()
+        assert main([*argv, "--format", "machine"]) == code
+        lines += capsys.readouterr().out.splitlines()
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines() if line.startswith("| `")}
+    for line in lines:
+        kind, fields = line.split(": ", 1)
+        cells = [f"`{field.split('=', 1)[0]}=`" for field in fields.split()]
+        row = rows[f"`{kind}:`"]
+        assert all(cell in row for cell in cells), line
+        assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), line
+    assert {line.split(":", 1)[0] for line in lines} == {"separation", "corpus", "divergence"}
+    assert ["witness=none" in line for line in lines[:2]] == [False, True]
+
+
 def test_separate_unknown_element_exit_3(tmp_path, capsys):
     assert main(["corpus", "--emit", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -18,10 +18,8 @@ from cideals import (
     AxiomViolation,
     Poset,
     attach_complementation,
-    build_poset,
     enumerate_filters,
     random_complementation,
-    random_complemented_poset,
 )
 from cideals.poset import iter_bits
 from cideals.substructures import is_prime_filter, is_ultrafilter, principal_generator
@@ -33,7 +31,7 @@ from conftest import (
     assert_families_agree,
     assert_subset_tests_agree,
     assert_union_cells_agree,
-    boolean_lattice,
+    corpus_campaign_boolean,
     names,
     naive_order,
 )
@@ -177,11 +175,7 @@ def test_every_complementation_up_to_six_points_has_its_naive_flags():
 def test_named_instances_have_their_naive_flags(corpus):
     """The corpus, B2-B4 and campaign seeds 1-200, where De Morgan holds far
     more often than on the small posets above."""
-    cps = [entry.cp for entry in corpus.values()]
-    for d in (2, 3, 4):
-        elements, covers, comp = boolean_lattice(d)
-        cps.append(attach_complementation(build_poset(elements, covers), comp))
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    cps = corpus_campaign_boolean(corpus)
     de_morgan_true = 0
     for cp in cps:
         elements, le = naive_order(cp.poset)

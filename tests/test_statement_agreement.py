@@ -12,12 +12,9 @@ import pytest
 
 from cideals import (
     StatementId,
-    attach_complementation,
-    build_poset,
     check_statement,
     enumerate_filters,
     enumerate_ideals,
-    random_complemented_poset,
     separate,
 )
 from cideals.harness import (
@@ -27,7 +24,7 @@ from cideals.harness import (
     FAIL_X_LE_XDD,
     _Context,
 )
-from conftest import boolean_lattice
+from conftest import corpus_campaign_boolean
 
 #: filter-half statement -> its ideal half
 DUALS = {
@@ -61,12 +58,7 @@ SEPARATION = {
 @pytest.fixture(scope="module")
 def instances(corpus):
     """fig1-fig4, campaign seeds 1-200 and B2-B4."""
-    cps = [entry.cp for entry in corpus.values()]
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
-    for d in (2, 3, 4):
-        elements, covers, comp = boolean_lattice(d)
-        cps.append(attach_complementation(build_poset(elements, covers), comp))
-    return cps
+    return corpus_campaign_boolean(corpus)
 
 
 def _swap_kind(cex):
