@@ -21,7 +21,8 @@ so every filter fact is read from ``dual().facts``, and the pair table
 U(L(x,y)) is ``dual().lu``.  Each dual method has one body:
 ``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
 ``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
-dual, and the semilattice flags are one all-meets scan run on both.
+dual.  A pair with a join j has the pair-table cell ``down[j]``, and the
+semilattice flags are read off the two pair tables.
 Distributivity is decided by one test per pair of elements, on the
 join-irreducibles of the Dedekind-MacNeille completion, not by a scan of
 every triple.
@@ -217,12 +218,16 @@ class Poset:
 
     @cached_property
     def lu(self) -> tuple[tuple[int, ...], ...]:
-        """The pair table ``lu[x][y]`` = L(U(x,y)), once per unordered pair."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for x in range(self.n):
-            for y in range(x, self.n):
-                rows[x][y] = rows[y][x] = self.lower_cone(self.up[x] & self.up[y])
-        return tuple(map(tuple, rows))
+        """The pair table ``lu[x][y]`` = L(U(x,y)).
+
+        When U(x,y) is an up-cone ``up[j]``, that is when x and y have the
+        join j, the cell is ``down[j]`` without a cone intersection: an
+        element below every member of ``up[j]`` is below j, and every
+        element below j is below all of ``up[j]``.  Only the other pairs
+        take ``lower_cone``.
+        """
+        cells = dict(zip(self.up, self.down))  # up[j] -> down[j], never 0
+        return tuple(tuple([cells.get(ux & uy) or self.lower_cone(ux & uy) for uy in self.up]) for ux in self.up)
 
     @cached_property
     def facts(self):
@@ -278,12 +283,15 @@ class Poset:
         return self.dual().is_distributive()
 
     def semilattice_flags(self) -> tuple[bool, bool]:
-        """(is_join_semilattice, is_meet_semilattice): the joins are the
-        meets of the dual, so one all-meets scan runs on the dual, then here."""
-        return tuple(
-            all(q.meet(x, y) is not None for x in range(q.n) for y in range(x, q.n))
-            for q in (self.dual(), self)
-        )
+        """(is_join_semilattice, is_meet_semilattice), read off the pair
+        tables of this poset and of its dual.
+
+        x and y have a join exactly when ``lu[x][y]`` is a principal cone
+        ``down[g]``: a join j gives the cell ``down[j]`` (see :attr:`lu`),
+        and conversely U(x,y) = UL(U(x,y)) = U(down[g]) = ``up[g]``, so g is
+        the least upper bound.  The meets are the joins of the dual.
+        """
+        return tuple(q.facts.down_generator.keys() >= set().union(*q.lu) for q in (self, self.dual()))
 
     def dual(self) -> "Poset":
         """The order-dual poset over the same named elements, built on first

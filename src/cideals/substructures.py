@@ -109,26 +109,25 @@ CLASSES = {
 }
 
 
-def is_downset(p: Poset, mask: int) -> bool:
-    return all(not p.down[x] & ~mask for x in iter_bits(mask))
-
-
-def _pairs_bounded(up: tuple[int, ...], mask: int) -> bool:
-    """Does every pair of members of ``mask`` have an upper bound in it?
-
-    ``up`` holds the upper cones.  This holds exactly when ``mask`` has at
-    most one maximal member, one whose upper cone meets ``mask`` in itself
-    alone.  Two distinct maximal members have no common bound in ``mask``,
-    since such a bound would equal each of them.  Conversely ``mask`` is
-    finite, so every member lies below a maximal one, and a sole maximal
-    member bounds every pair.
-    """
-    return sum(up[x] & mask == 1 << x for x in iter_bits(mask)) <= 1
-
-
 def is_ideal(p: Poset, mask: int) -> bool:
+    """Is ``mask`` a nonempty downset in which every pair of members has an
+    upper bound inside it?  One pass over the members.
+
+    A member x with ``down[x] & ~mask`` breaks downward closure.  Every pair
+    is bounded in a nonempty ``mask`` exactly when it has one maximal
+    member, one whose upper cone meets ``mask`` in itself alone.  Two
+    distinct maximal members have no common bound in ``mask``, since such a
+    bound would equal each of them.  Conversely ``mask`` is finite, so every
+    member lies below a maximal one, and a sole maximal member bounds every
+    pair.  The empty set has no maximal member.
+    """
     p.check_mask(mask)
-    return bool(mask) and is_downset(p, mask) and _pairs_bounded(p.up, mask)
+    down, up, maximal = p.down, p.up, 0
+    for x in iter_bits(mask):
+        if down[x] & ~mask:
+            return False
+        maximal += up[x] & mask == 1 << x
+    return maximal == 1
 
 
 def is_filter(p: Poset, mask: int) -> bool:
@@ -209,14 +208,22 @@ def principal_generator(p: Poset, mask: int) -> int | None:
 
 
 def is_prime_ideal(p: Poset, mask: int) -> bool:
-    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I."""
-    if mask == p.all_mask or not is_ideal(p, mask):
+    """Proper ideal I with {x,y} meeting I whenever L(x,y) is inside I.
+
+    A principal cone is an ideal without the member test.  With O the rest
+    of P, the condition asks that every x and y in O have a common lower
+    bound in O: for each x in O, the up-cones of the members of
+    ``down[x] & O`` cover O.
+    """
+    if mask == p.all_mask or not (mask in p.facts.down_generator or is_ideal(p, mask)):
         return False
-    down = p.down
-    for x in range(p.n):
-        for y in range(x, p.n):
-            if not (down[x] & down[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
-                return False
+    down, up, outside = p.down, p.up, p.all_mask & ~mask
+    for x in iter_bits(outside):
+        reach = 0
+        for z in iter_bits(down[x] & outside):
+            reach |= up[z]
+        if outside & ~reach:
+            return False
     return True
 
 
@@ -226,8 +233,9 @@ def is_prime_filter(p: Poset, mask: int) -> bool:
 
 def is_maximal_ideal(p: Poset, mask: int, ideals: list[int]) -> bool:
     """Maximal proper ideal: no other proper member of ``ideals``, the
-    enumerated ideals, is a superset of it."""
-    return mask != p.all_mask and is_ideal(p, mask) and not any(
+    enumerated ideals, is a superset of it.  A principal cone is an ideal
+    without the member test."""
+    return mask != p.all_mask and (mask in p.facts.down_generator or is_ideal(p, mask)) and not any(
         s != p.all_mask and s != mask and not mask & ~s for s in ideals
     )
 
@@ -320,21 +328,19 @@ class OrderFacts:
     @cached_property
     def principal_walk(self) -> tuple[int | None, str]:
         """LEM_CL_PRINCIPAL on this order, by :func:`directed_downsets`:
-        the first walked ideal without a greatest element, or None, and the
-        ScaleLimit message when the walk passed its cap, else "".  An
-        over-cap walk is kept too: the cap is fixed, so a second walk ends
-        the same way.  Past the loop every kept set is the cone of its
-        greatest element, and distinct elements have distinct cones, so
-        fewer than n kept sets means the walk dropped an ideal: an internal
-        error, not a verdict."""
+        the first walked ideal that is not a principal cone ``down[g]``, or
+        None, and the ScaleLimit message when the walk passed its cap, else
+        "".  An over-cap walk is kept too: the cap is fixed, so a second
+        walk ends the same way.  Past the loop every kept set is a cone, and
+        distinct elements have distinct cones, so fewer than n kept sets
+        means the walk dropped an ideal: an internal error, not a verdict."""
         q = self.poset
         try:
             found = directed_downsets(q)
         except ScaleLimit as exc:
             return None, str(exc)
         for s in found:
-            g = q.greatest(s)
-            if g is None or q.down[g] != s:
+            if s not in self.down_generator:
                 return s, ""
         if len(found) != q.n:
             raise PosetError(f"internal error: kept {len(found)} of {q.n} principal ideals")

@@ -20,7 +20,7 @@ from cideals import (
     random_complemented_poset,
 )
 from cideals.poset import DistributivityReport, iter_bits, sort_key
-from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets
+from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets, is_prime_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -303,6 +303,82 @@ def assert_subset_tests_agree(p):
         assert (None if g is None else p.names[g]) == naive.generator(elements, le, members)
     for s in reversed(range(p.all_mask + 1)):  # now answered from the memo
         assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
+
+
+def reference_is_downset(p, mask):
+    return all(not p.down[x] & ~mask for x in iter_bits(mask))
+
+
+def reference_pairs_bounded(up, mask):
+    """At most one maximal member: one whose upper cone meets ``mask`` in
+    itself alone."""
+    return sum(up[x] & mask == 1 << x for x in iter_bits(mask)) <= 1
+
+
+def reference_is_ideal(p, mask):
+    """The two-pass test ``is_ideal`` replaced: a downset test, then a
+    second pass that counts the maximal members."""
+    p.check_mask(mask)
+    return bool(mask) and reference_is_downset(p, mask) and reference_pairs_bounded(p.up, mask)
+
+
+def reference_is_prime_ideal(p, mask):
+    """The pair loop ``is_prime_ideal`` replaced: every pair x <= y (as
+    indices) with L(x,y) inside the mask has a member in it."""
+    if mask == p.all_mask or not reference_is_ideal(p, mask):
+        return False
+    down = p.down
+    for x in range(p.n):
+        for y in range(x, p.n):
+            if not (down[x] & down[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
+                return False
+    return True
+
+
+def reference_lu(p):
+    """The pair table ``Poset.lu`` replaced: one ``lower_cone`` per pair."""
+    rows = [[0] * p.n for _ in range(p.n)]
+    for x in range(p.n):
+        for y in range(x, p.n):
+            rows[x][y] = rows[y][x] = p.lower_cone(p.up[x] & p.up[y])
+    return tuple(map(tuple, rows))
+
+
+def reference_semilattice_flags(p):
+    """The all-meets scan ``Poset.semilattice_flags`` replaced, run on the
+    dual for the joins, then on ``p``."""
+    return tuple(
+        all(q.meet(x, y) is not None for x in range(q.n) for y in range(x, q.n))
+        for q in (p.dual(), p)
+    )
+
+
+def kernel_masks(p):
+    """The masks the order kernels are compared on when there are too many
+    subsets: the empty set and every cone of either side, its complement,
+    each union of two down-cones and each cell of either pair table."""
+    cones = p.down + p.up
+    found = {0} | set(cones) | {p.all_mask & ~c for c in cones}
+    found |= {a | b for a in p.down for b in p.down}
+    found |= {cell for q in (p, p.dual()) for row in q.lu for cell in row}
+    return sorted(found)
+
+
+def assert_kernels_match_reference(p, masks):
+    """On ``p`` and on its dual: the pair table and the semilattice flags
+    equal the references', and so do ``is_ideal`` and ``is_prime_ideal`` on
+    each of ``masks``.  Returns the ideals and the prime ideals counted
+    over both sides, then the two flags of ``p``."""
+    ideals = primes = 0
+    for q in (p, p.dual()):
+        assert q.lu == reference_lu(q), q
+        assert q.semilattice_flags() == reference_semilattice_flags(q), q
+        for s in masks:
+            ideal, prime = is_ideal(q, s), is_prime_ideal(q, s)
+            assert (ideal, prime) == (reference_is_ideal(q, s), reference_is_prime_ideal(q, s)), (q, s)
+            ideals += ideal
+            primes += prime
+    return (ideals, primes, *p.semilattice_flags())
 
 
 def assert_union_cells_agree(p):

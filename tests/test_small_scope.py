@@ -29,9 +29,11 @@ from conftest import (
     assert_distributivity_agrees,
     assert_distributivity_matches_reference,
     assert_families_agree,
+    assert_kernels_match_reference,
     assert_subset_tests_agree,
     assert_union_cells_agree,
     corpus_campaign_boolean,
+    kernel_masks,
     names,
     naive_order,
 )
@@ -88,6 +90,18 @@ def test_subset_tests_agree_on_every_poset_up_to_four_points():
         if p.n <= 4:
             assert_subset_tests_agree(p)
             assert_union_cells_agree(p)
+
+
+def test_order_kernels_match_their_references(corpus):
+    """The one-pass ideal test, the word-level prime test, the pair table
+    with its join cells and the semilattice flags read off it, on each
+    poset and its dual: every subset of the posets above, then the
+    ``kernel_masks`` of the corpus, campaign seeds 1-200 and B2-B4."""
+    found = [assert_kernels_match_reference(p, range(p.all_mask + 1)) for p in POSETS]
+    assert [sum(column) for column in zip(*found)] == [3942, 1150, 50, 50]
+    posets = [cp.poset for cp in corpus_campaign_boolean(corpus)]
+    found = [assert_kernels_match_reference(p, kernel_masks(p)) for p in posets]
+    assert [sum(column) for column in zip(*found)] == [2598, 260, 204, 204]
 
 
 def naive_least(le, s):

@@ -2,6 +2,7 @@ import pytest
 
 import naive
 from cideals import (
+    PosetError,
     ScaleLimit,
     build_poset,
     classify,
@@ -12,7 +13,13 @@ from cideals import (
     is_ideal,
     random_complemented_poset,
 )
-from cideals.substructures import _enumerate_downsets, find_c_filter_witness, find_c_ideal_witness
+from cideals.substructures import (
+    _enumerate_downsets,
+    find_c_filter_witness,
+    find_c_ideal_witness,
+    is_maximal_ideal,
+    is_prime_ideal,
+)
 from cideals.poset import sort_key
 from conftest import (
     assert_directed_downsets_match_reference,
@@ -36,6 +43,15 @@ def test_subset_role_examples(fig1):
     assert role(mask(p, "0 a b")) == (False, False)
     assert role(p.all_mask) == (True, True)
     assert role(0) == (False, False)
+
+
+def test_subset_tests_reject_a_mask_outside_the_universe(fig1):
+    # the cone lookup that spares the prime and maximal tests the member
+    # test does not spare them the mask check
+    for q in (fig1.poset, fig1.poset.dual()):
+        for test in (is_ideal, is_prime_ideal, lambda q, m: is_maximal_ideal(q, m, q.facts.ideals)):
+            with pytest.raises(PosetError):
+                test(q, 1 << 20)
 
 
 def test_enumerate_ideals_fig1(fig1):
