@@ -29,9 +29,11 @@ That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
 downward closed subset, up to the fixed cap ``DEFAULT_BUDGET``, and keeps
 the directed ones: a walked set is directed exactly when it lies inside
-the cone of its last element in the walk's linear extension.  The verdict
-depends on the order alone, so it is kept on the order facts as
-``principal_walk``.
+the cone of its last element in the walk's linear extension.  Each element
+adds one block of sets, and it scans only the blocks from that of its last
+predecessor on, since no earlier set holds that predecessor; the directed
+sets are then kept one block at a time.  The verdict depends on the order
+alone, so it is kept on the order facts as ``principal_walk``.
 
 All enumerations and witness searches use one deterministic order: subsets
 sorted by size, then lexicographically by membership.
@@ -44,6 +46,7 @@ the published lists all read those rows through that one table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,16 +147,33 @@ def _enumerate_downsets(p: Poset, budget: int) -> list[int]:
 
     Elements are added along :func:`_extension`: once the downsets inside
     the first k elements are known, element k extends exactly those that
-    hold everything strictly below it, as one block.  Raises ScaleLimit as
-    soon as the count of downsets passes ``budget``.
+    hold everything strictly below it, as one block, the run of sets it
+    appends.  Raises ScaleLimit as soon as the count of downsets passes
+    ``budget``.
+
+    Element e scans only a window, a suffix of the list.  A set in the
+    block of element f holds f and elements before f in the extension only.
+    Each member of ``below``, the elements strictly below e, has a smaller
+    cone than e, so it comes earlier and its block is already written.  Let
+    m be the member of ``below`` that comes last in the extension, the
+    highest bit of ``ranks``.  A set before the block of m holds only
+    elements before m, so it lacks m and cannot hold ``below``: the window
+    starts at the block of m, or is the whole list when ``below`` is empty.
+    A set in the window is extended when it holds all of ``below``.
     """
-    out = [0]
-    for e in _extension(p):
+    out, starts, rank, down = [0], [], [0] * p.n, p.down
+    for t, e in enumerate(_extension(p)):
         bit = 1 << e
-        below = p.down[e] ^ bit
-        grown = [d | bit for d in out if not below & ~d]
+        below = down[e] ^ bit
+        ranks = 0  # one bit per member of below, at its place in the extension
+        for x in iter_bits(below):
+            ranks |= rank[x]
+        window = out[starts[ranks.bit_length() - 1]:] if ranks else out
+        grown = [d | bit for d in window if d & below == below]
         if len(out) + len(grown) > budget:
             raise ScaleLimit(f"more than {budget} downward-closed subsets")
+        rank[e] = 1 << t
+        starts.append(len(out))
         out += grown
     return out
 
@@ -167,20 +187,27 @@ def directed_downsets(p: Poset) -> list[int]:
     the only member of S that is >= e.  An upper bound in S of x and e is
     then e, so x <= e: S is directed exactly when it lies inside ``down[e]``.
     This uses the definition alone, not that S is downward closed, nor any
-    principality, so this is the oracle for it.  The blocks come in
-    extension order, so one pointer into the extension finds each e.  On
-    ``p.dual()`` it yields the filters of ``p``.  Sorted like the families.
-    Raises ScaleLimit once the walk passes ``DEFAULT_BUDGET`` downsets,
-    before any set is tested.
+    principality, so this is the oracle for it.  On ``p.dual()`` it yields
+    the filters of ``p``.  Sorted like the families.  Raises ScaleLimit once
+    the walk passes ``DEFAULT_BUDGET`` downsets, before any set is tested.
+
+    Each block is tested whole, in extension order after the empty set.
+    Along the list, the key ``s & later``, with ``later`` the elements after
+    e in the extension, is 0 up to the end of the block of e and positive
+    from there on: the sets up to it hold e and earlier elements only, and a
+    set in a later block holds that block's element.  So ``bisect_left``
+    for 1 on that key finds where the block of e ends, and the next block
+    starts there.
     """
     order, down = _extension(p), p.down
-    found, t, outside, off_cone = [], 0, ~(1 << order[0]), ~down[order[0]]
-    for s in _enumerate_downsets(p, DEFAULT_BUDGET):
-        while s & outside:  # s is in a later block
-            t += 1
-            outside, off_cone = outside & ~(1 << order[t]), ~down[order[t]]
-        if s and not s & off_cone:
-            found.append(s)
+    walked = _enumerate_downsets(p, DEFAULT_BUDGET)
+    found, lo, later = [], 1, p.all_mask
+    for e in order:
+        later ^= 1 << e
+        hi = bisect_left(walked, 1, lo, key=later.__and__)
+        off_cone = ~down[e]
+        found += [s for s in walked[lo:hi] if not s & off_cone]
+        lo = hi
     found.sort(key=sort_key)
     return found
 

@@ -77,6 +77,11 @@ def all_subsets(elements):
     )
 
 
+def downsets(elements, le):
+    """Every subset that holds each element below one of its members."""
+    return [s for s in all_subsets(elements) if all(x in s for x, y in le if y in s)]
+
+
 def is_ideal(elements, le, s):
     if not s:
         return False
