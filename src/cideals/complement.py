@@ -8,14 +8,20 @@ everything downstream (ideal classification, theorem checks) branches on
 them.
 
 A complemented poset is immutable.  Its ``facts`` (c-ideals and the
-c-condition) are a ``functools.cached_property``, built on first read, as
-the poset's own ``facts`` are, and belong to this complementation alone.
-Its order dual stays a method, ``dual()``, built on first call and kept
-like the poset's, over the poset's kept dual and the same map; its
-c-ideals are the c-filters of this complementation.  The flags,
-``props``, are computed by the constructor and kept in a slot: most
-statement checks and every separation read them, and the dual takes a
-copy with two flags swapped instead of recomputing them.  De Morgan's
+ideals with the c-condition) are a ``functools.cached_property``, built on
+first read, as the poset's own ``facts`` are, and belong to this
+complementation alone.  Its order dual stays a method, ``dual()``, built on
+first call and kept like the poset's, over the poset's kept dual and the
+same map; its c-ideals are the c-filters of this complementation.  The
+constructor keeps, in slots, the map, the flags ``props`` and the preimage
+table ``pre``: ``pre[y]`` is the mask of the x with x' = y, so the preimage
+A_0 of a set A is the OR of ``pre[y]`` over its members.  It also keeps the
+preimages of the 2n principal cones, the sets nearly every preimage is
+taken of, so each of those is one table read; a mask a caller passes is
+computed afresh and never stored.  The cones of the order dual are the
+same 2n masks and the map is the same, so the dual shares both tables.
+Most statement checks and every separation read the flags, and the dual
+takes a copy with two flags swapped instead of recomputing them.  De Morgan's
 identities L(x,y)' = U(x',y') and U(x,y)' = L(x',y') hold exactly when
 the map is an antitone bijection: with x = y = top the first makes the map
 onto, with x = y it makes the map antitone, and an antitone bijection of a
@@ -56,7 +62,7 @@ class ComplementProperties:
 class ComplementedPoset:
     """A bounded poset together with a validated complementation."""
 
-    __slots__ = ("poset", "comp", "props", "_dual", "__dict__")
+    __slots__ = ("poset", "comp", "pre", "_cone_pre", "props", "_dual", "__dict__")
 
     def __init__(self, poset: Poset, comp: Sequence[int]):
         if not poset.bounded:
@@ -81,8 +87,13 @@ class ComplementedPoset:
                     poset.names[x],
                     f"meet({poset.names[x]}, {poset.names[cx]}) is not the bottom element",
                 )
+        pre = [0] * poset.n
+        for x, cx in enumerate(comp):
+            pre[cx] |= 1 << x
         self.poset = poset
         self.comp = comp
+        self.pre = tuple(pre)
+        self._cone_pre = {cone: _gather(pre, cone) for cone in poset.down + poset.up}
         self.props = self._compute_properties()
         self._dual = None
 
@@ -121,12 +132,12 @@ class ComplementedPoset:
         return out
 
     def comp_preimage(self, mask: int) -> int:
-        """A_0 = {x | x' in A}; monotone in A."""
-        self.poset.check_mask(mask)
-        out = 0
-        for x in range(self.poset.n):
-            if (mask >> self.comp[x]) & 1:
-                out |= 1 << x
+        """A_0 = {x | x' in A}, the OR of ``pre[y]`` over y in A; monotone
+        in A.  A principal cone's is read from the kept cone table."""
+        out = self._cone_pre.get(mask)
+        if out is None:
+            self.poset.check_mask(mask)
+            out = _gather(self.pre, mask)
         return out
 
     def boolean_elements(self) -> int:
@@ -140,16 +151,19 @@ class ComplementedPoset:
     def c_condition(self, mask: int) -> bool:
         """Does ``mask`` contain exactly one of x and x' for every x, that
         is, (x in mask) xor (x' in mask)?  On the one-element poset x = x',
-        and no set qualifies."""
-        self.poset.check_mask(mask)
-        for x, cx in enumerate(self.comp):
-            if not ((mask >> x) ^ (mask >> cx)) & 1:
-                return False
-        return True
+        and no set qualifies.
+
+        x' lies in ``mask`` exactly when x lies in its preimage, so the
+        condition says that x lies in the preimage exactly when x is not in
+        ``mask``, for every x: the preimage is the complement of ``mask``.
+        """
+        return self.comp_preimage(mask) == self.poset.all_mask & ~mask
 
     def dual(self) -> "ComplementedPoset":
         """Order-dual with the complement map unchanged, built on first call
-        and kept; its own dual is this object.
+        and kept; its own dual is this object.  It shares the preimage
+        table and the cone table: the map is the same, and the dual's
+        cones are the same 2n masks.
 
         Nothing is re-validated: the axioms dualize (join and meet swap, as
         do top and bottom), and so do the flags.  x<=x'' and x''<=x trade
@@ -159,7 +173,7 @@ class ComplementedPoset:
         """
         if self._dual is None:
             dual = ComplementedPoset.__new__(ComplementedPoset)
-            dual.poset, dual.comp = self.poset.dual(), self.comp
+            dual.poset, dual.comp, dual.pre, dual._cone_pre = self.poset.dual(), self.comp, self.pre, self._cone_pre
             props = self.props
             dual.props = replace(props, x_le_xdd=props.xdd_le_x, xdd_le_x=props.x_le_xdd)
             dual._dual = self
@@ -169,13 +183,11 @@ class ComplementedPoset:
     # -- property computation -------------------------------------------------
 
     def _compute_properties(self) -> ComplementProperties:
-        p, comp = self.poset, self.comp
+        """The map is antitone when x <= y gives y' <= x', that is when
+        every x in ``down[y]`` has x' in ``up[y']``: one mask test per y."""
+        p, comp, cone_pre = self.poset, self.comp, self._cone_pre
         n = p.n
-        antitone = all(
-            p.le(comp[y], comp[x])
-            for y in range(n)
-            for x in iter_bits(p.down[y])
-        )
+        antitone = all(not p.down[y] & ~cone_pre[p.up[comp[y]]] for y in range(n))
         involution = all(comp[comp[x]] == x for x in range(n))
         x_le_xdd = all(p.le(x, comp[comp[x]]) for x in range(n))
         xdd_le_x = all(p.le(comp[comp[x]], x) for x in range(n))
@@ -188,6 +200,14 @@ class ComplementedPoset:
             triple_identity=triple_identity,
             de_morgan=antitone and len(set(comp)) == n,
         )
+
+
+def _gather(table: Sequence[int], mask: int) -> int:
+    """The OR of ``table[y]`` over the members y of ``mask``."""
+    out = 0
+    for y in iter_bits(mask):
+        out |= table[y]
+    return out
 
 
 def attach_complementation(

@@ -124,9 +124,9 @@ def parse_instance(text: str) -> InstanceFile:
             parts = tuple(rest.split())
             if not parts:
                 raise ParseError(f"elements section is empty on line {ln}", line=ln)
-            dupes = {e for e in parts if parts.count(e) > 1}
-            if dupes:
-                raise ParseError(f"duplicate element {sorted(dupes)[0]!r} on line {ln}", line=ln)
+            if len(set(parts)) != len(parts):
+                dupe = min(e for e in parts if parts.count(e) > 1)
+                raise ParseError(f"duplicate element {dupe!r} on line {ln}", line=ln)
             try:  # the name rule every Poset applies, reported at its line
                 _validate_names(parts)
             except PosetError as exc:

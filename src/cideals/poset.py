@@ -43,11 +43,14 @@ RESERVED_NAMES = frozenset({"none", "true", "false"})
 
 
 def _validate_names(names: Sequence[str]) -> None:
+    """Each test is one C-level call: ``str.split()`` splits at exactly the
+    characters ``str.isspace`` accepts, so a name splits into itself alone
+    exactly when it is nonempty and has no whitespace."""
     seen = set()
     for name in names:
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:
             raise PosetError(f"invalid element name {name!r}: empty or has whitespace")
-        if any(ch in FORBIDDEN_NAME_CHARS for ch in name):
+        if not FORBIDDEN_NAME_CHARS.isdisjoint(name):
             raise PosetError(f"invalid element name {name!r}: reserved character")
         if name in RESERVED_NAMES:
             raise PosetError(f"invalid element name {name!r}: reserved word")
@@ -260,17 +263,27 @@ class Poset:
 
         So the first pair that fails this test is the first pair with any
         violating z, and one pass over z gives the triple and both sides.
+        The test reads J only on LU(x,y) outside L(x) and L(y), so an
+        element is decided the first time a pair reads it, and an order
+        that fails early decides few.
         """
         down, upper_cone = self.down, self.dual().lower_cone
 
         def closure(mask: int) -> int:
             return self.lower_cone(upper_cone(mask))
 
-        irreducible = sum(1 << j for j, dj in enumerate(down) if closure(dj & ~(1 << j)) != dj)
+        undecided, irreducible = self.all_mask, 0
         for x, row in enumerate(self.lu):
+            dx = down[x]
             for y in range(x, self.n):
-                below = down[x] | down[y]
-                if row[y] & irreducible & ~below:
+                over = row[y] & ~(dx | down[y])
+                if over & undecided:
+                    for j in iter_bits(over & undecided):
+                        if closure(down[j] ^ (1 << j)) != down[j]:
+                            irreducible |= 1 << j
+                    undecided &= ~over
+                if over & irreducible:
+                    below = dx | down[y]
                     for z, dz in enumerate(down):
                         lhs, rhs = row[y] & dz, closure(dz & below)
                         if lhs != rhs:

@@ -10,8 +10,8 @@ Each fact lives on the immutable object it describes.  :class:`OrderFacts`,
 read as ``Poset.facts``, holds the ideal family and every flag of its
 members that the order alone fixes, and answers each ideal test once per
 distinct mask.  :class:`ComplementFacts`, read as ``ComplementedPoset.facts``,
-holds the c-ideals and the c-condition; one poset can carry many
-complementations, and they all share its order facts.  Both hold the ideal
+holds the c-ideals and the ideals with the c-condition; one poset can carry
+many complementations, and they all share its order facts.  Both hold the ideal
 side only: the filters of P are the ideals of its order dual, so each filter
 fact is the ideal fact of ``p.dual().facts`` or ``cp.dual().facts``, read
 from the duals the objects keep.  The filter-side functions are written the
@@ -390,15 +390,16 @@ class ComplementFacts:
 
     ``c_ideal_witnesses`` maps a preimage F_0 to the first filter F with
     it, so an ideal is a c-ideal exactly when it is a key, with that F as
-    its witness.  ``c_condition(mask)`` answers each distinct mask once,
-    from a memo that lives as long as the complemented poset.
+    its witness.  ``c_condition(mask)`` is ``cp.c_condition``, one mask
+    comparison against the preimage; a family member's preimage is a read
+    of the cone table the complemented poset keeps, so there is no memo
+    here.
     """
 
     def __init__(self, cp: ComplementedPoset):
         self.cp = cp
         self.order = cp.poset.facts
-        self._ccond_memo = _Memo(ComplementedPoset.c_condition, cp)
-        self.c_condition = self._ccond_memo.__getitem__
+        self.c_condition = cp.c_condition
 
     @cached_property
     def c_ideal_witnesses(self) -> dict[int, int]:

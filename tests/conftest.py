@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 import naive
 from cideals import (
     Instance,
+    Poset,
     ScaleLimit,
     attach_complementation,
     build_poset,
@@ -202,6 +205,43 @@ def naive_order(p):
     elements = list(p.names)
     le = {(p.names[i], p.names[j]) for j in range(p.n) for i in iter_bits(p.down[j])}
     return elements, le
+
+
+def naturally_labelled_posets(n):
+    """One poset per distinct closure of a relation with i < j in every pair."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    found = {}
+    for bits in range(1 << len(pairs)):
+        down = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                down[j] |= 1 << i
+        for j in range(n):  # every i below j is smaller, so down[i] is closed
+            for i in iter_bits(down[j]):
+                down[j] |= down[i]
+        found.setdefault(tuple(down), None)
+    return [Poset([f"e{i}" for i in range(n)], down) for down in found]
+
+
+def naive_complementations(p):
+    """(elements, le, every complement map as a dict), from the naive join
+    and meet of the bounded poset ``p``."""
+    elements, le = naive_order(p)
+    top, bottom = p.names[p.top], p.names[p.bottom]
+    options = [
+        [y for y in elements
+         if naive.join(elements, le, x, y) == top and naive.meet(elements, le, x, y) == bottom]
+        for x in elements
+    ]
+    return elements, le, [dict(zip(elements, images)) for images in itertools.product(*options)]
+
+
+@functools.cache
+def small_complementations():
+    """(poset, elements, le, every complement map) for each bounded
+    naturally labelled poset on 1-6 points; 398 maps in all."""
+    bounded = [p for n in range(1, 7) for p in naturally_labelled_posets(n) if p.bounded]
+    return [(p, *naive_complementations(p)) for p in bounded]
 
 
 def assert_distributivity_agrees(p, elements, le):

@@ -171,6 +171,11 @@ def c_condition(elements, comp, s):
     return all((x in s) != (comp[x] in s) for x in elements)
 
 
+def antitone(le, comp):
+    """x <= y gives y' <= x'."""
+    return all((comp[y], comp[x]) in le for x, y in le)
+
+
 def boolean_elements(elements, comp):
     return frozenset(x for x in elements if comp[comp[x]] == x)
 

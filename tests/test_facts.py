@@ -225,12 +225,13 @@ def test_read_many_replay_on_shared_objects_equals_fresh_objects():
 
 
 def test_caller_masks_do_not_grow_the_memos():
-    # the memos keep the O(n^2) masks the checkers test, not what callers pass
+    # the memos keep the O(n^2) masks the checkers test and the cone table
+    # the 2n cones, not what callers pass
     elements, covers, comp = boolean_lattice(4)
     p = build_poset(elements, covers)
     cp = attach_complementation(p, comp)
     run_all(cp)
-    memos = (p.facts._ideal_memo, p.dual().facts._ideal_memo, cp.facts._ccond_memo, cp.dual().facts._ccond_memo)
+    memos = (p.facts._ideal_memo, p.dual().facts._ideal_memo, cp._cone_pre, cp.dual()._cone_pre)
     sizes = [len(memo) for memo in memos]
     rng = random.Random(0)
     for _ in range(300):
@@ -239,6 +240,11 @@ def test_caller_masks_do_not_grow_the_memos():
             query = (ideal, filt, mode)
             fresh = load_instance(emit_instance(Instance("B4", p, cp))).cp
             assert _answer(cp, "separate", query) == _answer(fresh, "separate", query)
+        mask = rng.randrange(p.all_mask + 1)
+        assert _answer(cp, "classify", mask) == _answer(fresh, "classify", mask)
+        for side, fresh_side in ((cp, fresh), (cp.dual(), fresh.dual())):
+            assert side.comp_preimage(mask) == fresh_side.comp_preimage(mask)
+            assert side.c_condition(mask) == fresh_side.c_condition(mask)
     assert [len(memo) for memo in memos] == sizes
 
 

@@ -27,7 +27,6 @@ from cideals import (
     is_ideal,
     separate_first,
 )
-from cideals.complement import ComplementedPoset
 from cideals.harness import _CHECKERS, _Context, _union_condition
 from cideals.poset import iter_bits
 from cideals.substructures import (
@@ -296,16 +295,14 @@ def test_union_conditions_match_the_unions(instances):
 
 def test_separation_witness_is_reverified(fig2b, monkeypatch):
     # a construction that yields a non-ideal must be caught by the re-check
-    # (the statement checkers call the same procedure)
+    # (the statement checkers call the same procedure).  Only the witness is
+    # doctored: the filter's c-condition is read on cp.dual(), whose
+    # preimages stay real, so mode first's hypotheses still pass
     p, cp = fig2b.poset, fig2b.cp
     ideal, filt = p.down[p.index("0")], p.up[p.index("f")]
     assert separate_first(cp, ideal, filt).witness is not None
-    real = ComplementedPoset.comp_preimage
-
-    def doctored(self, mask):
-        return 0 if mask == filt else real(self, mask)
-
-    monkeypatch.setattr(ComplementedPoset, "comp_preimage", doctored)
+    real = cp.comp_preimage
+    monkeypatch.setattr(cp, "comp_preimage", lambda mask: 0 if mask == filt else real(mask))
     with pytest.raises(PosetError, match="failed verification"):
         separate_first(cp, ideal, filt)
     with pytest.raises(PosetError, match="failed verification"):

@@ -17,13 +17,11 @@ import naive
 from cideals import (
     DEFAULT_BUDGET,
     AxiomViolation,
-    Poset,
     attach_complementation,
     build_poset,
     enumerate_filters,
     random_complementation,
 )
-from cideals.poset import iter_bits
 from cideals.substructures import _enumerate_downsets, is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
     assert_complementation_matches_reference,
@@ -38,25 +36,12 @@ from conftest import (
     bounded_antichain,
     corpus_campaign_boolean,
     kernel_masks,
-    names,
+    naive_complementations,
     naive_order,
+    names,
+    naturally_labelled_posets,
+    small_complementations,
 )
-
-
-def naturally_labelled_posets(n):
-    """One poset per distinct closure of a relation with i < j in every pair."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    found = {}
-    for bits in range(1 << len(pairs)):
-        down = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits >> k & 1:
-                down[j] |= 1 << i
-        for j in range(n):  # every i below j is smaller, so down[i] is closed
-            for i in iter_bits(down[j]):
-                down[j] |= down[i]
-        found.setdefault(tuple(down), None)
-    return [Poset([f"e{i}" for i in range(n)], down) for down in found]
 
 
 POSETS = [p for n in range(1, 6) for p in naturally_labelled_posets(n)]
@@ -175,7 +160,7 @@ def naive_props(elements, le, comp):
         return f(elements, le, set(xs))
 
     return {
-        "antitone": all((comp[y], comp[x]) in le for x, y in le),
+        "antitone": naive.antitone(le, comp),
         "involution": all(cc[x] == x for x in elements),
         "x_le_xdd": all((x, cc[x]) in le for x in elements),
         "xdd_le_x": all((cc[x], x) in le for x in elements),
@@ -188,26 +173,10 @@ def naive_props(elements, le, comp):
     }
 
 
-def naive_complementations(p):
-    """(elements, le, every complement map as a dict), from the naive join
-    and meet of the bounded poset ``p``."""
-    elements, le = naive_order(p)
-    top, bottom = p.names[p.top], p.names[p.bottom]
-    options = [
-        [y for y in elements
-         if naive.join(elements, le, x, y) == top and naive.meet(elements, le, x, y) == bottom]
-        for x in elements
-    ]
-    return elements, le, [dict(zip(elements, images)) for images in itertools.product(*options)]
-
-
 def test_every_complementation_up_to_six_points_has_its_naive_flags():
     """Also: random_complementation finds one exactly when one exists."""
     seen = de_morgan_false = 0
-    for p in (p for n in range(1, 7) for p in naturally_labelled_posets(n)):
-        if not p.bounded:
-            continue
-        elements, le, comps = naive_complementations(p)
+    for p, elements, le, comps in small_complementations():
         for comp in comps:
             want = naive_props(elements, le, comp)
             props = attach_complementation(p, comp).props
