@@ -135,7 +135,7 @@ def _check_lem_cl_prime(ctx: _Context):
     p, a, f = ctx.cp.poset, ctx.order, ctx.sides["filter"].poset.facts
     for i in a.ideals:
         rest = p.all_mask & ~i
-        facts = (i in a.prime_ideals, rest in f.prime_ideals, f.is_ideal(rest))
+        facts = (i in a.prime_ideals, rest in f.prime_ideals, is_filter(p, rest))
         if len(set(facts)) != 1:
             return "", {"ideal": p.format_set(i), "equivalences": f"({facts[0]},{facts[1]},{facts[2]})"}
     image = {p.all_mask & ~i for i in a.prime_ideals}
@@ -194,8 +194,9 @@ def _check_lem_cideal_dd(ctx: _Context):
     # unmet, both sides are probed
     for kind, side in sides.items():
         for s in side.facts.c_ideals if hyps[kind] or not met else ():
-            img2 = cp.comp_image(cp.comp_image(s))
-            if img2 & ~s:
+            # I'' lies inside I exactly when I lies inside (I_0)_0 = {x | x'' in I}
+            if s & ~cp.comp_preimage(cp.comp_preimage(s)):
+                img2 = cp.comp_image(cp.comp_image(s))
                 return note, {f"c_{kind}": p.format_set(s), "double_image": p.format_set(img2)}
     return note, None
 
@@ -225,23 +226,26 @@ def _check_thm_f0_cideal(ctx: _Context):
     met = any(hyps)
     note = "" if met else "needs antitone with x<=x'' (or the dual x''<=x)"
     for (_, side), (kind, other), hyp in zip(sides, reversed(sides), hyps):
-        test, witnesses = side.poset.facts.is_ideal, side.facts.c_ideal_witnesses
+        witnesses = side.facts.c_ideal_witnesses
         for s in other.poset.facts.ideals if hyp or not met else ():
             pre = cp.comp_preimage(s)
-            if not test(pre) or pre not in witnesses:
+            if pre not in witnesses:
                 return note, {kind: p.format_set(s), "preimage": p.format_set(pre)}
     return note, None
 
 
 def _check_cor_involution(ctx: _Context):
+    """I_0 is a filter exactly when it is a key of the other side's witness
+    map, whose keys are the preimages of the ideals that are filters
+    (dually for filters)."""
     cp, p = ctx.cp, ctx.cp.poset
     note = "" if cp.props.antitone and cp.props.involution else "needs an antitone involution"
     sides = list(ctx.sides.items())
     for (kind, side), (_, other) in zip(sides, reversed(sides)):
-        test, witnesses = other.poset.facts.is_ideal, side.facts.c_ideal_witnesses
+        witnesses, other_witnesses = side.facts.c_ideal_witnesses, other.facts.c_ideal_witnesses
         for s in side.poset.facts.ideals:
             pre = cp.comp_preimage(s)
-            if not test(pre) or cp.comp_preimage(pre) != s or s not in witnesses:
+            if pre not in other_witnesses or cp.comp_preimage(pre) != s or s not in witnesses:
                 return note, {kind: p.format_set(s), "preimage": p.format_set(pre)}
     return note, None
 
@@ -282,12 +286,11 @@ def _union_condition(facts: OrderFacts, mask: int) -> bool:
     """Is every LU-union over the ideal, for x outside it, an ideal?  Every
     ideal is a principal down[g], and the union of LU(x,i) over i <= g is
     the one cell lu[x][g]: U(x,g) lies inside U(x,i), so LU(x,i) lies
-    inside LU(x,g), which is one of the cones.  LEM_JOINSEMI_LU reads those
-    cells too.  On the dual's facts it asks the same of the UL-unions over
-    a filter."""
-    p = facts.poset
-    cells = p.lu[facts.down_generator[mask]]
-    return all(facts.is_ideal(cells[x]) for x in iter_bits(p.all_mask & ~mask))
+    inside LU(x,g), which is one of the cones.  So the row
+    ``union_rows[g]``, which LEM_JOINSEMI_LU reads too, must hold every x
+    outside the ideal.  On the dual's facts it asks the same of the
+    UL-unions over a filter."""
+    return facts.union_rows[facts.down_generator[mask]] | mask == facts.poset.all_mask
 
 
 #: the maximal members THM5_II_III_IV_I and THM5_III_VI_VII_V quantify over
@@ -321,14 +324,10 @@ def _check_lem_joinsemi_lu(ctx: _Context):
     note = "" if an.semilattice_flags[0] else "poset is not a join-semilattice"
     for i in an.ideals:
         g = an.down_generator[i]
-        for a in range(p.n):
-            union = p.lu[a][g]
-            if not an.is_ideal(union):
-                return note, {
-                    "ideal": p.format_set(i),
-                    "element": p.names[a],
-                    "union": p.format_set(union),
-                }
+        missing = p.all_mask & ~an.union_rows[g]
+        if missing:  # its lowest bit is the first a whose union is no ideal
+            a = (missing & -missing).bit_length() - 1
+            return note, {"ideal": p.format_set(i), "element": p.names[a], "union": p.format_set(p.lu[a][g])}
     return note, None
 
 
@@ -363,14 +362,14 @@ _X_LE_XDD = (FAIL_X_LE_XDD, "x<=x'' fails", lambda cp: cp.props.x_le_xdd)
 _MODES = {
     "first": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
-        ((FAIL_NO_CCOND, lambda cp, d, f: d.facts.c_condition(f)),),
+        ((FAIL_NO_CCOND, lambda cp, d, f: d.c_condition(f)),),
         "no disjoint (ideal, filter) pair with the filter satisfying the c-condition",
     ),
     "prime": _Hypotheses(
         (_ANTITONE, _X_LE_XDD),
         ((FAIL_NOT_PRIME, lambda cp, d, f: f in d.poset.facts.prime_ideals),),
         "no disjoint (ideal, prime filter) pair",
-        (("prime filter misses the c-condition", lambda cp, d, f: d.facts.c_condition(f)),),
+        (("prime filter misses the c-condition", lambda cp, d, f: d.c_condition(f)),),
     ),
     # the construction is THM_SEP1's: distributivity and an ultrafilter
     # force the c-condition and an involution, hence x<=x''.  An ultrafilter
@@ -387,7 +386,7 @@ _MODES = {
             ("finite filter without least element", lambda cp, d, f: cp.poset.least(f) is not None),
             ("ultrafilter not generated by an atom",
              lambda cp, d, f: cp.poset.down[d.poset.facts.down_generator[f]].bit_count() == 2),
-            ("qualifying ultrafilter misses the c-condition", lambda cp, d, f: d.facts.c_condition(f)),
+            ("qualifying ultrafilter misses the c-condition", lambda cp, d, f: d.c_condition(f)),
             ("distributivity did not force an involution", lambda cp, d, f: cp.props.involution),
             ("an involution without x<=x''", lambda cp, d, f: cp.props.x_le_xdd),
         ),
@@ -402,10 +401,10 @@ SEPARATION_MODES = tuple(_MODES)
 def _verify_separation_witness(
     cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int
 ) -> bool:
-    """Definition-level re-check, independent of the construction path."""
+    """Re-check, independent of the construction path: the witness map's
+    keys are the preimages that pass the definition-level ideal test."""
     return (
-        cp.poset.facts.is_ideal(witness)
-        and witness in cp.facts.c_ideal_witnesses
+        witness in cp.facts.c_ideal_witnesses
         and not ideal_mask & ~witness
         and not witness & filter_mask
     )
@@ -526,8 +525,7 @@ def run_all(cp: ComplementedPoset, *, seed: int | None = None) -> list[TheoremCh
 def _check_inputs(cp: ComplementedPoset, dual: ComplementedPoset, ideal_mask: int, filter_mask: int) -> None:
     """Raise NotIdeal/NotFilter on malformed inputs.  A principal cone of
     ``cp`` (of ``dual``, ``cp.dual()``) is an ideal (a filter); any other
-    mask gets the definition-level test afresh, so the memos of the facts
-    never keep a caller's mask."""
+    mask gets the definition-level test afresh, and nothing keeps it."""
     p = cp.poset
     if ideal_mask not in p.facts.down_generator and not is_ideal(p, ideal_mask):
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")

@@ -1,4 +1,4 @@
-"""Finite posets with cached cones, covers, bounds, meets and joins.
+"""Finite posets with cached cones, covers, bounds and pair tables.
 
 Elements are dense indices ``0..n-1`` with unique display names.  Subsets are
 plain ``int`` bitmasks over those indices, which keeps every cone and ideal
@@ -19,10 +19,11 @@ stored and the fill is idempotent, so readers racing on it at worst build
 the same value twice.  The filters of a poset are the ideals of its dual,
 so every filter fact is read from ``dual().facts``, and the pair table
 U(L(x,y)) is ``dual().lu``.  Each dual method has one body:
-``upper_cone``, ``least``, ``join`` and ``is_dual_distributive`` call
-``lower_cone``, ``greatest``, ``meet`` and ``is_distributive`` on the kept
-dual.  A pair with a join j has the pair-table cell ``down[j]``, and the
-semilattice flags are read off the two pair tables.
+``upper_cone``, ``least`` and ``is_dual_distributive`` call
+``lower_cone``, ``greatest`` and ``is_distributive`` on the kept dual.  The
+meet of x and y, when it exists, is ``greatest(down[x] & down[y])``.  A
+pair with a join j has the pair-table cell ``down[j]``, and the semilattice
+flags are read off the two pair tables.
 Distributivity is decided by one test per pair of elements, on the
 join-irreducibles of the Dedekind-MacNeille completion, not by a scan of
 every triple.
@@ -200,13 +201,6 @@ class Poset:
 
     def least(self, mask: int) -> int | None:
         return self.dual().greatest(mask)
-
-    def meet(self, x: int, y: int) -> int | None:
-        """Greatest element of L(x,y), or ``None``; absence is a value."""
-        return self.greatest(self.down[x] & self.down[y])
-
-    def join(self, x: int, y: int) -> int | None:
-        return self.dual().meet(x, y)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

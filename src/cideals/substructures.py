@@ -7,10 +7,10 @@ the families are read off the principal cones: the n sets ``down[i]`` are
 the ideals and the n sets ``up[i]`` the filters.
 
 Each fact lives on the immutable object it describes.  :class:`OrderFacts`,
-read as ``Poset.facts``, holds the ideal family and every flag of its
-members that the order alone fixes, and answers each ideal test once per
-distinct mask.  :class:`ComplementFacts`, read as ``ComplementedPoset.facts``,
-holds the c-ideals and the ideals with the c-condition; one poset can carry
+read as ``Poset.facts``, holds the ideal family, every flag of its
+members that the order alone fixes and the ideal verdicts of the pair-table
+cells.  :class:`ComplementFacts`, read as ``ComplementedPoset.facts``, holds
+the c-ideals and the ideals with the c-condition; one poset can carry
 many complementations, and they all share its order facts.  Both hold the ideal
 side only: the filters of P are the ideals of its order dual, so each filter
 fact is the ideal fact of ``p.dual().facts`` or ``cp.dual().facts``, read
@@ -23,7 +23,8 @@ the generator maps of both from the order facts.
 The LU-union over an ideal, which Theorem 5 and LEM_JOINSEMI_LU quantify
 over, is one cell of the pair table: every ideal is a principal ``down[g]``,
 and the union of LU(a,i) over i <= g is ``p.lu[a][g]``.  The UL-union over
-a filter ``up[g]`` is the cell ``p.dual().lu[a][g]``.
+a filter ``up[g]`` is the cell ``p.dual().lu[a][g]``.  The order facts keep,
+per g, the mask of the a whose cell is an ideal: ``union_rows``.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL).  Its
 oracle, :func:`directed_downsets`, does not assume it: it walks every
@@ -284,23 +285,13 @@ def find_c_filter_witness(cp: ComplementedPoset, mask: int, ideals: list[int]) -
 
 
 def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
-    """Complement-preimage -> the first member of ``family`` with it."""
-    out: dict[int, int] = {}
+    """Complement-preimage -> the first member of ``family`` with it, for
+    the preimages that pass the definition-level :func:`is_ideal` on
+    ``cp.poset``."""
+    first: dict[int, int] = {}
     for s in family:
-        out.setdefault(cp.comp_preimage(s), s)
-    return out
-
-
-class _Memo(dict):
-    """mask -> ``test(subject, mask)``, computed on the first lookup of each
-    mask; a lookup that hits is a plain dict read."""
-
-    def __init__(self, test, subject):  # starts empty, as dict.__new__ made it
-        self.test, self.subject = test, subject
-
-    def __missing__(self, mask: int) -> bool:
-        value = self[mask] = self.test(self.subject, mask)
-        return value
+        first.setdefault(cp.comp_preimage(s), s)
+    return {pre: s for pre, s in first.items() if is_ideal(cp.poset, pre)}
 
 
 class OrderFacts:
@@ -312,20 +303,12 @@ class OrderFacts:
     The families are lists in family order, of at most n members each, and
     are searched directly for membership.  ``down_generator`` maps each
     principal ideal ``down[g]`` to g; the cones of distinct elements differ,
-    so the map is one-to-one.
-
-    ``is_ideal(mask)`` is the definition-level test of :func:`is_ideal`; it
-    runs once per distinct mask and is then answered from a memo that lives
-    as long as the poset.  The statement checkers put every mask they test
-    through it: family members, complements, preimages, separation witnesses
-    and the pair-table cells ``lu[a][g]`` that are the LU-unions over the
-    ideals ``down[g]``.  Those masks number O(n^2).
+    so the map is one-to-one.  Every fact is a table of at most n^2 entries,
+    filled from the order alone: no mask a caller passes is kept.
     """
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        self._ideal_memo = _Memo(is_ideal, poset)
-        self.is_ideal = self._ideal_memo.__getitem__
 
     def generator(self, mask: int) -> int | None:
         """The generator of ``mask`` as a principal ideal ``down[g]``, else
@@ -342,6 +325,22 @@ class OrderFacts:
     @cached_property
     def ideals(self) -> list[int]:
         return enumerate_ideals(self.poset)
+
+    @cached_property
+    def union_rows(self) -> tuple[int, ...]:
+        """Per g, the mask of the a whose pair-table cell ``lu[a][g]``, the
+        LU-union over the ideal ``down[g]``, passes the definition-level
+        :func:`is_ideal`; each distinct cell is tested once, and when every
+        cell passes each row is the whole poset.  The table is symmetric, so
+        row g of ``lu`` lists those cells.  On the dual's facts, bit a of
+        row g says whether the UL-union over the filter ``up[g]`` is a
+        filter.
+        """
+        q = self.poset
+        bad = {cell for cell in set().union(*q.lu) if not is_ideal(q, cell)}
+        if not bad:
+            return (q.all_mask,) * q.n
+        return tuple(q.all_mask & ~sum(1 << a for a, cell in enumerate(row) if cell in bad) for row in q.lu)
 
     @cached_property
     def distributivity(self) -> DistributivityReport:
@@ -388,18 +387,17 @@ class ComplementFacts:
     ``ComplementedPoset.facts``; ``order`` is the poset's ``facts``.  The
     c-filter side is ``cp.dual().facts``.
 
-    ``c_ideal_witnesses`` maps a preimage F_0 to the first filter F with
-    it, so an ideal is a c-ideal exactly when it is a key, with that F as
-    its witness.  ``c_condition(mask)`` is ``cp.c_condition``, one mask
+    ``c_ideal_witnesses`` maps each preimage F_0 that is an ideal to the
+    first filter F with it: its keys are exactly the c-ideals, each with
+    that F as its witness.  The c-condition is ``cp.c_condition``, one mask
     comparison against the preimage; a family member's preimage is a read
-    of the cone table the complemented poset keeps, so there is no memo
-    here.
+    of the cone table the complemented poset keeps, so nothing here keys a
+    caller's mask.
     """
 
     def __init__(self, cp: ComplementedPoset):
         self.cp = cp
         self.order = cp.poset.facts
-        self.c_condition = cp.c_condition
 
     @cached_property
     def c_ideal_witnesses(self) -> dict[int, int]:
@@ -411,7 +409,7 @@ class ComplementFacts:
 
     @cached_property
     def ccond_ideals(self) -> list[int]:
-        return [i for i in self.order.ideals if self.c_condition(i)]
+        return [i for i in self.order.ideals if self.cp.c_condition(i)]
 
 
 def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
@@ -462,7 +460,7 @@ def family_rows(p: Poset, cp: ComplementedPoset | None, kind: str) -> tuple[Clas
                 principal=generator(mask),
                 maximal=mask in a.maximal_ideals,
                 prime=mask in a.prime_ideals,
-                ccond=cp.facts.c_condition(mask) if cp else None,
+                ccond=cp.c_condition(mask) if cp else None,
                 is_c=(witness is not None) if cp else None,
                 witness=witness,
             )

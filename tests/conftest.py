@@ -376,22 +376,17 @@ def assert_complementation_matches_reference(p, seeds):
 
 
 def assert_subset_tests_agree(p):
-    """On every subset S of ``p``: ``is_ideal``/``is_filter`` and the
-    memoised ideal tests of the shared ``facts`` of the poset and of its
-    dual, asked twice, give the naive all-pairs verdicts, and
-    ``facts.generator`` gives the naive generator."""
+    """On every subset S of ``p``: ``is_ideal``/``is_filter`` give the
+    naive all-pairs verdicts, and the shared ``facts.generator`` gives the
+    naive generator."""
     elements, le = naive_order(p)
-    shared, dual = p.facts, p.dual().facts
-    verdicts = {}
     for s in range(p.all_mask + 1):
         members = names(p, s)
-        verdicts[s] = naive.is_ideal(elements, le, members), naive.is_filter(elements, le, members)
-        assert (is_ideal(p, s), is_filter(p, s)) == verdicts[s]
-        assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
-        g = shared.generator(s)
+        assert (is_ideal(p, s), is_filter(p, s)) == (
+            naive.is_ideal(elements, le, members), naive.is_filter(elements, le, members)
+        )
+        g = p.facts.generator(s)
         assert (None if g is None else p.names[g]) == naive.generator(elements, le, members)
-    for s in reversed(range(p.all_mask + 1)):  # now answered from the memo
-        assert (shared.is_ideal(s), dual.is_ideal(s)) == verdicts[s]
 
 
 def reference_is_downset(p, mask):
@@ -435,9 +430,10 @@ def reference_lu(p):
 
 def reference_semilattice_flags(p):
     """The all-meets scan ``Poset.semilattice_flags`` replaced, run on the
-    dual for the joins, then on ``p``."""
+    dual for the joins, then on ``p``; the meet of x and y is the greatest
+    element of L(x,y)."""
     return tuple(
-        all(q.meet(x, y) is not None for x in range(q.n) for y in range(x, q.n))
+        all(q.greatest(q.down[x] & q.down[y]) is not None for x in range(q.n) for y in range(x, q.n))
         for q in (p.dual(), p)
     )
 
@@ -472,16 +468,16 @@ def assert_kernels_match_reference(p, masks):
 
 def assert_union_cells_agree(p):
     """For every a and g, the pair-table cell ``lu[a][g]`` is the naive
-    union of the cones LU(a,m) over m <= g, and the shared ``facts`` ideal
-    test on it is the naive ideal verdict; dually the dual's cell
-    ``dual().lu[a][g]`` is the naive union of UL(a,m) over m >= g, and the
-    dual's ideal test on it is the naive filter verdict."""
+    union of the cones LU(a,m) over m <= g, and bit a of the shared
+    ``facts.union_rows[g]`` is the naive ideal verdict on it; dually the
+    dual's cell ``dual().lu[a][g]`` is the naive union of UL(a,m) over
+    m >= g, and bit a of the dual's row g is the naive filter verdict."""
     elements, le = naive_order(p)
     for q, cone, union_of, verdict in (
         (p, naive.lower_cone, naive.lu_union, naive.is_ideal),
         (p.dual(), naive.upper_cone, naive.ul_union, naive.is_filter),
     ):
-        facts, verdicts = q.facts, {}
+        rows, verdicts = q.facts.union_rows, {}
         for g in elements:
             principal = cone(elements, le, {g})
             for a in elements:
@@ -490,4 +486,4 @@ def assert_union_cells_agree(p):
                 assert names(p, cell) == want, (p, a, g)
                 if want not in verdicts:
                     verdicts[want] = verdict(elements, le, want)
-                assert facts.is_ideal(cell) == verdicts[want], (p, a, g)
+                assert bool(rows[p.index(g)] >> p.index(a) & 1) == verdicts[want], (p, a, g)

@@ -178,7 +178,7 @@ def test_criterion_5_fig4_golden(fig4):
     assert computed_lists(cp)["c_ideals"] == frozenset(p.names)
     u_b = p.up[p.index("b")]
     for x in iter_bits(p.all_mask & ~u_b):
-        assert p.meet(x, p.index("b")) == p.bottom
+        assert p.greatest(p.down[x] & p.down[p.index("b")]) == p.bottom
     result = separate_second(cp, p.down[p.index("e'")], u_b)
     assert result.witness == p.down[p.index("b'")]
     assert time.perf_counter() - started < 1.0
@@ -217,7 +217,7 @@ def test_criterion_7_witness_recheck(campaign):
                         continue
                     g = p.least(f)
                     if g is None or any(
-                        p.meet(x, g) is None for x in iter_bits(p.all_mask & ~f)
+                        p.greatest(p.down[x] & p.down[g]) is None for x in iter_bits(p.all_mask & ~f)
                     ):
                         continue
                 yield f

@@ -191,7 +191,7 @@ def _filter_side(cp):
         o.ideals,
         o.maximal_ideals,
         o.prime_ideals,
-        [o.is_ideal(m) for m in cp.poset.down],
+        o.union_rows,
         d.facts.c_ideals,
         d.facts.ccond_ideals,
         d.facts.c_ideal_witnesses,
@@ -224,15 +224,23 @@ def test_read_many_replay_on_shared_objects_equals_fresh_objects():
         assert [_answer(objects[name], kind, arg) for kind, name, arg in queries] == fresh
 
 
+def _snapshot(obj):
+    """Each attribute of ``obj`` by its repr, so that a table filled in
+    place after the snapshot differs from it."""
+    return {name: repr(value) for name, value in vars(obj).items()}
+
+
 def test_caller_masks_do_not_grow_the_memos():
-    # the memos keep the O(n^2) masks the checkers test and the cone table
-    # the 2n cones, not what callers pass
+    # the facts are tables filled from the object alone and the cone table
+    # keeps the 2n cones, not what callers pass
     elements, covers, comp = boolean_lattice(4)
     p = build_poset(elements, covers)
     cp = attach_complementation(p, comp)
     run_all(cp)
-    memos = (p.facts._ideal_memo, p.dual().facts._ideal_memo, cp._cone_pre, cp.dual()._cone_pre)
-    sizes = [len(memo) for memo in memos]
+    facts = (p.facts, p.dual().facts, cp.facts, cp.dual().facts)
+    kept = [_snapshot(f) for f in facts]
+    cone_tables = (cp._cone_pre, cp.dual()._cone_pre)
+    sizes = [len(table) for table in cone_tables]
     rng = random.Random(0)
     for _ in range(300):
         ideal, filt = rng.randrange(p.all_mask + 1), rng.randrange(p.all_mask + 1)
@@ -245,11 +253,12 @@ def test_caller_masks_do_not_grow_the_memos():
         for side, fresh_side in ((cp, fresh), (cp.dual(), fresh.dual())):
             assert side.comp_preimage(mask) == fresh_side.comp_preimage(mask)
             assert side.c_condition(mask) == fresh_side.c_condition(mask)
-    assert [len(memo) for memo in memos] == sizes
+    assert [len(table) for table in cone_tables] == sizes
+    assert [_snapshot(f) for f in facts] == kept
 
 
 def test_concurrent_readers_of_shared_objects_agree_with_one_reader():
-    # more threads than cores race on every lazy fill and memo of fresh
+    # more threads than cores race on every lazy fill of fresh
     # objects, the kept duals and their facts first; each must read what a
     # single reader on a fresh object reads
     texts = _texts()

@@ -164,7 +164,7 @@ def test_separate_second_fig4_meets_are_bottom(fig4):
     b = p.index("b")
     for x in range(p.n):
         if not (p.up[b] >> x) & 1:
-            assert p.meet(x, b) == p.bottom
+            assert p.greatest(p.down[x] & p.down[b]) == p.bottom
 
 
 def test_separate_second_fig3_not_distributive(fig3):
@@ -266,7 +266,7 @@ def _no_least(mp, cp, f):
 
 
 def _no_c_condition(mp, cp, f):
-    mp.setattr(cp.dual().facts, "c_condition", lambda mask: False)
+    mp.setattr(cp.dual(), "c_condition", lambda mask: False)
 
 
 def _generated_by_top(mp, cp, f):

@@ -168,16 +168,18 @@ def test_cone_outside_universe_rejected(fig1):
 
 
 def test_meet_join_values(fig1, fig3):
+    """The meet of x and y is the greatest element of L(x,y), the join the
+    least of U(x,y)."""
     p = fig1.poset
     zero, a, b = p.index("0"), p.index("a"), p.index("b")
-    assert p.meet(a, b) == zero
-    assert p.join(a, b) == p.top
-    assert p.meet(a, a) == a
-    assert p.join(a, zero) == a
+    assert p.greatest(p.down[a] & p.down[b]) == zero
+    assert p.least(p.up[a] & p.up[b]) == p.top
+    assert p.greatest(p.down[a]) == a
+    assert p.least(p.up[a] & p.up[zero]) == a
     q = fig3.poset
-    assert q.meet(q.index("b'"), q.index("c'")) is None
+    assert q.greatest(q.lower_cone(mask(q, "b' c'"))) is None
     assert names(q, q.lower_cone(mask(q, "b' c'"))) == {"0", "a", "d"}
-    assert q.join(q.index("b"), q.index("c")) is None
+    assert q.least(q.upper_cone(mask(q, "b c"))) is None
     assert names(q, q.upper_cone(mask(q, "b c"))) == {"d'", "a'", "1"}
 
 
@@ -277,10 +279,11 @@ def test_meets_joins_match_oracle(corpus):
         elements, le, _ = naive.figure(entry.name)
         for x in p.names:
             for y in p.names:
-                got = p.meet(p.index(x), p.index(y))
+                i, j = p.index(x), p.index(y)
+                got = p.greatest(p.down[i] & p.down[j])
                 want = naive.meet(elements, le, x, y)
                 assert (p.names[got] if got is not None else None) == want
-                got = p.join(p.index(x), p.index(y))
+                got = p.least(p.up[i] & p.up[j])
                 want = naive.join(elements, le, x, y)
                 assert (p.names[got] if got is not None else None) == want
 

@@ -148,14 +148,14 @@ def test_meet_join_are_extremal(p):
     for x in range(p.n):
         for y in range(p.n):
             cone = p.down[x] & p.down[y]
-            m = p.meet(x, y)
+            m = p.greatest(cone)
             if m is not None:
                 assert (cone >> m) & 1
                 assert not cone & ~p.down[m]
             else:
                 assert all(cone & ~p.down[w] for w in iter_bits(cone))
             cone = p.up[x] & p.up[y]
-            j = p.join(x, y)
+            j = p.least(cone)
             if j is not None:
                 assert (cone >> j) & 1
                 assert not cone & ~p.up[j]
@@ -261,7 +261,7 @@ def assert_ultrafilters_are_atom_cones(p):
         g = p.least(f)
         assert g is not None and p.up[g] == f
         assert g != p.bottom and p.down[g] == (1 << p.bottom) | (1 << g)
-        assert all(p.meet(x, g) is not None for x in iter_bits(p.all_mask & ~f))
+        assert all(p.greatest(p.down[x] & p.down[g]) is not None for x in iter_bits(p.all_mask & ~f))
         count += 1
     return count
 

@@ -4,13 +4,12 @@ Each reference below evaluates a statement from unmemoised
 definition-level functions: the local ``lu_union``/``ul_union`` build each
 cone LU(a,m) from ``lower_cone``/``upper_cone``, not from the pair table,
 and OR them over the members of the ideal or filter, and primality, ideal
-and filter tests run afresh on every set.  The checkers instead read one
-pair-table cell per union, the prime families and the per-mask memos of the
-shared ``facts``, and read every filter fact on the order dual.  The
-references reach the filter side through the filter functions, each one
-call to its ideal twin on the order dual, and never read the facts or their
-memos.  Both must give the same hypothesis flag, verdict and first
-counterexample.
+and filter tests run afresh on every set.  The checkers instead read one bit
+of ``union_rows`` per union, the prime families and the c-ideal witness
+maps of the shared ``facts``, and read every filter fact on the order dual.
+The references reach the filter side through the filter functions, each one
+call to its ideal twin on the order dual, and never read the facts.  Both
+must give the same hypothesis flag, verdict and first counterexample.
 """
 
 import pytest

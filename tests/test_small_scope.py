@@ -7,7 +7,8 @@ naturally labelled posets counted by OEIS A006455; every isomorphism type
 appears.  Every complementation of every bounded poset on at most 6 points
 is found from the naive join and meet alone, and its property flags are
 recomputed from their definitions, as are those of the corpus, B2-B4 and
-the campaign instances.  The seeded complement search gives its reference
+the campaign instances; its c-ideal witness maps, on both sides, hold
+exactly the naive c-ideals and c-filters.  The seeded complement search gives its reference
 search's table on every bounded poset here.
 """
 
@@ -134,7 +135,7 @@ def test_filter_side_agrees_with_naive_on_every_small_poset():
         name = p.names.__getitem__
         joins = {(x, y): naive.join(elements, le, x, y) for x in elements for y in elements}
         for x, y in itertools.product(range(p.n), repeat=2):
-            got = p.join(x, y)
+            got = p.least(p.up[x] & p.up[y])
             assert (None if got is None else name(got)) == joins[name(x), name(y)]
         meets = all(naive.meet(elements, le, x, y) is not None for x in elements for y in elements)
         assert p.semilattice_flags() == (None not in joins.values(), meets)
@@ -186,6 +187,27 @@ def test_every_complementation_up_to_six_points_has_its_naive_flags():
         found = random_complementation(p, seed=0)
         assert (dict(found) in comps) if comps else found is None
     assert (seen, de_morgan_false) == (398, 381)
+
+
+def test_witness_maps_hold_the_naive_c_ideals_up_to_six_points():
+    """On both sides of every complementation of every bounded poset on at
+    most 6 points, the keys of ``c_ideal_witnesses`` are the naive c-ideals
+    (c-filters on the dual side), and each key maps to the first member of
+    the other side's family, in family order, whose naive preimage it is."""
+    seen = 0
+    for p, elements, le, comps in small_complementations():
+        for comp in comps:
+            cp = attach_complementation(p, comp)
+            naive_sides = (naive.c_ideals(elements, le, comp), naive.c_filters(elements, le, comp))
+            for side, want in zip((cp, cp.dual()), naive_sides):
+                witnesses = side.facts.c_ideal_witnesses
+                assert {names(p, m) for m in witnesses} == set(want), comp
+                family = side.poset.dual().facts.ideals
+                preimages = [naive.comp_preimage(elements, comp, names(p, f)) for f in family]
+                for key, witness in witnesses.items():
+                    assert witness == family[preimages.index(names(p, key))], comp
+            seen += 1
+    assert seen == 398
 
 
 def test_named_instances_have_their_naive_flags(corpus):
