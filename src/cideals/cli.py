@@ -35,6 +35,7 @@ from .io import (
     emit_instance,
     load_instance,
     machine_class_row,
+    machine_line,
     machine_theorem_row,
     render_machine,
     render_text,
@@ -189,12 +190,7 @@ def _cmd_separate(args) -> int:
     filter_mask = parse_set_spec(p, args.filter, "filter")
     result = separate(cp, ideal_mask, filter_mask, args.mode)
     if args.format == "machine":
-        witness = p.format_set(result.witness) if result.witness is not None else "none"
-        print(
-            f"separation: mode={args.mode} ideal={p.format_set(ideal_mask)} "
-            f"filter={p.format_set(filter_mask)} witness={witness} "
-            f"failure={result.failure or 'none'}"
-        )
+        print(machine_line("separation", p, args.mode, ideal_mask, filter_mask, result.witness, result.failure))
     elif result.witness is not None:
         g = p.facts.down_generator.get(result.witness)
         label = f" (= L({p.names[g]}))" if g is not None else ""
@@ -226,20 +222,17 @@ def _cmd_corpus(args) -> int:
             raise _UsageError(f"cannot write instances to {args.emit}: {exc}") from None
         print(f"wrote {len(entries)} instances to {args.emit}", file=sys.stderr)
     for entry in entries:
+        p = entry.poset
         if args.format == "machine":
-            print(f"corpus: name={entry.name} size={entry.poset.n}")
+            print(machine_line("corpus", p, entry.name, p.n))
         else:
-            print(f"{entry.name}: {entry.poset.n} elements")
+            print(f"{entry.name}: {p.n} elements")
         for field_name, published, computed in corpus_mod.published_divergences(entry):
-            pub = "{" + ",".join(sorted(published)) + "}"
-            com = "{" + ",".join(sorted(computed)) + "}"
+            pub, com = p.mask_of(published), p.mask_of(computed)
             if args.format == "machine":
-                print(
-                    f"divergence: instance={entry.name} list={field_name} "
-                    f"published={pub} computed={com}"
-                )
+                print(machine_line("divergence", p, entry.name, field_name, pub, com))
             else:
-                print(f"  DIVERGES {field_name}: published {pub} but computed {com}")
+                print(f"  DIVERGES {field_name}: published {p.format_set(pub)} but computed {p.format_set(com)}")
     return EXIT_OK
 
 

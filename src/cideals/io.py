@@ -15,10 +15,11 @@ of the order; the reflexive-transitive closure is always applied.  Element
 names follow the rule every ``Poset`` applies to its names.  Parse errors,
 a name that breaks that rule included, carry 1-based line numbers.
 
-The machine report format is line-oriented too: one record ``kind: fields``
-per line, each field ``key=token`` with a space-free token.
+The machine format is line-oriented too: one record ``kind: fields`` per
+line, each field ``key=token`` with a space-free token.
 ``MACHINE_RECORDS`` is the only place the fields are written; rendering and
-parsing both walk it.  The records, in report order, with each field's type::
+parsing both walk it.  The records of a report, in report order, then the
+lines of ``separate`` and ``corpus``, with each field's type::
 
     report:   the report name (tag)
     elements: the element names (names)
@@ -35,6 +36,10 @@ parsing both walk it.  The records, in report order, with each field's type::
     filter:   as ideal, with ultrafilter for maximal and cfilter for cideal
     theorem:  tag (tag), hypotheses (flag), conclusion (conclusion),
               counterexample (counterexample)
+    separation: mode (tag), ideal (set), filter (set), witness (optional
+              set), failure (optional tag)
+    corpus:   name (tag), size (count)
+    divergence: instance (tag), list (tag), published (set), computed (set)
 
 The complementation flags, ``set:`` and ``element:`` need a complementation;
 a poset-only report says ``has_complement=false`` and ends each ideal and
@@ -42,15 +47,18 @@ filter row after ``prime``.  ``witness:`` appears when distributivity fails.
 A flag is ``true|false``, a name one of ``elements:``, a set ``{a,b}``, a
 triple ``(x,y,z)``, a tag one space-free token, names distinct tokens that
 a ``Poset`` accepts as element names, a conclusion ``true|false|none``, a
-counterexample ``none`` or ``key:value`` pairs joined by ``;``; optional
-means the type or ``none``.
+counterexample ``none`` or ``key:value`` pairs joined by ``;``, with
+distinct non-empty keys and non-empty values, a count a decimal integer;
+optional means the type or ``none``.
 
-``parse_machine_report`` recovers every set and flag exactly and raises
-ParseError with the line number on an unknown record; a line whose fields
-are not exactly its record's fields in order (missing, unknown, repeated,
-reordered or extra); a token not of its field's type, such as a name or set
-member not in ``elements:``, an ``elements:`` name that repeats or that
-no ``Poset`` accepts, or a triple without three parts; a second
+``parse_machine_report`` reads the records of a report only.  It recovers
+every set and flag exactly and raises ParseError with the line number on an
+unknown record or a ``separation:``, ``corpus:`` or ``divergence:`` line;
+a line whose fields are not exactly its record's fields in order (missing,
+unknown, repeated, reordered or extra); a token not of its field's type,
+such as a name or set member not in ``elements:``, an ``elements:`` name
+that repeats or that no ``Poset`` accepts, a triple without three parts, or
+a counterexample with a repeated or empty key or an empty value; a second
 ``report:``, ``elements:``, ``set:`` or ``witness:`` line or a repeated
 ``flag:``; and a text without a ``report:`` line.
 """
@@ -281,7 +289,10 @@ def _counterexample(v: dict[str, str] | None) -> str:
 
 
 def _read_counterexample(token: str, _) -> dict[str, str] | None:
-    return None if token == "none" else dict(pair.split(":", 1) for pair in token.split(";"))
+    """``none``, or ``key:value`` pairs that write back as ``token`` (so no
+    key repeats) and hold no empty key or value."""
+    found = None if token == "none" else dict(pair.split(":", 1) for pair in token.split(";"))
+    return _expect(_counterexample(found) == token and all(map(all, (found or {}).items())), found)
 
 
 def _optional(t: _Type) -> _Type:
@@ -309,6 +320,7 @@ _TRIPLE = _Type("triple", lambda w: lambda v: f"({','.join(w.names[x] for x in v
 _TAG = _Type("tag", lambda w: str, lambda token, _: _expect(token.split() == [token], token))
 _NAMES = _Type("names", lambda w: " ".join, _read_names)
 _COUNTEREXAMPLE = _Type("counterexample", lambda w: _counterexample, _read_counterexample)
+_COUNT = _Type("count", lambda w: str, lambda token, _: int(_expect(token.isascii() and token.isdecimal(), token)))
 
 
 def _class_fields(max_key: str, c_key: str) -> tuple:
@@ -336,7 +348,14 @@ MACHINE_RECORDS = {
     "theorem": (("tag", _TAG), ("hypotheses", _FLAG),
                 ("conclusion", _words("conclusion", {"true": True, "false": False, "none": None})),
                 ("counterexample", _COUNTEREXAMPLE)),
+    "separation": (("mode", _TAG), ("ideal", _SET), ("filter", _SET), ("witness", _optional(_SET)),
+                   ("failure", _optional(_TAG))),
+    "corpus": (("name", _TAG), ("size", _COUNT)),
+    "divergence": (("instance", _TAG), ("list", _TAG), ("published", _SET), ("computed", _SET)),
 }
+#: the records of a report, which ``parse_machine_report`` reads; the others
+#: are the lines of ``separate`` and ``corpus``
+_REPORT_RECORDS = {k: r for k, r in MACHINE_RECORDS.items() if k not in ("separation", "corpus", "divergence")}
 #: the records written one field per line; the others hold all their fields
 _ONE_FIELD_PER_LINE = ("flag", "set")
 #: the records a report holds many of; in the others each field appears once
@@ -387,6 +406,12 @@ def render_machine(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def machine_line(kind: str, p: Poset, *values) -> str:
+    """One ``kind`` record holding ``values``, its fields in order, with the
+    element names of ``p``."""
+    return _lines(kind, _Writer(p.names), [values])[0]
+
+
 def machine_class_row(p: Poset, row: ClassRow, kind: str, with_comp: bool) -> str:
     """One ideal/filter record of the machine format."""
     return _lines(kind, _Writer(p.names), [_CLASS_VALUES(row)], None if with_comp else _ORDER_FIELDS)[0]
@@ -432,7 +457,7 @@ def _read_fields(record, rest: str, elements) -> dict:
 def parse_machine_report(text: str) -> ParsedReport:
     """Read a machine report back, strictly; see the module docstring."""
     first_line, elements = None, frozenset()
-    once: dict[str, dict] = {kind: {} for kind in MACHINE_RECORDS if kind not in _ROWS}
+    once: dict[str, dict] = {kind: {} for kind in _REPORT_RECORDS if kind not in _ROWS}
     rows: dict[str, list[dict]] = {kind: [] for kind in _ROWS}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -440,9 +465,9 @@ def parse_machine_report(text: str) -> ParsedReport:
             continue
         first_line = first_line or ln
         kind, sep, rest = line.partition(": ")
-        record = MACHINE_RECORDS.get(kind) if sep else None
+        record = _REPORT_RECORDS.get(kind) if sep else None
         if record is None:
-            what = f"unknown record {kind!r}" if sep else "expected 'kind: fields'"
+            what = f"unknown report record {kind!r}" if sep else "expected 'kind: fields'"
             raise ParseError(f"{what} on line {ln}", line=ln)
         try:
             if kind in _ONE_FIELD_PER_LINE:

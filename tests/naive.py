@@ -7,6 +7,7 @@ library's representations or search strategies are reused, so agreement
 between the two paths is meaningful evidence.
 """
 
+from functools import lru_cache
 from itertools import chain, combinations
 
 
@@ -194,22 +195,21 @@ def triple_a0_counterexample(elements, comp):
     return None
 
 
+@lru_cache(maxsize=64)
+def _families(elements, le):
+    """(ideals, filters) of the order given in immutable form, built once for
+    all the complementations of one order that a caller sweeps."""
+    return tuple(ideals(elements, le)), tuple(filters(elements, le))
+
+
 def c_ideals(elements, le, comp):
-    every_filter = filters(elements, le)
-    return [
-        s
-        for s in ideals(elements, le)
-        if any(comp_preimage(elements, comp, f) == s for f in every_filter)
-    ]
+    every_ideal, every_filter = _families(tuple(elements), frozenset(le))
+    return [s for s in every_ideal if any(comp_preimage(elements, comp, f) == s for f in every_filter)]
 
 
 def c_filters(elements, le, comp):
-    every_ideal = ideals(elements, le)
-    return [
-        s
-        for s in filters(elements, le)
-        if any(comp_preimage(elements, comp, i) == s for i in every_ideal)
-    ]
+    every_ideal, every_filter = _families(tuple(elements), frozenset(le))
+    return [s for s in every_filter if any(comp_preimage(elements, comp, i) == s for i in every_ideal)]
 
 
 # -- independent transcription of the built-in diagrams ------------------------

@@ -47,6 +47,13 @@ def test_published_lists_reproduce(corpus):
             assert divergences == []
 
 
+def test_published_lists_name_only_their_instance_elements():
+    # a typo in a published list would make ``corpus`` exit 3
+    for entry in builtin_corpus():
+        for listed in vars(entry.expected).values():
+            assert listed is None or listed <= set(entry.poset.names), entry.name
+
+
 #: each published list, the command that lists its family and the
 #: ``--class`` class that selects it
 PUBLISHED_LISTINGS = {

@@ -216,9 +216,15 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         THEOREM_ROW.replace("tag=A", "tag="),
         THEOREM_ROW.replace("conclusion=true", "conclusion=maybe"),
         THEOREM_ROW.replace("counterexample=none", "counterexample=abc"),
-        # a record kind no table names, and a record without ": "
+        # counterexamples that would not read back as written
+        THEOREM_ROW.replace("counterexample=none", "counterexample=a:1;a:2"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=a:"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=:x"),
+        # a record kind no table names, a record without ": ", and a line of
+        # ``separate``, which is not a report record
         "bogus: x=1",
         "ideal:set={a}",
+        "separation: mode=first ideal={a} filter={a} witness=none failure=NotDisjoint",
     ],
     ids=[
         "witness-without-triple",
@@ -262,8 +268,12 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         "tag-type-empty",
         "conclusion-type-not-boolean",
         "counterexample-type-without-colon",
+        "counterexample-repeated-key",
+        "counterexample-empty-value",
+        "counterexample-empty-key",
         "unknown-record",
         "record-without-separator",
+        "separation-record-in-report",
     ],
 )
 def test_malformed_machine_record_is_parse_error(record):

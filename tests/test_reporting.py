@@ -137,11 +137,12 @@ def test_readme_documents_every_machine_record_field():
         assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), kind
 
 
-def test_readme_documents_the_machine_lines_outside_the_report_table(tmp_path, capsys):
-    """``separate`` and ``corpus`` write their machine lines by hand, outside
-    ``MACHINE_RECORDS``: README's Command-line section names each line's
-    keys in the order the CLI prints them."""
-    import pathlib
+def test_separate_and_corpus_machine_lines_follow_their_records(tmp_path, capsys):
+    """``separate`` and ``corpus`` print their machine lines from
+    ``MACHINE_RECORDS``: each line holds its record's keys in order, and each
+    token reads back with its field's type over its instance's names."""
+    from cideals import builtin_corpus
+    from cideals.io import MACHINE_RECORDS
 
     assert main(["corpus", "--emit", str(tmp_path)]) == 0
     fig4 = str(tmp_path / "fig4.poset")
@@ -155,15 +156,14 @@ def test_readme_documents_the_machine_lines_outside_the_report_table(tmp_path, c
         capsys.readouterr()
         assert main([*argv, "--format", "machine"]) == code
         lines += capsys.readouterr().out.splitlines()
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    rows = {line.split("|")[1].strip(): line for line in section.splitlines() if line.startswith("| `")}
+    elements = {entry.name: frozenset(entry.poset.names) for entry in builtin_corpus()}
     for line in lines:
-        kind, fields = line.split(": ", 1)
-        cells = [f"`{field.split('=', 1)[0]}=`" for field in fields.split()]
-        row = rows[f"`{kind}:`"]
-        assert all(cell in row for cell in cells), line
-        assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), line
+        kind, rest = line.split(": ", 1)
+        tokens = dict(field.split("=", 1) for field in rest.split(" "))
+        assert list(tokens) == [key for key, _ in MACHINE_RECORDS[kind]], line
+        instance = tokens.get("instance", tokens.get("name", "fig4"))
+        for key, t in MACHINE_RECORDS[kind]:
+            t.read(tokens[key], elements[instance])  # raises on a token not of its type
     assert {line.split(":", 1)[0] for line in lines} == {"separation", "corpus", "divergence"}
     assert ["witness=none" in line for line in lines[:2]] == [False, True]
 
