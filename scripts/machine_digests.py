@@ -91,7 +91,8 @@ entry of ``SOURCES``, the instance table that ``api``, ``separate``,
 ``text`` and ``cli`` read too.  ``boolean_lattice`` and
 ``bounded_antichain`` are the test suite's builders as well:
 ``tests/conftest.py`` loads them from here.  ``tests/test_machine_digests.py``
-runs each group once per session and shares that run among its tests.
+runs every group once per session, all in one interpreter that calls
+``main`` once per group, and shares that run among its tests.
 """
 
 import argparse

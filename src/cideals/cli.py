@@ -135,15 +135,15 @@ def _cmd_analyze(args) -> int:
 
 def _list_family(args, kind: str) -> int:
     instance = _load(args.file)
-    p, with_comp = instance.poset, instance.cp is not None
-    rows, flag = family_rows(p, instance.cp, kind), CLASSES[kind][args.klass]
+    p = instance.poset
+    rows, flag = family_rows(instance.cp or p, kind), CLASSES[kind][args.klass]
     if flag and getattr(rows[0], flag) is None:  # the column needs a complementation
         _require_comp(instance)
     for row in rows:
         if flag and not getattr(row, flag):
             continue
         if args.format == "machine":
-            print(machine_class_row(p, row, kind, with_comp))
+            print(machine_class_row(p, row, kind))
         else:
             print(f"{text_class_label(p, row, kind)} = {p.format_set(row.mask)}")
     return EXIT_OK

@@ -180,7 +180,7 @@ def computed_lists(cp: ComplementedPoset) -> dict[str, frozenset[str]]:
     :func:`family_rows` that the ``--class`` class of its field selects.
     """
     p = cp.poset
-    rows = {kind: family_rows(p, cp, kind) for kind in CLASSES}
+    rows = {kind: family_rows(cp, kind) for kind in CLASSES}
     lists = {"boolean": frozenset(p.names_of(cp.boolean_elements()))}
     for listed in fields(PublishedLists)[1:]:  # all but boolean
         kind, klass = listed.metadata["listing"]

@@ -48,8 +48,9 @@ A flag is ``true|false``, a name one of ``elements:``, a set ``{a,b}``, a
 triple ``(x,y,z)``, a tag one space-free token, names distinct tokens that
 a ``Poset`` accepts as element names, a conclusion ``true|false|none``, a
 counterexample ``none`` or ``key:value`` pairs joined by ``;``, with
-distinct non-empty keys and non-empty values, a count a decimal integer;
-optional means the type or ``none``.
+distinct non-empty keys and each value a set, sets joined by ``+``, a
+triple of ``True|False`` or a name, a count a decimal integer; optional
+means the type or ``none``.
 
 ``parse_machine_report`` reads the records of a report only.  It recovers
 every set and flag exactly and raises ParseError with the line number on an
@@ -58,9 +59,9 @@ a line whose fields are not exactly its record's fields in order (missing,
 unknown, repeated, reordered or extra); a token not of its field's type,
 such as a name or set member not in ``elements:``, an ``elements:`` name
 that repeats or that no ``Poset`` accepts, a triple without three parts, or
-a counterexample with a repeated or empty key or an empty value; a second
-``report:``, ``elements:``, ``set:`` or ``witness:`` line or a repeated
-``flag:``; and a text without a ``report:`` line.
+a counterexample with a repeated or empty key or a value of none of its
+shapes; a second ``report:``, ``elements:``, ``set:`` or ``witness:`` line
+or a repeated ``flag:``; and a text without a ``report:`` line.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from operator import attrgetter
 from .complement import ComplementedPoset, ComplementProperties, attach_complementation
 from .errors import DuplicateSection, ParseError, PosetError, UnknownName
 from .harness import TheoremCheckResult, run_all
-from .poset import DistributivityReport, Poset, _validate_names, build_poset, iter_bits
+from .poset import Poset, _validate_names, build_poset, iter_bits
 from .substructures import CLASSES, ClassRow, family_rows
 
 # -- instance files -----------------------------------------------------------
@@ -196,9 +197,6 @@ class Report:
     name: str
     poset: Poset
     cp: ComplementedPoset | None
-    distributivity: DistributivityReport
-    join_semilattice: bool
-    meet_semilattice: bool
     ideals: tuple[ClassRow, ...]
     filters: tuple[ClassRow, ...]
     theorems: tuple[TheoremCheckResult, ...] | None
@@ -208,24 +206,12 @@ def build_report(instance: Instance) -> Report:
     """Classify every ideal and filter; run the statement harness if possible.
 
     The rows and the harness read the facts kept on the poset and on the
-    complementation.
+    complementation; the renderers read the order's distributivity and
+    semilattice flags from ``report.poset.facts``.
     """
     p, cp = instance.poset, instance.cp
-    ideal_rows = family_rows(p, cp, "ideal")
-    filter_rows = family_rows(p, cp, "filter")
-    theorems = tuple(run_all(cp)) if cp else None
-    join_sl, meet_sl = p.facts.semilattice_flags
-    return Report(
-        name=instance.name,
-        poset=p,
-        cp=cp,
-        distributivity=p.facts.distributivity,
-        join_semilattice=join_sl,
-        meet_semilattice=meet_sl,
-        ideals=ideal_rows,
-        filters=filter_rows,
-        theorems=theorems,
-    )
+    return Report(name=instance.name, poset=p, cp=cp, ideals=family_rows(cp or p, "ideal"),
+                  filters=family_rows(cp or p, "filter"), theorems=tuple(run_all(cp)) if cp else None)
 
 
 # -- machine format -----------------------------------------------------------
@@ -288,11 +274,28 @@ def _counterexample(v: dict[str, str] | None) -> str:
     return ";".join(f"{k}:{x}" for k, x in v.items()) if v else "none"
 
 
-def _read_counterexample(token: str, _) -> dict[str, str] | None:
+def _read_value(value: str, elements) -> None:
+    """A counterexample value of one of the shapes the checkers write: a
+    triple of ``True|False``; a set, or sets joined at ``}+{`` (a name may
+    hold ``+`` but no brace); or one name."""
+    if value[:1] == "(":
+        _read_triple(value, ("True", "False"))
+    elif value[:1] + value[-1:] == "{}":
+        for part in value[1:-1].split("}+{"):
+            _read_members("{" + part + "}", elements, "{}")
+    else:
+        _read_name(value, elements)
+
+
+def _read_counterexample(token: str, elements) -> dict[str, str] | None:
     """``none``, or ``key:value`` pairs that write back as ``token`` (so no
-    key repeats) and hold no empty key or value."""
+    key repeats), with no empty key and each value of a shape
+    :func:`_read_value` reads, kept as written."""
     found = None if token == "none" else dict(pair.split(":", 1) for pair in token.split(";"))
-    return _expect(_counterexample(found) == token and all(map(all, (found or {}).items())), found)
+    _expect(_counterexample(found) == token and all(found or {}), token)
+    for value in (found or {}).values():
+        _read_value(value, elements)
+    return found
 
 
 def _optional(t: _Type) -> _Type:
@@ -384,12 +387,19 @@ _CLASS_VALUES = attrgetter("mask", "proper", "principal", "maximal", "prime", "c
 _THEOREM_VALUES = attrgetter("statement.value", "hypotheses_met", "conclusion_holds", "counterexample")
 
 
+def _class_lines(kind: str, w: _Writer, rows: tuple[ClassRow, ...]) -> list[str]:
+    """One ideal or filter line per row.  A row without the complementation
+    columns, of a poset-only instance, ends after ``prime``."""
+    width = _ORDER_FIELDS if rows[0].ccond is None else None
+    return _lines(kind, w, map(_CLASS_VALUES, rows), width)
+
+
 def render_machine(report: Report) -> str:
     """Stable machine-readable rendering; see the module docstring."""
-    p, cp, dist = report.poset, report.cp, report.distributivity
+    p, cp = report.poset, report.cp
+    dist, (join_sl, meet_sl) = p.facts.distributivity, p.facts.semilattice_flags
     flags = {"bounded": p.bounded, "has_complement": cp is not None, **(vars(cp.props) if cp else {}),
-             "distributive": dist.holds, "join_semilattice": report.join_semilattice,
-             "meet_semilattice": report.meet_semilattice}
+             "distributive": dist.holds, "join_semilattice": join_sl, "meet_semilattice": meet_sl}
     w = _Writer(p.names)
     lines = _lines("report", w, [(report.name,)]) + _lines("elements", w, [(p.names,)])
     lines += [f"flag: {key}={t.token(w)(flags[key])}" for key, t in MACHINE_RECORDS["flag"] if key in flags]
@@ -398,9 +408,8 @@ def render_machine(report: Report) -> str:
     if cp is not None:
         lines += _lines("set", w, [(cp.boolean_elements(),)])
         lines += _lines("element", w, [(x, cx, cp.comp[cx], cp.comp[cx] == x) for x, cx in enumerate(cp.comp)])
-    width = None if cp is not None else _ORDER_FIELDS
-    lines += _lines("ideal", w, map(_CLASS_VALUES, report.ideals), width)
-    lines += _lines("filter", w, map(_CLASS_VALUES, report.filters), width)
+    lines += _class_lines("ideal", w, report.ideals)
+    lines += _class_lines("filter", w, report.filters)
     if report.theorems is not None:
         lines += _lines("theorem", w, map(_THEOREM_VALUES, report.theorems))
     return "\n".join(lines) + "\n"
@@ -412,9 +421,9 @@ def machine_line(kind: str, p: Poset, *values) -> str:
     return _lines(kind, _Writer(p.names), [values])[0]
 
 
-def machine_class_row(p: Poset, row: ClassRow, kind: str, with_comp: bool) -> str:
+def machine_class_row(p: Poset, row: ClassRow, kind: str) -> str:
     """One ideal/filter record of the machine format."""
-    return _lines(kind, _Writer(p.names), [_CLASS_VALUES(row)], None if with_comp else _ORDER_FIELDS)[0]
+    return _class_lines(kind, _Writer(p.names), (row,))[0]
 
 
 def machine_theorem_row(res: TheoremCheckResult) -> str:
@@ -524,21 +533,18 @@ def _describe_row(p: Poset, row: ClassRow, kind: str) -> str:
 def render_text(report: Report) -> str:
     """Human-oriented rendering of the same content."""
     p, cp = report.poset, report.cp
+    dist, (join_sl, meet_sl) = p.facts.distributivity, p.facts.semilattice_flags
     lines = [f"instance {report.name}: {p.n} elements ({' '.join(p.names)})"]
-    bounds = (
-        f"bottom={p.names[p.bottom]} top={p.names[p.top]}" if p.bounded else "unbounded"
-    )
+    bounds = f"bottom={p.names[p.bottom]} top={p.names[p.top]}" if p.bounded else "unbounded"
     lines.append(
-        f"order: {bounds}; distributive={_flag(report.distributivity.holds)}; "
-        f"join-semilattice={_flag(report.join_semilattice)}; "
-        f"meet-semilattice={_flag(report.meet_semilattice)}"
+        f"order: {bounds}; distributive={_flag(dist.holds)}; "
+        f"join-semilattice={_flag(join_sl)}; meet-semilattice={_flag(meet_sl)}"
     )
-    if not report.distributivity.holds:
-        x, y, z = report.distributivity.witness
+    if not dist.holds:
+        x, y, z = dist.witness
         lines.append(
             f"  distributivity fails at ({p.names[x]},{p.names[y]},{p.names[z]}): "
-            f"L(U(x,y),z)={p.format_set(report.distributivity.lhs)} but "
-            f"LU(L(x,z),L(y,z))={p.format_set(report.distributivity.rhs)}"
+            f"L(U(x,y),z)={p.format_set(dist.lhs)} but LU(L(x,z),L(y,z))={p.format_set(dist.rhs)}"
         )
     if cp is not None:
         pr = cp.props

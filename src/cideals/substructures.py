@@ -259,29 +259,27 @@ def is_prime_filter(p: Poset, mask: int) -> bool:
     return is_prime_ideal(p.dual(), mask)
 
 
-def is_maximal_ideal(p: Poset, mask: int, ideals: list[int]) -> bool:
-    """Maximal proper ideal: no other proper member of ``ideals``, the
-    enumerated ideals, is a superset of it.  A principal cone is an ideal
+def is_maximal_ideal(p: Poset, mask: int) -> bool:
+    """Maximal proper ideal: no other proper ideal of ``p``, read from
+    ``p.facts.ideals``, is a superset of it.  A principal cone is an ideal
     without the member test."""
     return mask != p.all_mask and (mask in p.facts.down_generator or is_ideal(p, mask)) and not any(
-        s != p.all_mask and s != mask and not mask & ~s for s in ideals
+        s != p.all_mask and s != mask and not mask & ~s for s in p.facts.ideals
     )
 
 
-def is_ultrafilter(p: Poset, mask: int, filters: list[int]) -> bool:
-    return is_maximal_ideal(p.dual(), mask, filters)
+def is_ultrafilter(p: Poset, mask: int) -> bool:
+    return is_maximal_ideal(p.dual(), mask)
 
 
-def find_c_ideal_witness(cp: ComplementedPoset, mask: int, filters: list[int]) -> int | None:
-    """First filter F with F_0 equal to ``mask``, or None, by linear scan."""
-    for f in filters:
-        if cp.comp_preimage(f) == mask:
-            return f
-    return None
+def find_c_ideal_witness(cp: ComplementedPoset, mask: int) -> int | None:
+    """First filter F of ``cp.poset`` with F_0 equal to ``mask``, or None,
+    by linear scan of the filters, ``cp.poset.dual().facts.ideals``."""
+    return next((f for f in cp.poset.dual().facts.ideals if cp.comp_preimage(f) == mask), None)
 
 
-def find_c_filter_witness(cp: ComplementedPoset, mask: int, ideals: list[int]) -> int | None:
-    return find_c_ideal_witness(cp.dual(), mask, ideals)
+def find_c_filter_witness(cp: ComplementedPoset, mask: int) -> int | None:
+    return find_c_ideal_witness(cp.dual(), mask)
 
 
 def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
@@ -374,7 +372,7 @@ class OrderFacts:
 
     @cached_property
     def maximal_ideals(self) -> list[int]:
-        return [i for i in self.ideals if is_maximal_ideal(self.poset, i, self.ideals)]
+        return [i for i in self.ideals if is_maximal_ideal(self.poset, i)]
 
     @cached_property
     def prime_ideals(self) -> list[int]:
@@ -439,30 +437,30 @@ def classify(cp: ComplementedPoset, mask: int) -> SubsetClassification:
     )
 
 
-def family_rows(p: Poset, cp: ComplementedPoset | None, kind: str) -> tuple[ClassRow, ...]:
+def family_rows(q: Poset | ComplementedPoset, kind: str) -> tuple[ClassRow, ...]:
     """The classified ideals (``kind`` "ideal") or filters ("filter") of
-    ``p``, with the complementation columns of ``cp`` when it is given.  The
-    filters are the ideals of the order dual, classified the same way; the
-    ``principal`` column still prefers the ideal reading of ``p``."""
+    ``q``: with the complementation columns when ``q`` is a complemented
+    poset, without them when it is a poset.  The filters are the ideals of
+    the order dual, classified the same way; the ``principal`` column still
+    prefers the ideal reading of the poset."""
+    cp = q if isinstance(q, ComplementedPoset) else None
+    p = cp.poset if cp else q
     generator = p.facts.generator
     if kind == "filter":
         p, cp = p.dual(), cp and cp.dual()
     a = p.facts
     witnesses = cp.facts.c_ideal_witnesses if cp else {}
-    rows = []
-    for mask in a.ideals:
-        witness = witnesses.get(mask)
-        rows.append(
-            ClassRow(
-                mask=mask,
-                generator=a.down_generator[mask],
-                proper=mask != p.all_mask,
-                principal=generator(mask),
-                maximal=mask in a.maximal_ideals,
-                prime=mask in a.prime_ideals,
-                ccond=cp.c_condition(mask) if cp else None,
-                is_c=(witness is not None) if cp else None,
-                witness=witness,
-            )
+    return tuple(
+        ClassRow(
+            mask=mask,
+            generator=a.down_generator[mask],
+            proper=mask != p.all_mask,
+            principal=generator(mask),
+            maximal=mask in a.maximal_ideals,
+            prime=mask in a.prime_ideals,
+            ccond=cp.c_condition(mask) if cp else None,
+            is_c=(mask in witnesses) if cp else None,
+            witness=witnesses.get(mask),
         )
-    return tuple(rows)
+        for mask in a.ideals
+    )

@@ -304,4 +304,4 @@ def test_criterion_9_round_trips(corpus):
         ]
         assert parsed.flags["antitone"] == instance.cp.props.antitone
         assert parsed.flags["involution"] == instance.cp.props.involution
-        assert parsed.flags["distributive"] == report.distributivity.holds
+        assert parsed.flags["distributive"] == report.poset.facts.distributivity.holds

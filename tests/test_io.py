@@ -220,6 +220,14 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         THEOREM_ROW.replace("counterexample=none", "counterexample=a:1;a:2"),
         THEOREM_ROW.replace("counterexample=none", "counterexample=a:"),
         THEOREM_ROW.replace("counterexample=none", "counterexample=:x"),
+        # counterexample values of no shape a checker writes: a set member, a
+        # name not in ``elements:``, two triples not of True|False, a member
+        # of the second of two joined sets not in ``elements:``
+        THEOREM_ROW.replace("counterexample=none", "counterexample=ideal:{0,a}"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=element:zz"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=equivalences:(maybe)"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=equivalences:(a,a,a)"),
+        THEOREM_ROW.replace("counterexample=none", "counterexample=prime_filters:{a}+{zz}"),
         # a record kind no table names, a record without ": ", and a line of
         # ``separate``, which is not a report record
         "bogus: x=1",
@@ -271,6 +279,11 @@ THEOREM_ROW = "theorem: tag=A hypotheses=true conclusion=true counterexample=non
         "counterexample-repeated-key",
         "counterexample-empty-value",
         "counterexample-empty-key",
+        "counterexample-set-unknown-member",
+        "counterexample-unknown-name",
+        "counterexample-triple-not-boolean",
+        "counterexample-triple-of-names",
+        "counterexample-joined-set-unknown-member",
         "unknown-record",
         "record-without-separator",
         "separation-record-in-report",
@@ -285,8 +298,10 @@ def test_malformed_machine_record_is_parse_error(record):
 @pytest.mark.parametrize(
     "record",
     [IDEAL_ROW, "flag: has_complement=false\n" + IDEAL_ROW.split(" ccond=")[0], THEOREM_ROW, "flag: bounded=true",
-     "witness: distributivity=(a,a,a) lhs={} rhs={a}", "element: name=a comp=a comp2=a boolean=true"],
-    ids=["ideal-row", "poset-only-ideal-row", "theorem-row", "flag", "witness", "element-row"],
+     "witness: distributivity=(a,a,a) lhs={} rhs={a}", "element: name=a comp=a comp2=a boolean=true",
+     THEOREM_ROW.replace("counterexample=none", "counterexample=ideal:{a}+{};equivalences:(True,False,True);element:a")],
+    ids=["ideal-row", "poset-only-ideal-row", "theorem-row", "flag", "witness", "element-row",
+         "theorem-row-with-counterexample"],
 )
 def test_well_formed_machine_record_parses(record):
     parse_machine_report(f"report: t\nelements: a\n{record}\n")
@@ -343,7 +358,7 @@ def test_machine_report_round_trips_every_field(corpus):
     for instance in instances:
         report = build_report(instance)
         parsed = parse_machine_report(render_machine(report))
-        p, cp, dist = instance.poset, instance.cp, report.distributivity
+        p, cp, dist = instance.poset, instance.cp, instance.poset.facts.distributivity
         assert parsed.name == instance.name
         assert parsed.elements == p.names
         assert parsed.flags == {
@@ -351,8 +366,8 @@ def test_machine_report_round_trips_every_field(corpus):
             "has_complement": cp is not None,
             **(dataclasses.asdict(cp.props) if cp else {}),
             "distributive": dist.holds,
-            "join_semilattice": report.join_semilattice,
-            "meet_semilattice": report.meet_semilattice,
+            "join_semilattice": p.facts.semilattice_flags[0],
+            "meet_semilattice": p.facts.semilattice_flags[1],
         }
         assert parsed.boolean == (frozenset(p.names_of(cp.boolean_elements())) if cp else None)
         assert parsed.distributivity_witness == (

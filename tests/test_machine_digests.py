@@ -2,11 +2,14 @@
 read-many ``api`` replay and its ``separate`` runs, and the byte-identity
 gate: each group's output hashes to its line in ``machine_digests.sha256``.
 
-Each group runs once per session, in ``shared_run``, and the gate and the
-coverage tests read that run; the reproducibility tests compare it with one
-fresh run."""
+Every group runs once per session, all of them in one interpreter, in
+``shared_runs``, and the gate and the coverage tests read that run; the
+reproducibility tests compare it with one fresh run of the script on one
+group, which also shows that a group's output does not depend on the groups
+run before it in the same interpreter."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -20,20 +23,47 @@ CORPUS = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 COMMANDS = ("analyze", "check", "ideals", "filters")
 MODES = ("first", "prime", "second")
 FORMATS = ("text", "machine")
+SCRIPT_PATH = str(ROOT / "scripts" / "machine_digests.py")
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+#: imports the script once and calls its ``main`` once per group named on
+#: the command line, as a run of the script on that group alone would;
+#: prints {group: [exit code, stdout, stderr]} as JSON
+DRIVER = """
+import contextlib, io, json, runpy, sys, traceback
+path, groups = sys.argv[1], sys.argv[2:]
+main, results = runpy.run_path(path)["main"], {}
+for group in groups:
+    sys.argv, out, err = [path, group], io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main()
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results[group] = code, out.getvalue(), err.getvalue()
+json.dump(results, sys.stdout)
+"""
 
 
 def run_script(*groups):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "machine_digests.py"), *groups],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    return subprocess.run([sys.executable, SCRIPT_PATH, *groups], env=ENV, capture_output=True, text=True)
 
 
-#: one run per group, made on first request and shared by the tests below
-shared_run = cache(run_script)
+@cache
+def shared_runs():
+    """Every group of the script, run once per session in one interpreter:
+    group -> its exit code, stdout and stderr, as a run of that group alone
+    reports them."""
+    driver = subprocess.run([sys.executable, "-c", DRIVER, SCRIPT_PATH, *SCRIPT.GROUPS],
+                            env=ENV, capture_output=True, text=True)
+    assert driver.returncode == 0 and not driver.stderr, driver.stderr
+    return {group: subprocess.CompletedProcess([SCRIPT_PATH, group], *result)
+            for group, result in json.loads(driver.stdout).items()}
+
+
+def shared_run(group):
+    return shared_runs()[group]
 
 
 def test_corpus_digests_are_reproducible():
@@ -108,7 +138,7 @@ def test_every_group_matches_its_recorded_digest():
     assert list(recorded) == list(SCRIPT.GROUPS)
     for group, sha in recorded.items():
         result = shared_run(group)
-        assert result.returncode == 0 and not result.stderr
+        assert result.returncode == 0 and not result.stderr, f"group {group!r} failed: {result.stderr}"
         got = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
         assert got == sha, f"group {group!r} differs from its recorded digest"
 

@@ -256,7 +256,7 @@ def assert_ultrafilters_are_atom_cones(p):
     filters = enumerate_filters(p)
     count = 0
     for f in filters:
-        if not is_ultrafilter(p, f, filters):
+        if not is_ultrafilter(p, f):
             continue
         g = p.least(f)
         assert g is not None and p.up[g] == f

@@ -87,8 +87,8 @@ def ref_lem_cideal_dd(cp):
     hyp_i = all(p.le(c[x], c[c[c[x]]]) for x in range(p.n))
     hyp_ii = all(p.le(c[c[c[x]]], c[x]) for x in range(p.n))
     met = hyp_i or hyp_ii
-    c_ideals = [i for i in ideals if find_c_ideal_witness(cp, i, filters) is not None]
-    c_filters = [f for f in filters if find_c_filter_witness(cp, f, ideals) is not None]
+    c_ideals = [i for i in ideals if find_c_ideal_witness(cp, i) is not None]
+    c_filters = [f for f in filters if find_c_filter_witness(cp, f) is not None]
     for kind, family, hyp in (("c_ideal", c_ideals, hyp_i), ("c_filter", c_filters, hyp_ii)):
         if hyp or not met:
             for s in family:
@@ -114,7 +114,7 @@ def _ref_thm5_maximal(cp, family, maximal, kind):
     p = cp.poset
     members = [s for s in family if cp.c_condition(s)]
     for s in members:
-        if not maximal(p, s, family):
+        if not maximal(p, s):
             return bool(members), False, {kind: _fmt(p, s)}
     return bool(members), True, None
 
@@ -154,12 +154,12 @@ def ref_thm_f0_cideal(cp):
     if hyp_i or not met:
         for f in filters:
             pre = cp.comp_preimage(f)
-            if not is_ideal(p, pre) or find_c_ideal_witness(cp, pre, filters) is None:
+            if not is_ideal(p, pre) or find_c_ideal_witness(cp, pre) is None:
                 return met, False, {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
     if hyp_ii or not met:
         for i in ideals:
             pre = cp.comp_preimage(i)
-            if not is_filter(p, pre) or find_c_filter_witness(cp, pre, ideals) is None:
+            if not is_filter(p, pre) or find_c_filter_witness(cp, pre) is None:
                 return met, False, {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
     return met, True, None
 
@@ -173,7 +173,7 @@ def ref_cor_involution(cp):
         if (
             not is_filter(p, pre)
             or cp.comp_preimage(pre) != i
-            or find_c_ideal_witness(cp, i, filters) is None
+            or find_c_ideal_witness(cp, i) is None
         ):
             return met, False, {"ideal": _fmt(p, i), "preimage": _fmt(p, pre)}
     for f in filters:
@@ -181,7 +181,7 @@ def ref_cor_involution(cp):
         if (
             not is_ideal(p, pre)
             or cp.comp_preimage(pre) != f
-            or find_c_filter_witness(cp, f, ideals) is None
+            or find_c_filter_witness(cp, f) is None
         ):
             return met, False, {"filter": _fmt(p, f), "preimage": _fmt(p, pre)}
     return met, True, None
@@ -192,7 +192,7 @@ def _ref_thm5(cp, family, extreme, union_of, kind):
     qualifying = [
         s
         for s in family
-        if extreme(p, s, family)
+        if extreme(p, s)
         and all(union_of(p, a, s)[1] for a in iter_bits(p.all_mask & ~s))
     ]
     met = p.is_distributive().holds and bool(qualifying)

@@ -23,7 +23,7 @@ def fake_failure():
 
 def test_machine_theorem_row_with_counterexample_round_trips():
     row = machine_theorem_row(fake_failure())
-    parsed = parse_machine_report(f"report: x\nelements: a\n{row}\n")
+    parsed = parse_machine_report(f"report: x\nelements: 0 a\n{row}\n")
     (theorem,) = parsed.theorem_rows
     assert theorem["tag"] == "THM5_I_II"
     assert theorem["hypotheses"] is True
@@ -135,6 +135,30 @@ def test_readme_documents_every_machine_record_field():
         row = rows[f"`{kind}:`"]
         assert all(cell in row for cell in cells), kind
         assert [row.index(cell) for cell in cells] == sorted(row.index(cell) for cell in cells), kind
+
+
+def test_readme_library_example_runs_and_names_every_export():
+    """The Library section's example runs as written, and its "The package
+    exports" list names exactly the public names of ``cideals`` that are
+    not modules."""
+    import inspect
+    import pathlib
+    import re
+
+    import cideals
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert [res.statement for res in namespace["results"]] == list(StatementId)
+    exports = section.split("The package exports:", 1)[1].split("\n\n", 2)[1]
+    named = re.findall(r"`([^`]*)`", exports)
+    public = {name for name, value in vars(cideals).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(named) == len(set(named))
+    assert set(named) == public
 
 
 def test_separate_and_corpus_machine_lines_follow_their_records(tmp_path, capsys):
