@@ -8,9 +8,11 @@ everything downstream (ideal classification, theorem checks) branches on
 them.
 
 A complemented poset is immutable.  Its ``facts`` (c-ideals and the
-ideals with the c-condition) are a ``functools.cached_property``, built on
-first read, as the poset's own ``facts`` are, and belong to this
-complementation alone.  Its order dual stays a method, ``dual()``, built on
+ideals with the c-condition) are a :class:`~cideals.poset.fact`, built on
+first read and kept, as the poset's own ``facts`` are, without the
+class-wide lock that ``functools.cached_property`` takes on every fill on
+Python 3.10 and 3.11; they belong to this complementation alone.  Its
+order dual stays a method, ``dual()``, built on
 first call and kept like the poset's, over the poset's kept dual and the
 same map; its c-ideals are the c-filters of this complementation.  The
 constructor keeps, in slots, the map, the flags ``props`` and the preimage
@@ -31,11 +33,10 @@ finite poset is an order anti-automorphism, for which both hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap
-from .poset import Poset, iter_bits
+from .poset import Poset, fact, iter_bits
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class ComplementedPoset:
     def __hash__(self) -> int:
         return hash((self.poset, self.comp))
 
-    @cached_property
+    @fact
     def facts(self):
         """The :class:`~cideals.substructures.ComplementFacts` of this
         complementation; order facts stay on the poset."""
@@ -205,8 +206,10 @@ class ComplementedPoset:
 def _gather(table: Sequence[int], mask: int) -> int:
     """The OR of ``table[y]`` over the members y of ``mask``."""
     out = 0
-    for y in iter_bits(mask):
-        out |= table[y]
+    while mask:  # iter_bits inlined: this is a hot kernel
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

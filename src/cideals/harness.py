@@ -30,7 +30,9 @@ statement checker both read: the procedure reports the first one that
 fails, and the checker notes each failed global hypothesis and quantifies
 over the pairs that pass the rest.  The witness ideal is the
 complement-preimage of the filter, re-verified definition-level before it
-is returned.
+is returned.  Every hypothesis and the witness depend on the filter alone,
+so the checker runs the procedure once per qualifying filter and checks
+the witness against each further disjoint ideal with one mask test.
 """
 
 from __future__ import annotations
@@ -412,26 +414,34 @@ def _verify_separation_witness(
 
 def _check_separation(ctx: _Context, mode: str):
     """Met when every global hypothesis holds and some disjoint pair passes
-    the per-filter checks; then each such pair goes through :func:`separate`.
-    Unmet, each pair's candidate F_0 is still probed."""
+    the per-filter checks.  Each such filter F, with its disjoint ideals in
+    family order, is evaluated once: all that :func:`separate` checks but
+    disjointness, and its witness J := F_0, depend on F alone.  So met, F
+    goes through :func:`separate` once, with its first disjoint ideal, and
+    J is re-checked against each disjoint ideal; a pair that fails raises
+    the internal error :func:`separate` would raise on it.  Unmet, each
+    filter's candidate F_0 is probed against each of its disjoint ideals."""
     cp, p, o, dual = ctx.cp, ctx.cp.poset, ctx.order, ctx.sides["filter"]
     hyps = _MODES[mode]
     notes = [note for _code, note, holds in hyps.global_checks if not holds(cp)]
     qualifying = dual.poset.facts.ideals
     for _code, holds in hyps.filter_checks:
         qualifying = [f for f in qualifying if holds(cp, dual, f)]
-    pairs = [(i, f) for f in qualifying for i in o.ideals if not i & f]
-    if not pairs:
+    groups = [(f, ideals) for f in qualifying if (ideals := [i for i in o.ideals if not i & f])]
+    if not groups:
         notes.append(hyps.no_pair)
     note = "; ".join(notes)
-    for i, f in pairs:
-        witness = cp.comp_preimage(f) if note else separate(cp, i, f, mode).witness
-        if witness is None or not _verify_separation_witness(cp, i, f, witness):
-            return note, {
-                "ideal": p.format_set(i),
-                "filter": p.format_set(f),
-                "candidate": p.format_set(cp.comp_preimage(f)),
-            }
+    for f, ideals in groups:
+        witness = cp.comp_preimage(f) if note else separate(cp, ideals[0], f, mode).witness
+        for i in ideals:
+            if not _verify_separation_witness(cp, i, f, witness):
+                if not note:
+                    raise PosetError("internal error: constructed witness failed verification")
+                return note, {
+                    "ideal": p.format_set(i),
+                    "filter": p.format_set(f),
+                    "candidate": p.format_set(witness),
+                }
     return note, None
 
 

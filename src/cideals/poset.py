@@ -8,10 +8,12 @@ A poset is immutable after construction; every operation here is a pure
 function of its arguments and is safe for concurrent reads.  The
 constructor checks the order and keeps the cones and bounds in
 ``__slots__``, which the hot loops read.  Every derived value is a
-``functools.cached_property``, built from the cones on first read and kept
-in the instance dict: the cover relation ``covers``, which only the DOT and
-instance-file writers read, the pair table ``lu``, and ``facts``, the facts
-of the order alone (the ideal family and its flags, distributivity).  The
+:class:`fact`, built from the cones on first read and kept in the instance
+dict: the cover relation ``covers``, which only the DOT and instance-file
+writers read, the pair table ``lu``, and ``facts``, the facts of the order
+alone (the ideal family and its flags, distributivity).  ``fact`` does what
+``functools.cached_property`` did here without its lock: on Python 3.10 and
+3.11 that descriptor takes one lock per class on every fill.  The
 order dual stays a method, ``dual()``, built on first call and kept: it is
 linked back to this object before it is stored, and it is a method that
 ``perfbench/spans.py`` traces.  Each value is built whole before it is
@@ -32,14 +34,13 @@ every triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleDetected, DuplicateName, PosetError, UnknownName
 
 #: characters that would make the instance-file / report / DOT grammars
 #: ambiguous; display names may not contain them (nor any whitespace)
-FORBIDDEN_NAME_CHARS = set("{},()=#<>")
+FORBIDDEN_NAME_CHARS = set("{},()=#<>;")
 RESERVED_NAMES = frozenset({"none", "true", "false"})
 
 
@@ -68,9 +69,45 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Deterministic ordering of subsets: by size, then lexicographic."""
-    return (mask.bit_count(), tuple(iter_bits(mask)))
+#: swaps the digits 0 and 1 of a binary string
+_FLIP = str.maketrans("01", "10")
+
+
+def sort_key(mask: int) -> tuple[int, str]:
+    """Deterministic ordering of subsets: by size, then lexicographically by
+    the increasing tuple of members, with a key built by C-level calls.
+
+    For a nonempty set the string holds, at each place i below
+    ``mask.bit_length()``, "0" when i is a member and "1" when it is not;
+    the empty set is alone in its size.  Take two distinct sets of equal
+    size and d, the lowest element in exactly one of them.  Below d they
+    have the same members, so their tuples agree up to there, and the next
+    entry is d in the set holding it and a larger member in the other, which
+    has one because the sizes are equal: the set holding d comes first.
+    Both strings reach place d, since each set has a member of at least d,
+    and agree below it; at d the set holding d has "0" and the other "1".
+    So neither key is a prefix of the other, and the strings compare as the
+    tuples do.
+    """
+    return (mask.bit_count(), format(mask, "b")[::-1].translate(_FLIP))
+
+
+class fact:
+    """A value derived from its object alone, built on first read and then
+    kept in the instance dict, where later reads find it before this
+    non-data descriptor.  The value is built whole and then stored, so a
+    reader never sees a part of it; readers racing on one fill at worst
+    build it twice and store equal values.  Read on the class, it is the
+    descriptor itself, with the builder's docstring."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -184,9 +221,11 @@ class Poset:
     def lower_cone(self, mask: int) -> int:
         """All elements below every member of ``mask``; the whole poset for {}."""
         self.check_mask(mask)
-        result = self.all_mask
-        for y in iter_bits(mask):
-            result &= self.down[y]
+        down, result = self.down, self.all_mask
+        while mask:  # iter_bits inlined: this is a hot kernel
+            low = mask & -mask
+            result &= down[low.bit_length() - 1]
+            mask ^= low
         return result
 
     def upper_cone(self, mask: int) -> int:
@@ -202,7 +241,7 @@ class Poset:
     def least(self, mask: int) -> int | None:
         return self.dual().greatest(mask)
 
-    @cached_property
+    @fact
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The transitive reduction of the strict order as sorted (lower,
         upper) index pairs: i < j with nothing strictly between them."""
@@ -213,7 +252,7 @@ class Poset:
             if self.up[i] & self.down[j] == (1 << i) | (1 << j)
         )
 
-    @cached_property
+    @fact
     def lu(self) -> tuple[tuple[int, ...], ...]:
         """The pair table ``lu[x][y]`` = L(U(x,y)).
 
@@ -226,7 +265,7 @@ class Poset:
         cells = dict(zip(self.up, self.down))  # up[j] -> down[j], never 0
         return tuple(tuple([cells.get(ux & uy) or self.lower_cone(ux & uy) for uy in self.up]) for ux in self.up)
 
-    @cached_property
+    @fact
     def facts(self):
         """The order's :class:`~cideals.substructures.OrderFacts`, shared by
         every complementation on this object."""

@@ -49,11 +49,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 from .complement import ComplementedPoset
 from .errors import PosetError, ScaleLimit
-from .poset import DistributivityReport, Poset, iter_bits, sort_key
+from .poset import DistributivityReport, Poset, fact, iter_bits, sort_key
 
 #: cap on the number of downward-closed subsets one walk of
 #: :func:`directed_downsets` visits before giving up with ScaleLimit
@@ -126,11 +125,14 @@ def is_ideal(p: Poset, mask: int) -> bool:
     pair.  The empty set has no maximal member.
     """
     p.check_mask(mask)
-    down, up, maximal = p.down, p.up, 0
-    for x in iter_bits(mask):
+    down, up, maximal, rest = p.down, p.up, 0, mask
+    while rest:  # iter_bits inlined: this is a hot kernel
+        low = rest & -rest
+        x = low.bit_length() - 1
         if down[x] & ~mask:
             return False
-        maximal += up[x] & mask == 1 << x
+        maximal += up[x] & mask == low
+        rest ^= low
     return maximal == 1
 
 
@@ -247,9 +249,11 @@ def is_prime_ideal(p: Poset, mask: int) -> bool:
         return False
     down, up, outside = p.down, p.up, p.all_mask & ~mask
     for x in iter_bits(outside):
-        reach = 0
-        for z in iter_bits(down[x] & outside):
-            reach |= up[z]
+        reach, rest = 0, down[x] & outside
+        while rest:  # iter_bits inlined: this is a hot kernel
+            low = rest & -rest
+            reach |= up[low.bit_length() - 1]
+            rest ^= low
         if outside & ~reach:
             return False
     return True
@@ -316,15 +320,15 @@ class OrderFacts:
         g = self.down_generator.get(mask)
         return self.poset.dual().facts.down_generator.get(mask) if g is None else g
 
-    @cached_property
+    @fact
     def down_generator(self) -> dict[int, int]:
         return {cone: g for g, cone in enumerate(self.poset.down)}
 
-    @cached_property
+    @fact
     def ideals(self) -> list[int]:
         return enumerate_ideals(self.poset)
 
-    @cached_property
+    @fact
     def union_rows(self) -> tuple[int, ...]:
         """Per g, the mask of the a whose pair-table cell ``lu[a][g]``, the
         LU-union over the ideal ``down[g]``, passes the definition-level
@@ -340,16 +344,16 @@ class OrderFacts:
             return (q.all_mask,) * q.n
         return tuple(q.all_mask & ~sum(1 << a for a, cell in enumerate(row) if cell in bad) for row in q.lu)
 
-    @cached_property
+    @fact
     def distributivity(self) -> DistributivityReport:
         return self.poset.is_distributive()
 
-    @cached_property
+    @fact
     def semilattice_flags(self) -> tuple[bool, bool]:
         """(is_join_semilattice, is_meet_semilattice)."""
         return self.poset.semilattice_flags()
 
-    @cached_property
+    @fact
     def principal_walk(self) -> tuple[int | None, str]:
         """LEM_CL_PRINCIPAL on this order, by :func:`directed_downsets`:
         the first walked ideal that is not a principal cone ``down[g]``, or
@@ -370,11 +374,11 @@ class OrderFacts:
             raise PosetError(f"internal error: kept {len(found)} of {q.n} principal ideals")
         return None, ""
 
-    @cached_property
+    @fact
     def maximal_ideals(self) -> list[int]:
         return [i for i in self.ideals if is_maximal_ideal(self.poset, i)]
 
-    @cached_property
+    @fact
     def prime_ideals(self) -> list[int]:
         return [i for i in self.ideals if is_prime_ideal(self.poset, i)]
 
@@ -397,15 +401,15 @@ class ComplementFacts:
         self.cp = cp
         self.order = cp.poset.facts
 
-    @cached_property
+    @fact
     def c_ideal_witnesses(self) -> dict[int, int]:
         return _first_by_preimage(self.cp, self.cp.poset.dual().facts.ideals)
 
-    @cached_property
+    @fact
     def c_ideals(self) -> list[int]:
         return [i for i in self.order.ideals if i in self.c_ideal_witnesses]
 
-    @cached_property
+    @fact
     def ccond_ideals(self) -> list[int]:
         return [i for i in self.order.ideals if self.cp.c_condition(i)]
 

@@ -32,7 +32,8 @@ from cideals import (
 )
 from cideals.complement import ComplementedPoset
 from cideals.corpus import corpus_entry
-from cideals.poset import Poset
+from cideals.poset import Poset, fact
+from cideals.substructures import ComplementFacts, OrderFacts
 from conftest import boolean_lattice, bounded_antichain, corpus_campaign_boolean
 
 M3 = (["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
@@ -52,6 +53,37 @@ def _c_facts(cp):
     c, d = cp.facts, cp.dual().facts  # the c-filter side is the dual's c-ideals
     return (c.c_ideals, d.c_ideals, c.ccond_ideals, d.ccond_ideals,
             c.c_ideal_witnesses, d.c_ideal_witnesses)
+
+
+def test_fact_builds_once_per_object_and_keeps_its_value_in_the_instance_dict():
+    built = []
+
+    class Holder:
+        @fact
+        def value(self):
+            """The builder's docstring."""
+            built.append(self)
+            return [len(built)]
+
+    a, b = Holder(), Holder()
+    first = a.value
+    assert a.value is first and a.__dict__["value"] is first
+    assert b.value == [2] and b.value is b.__dict__["value"]
+    assert built == [a, b]
+    assert isinstance(Holder.value, fact) and Holder.value is Holder.__dict__["value"]
+    assert Holder.value.__doc__ == "The builder's docstring."
+
+
+def test_every_derived_value_of_the_core_classes_is_a_fact(fig1):
+    kept = {Poset: {"covers", "lu", "facts"}, ComplementedPoset: {"facts"},
+            OrderFacts: {"down_generator", "ideals", "union_rows", "distributivity", "semilattice_flags",
+                         "principal_walk", "maximal_ideals", "prime_ideals"},
+            ComplementFacts: {"c_ideal_witnesses", "c_ideals", "ccond_ideals"}}
+    for cls, names in kept.items():
+        assert {name for name, v in vars(cls).items() if isinstance(v, fact)} == names
+    assert Poset.lu.__doc__.startswith("The pair table")
+    p = fig1.poset
+    assert p.lu is p.lu and p.__dict__["lu"] is p.lu
 
 
 def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):

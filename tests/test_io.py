@@ -88,6 +88,8 @@ def test_parse_errors_carry_lines():
          "invalid element name 'none': reserved word on line 2", 2),
         ("name: t\nelements: a b{\n", ParseError,
          "invalid element name 'b{': reserved character on line 2", 2),
+        ("name: t\nelements: a;b\n", ParseError,
+         "invalid element name 'a;b': reserved character on line 2", 2),
         ("name: t\nle: a < b\nelements: a b\n", ParseError, "le line before elements (line 2)", 2),
         ("name: t\nelements: a b\ncomp: a -> b\nle: a < b\n", ParseError, "le line after comp section (line 4)", 4),
         ("name: t\nelements: a b\nle: a b\n", ParseError, "expected 'le: a < b' on line 3", 3),
@@ -101,6 +103,7 @@ def test_parse_errors_carry_lines():
     ids=[
         "no-colon", "second-name", "two-token-name", "second-elements", "elements-before-name",
         "empty-elements", "duplicate-element", "reserved-word-element", "reserved-character-element",
+        "semicolon-element",
         "le-before-elements", "le-after-comp", "bad-pair",
         "unknown-element", "repeated-comp", "unknown-section", "no-name-section", "no-elements-section",
     ],

@@ -87,6 +87,8 @@ def test_bad_name_tokens():
         build_poset(["a{"], [])
     with pytest.raises(PosetError):
         build_poset(["none"], [])
+    with pytest.raises(PosetError, match="reserved character"):  # ';' splits counterexamples
+        build_poset(["a;b", "c"], [("a;b", "c")])
 
 
 OUTSIDE = "a down-cone is outside this poset's universe"

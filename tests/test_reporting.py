@@ -34,6 +34,21 @@ def test_machine_theorem_row_with_counterexample_round_trips():
     }
 
 
+def test_counterexample_naming_colon_and_plus_names_round_trips():
+    # ':' and '+' are legal in names: a value is split off its key at the
+    # first ':', and set lists are joined at '}+{'
+    res = TheoremCheckResult(
+        statement=StatementId.LEM_BOOLEAN,
+        hypotheses_met=True,
+        conclusion_holds=False,
+        counterexample={"element": "a:b+c", "ideal": "{0,a:b+c}"},
+    )
+    row = machine_theorem_row(res)
+    assert row.endswith("counterexample=element:a:b+c;ideal:{0,a:b+c}")
+    (theorem,) = parse_machine_report(f"report: x\nelements: 0 a:b+c\n{row}\n").theorem_rows
+    assert theorem["counterexample"] == res.counterexample
+
+
 def test_render_text_counterexample_line(fig1):
     report = build_report(Instance("fig1", fig1.poset, fig1.cp))
     doctored = report.__class__(**{**report.__dict__, "theorems": (fake_failure(),)})

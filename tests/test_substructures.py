@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import naive
@@ -79,12 +81,26 @@ def test_fig2b_ideals_all_principal(fig2b):
     assert all(p.greatest(i) is not None and p.down[p.greatest(i)] == i for i in ideals)
 
 
+def members_key(m):
+    """The documented family order, written out: size, then the increasing
+    tuple of members."""
+    return (m.bit_count(), tuple(i for i in range(m.bit_length()) if (m >> i) & 1))
+
+
 def test_enumeration_is_sorted(corpus):
     for entry in corpus.values():
         ideals = enumerate_ideals(entry.poset)
-        assert ideals == sorted(ideals, key=sort_key)
+        assert ideals == sorted(ideals, key=members_key)
         filters = enumerate_filters(entry.poset)
-        assert filters == sorted(filters, key=sort_key)
+        assert filters == sorted(filters, key=members_key)
+
+
+def test_sort_key_orders_as_the_tuple_of_members():
+    every = list(range(1 << 12))
+    assert sorted(every, key=sort_key) == sorted(every, key=members_key)
+    rng = random.Random(40)
+    wide = [rng.getrandbits(40) for _ in range(2000)]
+    assert sorted(wide, key=sort_key) == sorted(wide, key=members_key)
 
 
 def test_enumeration_matches_oracle(corpus):
