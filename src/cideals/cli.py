@@ -8,21 +8,32 @@ violation, malformed ideal/filter argument, a gen --size outside 2-24); 4 a
 requested check found a counterexample, an explicitly requested statement
 was not applicable or not verified (LEM_CL_PRINCIPAL past the downset
 walk's cap), a separation hypothesis failed, or gen found no complementation
-of its poset with the required constraints (stdout empty).
+of its poset with the required constraints (stdout empty).  A console-script
+run (``run``) whose stdout is closed early ends by SIGPIPE, with nothing on
+stderr.
 
-``main`` may be called repeatedly in one process.  It builds its argument
-parser on the first call, keeps it in the module and reuses it; the parser
-holds options only, no handler or instance data.  Each call maps the parsed
-subcommand to its ``_cmd_<name>`` function at call time, so a handler
-replaced after the first call is the one that runs.
+The command line is one table: ``PROGRAM`` holds the options given before
+the command, and ``COMMANDS`` each command's help line, operand and
+options.  ``make_parser`` returns the parse function that reads it, and
+the ``--help`` texts come from the same table.  An option is written
+``--name VALUE`` or ``--name=VALUE``, by its full name or a unique prefix;
+``--`` ends the options; ``--format`` may come before the command or after
+it, and the command's own wins.
+
+``main`` may be called repeatedly in one process and keeps nothing between
+calls.  Each call maps the parsed command to its ``_cmd_<name>`` function at
+call time, so a handler replaced between calls is the one that runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import re
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import corpus as corpus_mod
 from .complement import ComplementedPoset, attach_complementation
@@ -56,23 +67,10 @@ class _UsageError(Exception):
     pass
 
 
-class _Exit(Exception):
-    """argparse is done with the call (``--help``); ``args[0]`` is the status."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route argparse failures to exit code 1
-        raise _UsageError(message)
-
-    def exit(self, status=0, message=None):  # main returns the status, no SystemExit
-        sys.stderr.write(message or "")
-        raise _Exit(status)
-
-
 def _probability(text: str) -> float:
     value = float(text)
     if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+        raise _UsageError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -80,8 +78,225 @@ def _constraints(text: str) -> list[str]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     unknown = sorted(set(tokens).difference(corpus_mod.SUPPORTED_CONSTRAINTS))
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown constraint {unknown[0]!r}")
+        raise _UsageError(f"unknown constraint {unknown[0]!r}")
     return tokens
+
+
+# -- the command table ---------------------------------------------------------
+
+
+class Option(NamedTuple):
+    """One option: the attribute its value goes to and how it is read.  A
+    converter reports a malformed value with ValueError, or a value outside
+    its domain with a ``_UsageError`` naming it."""
+
+    dest: str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    convert: Callable[[str], object] | None = None
+    required: bool = False
+    repeat: bool = False  # each use appends to a list
+    help: str = ""
+
+
+class Command(NamedTuple):
+    help: str
+    operand: str | None  # the one positional argument, if any
+    options: dict[str, Option]
+
+
+FORMATS = ("text", "machine")
+_FORMAT = {"--format": Option("format", choices=FORMATS)}
+
+#: the options before the command; its operand is the command
+PROGRAM = Command(
+    "finite complemented posets: ideals, filters, statement checks",
+    "command",
+    {"--format": Option("format_global", choices=FORMATS)},
+)
+
+COMMANDS = {
+    "analyze": Command("full classification and statement report", "file", _FORMAT),
+    **{
+        f"{kind}s": Command(
+            f"list {kind}s of a class", "file", {**_FORMAT, "--class": Option("klass", "all", tuple(classes))}
+        )
+        for kind, classes in CLASSES.items()
+    },
+    "check": Command("verify statements on the instance", "file", {
+        **_FORMAT,
+        "--statement": Option("statement", help="comma-separated statement tags (default: all)"),
+    }),
+    "separate": Command("run a separation procedure", "file", {
+        **_FORMAT,
+        "--ideal": Option("ideal", required=True, help="generator token, L(a), or {x,y} literal"),
+        "--filter": Option("filter", required=True, help="generator token, U(a), or {x,y} literal"),
+        "--mode": Option("mode", "first", SEPARATION_MODES),
+    }),
+    "dot": Command("DOT rendering of the cover relation", "file", {
+        **_FORMAT,
+        "--highlight": Option("highlight", repeat=True, help="set to fill; repeatable"),
+    }),
+    "corpus": Command("built-in instances and divergences", None, {
+        **_FORMAT,
+        "--emit": Option("emit", help="directory to write .poset files into"),
+    }),
+    "gen": Command("generate a random complemented instance", None, {
+        **_FORMAT,
+        "--size": Option("size", convert=int, required=True),
+        "--seed": Option("seed", convert=int, required=True),
+        "--require": Option("require", (), convert=_constraints,
+                            help="comma-separated constraints: " + ",".join(corpus_mod.SUPPORTED_CONSTRAINTS)),
+        "--density": Option("density", corpus_mod.DEFAULT_EDGE_DENSITY, convert=_probability,
+                            help="edge probability between adjacent ranks, in [0, 1]"),
+    }),
+}
+
+_HELP = ("-h", "--help")
+#: a token that reads as a negative number is a value, not an option
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _flag(command: Command, token: str) -> str | None:
+    """The flag an option token names, by its name before any ``=`` or a
+    unique prefix of it; "" for an unknown option, None for an operand."""
+    if not token.startswith("-") or token == "-":
+        return None
+    flags = (*_HELP, *command.options)
+    name = token.partition("=")[0]
+    if name in flags:
+        return name
+    if name.startswith("--"):
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0]
+    return None if _NEGATIVE.match(token) else ""
+
+
+def _invalid_choice(name: str, text: str, choices) -> _UsageError:
+    listed = ", ".join(map(repr, choices))
+    return _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+
+
+def _value(flag: str, option: Option, text: str):
+    if option.convert is None:
+        if option.choices and text not in option.choices:
+            raise _invalid_choice(flag, text, option.choices)
+        return text
+    try:
+        return option.convert(text)
+    except ValueError:
+        detail = f"invalid {option.convert.__name__} value: {text!r}"
+    except _UsageError as exc:
+        detail = str(exc)
+    raise _UsageError(f"argument {flag}: {detail}")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of the command and its options read from ``argv``, or
+    None once a ``--help`` text is printed.  Values are converted as they
+    come; then a missing required argument is reported, then unknown
+    arguments."""
+    command = PROGRAM
+    values = {option.dest: option.default for option in PROGRAM.options.values()}
+    seen, extras, options_end, i = set(), [], False, 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not options_end:
+            options_end = True
+            continue
+        flag = None if options_end else _flag(command, token)
+        if flag is None:  # an operand: the command, then its file
+            if command.operand is None or command.operand in values:
+                extras.append(token)
+            elif command is PROGRAM:
+                if token not in COMMANDS:
+                    raise _invalid_choice("command", token, COMMANDS)
+                values["command"], command = token, COMMANDS[token]
+                values.update((option.dest, option.default) for option in command.options.values())
+            else:
+                values[command.operand] = token
+            continue
+        if not flag:
+            extras.append(token)
+            continue
+        explicit = token.partition("=")[2] if "=" in token else None
+        if flag in _HELP:
+            if explicit is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+            print(_help(values.get("command")), end="")
+            return None
+        if explicit is None:
+            if i == len(argv) or argv[i] == "--" or _flag(command, argv[i]) is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            explicit, i = argv[i], i + 1
+        option = command.options[flag]
+        value = _value(flag, option, explicit)
+        values[option.dest] = [*(values[option.dest] or ()), value] if option.repeat else value
+        seen.add(flag)
+    missing = [command.operand] if command.operand and command.operand not in values else []
+    missing += [flag for flag, option in command.options.items() if option.required and flag not in seen]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+# -- --help --------------------------------------------------------------------
+
+#: the text width of the help; argparse's on an 80-column or unknown terminal
+_WIDTH = 78
+
+
+def _wrap(parts: list[str], used: int, indent: str) -> list[str]:
+    lines, line = [], []
+    for part in parts:
+        if line and used + 1 + len(part) > _WIDTH:
+            lines.append(indent + " ".join(line))
+            line, used = [], len(indent) - 1
+        line.append(part)
+        used += len(part) + 1
+    return lines + [indent + " ".join(line)] if line else lines
+
+
+def _row(invocation: str, text: str, indent: int = 2) -> str:
+    """One argument's help line; the text starts in column 24."""
+    if not text:
+        return f"{'':{indent}}{invocation}\n"
+    if len(invocation) <= 22 - indent:
+        return f"{'':{indent}}{invocation:{22 - indent}}  {text}\n"
+    return f"{'':{indent}}{invocation}\n{'':24}{text}\n"
+
+
+def _help(name: str | None) -> str:
+    """The ``--help`` text of the program (name None) or of one command."""
+    command = COMMANDS[name] if name else PROGRAM
+    prog = f"cideals {name}" if name else "cideals"
+    options = [_row("-h, --help", "show this help message and exit")]
+    parts = ["[-h]"]
+    for flag, option in command.options.items():
+        metavar = "{" + ",".join(option.choices) + "}" if option.choices else option.dest.upper()
+        parts += [flag, metavar] if option.required else [f"[{flag} {metavar}]"]
+        options.append(_row(f"{flag} {metavar}", option.help))
+    if name is None:
+        operands = ["{" + ",".join(COMMANDS) + "}", "..."]
+        listing = [_row(operands[0], "")] + [_row(key, cmd.help, 4) for key, cmd in COMMANDS.items()]
+    else:
+        operands = [command.operand] if command.operand else []
+        listing = [_row(operand, "") for operand in operands]
+    usage = " ".join([prog, *parts, *operands])
+    if len("usage: " + usage) > _WIDTH:  # argparse's wrapping: operands start a line of their own
+        indent = " " * len(f"usage: {prog} ")
+        usage = "\n".join(_wrap([prog, *parts], 6, indent) + _wrap(operands, len(indent) - 1, indent))[len(indent):]
+    sections = [f"usage: {usage}\n", f"{command.help}\n" if name is None else ""]
+    if listing:
+        sections.append("positional arguments:\n" + "".join(listing))
+    sections.append("options:\n" + "".join(options))
+    return "\n".join(section for section in sections if section)
 
 
 def _load(path: str) -> Instance:
@@ -251,70 +466,24 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def make_parser() -> _Parser:
-    parser = _Parser(prog="cideals", description="finite complemented posets: ideals, filters, statement checks")
-    parser.add_argument(
-        "--format", dest="format_global", choices=("text", "machine"), default=None
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "machine"), default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("analyze", parents=[common], help="full classification and statement report")
-    cmd.add_argument("file")
-
-    for kind, classes in CLASSES.items():
-        cmd = sub.add_parser(f"{kind}s", parents=[common], help=f"list {kind}s of a class")
-        cmd.add_argument("file")
-        cmd.add_argument("--class", dest="klass", choices=tuple(classes), default="all")
-
-    cmd = sub.add_parser("check", parents=[common], help="verify statements on the instance")
-    cmd.add_argument("file")
-    cmd.add_argument("--statement", help="comma-separated statement tags (default: all)")
-
-    cmd = sub.add_parser("separate", parents=[common], help="run a separation procedure")
-    cmd.add_argument("file")
-    cmd.add_argument("--ideal", required=True, help="generator token, L(a), or {x,y} literal")
-    cmd.add_argument("--filter", required=True, help="generator token, U(a), or {x,y} literal")
-    cmd.add_argument("--mode", choices=SEPARATION_MODES, default="first")
-
-    cmd = sub.add_parser("dot", parents=[common], help="DOT rendering of the cover relation")
-    cmd.add_argument("file")
-    cmd.add_argument("--highlight", action="append", help="set to fill; repeatable")
-
-    cmd = sub.add_parser("corpus", parents=[common], help="built-in instances and divergences")
-    cmd.add_argument("--emit", help="directory to write .poset files into")
-
-    cmd = sub.add_parser("gen", parents=[common], help="generate a random complemented instance")
-    cmd.add_argument("--size", type=int, required=True)
-    cmd.add_argument("--seed", type=int, required=True)
-    cmd.add_argument("--require", type=_constraints, default=(),
-                     help="comma-separated constraints: " + ",".join(corpus_mod.SUPPORTED_CONSTRAINTS))
-    cmd.add_argument("--density", type=_probability, default=corpus_mod.DEFAULT_EDGE_DENSITY,
-                     help="edge probability between adjacent ranks, in [0, 1]")
-    return parser
-
-
-#: the parser ``main`` builds on its first call and reuses
-_PARSER: _Parser | None = None
+def make_parser() -> Callable[[list[str]], SimpleNamespace | None]:
+    """The parse function of the command line.  It reads the command table
+    and keeps no state, so every call returns the same function."""
+    return _parse
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    parser = _PARSER
-    if parser is None:  # built whole, then stored: racing first calls build two
-        parser = _PARSER = make_parser()
     try:
-        args = parser.parse_args(argv)
-        # --format may be given before or after the subcommand
+        args = make_parser()(sys.argv[1:] if argv is None else argv)
+        if args is None:  # a --help text was printed
+            return EXIT_OK
+        # --format may be given before or after the command
         args.format = args.format or args.format_global or "text"
-        # looked up per call, so a handler replaced after the first call runs
+        # looked up per call, so a handler replaced between calls runs
         return globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _Exit as exc:
-        return exc.args[0]
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError) or getattr(exc, "line", None) is not None:
@@ -323,6 +492,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:  # console-script entry point
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly, as it does any filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -117,7 +117,8 @@ class ComplementedPoset:
     @fact
     def facts(self):
         """The :class:`~cideals.substructures.ComplementFacts` of this
-        complementation; order facts stay on the poset."""
+        complementation; order facts stay on the poset.  Cost: O(1); each
+        fact costs its own when first read."""
         from .substructures import ComplementFacts  # it imports this module
 
         return ComplementFacts(self)

@@ -244,7 +244,9 @@ class Poset:
     @fact
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The transitive reduction of the strict order as sorted (lower,
-        upper) index pairs: i < j with nothing strictly between them."""
+        upper) index pairs: i < j with nothing strictly between them.
+        Cost: one cone intersection per pair i < j, at most n^2 mask
+        operations (each on an n-bit integer)."""
         return tuple(
             (i, j)
             for i in range(self.n)
@@ -261,6 +263,10 @@ class Poset:
         element below every member of ``up[j]`` is below j, and every
         element below j is below all of ``up[j]``.  Only the other pairs
         take ``lower_cone``.
+
+        Cost: n^2 cells of one intersection and one lookup each, so n^2
+        mask operations on a lattice; each pair without a join adds a
+        ``lower_cone`` of up to n members, so O(n^3) at worst.
         """
         cells = dict(zip(self.up, self.down))  # up[j] -> down[j], never 0
         return tuple(tuple([cells.get(ux & uy) or self.lower_cone(ux & uy) for uy in self.up]) for ux in self.up)
@@ -268,7 +274,8 @@ class Poset:
     @fact
     def facts(self):
         """The order's :class:`~cideals.substructures.OrderFacts`, shared by
-        every complementation on this object."""
+        every complementation on this object.  Cost: O(1); each fact costs
+        its own when first read."""
         from .substructures import OrderFacts  # it imports this module
 
         return OrderFacts(self)

@@ -306,7 +306,9 @@ class OrderFacts:
     are searched directly for membership.  ``down_generator`` maps each
     principal ideal ``down[g]`` to g; the cones of distinct elements differ,
     so the map is one-to-one.  Every fact is a table of at most n^2 entries,
-    filled from the order alone: no mask a caller passes is kept.
+    filled from the order alone: no mask a caller passes is kept.  Each
+    fact's docstring gives its cost in n, counted in mask operations, each
+    on an n-bit integer, and apart from the facts it reads.
     """
 
     def __init__(self, poset: Poset):
@@ -322,10 +324,13 @@ class OrderFacts:
 
     @fact
     def down_generator(self) -> dict[int, int]:
+        """Cone -> generator.  Cost: n entries, O(n) mask hashes."""
         return {cone: g for g, cone in enumerate(self.poset.down)}
 
     @fact
     def ideals(self) -> list[int]:
+        """The n principal cones in family order.  Cost: n keys of up to n
+        characters each, then O(n log n) key comparisons."""
         return enumerate_ideals(self.poset)
 
     @fact
@@ -337,6 +342,10 @@ class OrderFacts:
         row g of ``lu`` lists those cells.  On the dual's facts, bit a of
         row g says whether the UL-union over the filter ``up[g]`` is a
         filter.
+
+        Cost: one :func:`is_ideal` pass, O(n) mask operations, per distinct
+        cell of ``lu``, of which there are at most n^2: O(n^3) at worst;
+        then n rows of up to n cells when some cell fails.
         """
         q = self.poset
         bad = {cell for cell in set().union(*q.lu) if not is_ideal(q, cell)}
@@ -346,11 +355,17 @@ class OrderFacts:
 
     @fact
     def distributivity(self) -> DistributivityReport:
+        """:meth:`Poset.is_distributive`.  Cost: O(1) mask operations per
+        pair x <= y, n^2/2 pairs; one cone closure of O(n) per element
+        whose join-irreducibility a pair reads; and at most one pass of n
+        closures over z: O(n^2) in all, past ``lu``."""
         return self.poset.is_distributive()
 
     @fact
     def semilattice_flags(self) -> tuple[bool, bool]:
-        """(is_join_semilattice, is_meet_semilattice)."""
+        """(is_join_semilattice, is_meet_semilattice).  Cost: the union of
+        the n^2 cells of ``lu`` on the poset and on its dual, O(n^2) mask
+        hashes, past both ``lu`` tables."""
         return self.poset.semilattice_flags()
 
     @fact
@@ -361,7 +376,11 @@ class OrderFacts:
         "".  An over-cap walk is kept too: the cap is fixed, so a second
         walk ends the same way.  Past the loop every kept set is a cone, and
         distinct elements have distinct cones, so fewer than n kept sets
-        means the walk dropped an ideal: an internal error, not a verdict."""
+        means the walk dropped an ideal: an internal error, not a verdict.
+
+        Cost: one step per downward-closed subset, capped at
+        ``DEFAULT_BUDGET``; the count of those subsets grows exponentially
+        with the width of the order, 2^k on a k-antichain."""
         q = self.poset
         try:
             found = directed_downsets(q)
@@ -376,10 +395,14 @@ class OrderFacts:
 
     @fact
     def maximal_ideals(self) -> list[int]:
+        """Cost: per ideal, a scan of the n ideals of O(1) mask operations
+        each: O(n^2) in all."""
         return [i for i in self.ideals if is_maximal_ideal(self.poset, i)]
 
     @fact
     def prime_ideals(self) -> list[int]:
+        """Cost: per ideal, the up-cones of ``down[x]`` outside it for each
+        x outside it: O(n^2) mask operations each, O(n^3) in all."""
         return [i for i in self.ideals if is_prime_ideal(self.poset, i)]
 
 
@@ -403,14 +426,20 @@ class ComplementFacts:
 
     @fact
     def c_ideal_witnesses(self) -> dict[int, int]:
+        """Cost: n preimage reads from the cone table, then one
+        :func:`is_ideal` pass of O(n) per distinct preimage: O(n^2) mask
+        operations, past the dual's ``ideals``."""
         return _first_by_preimage(self.cp, self.cp.poset.dual().facts.ideals)
 
     @fact
     def c_ideals(self) -> list[int]:
+        """Cost: n lookups in ``c_ideal_witnesses``, O(n) mask hashes."""
         return [i for i in self.order.ideals if i in self.c_ideal_witnesses]
 
     @fact
     def ccond_ideals(self) -> list[int]:
+        """Cost: n :meth:`~cideals.complement.ComplementedPoset.c_condition`
+        tests, each a cone-table read and one comparison: O(n)."""
         return [i for i in self.order.ideals if self.cp.c_condition(i)]
 
 

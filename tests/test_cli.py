@@ -1,11 +1,15 @@
-import argparse
+import hashlib
+import os
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cideals import Instance, attach_complementation, build_poset, emit_instance, substructures
 from cideals import cli
-from cideals.cli import main, make_parser
+from cideals.cli import COMMANDS, PROGRAM, main, make_parser
 from conftest import boolean_lattice
 
 
@@ -306,10 +310,8 @@ CLASS_COLUMNS = {
 
 
 def test_class_choices_keep_their_order():
-    commands = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
     for family, columns in CLASS_COLUMNS.items():
-        option = next(a for a in commands.choices[family]._actions if "--class" in a.option_strings)
-        assert tuple(option.choices) == ("all", *columns)
+        assert COMMANDS[family].options["--class"].choices == ("all", *columns)
 
 
 @pytest.mark.parametrize(
@@ -332,16 +334,10 @@ def test_class_lists_the_all_rows_whose_column_is_true(family, klass, listing_in
     assert kept and dropped  # the class both selects and leaves out rows
 
 
-def _flags(parser):
-    return sorted(s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help"))
-
-
 def test_flag_inventory():
-    # every option of the command line, by parser, -h/--help aside: a knob
-    # added or dropped edits this list
-    parser = make_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    got = {"": _flags(parser), **{name: _flags(cmd) for name, cmd in commands.choices.items()}}
+    # every option of the command line, by command ("" before the command),
+    # -h/--help aside: a knob added or dropped edits this list
+    got = {"": sorted(PROGRAM.options), **{name: sorted(cmd.options) for name, cmd in COMMANDS.items()}}
     assert got == {
         "": ["--format"],
         "analyze": ["--format"],
@@ -356,10 +352,9 @@ def test_flag_inventory():
     assert sum(map(len, got.values())) == 21
 
 
-
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["gen", "-h"]])
 def test_help_returns_zero_in_process(capsys, argv):
-    # argparse's help action calls parser.exit(); main returns its status
+    # the help text goes to stdout and main returns 0, with no SystemExit
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("usage:")
     assert main(["analyze", "--no-such-flag"]) == 1
@@ -367,10 +362,37 @@ def test_help_returns_zero_in_process(capsys, argv):
 
 def test_run_exits_zero_on_help(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["cideals", "--help"])
+    handlers = []  # run() sets SIGPIPE's action; this process keeps its own
+    monkeypatch.setattr(signal, "signal", lambda *args: handlers.append(args))
     with pytest.raises(SystemExit) as info:
         cli.run()
     assert info.value.code == 0
     assert "usage:" in capsys.readouterr().out
+    assert handlers == ([(signal.SIGPIPE, signal.SIG_DFL)] if hasattr(signal, "SIGPIPE") else [])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_run_without_a_traceback(tmp_path):
+    # the listing is larger than a pipe buffers, so the run is still
+    # writing when the reader closes the pipe after the first line
+    names = [f"element_with_a_long_name_{i:03}" for i in range(100)]
+    chain = tmp_path / "chain.poset"
+    chain.write_text(
+        "name: chain\nelements: " + " ".join(names) + "\n"
+        + "".join(f"le: {a} < {b}\n" for a, b in zip(names, names[1:]))
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cideals", "ideals", str(chain)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == f"L({names[0]}) = {{{names[0]}}}\n".encode()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
 HARNESS_COMMANDS = [["analyze", "fig1.poset"], ["check", "fig1.poset"]]
@@ -385,7 +407,7 @@ OTHER_COMMANDS = [
 
 
 def _argv(instdir, argv):
-    return [str(instdir / a) if a.endswith(".poset") else a for a in argv]
+    return [str(instdir / a) if a.endswith(".poset") and a[0] != "-" else a for a in argv]
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -522,7 +544,7 @@ def test_not_applicable_rows_print_their_probe(instdir, capsys):
     assert "probe" not in out
 
 
-# -- one parser per process ----------------------------------------------------
+# -- repeated calls --------------------------------------------------------------
 
 REUSE_SEQUENCE = [
     [],
@@ -550,37 +572,14 @@ REUSE_SEQUENCE = [
 ]
 
 
-def _run_sequence(instdir, capsys, fresh_each_call, monkeypatch):
-    results = []
-    for argv in REUSE_SEQUENCE:
-        if fresh_each_call:
-            monkeypatch.setattr(cli, "_PARSER", None)
-        results.append(run_cli(capsys, _argv(instdir, argv)))
-    return results
-
-
-def test_main_builds_its_parser_once(instdir, capsys, monkeypatch):
-    built = []
-
-    def counting_make_parser():
-        built.append(1)
-        return make_parser()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
-    for i in range(20):
-        argv = ["analyze", "fig1.poset"] if i % 2 else ["ideals", "fig1.poset", "--bogus"]
-        run_cli(capsys, _argv(instdir, argv))
-    assert len(built) == 1
-
-
-def test_reused_parser_answers_like_a_fresh_one(instdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_PARSER", None)
-    reused = _run_sequence(instdir, capsys, False, monkeypatch)
-    assert reused == _run_sequence(instdir, capsys, False, monkeypatch)
-    fresh = _run_sequence(instdir, capsys, True, monkeypatch)
-    assert reused == fresh
-    assert [code for code, _, _ in fresh] == [
+def test_reused_parser_answers_like_a_fresh_one(instdir, capsys):
+    # main keeps nothing between calls: the sequence answers the same run
+    # twice, and run backwards
+    forward = [run_cli(capsys, _argv(instdir, argv)) for argv in REUSE_SEQUENCE]
+    assert forward == [run_cli(capsys, _argv(instdir, argv)) for argv in REUSE_SEQUENCE]
+    backward = [run_cli(capsys, _argv(instdir, argv)) for argv in reversed(REUSE_SEQUENCE)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [
         1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 3, 0, 1, 0, 4, 1, 0, 4, 0, 2
     ]
 
@@ -603,5 +602,74 @@ def test_handler_replaced_after_first_call_runs(instdir, capsys, monkeypatch):
 
 
 def test_parser_holds_no_handler():
-    args = make_parser().parse_args(["corpus"])
+    args = make_parser()(["corpus"])
     assert sorted(vars(args)) == ["command", "emit", "format", "format_global"]
+
+
+#: argv -> (exit code, stdout, stderr), recorded from the argparse parser the
+#: command table replaced, on an 80-column terminal.  A stdout of more than
+#: one line is given by the first 16 hex digits of its sha256.
+ARGUMENT_FORMS = [
+    (['analyze', 'fig1.poset', '--format=machine'], 0, 'sha256:2462b2a6ca645554', ''),
+    (['separate', 'fig4.poset', "--ideal=e'", '--filter=b', '--mode=second'], 0, "J = {0,a,c,d,e',b'} (= L(b'))\n", ''),
+    (['check', 'fig1.poset', '--stat', 'LEM_BOOLEAN'], 4, "LEM_BOOLEAN: not applicable (needs an antitone complementation with x<=x'' for all x; probe: unguarded conclusion happens to hold)\n", ''),
+    (['check', 'fig1.poset', '--stat=LEM_BOOLEAN', '--form', 'machine'], 4, 'theorem: tag=LEM_BOOLEAN hypotheses=false conclusion=none counterexample=none\n', ''),
+    (['separate', 'fig1.poset', '--ideal', 'a', '--f', 'b'], 1, '', 'usage error: ambiguous option: --f could match --format, --filter\n'),
+    (['separate', 'fig1.poset', '--ideal', 'a', '--filter', 'b', '--m', 'second'], 4, 'separation hypothesis failed: NotDistributive\n', ''),
+    (['--format', 'machine', 'check', 'fig1.poset'], 0, 'sha256:898d975fc11323f3', ''),
+    (['--format', 'text', 'analyze', 'fig1.poset', '--format', 'machine'], 0, 'sha256:2462b2a6ca645554', ''),
+    (['--format', 'machine', 'ideals', 'fig2b.poset', '--format', 'text'], 0, 'sha256:907d33e9f27f00c9', ''),
+    (['--form=machine', 'corpus'], 0, 'sha256:1358f3da84cbf652', ''),
+    (['separate', '--ideal', "e'", 'fig4.poset', '--filter', 'b'], 0, "J = {0,a,c,d,e',b'} (= L(b'))\n", ''),
+    (['ideals', '--class', 'prime', 'fig2b.poset'], 0, 'L(e) = {0,a,b,c,d,e}\n', ''),
+    (['dot', '--highlight', 'a', 'fig1.poset', '--highlight', '{b,c}', '--highlight', 'U(b)'], 0, 'sha256:2e79879d03bae5ed', ''),
+    (['gen', '--size', '6', '--seed', '-1'], 0, 'sha256:778540244652e38a', ''),
+    (['gen', '--seed', '-1', '--size', '6', '--density', '0.5'], 4, '', 'no complementation found for size=6 seed=-1 require=-\n'),
+    (['analyze', '--', 'fig1.poset'], 0, 'sha256:7cc2dd655420de9c', ''),
+    (['analyze', '--format', 'machine', '--', '-x.poset'], 2, '', "error: cannot read -x.poset: [Errno 2] No such file or directory: '-x.poset'\n"),
+    (['analyze'], 1, '', 'usage error: the following arguments are required: file\n'),
+    (['separate', 'fig1.poset', '--ideal', 'a'], 1, '', 'usage error: the following arguments are required: --filter\n'),
+    (['separate', 'fig1.poset'], 1, '', 'usage error: the following arguments are required: --ideal, --filter\n'),
+    (['gen', '--size', '6'], 1, '', 'usage error: the following arguments are required: --seed\n'),
+    (['analyze', 'fig1.poset', '--format', 'json'], 1, '', "usage error: argument --format: invalid choice: 'json' (choose from 'text', 'machine')\n"),
+    (['--format', 'json', 'analyze', 'fig1.poset'], 1, '', "usage error: argument --format: invalid choice: 'json' (choose from 'text', 'machine')\n"),
+    (['ideals', 'fig1.poset', '--class', 'bogus'], 1, '', "usage error: argument --class: invalid choice: 'bogus' (choose from 'all', 'proper', 'maximal', 'prime', 'c-ideal', 'c-condition')\n"),
+    (['filters', 'fig1.poset', '--class', 'c-ideal'], 1, '', "usage error: argument --class: invalid choice: 'c-ideal' (choose from 'all', 'proper', 'ultrafilter', 'prime', 'c-filter', 'c-condition')\n"),
+    (['separate', 'fig1.poset', '--ideal', 'a', '--filter', 'b', '--mode', 'x'], 1, '', "usage error: argument --mode: invalid choice: 'x' (choose from 'first', 'prime', 'second')\n"),
+    (['gen', '--size', 'x', '--seed', '1'], 1, '', "usage error: argument --size: invalid int value: 'x'\n"),
+    (['gen', '--size', '6', '--seed', '1.5'], 1, '', "usage error: argument --seed: invalid int value: '1.5'\n"),
+    (['gen', '--size', '6', '--seed', '1', '--density', '1e400'], 1, '', 'usage error: argument --density: must lie in [0, 1], got 1e400\n'),
+    (['gen', '--size', '6', '--seed', '1', '--density', 'x'], 1, '', "usage error: argument --density: invalid _probability value: 'x'\n"),
+    (['gen', '--size', '6', '--seed', '1', '--require', 'foo'], 1, '', "usage error: argument --require: unknown constraint 'foo'\n"),
+    (['analyze', 'fig1.poset', '--format'], 1, '', 'usage error: argument --format: expected one argument\n'),
+    (['analyze', 'fig1.poset', '--seed', '1'], 1, '', 'usage error: unrecognized arguments: --seed 1\n'),
+    (['analyze', 'fig1.poset', 'extra'], 1, '', 'usage error: unrecognized arguments: extra\n'),
+    (['--bogus', 'analyze', 'fig1.poset'], 1, '', 'usage error: unrecognized arguments: --bogus\n'),
+    (['corpus', '--emit'], 1, '', 'usage error: argument --emit: expected one argument\n'),
+    ([], 1, '', 'usage error: the following arguments are required: command\n'),
+    (['--format', 'machine'], 1, '', 'usage error: the following arguments are required: command\n'),
+    (['frobnicate'], 1, '', "usage error: argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'ideals', 'filters', 'check', 'separate', 'dot', 'corpus', 'gen')\n"),
+    (['-h'], 0, 'sha256:4d2607df873b221c', ''),
+    (['--help'], 0, 'sha256:4d2607df873b221c', ''),
+    (['--he'], 0, 'sha256:4d2607df873b221c', ''),
+    (['analyze', '-h'], 0, 'sha256:cfe07417e0d94f63', ''),
+    (['analyze', '--help'], 0, 'sha256:cfe07417e0d94f63', ''),
+    (['ideals', '-h'], 0, 'sha256:508f61b88396d1e1', ''),
+    (['filters', '-h'], 0, 'sha256:e104a82a9b05be3a', ''),
+    (['check', '-h'], 0, 'sha256:1b4380567d4339ba', ''),
+    (['separate', '--help'], 0, 'sha256:3f975fd0d7de104f', ''),
+    (['dot', '-h'], 0, 'sha256:62919f2bf01f9025', ''),
+    (['corpus', '-h'], 0, 'sha256:6a0066931bb04bc0', ''),
+    (['gen', '-h'], 0, 'sha256:d4349287adddbb59', ''),
+    (['gen', '--size', '6', '-h'], 0, 'sha256:d4349287adddbb59', ''),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", [pytest.param(*row, id=" ".join(row[0]) or "no-arguments") for row in ARGUMENT_FORMS]
+)
+def test_argument_forms_answer_as_recorded(instdir, capsys, argv, code, out, err):
+    got_code, got_out, got_err = run_cli(capsys, _argv(instdir, argv))
+    if got_out.count("\n") > 1:
+        got_out = "sha256:" + hashlib.sha256(got_out.encode()).hexdigest()[:16]
+    assert (got_code, got_out, got_err) == (code, out, err)
