@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Mutation gate: every listed mutant must be killed by the tests it names.
+
+Each entry of ``MUTANTS`` is (file, exact old text, new text, killer test
+ids).  The script copies the working tree once into a temporary directory.
+For each entry it replaces the old text there, runs the killers with
+pytest, prints one row of the kill table and restores the file.  A mutant
+is killed when its killers fail, and survives when they pass.  Any other
+pytest status, such as a killer id that names no test or a mutant that no
+longer imports, is an error.  The script exits 1 when a mutant survives,
+when its killers error, or when an entry's old text does not occur exactly
+once in its file, so a change that moves mutated code must update the
+entry.  Entries for deleted code leave with the code.
+
+Usage: python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+_SEPARATION = "tests/test_statement_agreement.py::"
+
+#: each entry's comment says what the mutant breaks
+MUTANTS = (
+    # the separation checker reads only the first disjoint ideal of each filter
+    Mutant("src/cideals/harness.py", "        for i in ideals:\n", "        for i in ideals[:1]:\n", (
+        _SEPARATION + "test_separation_statements_equal_the_per_pair_loop",
+        _SEPARATION + "test_separation_checker_verifies_the_witness_on_every_pair",
+    )),
+    # the same on the met path only
+    Mutant("src/cideals/harness.py", "        for i in ideals:\n", "        for i in (ideals if note else ideals[:1]):\n", (
+        _SEPARATION + "test_separation_checker_verifies_the_witness_on_every_pair",
+    )),
+    # sort_key without the 0<->1 swap
+    Mutant("src/cideals/poset.py", 'format(mask, "b")[::-1].translate(_FLIP))', 'format(mask, "b")[::-1])', (
+        "tests/test_substructures.py::test_sort_key_orders_as_the_tuple_of_members",
+        "tests/test_substructures.py::test_enumeration_is_sorted",
+    )),
+    # a fact that never stores its value
+    Mutant("src/cideals/poset.py", "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)", (
+        "tests/test_facts.py::test_fact_builds_once_per_object_and_keeps_its_value_in_the_instance_dict",
+        "tests/test_facts.py::test_principal_walk_runs_once_per_poset_and_side",
+    )),
+    # the record's __init__ with a default that its field does not have
+    Mutant("src/cideals/harness.py", '        detail: str = "",\n', '        detail: str = "-",\n', (
+        "tests/test_harness.py::test_result_init_matches_the_dataclass_fields",
+    )),
+    # the record's __init__ drops a field, which then reads the class default
+    Mutant("src/cideals/harness.py", "            probe=probe,\n", "", (
+        "tests/test_harness.py::test_result_init_matches_the_dataclass_fields",
+    )),
+    # run_all runs the checkers of the catalog, not those of the live table
+    Mutant(
+        "src/cideals/harness.py",
+        "for sid, check in _CHECKERS.items()]",
+        "for (sid, _), (_, check, _) in zip(_CHECKERS.items(), _CATALOG)]",
+        ("tests/test_harness.py::test_run_all_runs_a_checker_replaced_after_import",),
+    ),
+    # maximal_ideals admits P itself, the cone of the top
+    Mutant(
+        "src/cideals/substructures.py",
+        "q.up[generator[i]] & ~top == 1 << generator[i]]",
+        "q.up[generator[i]] & ~top <= 1 << generator[i]]",
+        ("tests/test_substructures.py::test_maximal_ideals_are_the_ideals_the_definition_accepts",),
+    ),
+    # maximal_ideals forgets that the top lies above every element
+    Mutant(
+        "src/cideals/substructures.py",
+        "top = 0 if q.top is None else 1 << q.top",
+        "top = 0",
+        ("tests/test_substructures.py::test_maximal_ideals_are_the_ideals_the_definition_accepts",),
+    ),
+    # the closure check tests only one direction of a two-cycle
+    Mutant("src/cideals/poset.py", "if di & bit and i != j:", "if di & bit and i < j:", (
+        "tests/test_poset.py::test_malformed_down_cones_rejected",
+    )),
+    # one pass of flags: x<=x'' reads the test of x''<=x
+    Mutant("src/cideals/complement.py", "            if not (down[cxx] >> x) & 1:\n", "            if not (down[x] >> cxx) & 1:\n", (
+        "tests/test_small_scope.py::test_every_complementation_up_to_six_points_has_its_naive_flags",
+    )),
+    # the dual keeps the two order flags unswapped
+    Mutant(
+        "src/cideals/complement.py",
+        "props.antitone, props.involution, props.xdd_le_x, props.x_le_xdd,",
+        "props.antitone, props.involution, props.x_le_xdd, props.xdd_le_x,",
+        ("tests/test_facts.py::test_duals_are_kept_and_carry_the_flags_over",),
+    ),
+    # attach_complementation names the source of an entry whose image is unknown
+    Mutant(
+        "src/cideals/complement.py",
+        'raise UnknownName(f"unknown element name {exc.args[0]!r}")',
+        'raise UnknownName(f"unknown element name {a!r}")',
+        ("tests/test_complement.py::test_attach_names_the_first_bad_entry",),
+    ),
+    # parse_instance checks the left name of a pair line only
+    Mutant("src/cideals/io.py", "            for tok in (a, b):\n", "            for tok in (a,):\n", (
+        "tests/test_io.py::test_every_instance_parse_error",
+    )),
+    # a usage error names the private converter
+    Mutant("src/cideals/cli.py", "option.convert.__name__.lstrip('_')", "option.convert.__name__", (
+        "tests/test_cli.py::test_argument_forms_answer_as_recorded",
+    )),
+)
+
+_SKIP = shutil.ignore_patterns(".git", ".perfbench", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+
+
+def mismatches(entries=MUTANTS, root: Path = ROOT) -> list[str]:
+    """One line per entry whose old text does not occur exactly once."""
+    found = []
+    for k, m in enumerate(entries, start=1):
+        count = (root / m.file).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            found.append(f"#{k} {m.file}: old text found {count} times")
+    return found
+
+
+def _killers_status(tree: Path, killers) -> tuple[str, str]:
+    """("killed" | "survived" | "error", pytest's last output lines)."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *killers]
+    try:
+        run = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=900)
+    except subprocess.TimeoutExpired:
+        return "error", "killers ran past 900 s"
+    tail = "\n".join((run.stdout + run.stderr).strip().splitlines()[-3:])
+    return {0: "survived", 1: "killed"}.get(run.returncode, "error"), tail
+
+
+def run(entries=MUTANTS, root: Path = ROOT, out=sys.stdout) -> int:
+    """Print the kill table of ``entries`` against the tree at ``root``;
+    0 when every mutant is killed, else 1."""
+    problems = mismatches(entries, root)
+    for line in problems:
+        print(line, file=out)
+    counts = {"killed": 0, "survived": 0, "error": 0}
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(root, tree, ignore=_SKIP)
+        for k, m in enumerate(entries, start=1):
+            path = tree / m.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                continue
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                status, tail = _killers_status(tree, m.killers)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            counts[status] += 1
+            shown = (m.new.strip() or "(deleted) " + m.old.strip())[:60]
+            print(f"#{k:<3}{status:<9}{m.file}: {shown}  [{len(m.killers)} killer(s)]", file=out)
+            if status != "killed":
+                print("    " + tail.replace("\n", "\n    "), file=out)
+    print(
+        f"{len(entries)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
+        f"{counts['error']} errors, {len(problems)} not matched",
+        file=out,
+    )
+    return 0 if counts["killed"] == len(entries) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -188,7 +188,7 @@ def _value(flag: str, option: Option, text: str):
     try:
         return option.convert(text)
     except ValueError:
-        detail = f"invalid {option.convert.__name__} value: {text!r}"
+        detail = f"invalid {option.convert.__name__.lstrip('_')} value: {text!r}"
     except _UsageError as exc:
         detail = str(exc)
     raise _UsageError(f"argument {flag}: {detail}")

@@ -32,10 +32,10 @@ finite poset is an order anti-automorphism, for which both hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap
+from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap, UnknownName
 from .poset import Poset, fact, iter_bits
 
 
@@ -177,7 +177,10 @@ class ComplementedPoset:
             dual = ComplementedPoset.__new__(ComplementedPoset)
             dual.poset, dual.comp, dual.pre, dual._cone_pre = self.poset.dual(), self.comp, self.pre, self._cone_pre
             props = self.props
-            dual.props = replace(props, x_le_xdd=props.xdd_le_x, xdd_le_x=props.x_le_xdd)
+            dual.props = ComplementProperties(
+                props.antitone, props.involution, props.xdd_le_x, props.x_le_xdd,
+                props.triple_identity, props.de_morgan,
+            )
             dual._dual = self
             self._dual = dual
         return self._dual
@@ -185,22 +188,31 @@ class ComplementedPoset:
     # -- property computation -------------------------------------------------
 
     def _compute_properties(self) -> ComplementProperties:
-        """The map is antitone when x <= y gives y' <= x', that is when
-        every x in ``down[y]`` has x' in ``up[y']``: one mask test per y."""
-        p, comp, cone_pre = self.poset, self.comp, self._cone_pre
-        n = p.n
-        antitone = all(not p.down[y] & ~cone_pre[p.up[comp[y]]] for y in range(n))
-        involution = all(comp[comp[x]] == x for x in range(n))
-        x_le_xdd = all(p.le(x, comp[comp[x]]) for x in range(n))
-        xdd_le_x = all(p.le(comp[comp[x]], x) for x in range(n))
-        triple_identity = all(comp[comp[comp[x]]] == comp[x] for x in range(n))
+        """All six flags in one pass over the elements.  The map is antitone
+        when y <= x gives x' <= y', that is when every y in ``down[x]`` has
+        y' in ``up[x']``: one mask test per x.  Each other flag is one
+        comparison per x."""
+        comp, cone_pre, down, up = self.comp, self._cone_pre, self.poset.down, self.poset.up
+        antitone = involution = x_le_xdd = xdd_le_x = triple_identity = True
+        for x, cx in enumerate(comp):
+            cxx = comp[cx]
+            if down[x] & ~cone_pre[up[cx]]:
+                antitone = False
+            if cxx != x:
+                involution = False
+            if not (down[cxx] >> x) & 1:
+                x_le_xdd = False
+            if not (down[x] >> cxx) & 1:
+                xdd_le_x = False
+            if comp[cxx] != cx:
+                triple_identity = False
         return ComplementProperties(
             antitone=antitone,
             involution=involution,
             x_le_xdd=x_le_xdd,
             xdd_le_x=xdd_le_x,
             triple_identity=triple_identity,
-            de_morgan=antitone and len(set(comp)) == n,
+            de_morgan=antitone and len(set(comp)) == len(comp),
         )
 
 
@@ -225,12 +237,16 @@ def attach_complementation(
     if not poset.bounded:
         raise NotBounded("complementation requires both bottom and top")
     items = mapping.items() if isinstance(mapping, Mapping) else mapping
+    index = poset._index
     table: dict[int, int] = {}
-    for a, b in items:
-        key = poset.index(a)
-        if key in table:
-            raise DuplicateName(f"duplicate complement entry for {a!r}")
-        table[key] = poset.index(b)
+    try:
+        for a, b in items:
+            key = index[a]
+            if key in table:
+                raise DuplicateName(f"duplicate complement entry for {a!r}")
+            table[key] = index[b]
+    except KeyError as exc:  # only a name lookup raises it
+        raise UnknownName(f"unknown element name {exc.args[0]!r}") from None
     missing = [poset.names[x] for x in range(poset.n) if x not in table]
     if missing:
         raise PartialMap(f"complement table misses {', '.join(missing)}")

@@ -102,26 +102,43 @@ _PAIR_ARROWS = {"le": "<", "comp": "->"}
 
 
 def parse_instance(text: str) -> InstanceFile:
-    """Parse instance text; raises ParseError/UnknownName with line numbers."""
+    """Parse instance text; raises ParseError/UnknownName with line numbers.
+    The pair lines, nearly all of a file, are tested first."""
     name: str | None = None
     elements: tuple[str, ...] | None = None
+    members: set[str] = set()  # the names in elements, for the pair lines
     le: list[tuple[str, str]] = []
     comp: dict[str, str] = {}
-    last_line = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        last_line = ln
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" not in line:
+        key, colon, rest = line.partition(":")
+        if not colon:
             raise ParseError(f"expected 'key: value' on line {ln}", line=ln)
-        key, _, rest = line.partition(":")
         key = key.strip()
-        rest = rest.strip()
-        if key == "name":
+        parts = rest.split()
+        if key in _PAIR_ARROWS:
+            if elements is None:
+                raise ParseError(f"{key} line before elements (line {ln})", line=ln)
+            if key == "le" and comp:
+                raise ParseError(f"le line after comp section (line {ln})", line=ln)
+            if len(parts) != 3 or parts[1] != _PAIR_ARROWS[key]:
+                raise ParseError(f"expected '{key}: a {_PAIR_ARROWS[key]} b' on line {ln}", line=ln)
+            a, _, b = parts
+            for tok in (a, b):
+                if tok not in members:
+                    raise UnknownName(f"unknown element {tok!r} on line {ln}", line=ln)
+            if key == "le":
+                le.append((a, b))
+            elif a in comp:
+                raise ParseError(f"duplicate complement entry for {a!r} on line {ln}", line=ln)
+            else:
+                comp[a] = b
+        elif key == "name":
             if name is not None:
                 raise DuplicateSection(f"second name section on line {ln}", line=ln)
-            parts = rest.split()
             if len(parts) != 1:
                 raise ParseError(f"name needs exactly one token on line {ln}", line=ln)
             name = parts[0]
@@ -130,40 +147,23 @@ def parse_instance(text: str) -> InstanceFile:
                 raise DuplicateSection(f"second elements section on line {ln}", line=ln)
             if name is None:
                 raise ParseError(f"elements section before name (line {ln})", line=ln)
-            parts = tuple(rest.split())
             if not parts:
                 raise ParseError(f"elements section is empty on line {ln}", line=ln)
-            if len(set(parts)) != len(parts):
+            members = set(parts)
+            if len(members) != len(parts):
                 dupe = min(e for e in parts if parts.count(e) > 1)
                 raise ParseError(f"duplicate element {dupe!r} on line {ln}", line=ln)
             try:  # the name rule every Poset applies, reported at its line
                 _validate_names(parts)
             except PosetError as exc:
                 raise ParseError(f"{exc} on line {ln}", line=ln) from None
-            elements = parts
-        elif key in _PAIR_ARROWS:
-            if elements is None:
-                raise ParseError(f"{key} line before elements (line {ln})", line=ln)
-            if key == "le" and comp:
-                raise ParseError(f"le line after comp section (line {ln})", line=ln)
-            parts = rest.split()
-            if len(parts) != 3 or parts[1] != _PAIR_ARROWS[key]:
-                raise ParseError(f"expected '{key}: a {_PAIR_ARROWS[key]} b' on line {ln}", line=ln)
-            for tok in (parts[0], parts[2]):
-                if tok not in elements:
-                    raise UnknownName(f"unknown element {tok!r} on line {ln}", line=ln)
-            if key == "le":
-                le.append((parts[0], parts[2]))
-            elif parts[0] in comp:
-                raise ParseError(f"duplicate complement entry for {parts[0]!r} on line {ln}", line=ln)
-            else:
-                comp[parts[0]] = parts[2]
+            elements = tuple(parts)
         else:
             raise ParseError(f"unknown section {key!r} on line {ln}", line=ln)
     if name is None:
-        raise ParseError("missing name section", line=last_line or 1)
+        raise ParseError("missing name section", line=len(lines) or 1)
     if elements is None:
-        raise ParseError("missing elements section", line=last_line or 1)
+        raise ParseError("missing elements section", line=len(lines) or 1)
     return InstanceFile(name, elements, tuple(le), tuple(comp.items()) if comp else None)
 
 

@@ -154,13 +154,18 @@ class Poset:
             if not (down[i] >> i) & 1:
                 raise PosetError(f"relation not reflexive at {names[i]!r}")
         up = [0] * n
-        for j in range(n):
-            for i in iter_bits(down[j]):
-                if i != j and (down[i] >> j) & 1:
+        for j, dj in enumerate(down):
+            bit, rest = 1 << j, dj
+            while rest:  # iter_bits inlined: this is a hot kernel
+                low = rest & -rest
+                i = low.bit_length() - 1
+                di = down[i]
+                if di & bit and i != j:
                     raise CycleDetected(f"{names[i]!r} <= {names[j]!r} <= {names[i]!r}")
-                if down[i] & ~down[j]:
+                if di & ~dj:
                     raise PosetError(f"relation not transitive below {names[j]!r}")
-                up[i] |= 1 << j
+                up[i] |= bit
+                rest ^= low
         self.n = n
         self.names = tuple(names)
         self.down = down

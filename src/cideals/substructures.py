@@ -395,9 +395,18 @@ class OrderFacts:
 
     @fact
     def maximal_ideals(self) -> list[int]:
-        """Cost: per ideal, a scan of the n ideals of O(1) mask operations
-        each: O(n^2) in all."""
-        return [i for i in self.ideals if is_maximal_ideal(self.poset, i)]
+        """The ideals that :func:`is_maximal_ideal` accepts, in family order,
+        read off the cones.  The proper ideals are the cones ``down[h]``
+        other than P, and ``down[h]`` holds ``down[g]`` exactly when g <= h.
+        So a proper cone ``down[g]`` is maximal exactly when every h > g has
+        ``down[h]`` = P, that is when h is the top: ``up[g]`` holds g and at
+        most the top besides.  P itself, ``down[top]``, fails that test,
+        since ``up[top]`` without the top is empty.
+
+        Cost: one mask test per generator, n in all, past ``ideals``."""
+        q, generator = self.poset, self.down_generator
+        top = 0 if q.top is None else 1 << q.top
+        return [i for i in self.ideals if q.up[generator[i]] & ~top == 1 << generator[i]]
 
     @fact
     def prime_ideals(self) -> list[int]:

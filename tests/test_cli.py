@@ -639,7 +639,7 @@ ARGUMENT_FORMS = [
     (['gen', '--size', 'x', '--seed', '1'], 1, '', "usage error: argument --size: invalid int value: 'x'\n"),
     (['gen', '--size', '6', '--seed', '1.5'], 1, '', "usage error: argument --seed: invalid int value: '1.5'\n"),
     (['gen', '--size', '6', '--seed', '1', '--density', '1e400'], 1, '', 'usage error: argument --density: must lie in [0, 1], got 1e400\n'),
-    (['gen', '--size', '6', '--seed', '1', '--density', 'x'], 1, '', "usage error: argument --density: invalid _probability value: 'x'\n"),
+    (['gen', '--size', '6', '--seed', '1', '--density', 'x'], 1, '', "usage error: argument --density: invalid probability value: 'x'\n"),
     (['gen', '--size', '6', '--seed', '1', '--require', 'foo'], 1, '', "usage error: argument --require: unknown constraint 'foo'\n"),
     (['analyze', 'fig1.poset', '--format'], 1, '', 'usage error: argument --format: expected one argument\n'),
     (['analyze', 'fig1.poset', '--seed', '1'], 1, '', 'usage error: unrecognized arguments: --seed 1\n'),

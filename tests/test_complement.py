@@ -6,6 +6,7 @@ from cideals import (
     DuplicateName,
     NotBounded,
     PartialMap,
+    UnknownName,
     attach_complementation,
     build_poset,
 )
@@ -73,6 +74,26 @@ def test_repeated_complement_entry_rejected():
     with pytest.raises(DuplicateName) as info:
         attach_complementation(two_chain(), [("0", "1"), ("1", "0"), ("0", "1")])
     assert str(info.value) == "duplicate complement entry for '0'"
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        ([("0", "1"), ("z", "0")], UnknownName, "unknown element name 'z'"),
+        ([("0", "1"), ("1", "z")], UnknownName, "unknown element name 'z'"),
+        ([("y", "1"), ("1", "z")], UnknownName, "unknown element name 'y'"),
+        ([("0", "1"), ("0", "z")], DuplicateName, "duplicate complement entry for '0'"),
+        ({"0": "1", "1": "y"}, UnknownName, "unknown element name 'y'"),
+    ],
+    ids=["unknown-source", "unknown-image", "first-unknown", "repeat-before-unknown-image", "mapping"],
+)
+def test_attach_names_the_first_bad_entry(table, error, message):
+    """Entries are read in order, each source name before its repeat check
+    and that before the image name."""
+    with pytest.raises(error) as info:
+        attach_complementation(two_chain(), table)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_bounds_swap_forced(corpus):

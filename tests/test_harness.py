@@ -8,6 +8,7 @@ from cideals import (
     Poset,
     PosetError,
     StatementId,
+    TheoremCheckResult,
     check_statement,
     run_all,
     separate,
@@ -307,3 +308,50 @@ def test_separation_guarantees_raise_internal_errors(monkeypatch, mode, doctor, 
         separate(cp, ideal, filt, mode)
     assert type(err.value) is PosetError
     assert str(err.value) == f"internal error: {message}"
+
+
+def test_result_init_matches_the_dataclass_fields():
+    """``TheoremCheckResult.__init__`` is written by hand; its parameters
+    are the fields, in order, with their defaults, and the record it builds
+    is still a frozen dataclass that ``asdict`` and ``replace`` read."""
+    import inspect
+
+    params = list(inspect.signature(TheoremCheckResult.__init__).parameters.values())[1:]
+    fields = dataclasses.fields(TheoremCheckResult)
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields
+    ]
+    values = (StatementId.LEM_BOOLEAN, True, False, {"element": "a"}, "note", "probe")
+    result = TheoremCheckResult(*values)
+    assert dataclasses.asdict(result) == dict(zip([f.name for f in fields], values))
+    assert result == TheoremCheckResult(**dict(zip([f.name for f in fields], values)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.detail = "changed"
+    changed = dataclasses.replace(result, probe=None)
+    assert changed == TheoremCheckResult(*values[:5]) and changed != result
+    assert vars(TheoremCheckResult(*values[:3])) == {
+        "statement": values[0], "hypotheses_met": True, "conclusion_holds": False,
+        "counterexample": None, "detail": "", "probe": None,
+    }
+
+
+def test_run_all_runs_a_checker_replaced_after_import(fig3, monkeypatch):
+    """``run_all`` and ``check_statement`` read the live checker table, the
+    table whose entries the benchmark's tracer replaces with its wrappers."""
+    from cideals import harness
+
+    calls = []
+
+    def stub(ctx):
+        calls.append(ctx.cp)
+        return "", {"stub": "{a}"}
+
+    before = run_all(fig3.cp)
+    monkeypatch.setitem(harness._CHECKERS, StatementId.THM_SEP2, stub)
+    after = run_all(fig3.cp)
+    assert calls == [fig3.cp]
+    assert [r for r in after if r.statement != StatementId.THM_SEP2] == before[:-1]
+    assert after[-1] == TheoremCheckResult(StatementId.THM_SEP2, True, False, {"stub": "{a}"})
+    assert check_statement(fig3.cp, "THM_SEP2") == after[-1] and len(calls) == 2

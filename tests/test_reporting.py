@@ -82,29 +82,21 @@ def test_run_checker_wraps_failure_without_probe():
     class DummyCtx:
         pass
 
-    from cideals import harness
-
-    original = harness._CHECKERS[StatementId.LEM_BOOLEAN]
-    harness._CHECKERS[StatementId.LEM_BOOLEAN] = stub
-    try:
-        result = _run_checker(DummyCtx(), StatementId.LEM_BOOLEAN)
-    finally:
-        harness._CHECKERS[StatementId.LEM_BOOLEAN] = original
+    result = _run_checker(DummyCtx(), StatementId.LEM_BOOLEAN, stub)
     assert calls["ran"]
     assert result.hypotheses_met and result.conclusion_holds is False
     assert result.counterexample == {"witness": "{0}"}
     assert result.probe is None
 
 
-def test_run_checker_reports_scale_limit_as_not_verified(monkeypatch):
+def test_run_checker_reports_scale_limit_as_not_verified():
     # a checker that raises ScaleLimit concluded nothing: unmet, no probe
     from cideals import ScaleLimit, harness
 
     def stub(ctx):
         raise ScaleLimit("x")
 
-    monkeypatch.setitem(harness._CHECKERS, StatementId.LEM_CL_PRINCIPAL, stub)
-    result = harness._run_checker(None, StatementId.LEM_CL_PRINCIPAL)
+    result = harness._run_checker(None, StatementId.LEM_CL_PRINCIPAL, stub)
     assert result.hypotheses_met is False
     assert result.conclusion_holds is None
     assert result.probe is None

@@ -1,5 +1,7 @@
-"""Smoke tests of ``scripts/random_campaign.py``."""
+"""Smoke tests of ``scripts/random_campaign.py`` and ``scripts/mutants.py``."""
 
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -38,3 +40,41 @@ def test_random_campaign_rejects_a_bad_max_size_as_a_usage_error():
         assert "Traceback" not in run.stderr
         assert f"max_size must be between 2 and 24, got {bad}" in run.stderr
 
+
+
+def _mutants_script():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_matches_its_file_once_and_names_existing_tests():
+    mutants = _mutants_script()
+    assert mutants.mismatches() == []
+    for entry in mutants.MUTANTS:
+        assert entry.old != entry.new and entry.killers
+        for killer in entry.killers:
+            path, _, name = killer.partition("::")
+            assert f"def {name.partition('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8"), killer
+
+
+def test_mutation_gate_kills_a_mutant_and_fails_on_a_survivor_or_a_stale_entry():
+    """One listed mutant against one of its killers, then the same edit made
+    harmless (a survivor) and an entry whose old text no longer matches."""
+    mutants = _mutants_script()
+    listed = next(m for m in mutants.MUTANTS if m.file == "src/cideals/cli.py")
+    killer = ("tests/test_cli.py::test_argument_forms_answer_as_recorded"
+              "[gen --size 6 --seed 1 --density x]",)
+    entries = (
+        listed._replace(killers=killer),
+        listed._replace(new=listed.old + " ", killers=killer),
+        listed._replace(old=listed.old + "#stale"),
+    )
+    out = io.StringIO()
+    assert mutants.run(entries, out=out) == 1
+    rows = out.getvalue().splitlines()
+    assert rows[0] == "#3 src/cideals/cli.py: old text found 0 times"
+    assert rows[1].startswith("#1  killed   src/cideals/cli.py: ")
+    assert rows[2].startswith("#2  survived src/cideals/cli.py: ")
+    assert rows[-1] == "3 mutants: 1 killed, 1 survived, 0 errors, 1 not matched"

@@ -4,6 +4,7 @@ import pytest
 
 import naive
 from cideals import (
+    Poset,
     PosetError,
     ScaleLimit,
     build_poset,
@@ -32,6 +33,7 @@ from conftest import (
     bounded_antichain,
     mask,
     names,
+    naturally_labelled_posets,
 )
 
 
@@ -272,3 +274,25 @@ def test_complement_pairing(fig2b, fig3):
     q = fig3.poset
     assert names(q, q.all_mask & ~q.down[q.index("a'")]) == {"a", "d'", "c'", "b'", "1"}
     assert q.all_mask & ~q.down[q.index("a'")] == q.up[q.index("a")]
+
+
+def test_maximal_ideals_are_the_ideals_the_definition_accepts(corpus):
+    """``OrderFacts.maximal_ideals`` reads the cones; it equals the ideals
+    that the family scan ``is_maximal_ideal`` accepts, in family order, on
+    both sides of every naturally labelled poset on 1-5 points, the corpus,
+    campaign seeds 1-200, B2-B5, bounds plus a k-antichain for k = 2-16, a
+    one-element poset and an antichain without bounds."""
+    posets = [p for n in range(1, 6) for p in naturally_labelled_posets(n)]
+    posets += [entry.poset for entry in corpus.values()]
+    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(2, 6)]
+    posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 17)]
+    posets += [Poset(["x"], [1]), build_poset(["a", "b", "c", "d"], [])]
+    assert len(posets) == 407 + len(corpus) + 200 + 4 + 15 + 2
+    maximal = 0
+    for p in posets:
+        for q in (p, p.dual()):
+            want = [i for i in q.facts.ideals if is_maximal_ideal(q, i)]
+            assert q.facts.maximal_ideals == want, (q, q.down)
+            maximal += len(want)
+    assert maximal > len(posets)  # most sides have several
