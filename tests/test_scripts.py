@@ -41,7 +41,6 @@ def test_random_campaign_rejects_a_bad_max_size_as_a_usage_error():
         assert f"max_size must be between 2 and 24, got {bad}" in run.stderr
 
 
-
 def _mutants_script():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
