@@ -7,8 +7,14 @@ For each entry it replaces the old text there, runs the killers with
 pytest, prints one row of the kill table and restores the file.  A mutant
 is killed when its killers fail, and survives when they pass.  Any other
 pytest status, such as a killer id that names no test or a mutant that no
-longer imports, is an error.  The script exits 1 when a mutant survives,
-when its killers error, or when an entry's old text does not occur exactly
+longer imports, is an error.
+
+Each entry of ``EQUIVALENT`` is (file, exact old text, new text, proof): a
+mutant that no input the package accepts tells apart from the code.  These
+are not run; the table lists each with its proof.
+
+The script exits 1 when a mutant survives, when its killers error, or when
+an entry's old text, a mutant's or an equivalent's, does not occur exactly
 once in its file, so a change that moves mutated code must update the
 entry.  Entries for deleted code leave with the code.
 
@@ -36,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 _SEPARATION = "tests/test_statement_agreement.py::"
+_ORACLE = "tests/test_statement_oracle.py::"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -117,18 +124,70 @@ MUTANTS = (
     Mutant("src/cideals/cli.py", "option.convert.__name__.lstrip('_')", "option.convert.__name__", (
         "tests/test_cli.py::test_argument_forms_answer_as_recorded",
     )),
+    # is_ideal accepts a set at its second maximal member
+    Mutant("src/cideals/substructures.py", "            if maximal:\n                return False\n",
+           "            if maximal:\n                return True\n", (
+        "tests/test_small_scope.py::test_subset_tests_agree_on_every_poset_up_to_four_points",
+    )),
+    # LEM_BOOLEAN tests the cone inclusion the wrong way round
+    Mutant("src/cideals/harness.py", "if not up[a] & ~up[add] and add != a:", "if not up[add] & ~up[a] and add != a:", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+    )),
+    # LEM_PROPER_PAIR reads the image of the set for its preimage
+    Mutant("src/cideals/harness.py", "both = s & cp.comp_preimage(s)", "both = s & cp.comp_image(s)", (
+        _ORACLE + "test_checkers_read_the_map_on_every_self_map_up_to_four_points",
+    )),
+    # LEM_TRIPLE_A0 takes the largest failing singleton
+    Mutant("src/cideals/harness.py", "k = min(min(ca, caaa)", "k = max(min(ca, caaa)", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+        "tests/test_cross_validation.py::test_lem_triple_a0_singletons_match_subset_brute_force",
+    )),
+    # the c-ideal witness map keeps every preimage, ideal or not
+    Mutant("src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if True}", (
+        "tests/test_small_scope.py::test_witness_maps_hold_the_naive_c_ideals_up_to_six_points",
+    )),
+    # the union row offset by one element
+    Mutant("src/cideals/substructures.py", "for a, cell in enumerate(row) if cell in bad)",
+           "for a, cell in enumerate(row[1:] + row[:1]) if cell in bad)", (
+        "tests/test_substructures.py::test_union_over_a_principal_cone_is_one_table_cell",
+        "tests/test_reference_checkers.py::test_union_conditions_match_the_unions",
+    )),
+)
+
+
+class Equivalent(NamedTuple):
+    file: str
+    old: str
+    new: str
+    proof: str
+
+
+#: mutants that no input the package accepts tells apart from the code,
+#: each with its proof; not run, but each old text must occur exactly once
+EQUIVALENT = (
+    Equivalent(
+        "src/cideals/harness.py", "both = s & cp.comp_preimage(s)",
+        "both = s & cp.comp_preimage(s) & ~sum(1 << x for x, cx in enumerate(cp.comp) if cx == x)",
+        "a complementation with a' = a has a as both bounds, so n = 1, where no ideal or filter is proper",
+    ),
+    Equivalent(
+        "src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if pre in cones}",
+        "every ideal is a principal cone (LEM_CL_PRINCIPAL), so no preimage that is not a cone passes is_ideal",
+    ),
 )
 
 _SKIP = shutil.ignore_patterns(".git", ".perfbench", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 
 
-def mismatches(entries=MUTANTS, root: Path = ROOT) -> list[str]:
-    """One line per entry whose old text does not occur exactly once."""
+def mismatches(entries=MUTANTS, root: Path = ROOT, equivalent=EQUIVALENT) -> list[str]:
+    """One line per entry, mutant or equivalent, whose old text does not
+    occur exactly once."""
     found = []
-    for k, m in enumerate(entries, start=1):
-        count = (root / m.file).read_text(encoding="utf-8").count(m.old)
-        if count != 1:
-            found.append(f"#{k} {m.file}: old text found {count} times")
+    for label, group in (("#", entries), ("equivalent #", equivalent)):
+        for k, m in enumerate(group, start=1):
+            count = (root / m.file).read_text(encoding="utf-8").count(m.old)
+            if count != 1:
+                found.append(f"{label}{k} {m.file}: old text found {count} times")
     return found
 
 
@@ -144,10 +203,11 @@ def _killers_status(tree: Path, killers) -> tuple[str, str]:
     return {0: "survived", 1: "killed"}.get(run.returncode, "error"), tail
 
 
-def run(entries=MUTANTS, root: Path = ROOT, out=sys.stdout) -> int:
-    """Print the kill table of ``entries`` against the tree at ``root``;
-    0 when every mutant is killed, else 1."""
-    problems = mismatches(entries, root)
+def run(entries=MUTANTS, root: Path = ROOT, out=sys.stdout, equivalent=EQUIVALENT) -> int:
+    """Print the kill table of ``entries`` against the tree at ``root``,
+    then the ``equivalent`` entries with their proofs; 0 when every mutant
+    is killed and every equivalent entry matches, else 1."""
+    problems = mismatches(entries, root, equivalent)
     for line in problems:
         print(line, file=out)
     counts = {"killed": 0, "survived": 0, "error": 0}
@@ -165,16 +225,18 @@ def run(entries=MUTANTS, root: Path = ROOT, out=sys.stdout) -> int:
             finally:
                 path.write_text(original, encoding="utf-8")
             counts[status] += 1
-            shown = (m.new.strip() or "(deleted) " + m.old.strip())[:60]
+            shown = " ".join((m.new.strip() or "(deleted) " + m.old.strip()).split())[:60]
             print(f"#{k:<3}{status:<9}{m.file}: {shown}  [{len(m.killers)} killer(s)]", file=out)
             if status != "killed":
                 print("    " + tail.replace("\n", "\n    "), file=out)
+    for k, m in enumerate(equivalent, start=1):
+        print(f"={k:<3}{'equivalent':<11}{m.file}: {m.proof}", file=out)
     print(
         f"{len(entries)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
         f"{counts['error']} errors, {len(problems)} not matched",
         file=out,
     )
-    return 0 if counts["killed"] == len(entries) else 1
+    return 0 if counts["killed"] == len(entries) and not problems else 1
 
 
 if __name__ == "__main__":

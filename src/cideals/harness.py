@@ -44,7 +44,6 @@ from itertools import starmap
 
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
-from .poset import iter_bits
 from .substructures import OrderFacts, is_filter, is_ideal
 
 
@@ -147,13 +146,17 @@ class _Context:
 
 
 def _check_lem_boolean(ctx: _Context):
+    """a is forced when every ideal holding a holds a''.  The ideals holding
+    a are the cones ``down[g]`` with g in ``up[a]``, and ``down[g]`` holds
+    a'' exactly when g lies in ``up[a'']``.  So a is forced when ``up[a]``
+    lies inside ``up[a'']``: one mask test per element, O(n) in all."""
     cp, p = ctx.cp, ctx.cp.poset
     met = cp.props.antitone and cp.props.x_le_xdd
     note = "" if met else "needs an antitone complementation with x<=x'' for all x"
+    up = p.up
     for a in range(p.n):
         add = cp.comp[cp.comp[a]]
-        forced = all((i >> add) & 1 for i in ctx.order.ideals if (i >> a) & 1)
-        if forced and add != a:
+        if not up[a] & ~up[add] and add != a:
             return note, {"element": p.names[a], "double_complement": p.names[add]}
     return note, None
 
@@ -192,12 +195,19 @@ def _check_lem_cl_principal(ctx: _Context):
 
 
 def _check_lem_proper_pair(ctx: _Context):
+    """The members a of s with a' in s are ``s & s_0``, and s_0 is a read
+    of the cone table; the first such a is its lowest bit.  No a with
+    a' = a is skipped, since none lies in a proper set: the join and the
+    meet of a and a' would both be a, so a would be the top and the bottom,
+    and n = 1, where no ideal or filter is proper.  Cost: one preimage read
+    and one mask test per family member, O(n) in all."""
     cp, p = ctx.cp, ctx.cp.poset
     for kind, side in ctx.sides.items():
         for s in side.poset.facts.ideals:
-            for a in iter_bits(s) if s != p.all_mask else ():  # proper members only
-                if (s >> cp.comp[a]) & 1 and cp.comp[a] != a:
-                    return "", {f"proper_{kind}": p.format_set(s), "element": p.names[a]}
+            both = s & cp.comp_preimage(s) if s != p.all_mask else 0  # proper members only
+            if both:
+                a = (both & -both).bit_length() - 1
+                return "", {f"proper_{kind}": p.format_set(s), "element": p.names[a]}
     return "", None
 
 
@@ -235,13 +245,19 @@ def _check_lem_triple_a0(ctx: _Context):
     a''' in A, so some A fails exactly when a' != a''' for some a, and then
     {a'} fails.  A failing A holds one of a', a''' without the other, whose
     singleton is no larger a mask: the first failing singleton is the first
-    failing subset in mask order."""
+    failing subset in mask order.
+
+    The singleton {k} fails at a exactly when a' != a''' and k is one of
+    the two.  So the first k is the least a' or a''' over the failing a,
+    and its first a is the least failing a that has k as its a' or a''':
+    the pair a scan over k, then a, meets first.  Cost: O(n)."""
     cp, p, c = ctx.cp, ctx.cp.poset, ctx.cp.comp
     note = "" if cp.props.triple_identity else "needs the identity x''' = x'"
-    for k in range(p.n):
-        for a in range(p.n):
-            if (c[a] == k) != (c[c[c[a]]] == k):
-                return note, {"subset": p.format_set(1 << k), "element": p.names[a]}
+    failing = [(a, c[a], c[c[c[a]]]) for a in range(p.n) if c[a] != c[c[c[a]]]]
+    if failing:
+        k = min(min(ca, caaa) for _, ca, caaa in failing)
+        a = next(a for a, ca, caaa in failing if k in (ca, caaa))
+        return note, {"subset": p.format_set(1 << k), "element": p.names[a]}
     return note, None
 
 

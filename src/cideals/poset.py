@@ -215,7 +215,13 @@ class Poset:
         return tuple(self.names[i] for i in iter_bits(mask))
 
     def format_set(self, mask: int) -> str:
-        return "{" + ",".join(self.names_of(mask)) + "}"
+        self.check_mask(mask)
+        names, out = self.names, []
+        while mask:  # iter_bits inlined: this is a hot kernel
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return "{" + ",".join(out) + "}"
 
     def check_mask(self, mask: int) -> None:
         if mask < 0 or mask & ~self.all_mask:

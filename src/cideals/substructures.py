@@ -114,26 +114,36 @@ CLASSES = {
 
 def is_ideal(p: Poset, mask: int) -> bool:
     """Is ``mask`` a nonempty downset in which every pair of members has an
-    upper bound inside it?  One pass over the members.
+    upper bound inside it?  At most one pass over the members.
 
     A member x with ``down[x] & ~mask`` breaks downward closure.  Every pair
     is bounded in a nonempty ``mask`` exactly when it has one maximal
     member, one whose upper cone meets ``mask`` in itself alone.  Two
     distinct maximal members have no common bound in ``mask``, since such a
-    bound would equal each of them.  Conversely ``mask`` is finite, so every
-    member lies below a maximal one, and a sole maximal member bounds every
-    pair.  The empty set has no maximal member.
+    bound would equal each of them, so the pass returns False at the second
+    maximal member it meets.  Conversely ``mask`` is finite, so every member
+    lies below a maximal one, and a sole maximal member bounds every pair.
+    The empty set has no maximal member.
+
+    The range test of :meth:`Poset.check_mask` is made inline, and that
+    method is called only when it fails, to raise its PosetError: a
+    negative mask also has bits outside ``all_mask``.  Cost: O(n) mask
+    operations.
     """
-    p.check_mask(mask)
-    down, up, maximal, rest = p.down, p.up, 0, mask
+    if mask & ~p.all_mask:
+        p.check_mask(mask)
+    down, up, maximal, rest = p.down, p.up, False, mask
     while rest:  # iter_bits inlined: this is a hot kernel
         low = rest & -rest
         x = low.bit_length() - 1
         if down[x] & ~mask:
             return False
-        maximal += up[x] & mask == low
+        if up[x] & mask == low:
+            if maximal:
+                return False
+            maximal = True
         rest ^= low
-    return maximal == 1
+    return maximal
 
 
 def is_filter(p: Poset, mask: int) -> bool:
@@ -248,14 +258,17 @@ def is_prime_ideal(p: Poset, mask: int) -> bool:
     if mask == p.all_mask or not (mask in p.facts.down_generator or is_ideal(p, mask)):
         return False
     down, up, outside = p.down, p.up, p.all_mask & ~mask
-    for x in iter_bits(outside):
-        reach, rest = 0, down[x] & outside
-        while rest:  # iter_bits inlined: this is a hot kernel
-            low = rest & -rest
-            reach |= up[low.bit_length() - 1]
-            rest ^= low
+    todo = outside
+    while todo:  # iter_bits inlined, here and below: this is a hot kernel
+        low = todo & -todo
+        reach, rest = 0, down[low.bit_length() - 1] & outside
+        while rest:
+            bit = rest & -rest
+            reach |= up[bit.bit_length() - 1]
+            rest ^= bit
         if outside & ~reach:
             return False
+        todo ^= low
     return True
 
 
@@ -288,12 +301,21 @@ def find_c_filter_witness(cp: ComplementedPoset, mask: int) -> int | None:
 
 def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
     """Complement-preimage -> the first member of ``family`` with it, for
-    the preimages that pass the definition-level :func:`is_ideal` on
-    ``cp.poset``."""
+    the preimages that are ideals of ``cp.poset``.  A preimage that is a
+    principal cone, a key of ``down_generator``, is an ideal without the
+    member test; every other one gets the definition-level :func:`is_ideal`.
+
+    Cost: one preimage per member, a cone-table read for a cone of either
+    side, and one :func:`is_ideal` pass, O(n) mask operations, per distinct
+    preimage that is not a cone: O(n^2) at worst, O(n) when every preimage
+    is a cone.
+    """
     first: dict[int, int] = {}
     for s in family:
         first.setdefault(cp.comp_preimage(s), s)
-    return {pre: s for pre, s in first.items() if is_ideal(cp.poset, pre)}
+    q = cp.poset
+    cones = q.facts.down_generator
+    return {pre: s for pre, s in first.items() if pre in cones or is_ideal(q, pre)}
 
 
 class OrderFacts:
@@ -342,6 +364,12 @@ class OrderFacts:
         row g of ``lu`` lists those cells.  On the dual's facts, bit a of
         row g says whether the UL-union over the filter ``up[g]`` is a
         filter.
+
+        A cell that is a principal cone is an ideal, but these cells take
+        the member test all the same.  LEM_JOINSEMI_LU's hypothesis is that
+        every cell is a cone, and its conclusion reads these rows: read off
+        the generator map, the conclusion would restate the hypothesis, and
+        the checker would verify nothing.
 
         Cost: one :func:`is_ideal` pass, O(n) mask operations, per distinct
         cell of ``lu``, of which there are at most n^2: O(n^3) at worst;
@@ -435,9 +463,10 @@ class ComplementFacts:
 
     @fact
     def c_ideal_witnesses(self) -> dict[int, int]:
-        """Cost: n preimage reads from the cone table, then one
-        :func:`is_ideal` pass of O(n) per distinct preimage: O(n^2) mask
-        operations, past the dual's ``ideals``."""
+        """Read by :func:`_first_by_preimage` off the filters.  Cost: n
+        preimage reads from the cone table, then one :func:`is_ideal` pass
+        of O(n) per distinct preimage that is not a cone: O(n^2) mask
+        operations at worst, past the dual's ``ideals``."""
         return _first_by_preimage(self.cp, self.cp.poset.dual().facts.ideals)
 
     @fact

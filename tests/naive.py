@@ -195,6 +195,37 @@ def triple_a0_counterexample(elements, comp):
     return None
 
 
+def lem_boolean_counterexample(elements, le, comp):
+    """First a, in ``elements`` order, with a'' != a such that every ideal
+    holding a holds a'', as (a, a''); None if there is none.  The ideals
+    are all those of the 2^n subsets that pass :func:`is_ideal`."""
+    every_ideal = _families(tuple(elements), frozenset(le))[0]
+    for a in elements:
+        add = comp[comp[a]]
+        if add != a and all(add in s for s in every_ideal if a in s):
+            return a, add
+    return None
+
+
+def proper_pair_counterexample(elements, le, comp):
+    """First proper ideal, then first proper filter, holding some a and a',
+    with the first such a, as (kind, members, a); None if there is none.
+    The families come from the 2^n subsets and are scanned by size, then
+    by the tuple of member positions in ``elements``; members are listed in
+    ``elements`` order."""
+    universe = frozenset(elements)
+    position = {x: i for i, x in enumerate(elements)}
+    families = _families(tuple(elements), frozenset(le))
+    for kind, family in zip(("ideal", "filter"), families):
+        for s in sorted(family, key=lambda s: (len(s), sorted(position[x] for x in s))):
+            if s == universe:
+                continue
+            for a in elements:
+                if a in s and comp[a] in s:
+                    return kind, tuple(x for x in elements if x in s), a
+    return None
+
+
 @lru_cache(maxsize=64)
 def _families(elements, le):
     """(ideals, filters) of the order given in immutable form, built once for

@@ -56,6 +56,8 @@ def test_every_mutant_matches_its_file_once_and_names_existing_tests():
         for killer in entry.killers:
             path, _, name = killer.partition("::")
             assert f"def {name.partition('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8"), killer
+    for entry in mutants.EQUIVALENT:
+        assert entry.old != entry.new and entry.proof
 
 
 def test_mutation_gate_kills_a_mutant_and_fails_on_a_survivor_or_a_stale_entry():
@@ -77,3 +79,19 @@ def test_mutation_gate_kills_a_mutant_and_fails_on_a_survivor_or_a_stale_entry()
     assert rows[1].startswith("#1  killed   src/cideals/cli.py: ")
     assert rows[2].startswith("#2  survived src/cideals/cli.py: ")
     assert rows[-1] == "3 mutants: 1 killed, 1 survived, 0 errors, 1 not matched"
+
+
+def test_mutation_gate_lists_the_equivalent_mutants_and_fails_on_a_stale_one():
+    """The equivalent entries are listed with their proofs and not run; one
+    whose old text no longer matches fails the run."""
+    mutants = _mutants_script()
+    listed = mutants.EQUIVALENT[0]
+    out = io.StringIO()
+    assert mutants.run((), out=out, equivalent=(listed,)) == 0
+    assert out.getvalue().splitlines() == [
+        f"=1  equivalent {listed.file}: {listed.proof}",
+        "0 mutants: 0 killed, 0 survived, 0 errors, 0 not matched",
+    ]
+    out = io.StringIO()
+    assert mutants.run((), out=out, equivalent=(listed._replace(old=listed.old + "#stale"),)) == 1
+    assert out.getvalue().splitlines()[0] == f"equivalent #1 {listed.file}: old text found 0 times"
