@@ -14,7 +14,15 @@ Instance groups, in output order:
 - ``antichain``: bounds plus a k-antichain, k = 8-16, whose complement
   shifts each middle element to the next.
 
-These four groups give 218 instances and 872 outputs.  One more group reads
+These four groups give 218 instances and 872 outputs.  One more group runs
+the same four commands on instances larger than those, each decided
+exactly in well under a second:
+
+- ``large``: the Boolean lattices B6 and B7 and bounds plus a 20- and a
+  40-antichain, 16 outputs.  Kept apart from ``boolean`` and ``antichain``
+  so that their recorded digests stay as they are.
+
+One more group reads
 many answers from objects loaded once, which one-call-per-process CLI runs
 cannot: a stale or cross-contaminated cache shows only there.
 
@@ -114,6 +122,8 @@ COMMANDS = ("analyze", "check", "ideals", "filters")
 CAMPAIGN_SEEDS = range(1, 201)
 BOOLEAN_DIMS = range(2, 6)
 ANTICHAIN_KS = range(8, 17)
+LARGE_DIMS = (6, 7)
+LARGE_KS = (20, 40)
 API_SEED = 0
 API_SEPARATION_PAIRS = 4
 API_CLASSIFY = 12
@@ -172,6 +182,11 @@ SOURCES = {
     "boolean": lambda: (_instance(f"B{d}", *boolean_lattice(d)) for d in BOOLEAN_DIMS),
     "antichain": lambda: (_instance(f"antichain{k}", *bounded_antichain(k)) for k in ANTICHAIN_KS),
 }
+
+
+def _large():
+    yield from (_instance(f"B{d}", *boolean_lattice(d)) for d in LARGE_DIMS)
+    yield from (_instance(f"antichain{k}", *bounded_antichain(k)) for k in LARGE_KS)
 
 
 def run_machine(source):
@@ -319,7 +334,8 @@ def digest(argv):
 
 #: every group, in output order
 GROUPS = {**{name: partial(run_machine, source) for name, source in SOURCES.items()},
-          "api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text, "cli": run_cli}
+          "api": run_api, "separate": run_separate, "gen": run_gen, "text": run_text, "cli": run_cli,
+          "large": partial(run_machine, _large)}
 
 
 def main() -> int:

@@ -146,6 +146,15 @@ MUTANTS = (
     Mutant("src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if True}", (
         "tests/test_small_scope.py::test_witness_maps_hold_the_naive_c_ideals_up_to_six_points",
     )),
+    # the witness family skips the pair of each element with its successor
+    Mutant("src/cideals/substructures.py", "for y in range(x + 1, p.n)", "for y in range(x + 2, p.n)", (
+        "tests/test_small_scope.py::test_principal_family_is_the_naive_pair_list_on_every_small_poset",
+    )),
+    # LEM_CL_PRINCIPAL never compares an accepted set with the cones
+    Mutant("src/cideals/substructures.py", "strays = [s for s in kept if s not in cones]",
+           "strays = [s for s in kept if False]", (
+        "tests/test_harness.py::test_lem_cl_principal_reports_a_pair_the_ideal_test_accepts",
+    )),
     # the union row offset by one element
     Mutant("src/cideals/substructures.py", "for a, cell in enumerate(row) if cell in bad)",
            "for a, cell in enumerate(row[1:] + row[:1]) if cell in bad)", (

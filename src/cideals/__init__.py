@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     PartialMap,
     PosetError,
-    ScaleLimit,
     UnknownName,
 )
 from .harness import (
@@ -60,7 +59,6 @@ from .substructures import (
     DEFAULT_BUDGET,
     SubsetClassification,
     classify,
-    directed_downsets,
     enumerate_filters,
     enumerate_ideals,
     is_filter,

@@ -6,11 +6,10 @@ a file or not writable); 2 parse error (including unreadable input files and
 files that are not valid UTF-8); 3 validation failure (not a poset, axiom
 violation, malformed ideal/filter argument, a gen --size outside 2-24); 4 a
 requested check found a counterexample, an explicitly requested statement
-was not applicable or not verified (LEM_CL_PRINCIPAL past the downset
-walk's cap), a separation hypothesis failed, or gen found no complementation
-of its poset with the required constraints (stdout empty).  A console-script
-run (``run``) whose stdout is closed early ends by SIGPIPE, with nothing on
-stderr.
+was not applicable, a separation hypothesis failed, or gen found no
+complementation of its poset with the required constraints (stdout empty).
+A console-script run (``run``) whose stdout is closed early ends by SIGPIPE,
+with nothing on stderr.
 
 The command line is one table: ``PROGRAM`` holds the options given before
 the command, and ``COMMANDS`` each command's help line, operand and

@@ -43,10 +43,6 @@ class AxiomViolation(PosetError):
         self.element = element
 
 
-class ScaleLimit(PosetError):
-    """The downset walk would pass its fixed cap of downward-closed sets."""
-
-
 class BadSize(PosetError):
     pass
 

@@ -20,8 +20,9 @@ the ideals of P^d, and ``cp.dual()`` keeps the complement map.  So each
 statement about both families runs one loop over the two sides, ``cp`` for
 ideals and ``cp.dual()`` for filters, and the filter halves of Theorem 5 are
 its ideal checkers run on the dual side.  LEM_CL_PRINCIPAL reads neither
-family, since both assume it: each side's verdict is the downset walk kept
-on its order facts, which stops at one fixed cap.
+family, since both assume it: each side's verdict is kept on its order
+facts, the definition-level ideal test run on a complete witness family of
+O(n^2) downsets, so every instance is decided exactly.
 
 The separation theorems are also exposed as one constructive procedure,
 :func:`separate`, with a mode per theorem.  Each mode's hypotheses are
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from .complement import ComplementedPoset
-from .errors import NotFilter, NotIdeal, PosetError, ScaleLimit
+from .errors import NotFilter, NotIdeal, PosetError
 from .substructures import OrderFacts, is_filter, is_ideal
 
 
@@ -62,10 +63,7 @@ class TheoremCheckResult:
     ``conclusion_holds`` is absent when hypotheses are unmet; a present
     counterexample implies ``conclusion_holds=False``.  ``probe`` carries the
     hypothesis-minimality note (what the unguarded conclusion would do) and
-    is informational only.  Unmet hypotheses without a probe mean the
-    conclusion could not be evaluated at all: the LEM_CL_PRINCIPAL checker
-    raised ScaleLimit because the walk passed its fixed cap of
-    ``DEFAULT_BUDGET`` downsets, and ``detail`` carries that message.
+    is informational only; every result with unmet hypotheses carries one.
 
     The ``__init__`` is written by hand, with the signature the dataclass
     would generate: the generated one of a frozen dataclass sets each field
@@ -180,15 +178,12 @@ def _check_lem_cl_prime(ctx: _Context):
 
 
 def _check_lem_cl_principal(ctx: _Context):
-    """Reads the downset walk kept on each side's order facts, not the cone
-    families, which assume the result; the filter side walks the dual, and
-    only when the ideal side is decided and holds.  Over the walk's cap it
-    raises ScaleLimit with the kept message: nothing is concluded."""
+    """Reads the verdict kept on each side's order facts, not the cone
+    families, which assume the result; the filter side reads the dual's,
+    and only when the ideal side holds."""
     for kind, side in ctx.sides.items():
         q = side.poset
-        found, over_cap = q.facts.principal_walk
-        if over_cap:
-            raise ScaleLimit(over_cap)
+        found = q.facts.principal_walk
         if found is not None:
             return "", {f"non_principal_{kind}": q.format_set(found)}
     return "", None
@@ -541,12 +536,8 @@ _CHECKERS = {StatementId(tag): check for tag, check, _ in _CATALOG}
 
 def _run_checker(ctx: _Context, sid: StatementId, check) -> TheoremCheckResult:
     """The one place a result is built, from ``check``, the checker of
-    ``sid``: met, with the verdict; unmet, with the probe; or, when the
-    checker raises ScaleLimit, unmet and unprobed."""
-    try:
-        note, cex = check(ctx)
-    except ScaleLimit as exc:
-        return TheoremCheckResult(sid, False, None, detail=f"downset walk over budget: {exc}")
+    ``sid``: met, with the verdict, or unmet, with the probe."""
+    note, cex = check(ctx)
     if not note:
         return TheoremCheckResult(sid, True, cex is None, cex)
     if cex is None:

@@ -560,12 +560,10 @@ def render_text(report: Report) -> str:
     lines.extend(_describe_row(p, row, "filter") for row in report.filters)
     if report.theorems is not None:
         failed = [t for t in report.theorems if t.conclusion_holds is False]
-        unmet = [t for t in report.theorems if not t.hypotheses_met and t.probe is not None]
-        undecided = [t for t in report.theorems if not t.hypotheses_met and t.probe is None]
+        unmet = [t for t in report.theorems if not t.hypotheses_met]
         lines.append(
             f"statements: {len(report.theorems)} checked, "
             f"{len(failed)} counterexamples, {len(unmet)} not applicable"
-            + (f", {len(undecided)} not verified" if undecided else "")
         )
         lines.extend("  " + text_theorem_row(res) for res in report.theorems)
     return "\n".join(lines) + "\n"
@@ -580,8 +578,6 @@ def text_theorem_row(res: TheoremCheckResult) -> str:
         return f"{tag}: COUNTEREXAMPLE {payload}"
     if res.hypotheses_met:
         return f"{tag}: verified"
-    if res.probe is None:
-        return f"{tag}: not verified ({res.detail})"
     return f"{tag}: not applicable ({res.detail}; probe: {res.probe})"
 
 

@@ -10,11 +10,9 @@ import naive
 from cideals import (
     Instance,
     Poset,
-    ScaleLimit,
     attach_complementation,
     build_poset,
     builtin_corpus,
-    directed_downsets,
     emit_instance,
     enumerate_filters,
     enumerate_ideals,
@@ -23,8 +21,8 @@ from cideals import (
     random_complementation,
     random_complemented_poset,
 )
-from cideals.poset import DistributivityReport, iter_bits, sort_key
-from cideals.substructures import DEFAULT_BUDGET, _enumerate_downsets, _extension, is_prime_ideal
+from cideals.poset import DistributivityReport, iter_bits
+from cideals.substructures import is_prime_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -107,97 +105,13 @@ def mask(poset, tokens):
 
 
 def assert_families_agree(p, elements, le):
-    """The principal-cone families equal the directed sets the downset walk
-    finds (on the dual for filters) and the naive oracle's families."""
+    """The principal-cone families equal the naive oracle's families, and
+    the LEM_CL_PRINCIPAL verdict of each side's order facts finds no ideal
+    or filter that is not a cone."""
     ideals, filters = enumerate_ideals(p), enumerate_filters(p)
-    assert ideals == directed_downsets(p)
-    assert filters == directed_downsets(p.dual())
+    assert p.facts.principal_walk is None and p.dual().facts.principal_walk is None
     assert {names(p, m) for m in ideals} == set(naive.ideals(elements, le))
     assert {names(p, m) for m in filters} == set(naive.filters(elements, le))
-
-
-def reference_enumerate_downsets(p, budget):
-    """The downset walk ``_enumerate_downsets`` replaced, which scans every
-    earlier downset for each element.  All downward-closed subsets,
-    including the empty one.
-
-    Elements are added along :func:`_extension`: once the downsets inside
-    the first k elements are known, element k extends exactly those that
-    hold everything strictly below it, as one block.  Raises ScaleLimit as
-    soon as the count of downsets passes ``budget``.
-    """
-    out = [0]
-    for e in _extension(p):
-        bit = 1 << e
-        below = p.down[e] ^ bit
-        grown = [d | bit for d in out if not below & ~d]
-        if len(out) + len(grown) > budget:
-            raise ScaleLimit(f"more than {budget} downward-closed subsets")
-        out += grown
-    return out
-
-
-def assert_walk_matches_reference(p, every_budget=False):
-    """On ``p`` and on its dual, ``_enumerate_downsets`` returns the list of
-    ``reference_enumerate_downsets``, the walk that scans every earlier
-    downset for each element, in the same order.  With ``every_budget``,
-    at each budget from 1 to the count it also raises ScaleLimit, with the
-    same message, exactly when the reference does.  Returns the downsets
-    walked and the budgets refused, over both sides."""
-    walked = refused = 0
-    for q in (p, p.dual()):
-        want = reference_enumerate_downsets(q, DEFAULT_BUDGET)
-        assert _enumerate_downsets(q, DEFAULT_BUDGET) == want, q
-        walked += len(want)
-        for budget in range(1, len(want) + 1) if every_budget else ():
-            try:
-                expected = reference_enumerate_downsets(q, budget)
-            except ScaleLimit as exc:
-                expected = str(exc)
-            try:
-                got = _enumerate_downsets(q, budget)
-            except ScaleLimit as exc:
-                got = str(exc)
-            assert got == expected, (q, budget)
-            refused += isinstance(expected, str)
-    return walked, refused
-
-
-def reference_directed_downsets(p):
-    """The filter ``directed_downsets`` replaced: every nonempty set of the
-    reference downset walk that passes the all-pairs test, sorted like the
-    families."""
-    found = [d for d in reference_enumerate_downsets(p, DEFAULT_BUDGET) if d and _all_pairs_bounded(p, d)]
-    found.sort(key=sort_key)
-    return found
-
-
-def _all_pairs_bounded(p, mask):
-    """Does every pair of members have a common upper bound in ``mask``?"""
-    rest = mask
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1  # the members after x
-        above = p.up[x] & mask
-        others = rest
-        while others:
-            low = others & -others
-            if not above & p.up[low.bit_length() - 1]:
-                return False
-            others ^= low
-    return True
-
-
-def assert_directed_downsets_match_reference(p):
-    """``directed_downsets`` on ``p`` and on its dual keeps the reference's
-    sets, which are the principal cones.  Returns how many nonempty walked
-    sets the two rejected."""
-    rejected = 0
-    for q in (p, p.dual()):
-        found = directed_downsets(q)
-        assert found == reference_directed_downsets(q) == enumerate_ideals(q)
-        rejected += len(_enumerate_downsets(q, DEFAULT_BUDGET)) - 1 - len(found)
-    return rejected
 
 
 def naive_order(p):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cideals import Instance, attach_complementation, build_poset, emit_instance, substructures
+from cideals import Instance, attach_complementation, build_poset, emit_instance
 from cideals import cli
 from cideals.cli import COMMANDS, PROGRAM, main, make_parser
 from conftest import boolean_lattice
@@ -415,7 +415,7 @@ def _argv(instdir, argv):
     "argv", HARNESS_COMMANDS + OTHER_COMMANDS, ids=lambda argv: argv[0]
 )
 def test_budget_must_be_positive(instdir, capsys, argv, budget):
-    # the walk's cap is fixed: --budget is an unknown flag on every command
+    # nothing is capped: --budget is an unknown flag on every command
     code, out, err = run_cli(capsys, _argv(instdir, argv) + ["--budget", budget])
     assert code == 1 and "usage error" in err and not out
     assert f"unrecognized arguments: --budget {budget}" in err
@@ -483,30 +483,7 @@ def test_gen_density_in_unit_interval_accepted(capsys, density):
     assert code == 0 and "comp:" in out
 
 
-def test_check_principal_over_budget_exits_4(instdir, capsys, monkeypatch):
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
-    code, out, _ = run_cli(
-        capsys,
-        ["check", str(instdir / "fig3.poset"), "--statement", "LEM_CL_PRINCIPAL"],
-    )
-    assert code == 4
-    assert out.startswith("LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 10 ")
-
-
-def test_analyze_over_budget_completes(instdir, capsys, monkeypatch):
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
-    code, out, _ = run_cli(capsys, ["analyze", str(instdir / "fig3.poset")])
-    assert code == 0
-    assert "  LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 10 " in out
-    assert "LEM_CL_PRINCIPAL: verified" not in out
-    # counted apart from the statements whose hypotheses fail
-    assert "statements: 19 checked, 0 counterexamples, 4 not applicable, 1 not verified" in out
-    monkeypatch.undo()
-    _, uncapped, _ = run_cli(capsys, ["analyze", str(instdir / "fig3.poset")])
-    assert "statements: 19 checked, 0 counterexamples, 4 not applicable\n" in uncapped
-
-
-def test_analyze_b6_reports_walk_over_default_budget(tmp_path, capsys):
+def test_analyze_b6_verifies_lem_cl_principal(tmp_path, capsys):
     elements, covers, comp = boolean_lattice(6)
     p = build_poset(elements, covers)
     path = tmp_path / "B6.poset"
@@ -514,7 +491,7 @@ def test_analyze_b6_reports_walk_over_default_budget(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["analyze", str(path)])
     assert code == 0
     assert "ideals (64):" in out and "filters (64):" in out
-    assert "LEM_CL_PRINCIPAL: not verified (downset walk over budget: more than 1048576 " in out
+    assert "\n  LEM_CL_PRINCIPAL: verified\n" in out
 
 
 def test_not_applicable_rows_print_their_probe(instdir, capsys):

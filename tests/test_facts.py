@@ -116,21 +116,22 @@ def test_complementations_share_order_facts_but_not_c_facts(monkeypatch):
         assert got == (_c_facts(fresh), run_all(fresh))
 
 
-def _count_walks(monkeypatch):
-    """Patch the downset walk to record the poset of each call."""
-    walked = []
+def _count_families(monkeypatch):
+    """Patch the LEM_CL_PRINCIPAL witness family to record the poset of
+    each call."""
+    listed = []
     real = substructures._enumerate_downsets
 
-    def counted(q, budget):
-        walked.append(q)
-        return real(q, budget)
+    def counted(q):
+        listed.append(q)
+        return real(q)
 
     monkeypatch.setattr(substructures, "_enumerate_downsets", counted)
-    return walked
+    return listed
 
 
 def test_principal_walk_runs_once_per_poset_and_side(monkeypatch):
-    walked = _count_walks(monkeypatch)
+    listed = _count_families(monkeypatch)
     p = build_poset(*M3)
     cps = _complementations(p)
     for cp in cps:
@@ -138,29 +139,17 @@ def test_principal_walk_runs_once_per_poset_and_side(monkeypatch):
             assert check_statement(cp, "LEM_CL_PRINCIPAL").conclusion_holds is True
             run_all(cp)
     assert len(cps) == 8
-    assert len(walked) == 2  # once on p and once on its dual, for the filters
-    assert walked[0] is p and walked[1] is p.dual()
+    assert len(listed) == 2  # once on p and once on its dual, for the filters
+    assert listed[0] is p and listed[1] is p.dual()
 
 
-def test_over_cap_walk_is_kept(monkeypatch):
-    walked = _count_walks(monkeypatch)
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
-    p = build_poset(*bounded_antichain(4)[:2])  # 2^4 + 2 downsets
-    first = p.facts.principal_walk
-    assert first == (None, "more than 10 downward-closed subsets")
-    assert p.facts.principal_walk is first
-    assert walked == [p]
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 1 << 20)
-    assert p.facts.principal_walk is first  # the kept verdict, not a new walk
-    assert walked == [p]
-
-
-def test_walk_that_drops_an_ideal_is_an_internal_error(monkeypatch):
-    """Each set the walk keeps is a principal cone, so a walk that drops one
-    keeps fewer than n: LEM_CL_PRINCIPAL may not read that as verified."""
-    walk = substructures.directed_downsets
-    monkeypatch.setattr(substructures, "directed_downsets", lambda p: walk(p)[:-1])
-    cp = corpus_entry("fig2a").cp  # fresh objects: no walk kept yet
+def test_rejected_cone_is_an_internal_error(monkeypatch):
+    """Each accepted family member is a cone, so a rejected cone leaves
+    fewer than n: LEM_CL_PRINCIPAL may not read that as verified."""
+    cp = corpus_entry("fig2a").cp  # fresh objects: no verdict kept yet
+    p, real = cp.poset, substructures.is_ideal
+    cone = p.down[p.index("a")]
+    monkeypatch.setattr(substructures, "is_ideal", lambda q, mask: not (q is p and mask == cone) and real(q, mask))
     with pytest.raises(PosetError, match=r"^internal error: kept 8 of 9 principal ideals$"):
         check_statement(cp, "LEM_CL_PRINCIPAL")
 

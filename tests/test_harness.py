@@ -226,35 +226,21 @@ def test_subset_statement_exact_above_twelve_elements():
     assert res.hypotheses_met and res.conclusion_holds is True
 
 
-def test_lem_cl_principal_over_budget_is_not_verified(monkeypatch):
-    # fig3 has more than 10 downsets, so the walk passes a cap of 10; the
-    # verdict is kept on the poset, so the object must be fresh
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
-    res = check_statement(corpus_entry("fig3").cp, StatementId.LEM_CL_PRINCIPAL)
-    assert not res.hypotheses_met and res.conclusion_holds is None
-    assert res.counterexample is None
-    assert res.detail.startswith("downset walk over budget: more than 10 ")
-    assert res.probe is None  # claims nothing about the conclusion
-
-
-def test_over_budget_leaves_other_statements_alone(fig3, monkeypatch):
-    principal = StatementId.LEM_CL_PRINCIPAL
-    full = [r for r in run_all(fig3.cp) if r.statement != principal]
-    monkeypatch.setattr(substructures, "DEFAULT_BUDGET", 10)
-    capped = [r for r in run_all(corpus_entry("fig3").cp) if r.statement != principal]
-    assert capped == full and len(capped) == 18
-
-
-def test_lem_cl_principal_reports_what_the_walk_finds(monkeypatch):
-    # the statement holds on every finite poset; a doctored walk shows that a
-    # non-principal directed set would still be the counterexample
-    fig1 = corpus_entry("fig1")  # fresh: the walk's verdict is kept on the poset
+@pytest.mark.parametrize("side,pair,expected", [
+    ("ideal", "0 a b", {"non_principal_ideal": "{0,a,b}"}),
+    ("filter", "a b 1", {"non_principal_filter": "{a,b,1}"}),
+], ids=["ideal", "filter"])
+def test_lem_cl_principal_reports_a_pair_the_ideal_test_accepts(monkeypatch, side, pair, expected):
+    # the statement holds on every finite poset; an is_ideal doctored to
+    # accept one pair's least downset, on one side, shows that the family
+    # tests that set and reports it as the counterexample
+    fig1 = corpus_entry("fig1")  # fresh: the verdict is kept on the poset
     p = fig1.poset
-    fake = mask(p, "0 a b")
-    monkeypatch.setattr(substructures, "directed_downsets", lambda order: [fake])
+    q, fake, real = p if side == "ideal" else p.dual(), mask(p, pair), substructures.is_ideal
+    monkeypatch.setattr(substructures, "is_ideal", lambda o, m: (o is q and m == fake) or real(o, m))
     res = check_statement(fig1.cp, StatementId.LEM_CL_PRINCIPAL)
     assert res.hypotheses_met and res.conclusion_holds is False
-    assert res.counterexample == {"non_principal_ideal": "{0,a,b}"}
+    assert res.counterexample == expected
 
 
 def _set_flag(flag):

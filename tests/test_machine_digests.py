@@ -162,3 +162,12 @@ def test_gen_group_covers_every_run():
             err = f"no complementation found for size={n} seed={seed} require={require}\n"
             payload = f"exit=4\n--stdout--\n--stderr--\n{err}"
             assert sha == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_large_group_runs_every_command_on_the_four_large_instances():
+    result = shared_run("large")
+    assert result.returncode == 0 and not result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    names = ("B6", "B7", "antichain20", "antichain40")
+    assert [row[:2] for row in rows] == [[c, name] for name in names for c in COMMANDS]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)

@@ -89,21 +89,6 @@ def test_run_checker_wraps_failure_without_probe():
     assert result.probe is None
 
 
-def test_run_checker_reports_scale_limit_as_not_verified():
-    # a checker that raises ScaleLimit concluded nothing: unmet, no probe
-    from cideals import ScaleLimit, harness
-
-    def stub(ctx):
-        raise ScaleLimit("x")
-
-    result = harness._run_checker(None, StatementId.LEM_CL_PRINCIPAL, stub)
-    assert result.hypotheses_met is False
-    assert result.conclusion_holds is None
-    assert result.probe is None
-    assert result.counterexample is None
-    assert result.detail == "downset walk over budget: x"
-
-
 def test_machine_render_deterministic(fig3):
     one = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp)))
     two = render_machine(build_report(Instance("fig3", fig3.poset, fig3.cp)))

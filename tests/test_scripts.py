@@ -1,4 +1,4 @@
-"""Smoke tests of ``scripts/random_campaign.py`` and ``scripts/mutants.py``."""
+"""Smoke tests of ``scripts/random_campaign.py``, ``scripts/mutants.py`` and ``scripts/scaling.py``."""
 
 import importlib.util
 import io
@@ -95,3 +95,21 @@ def test_mutation_gate_lists_the_equivalent_mutants_and_fails_on_a_stale_one():
     out = io.StringIO()
     assert mutants.run((), out=out, equivalent=(listed._replace(old=listed.old + "#stale"),)) == 1
     assert out.getvalue().splitlines()[0] == f"equivalent #1 {listed.file}: old text found 0 times"
+
+
+def test_scaling_times_each_stage_on_the_smallest_sizes():
+    run = run_script("scaling.py", "--sizes", "1")
+    assert run.returncode == 0 and not run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].split() == ["family", "size", "n", "principal_s", "analyze_s"]
+    rows = [line.split() for line in lines[1:3]]
+    assert [row[:3] for row in rows] == [["boolean", "B4", "16"], ["antichain", "k=16", "18"]]
+    assert all(float(seconds) >= 0 for row in rows for seconds in row[3:])
+    assert lines[3:] == [f"slope {family} {stage}: - (one size)"
+                         for family in ("boolean", "antichain") for stage in ("principal", "analyze")]
+
+
+def test_scaling_rejects_no_sizes():
+    run = run_script("scaling.py", "--sizes", "0")
+    assert run.returncode == 2 and not run.stdout
+    assert "--sizes must be at least 1, got 0" in run.stderr

@@ -16,7 +16,6 @@ import itertools
 
 import naive
 from cideals import (
-    DEFAULT_BUDGET,
     AxiomViolation,
     attach_complementation,
     build_poset,
@@ -25,14 +24,12 @@ from cideals import (
 from cideals.substructures import _enumerate_downsets, is_prime_filter, is_ultrafilter, principal_generator
 from conftest import (
     assert_complementation_matches_reference,
-    assert_directed_downsets_match_reference,
     assert_distributivity_agrees,
     assert_distributivity_matches_reference,
     assert_families_agree,
     assert_kernels_match_reference,
     assert_subset_tests_agree,
     assert_union_cells_agree,
-    assert_walk_matches_reference,
     bounded_antichain,
     corpus_campaign_boolean,
     kernel_masks,
@@ -63,38 +60,26 @@ def test_distributivity_matches_the_reference_scan_on_every_small_poset():
     assert failures == 730  # of the 2 x 407 posets and duals
 
 
-def test_directed_downsets_match_the_reference_on_every_small_poset():
-    rejected = sum(assert_directed_downsets_match_reference(p) for p in POSETS)
-    assert rejected == 5704  # walked nonempty sets that are not directed
-
-
-def test_downset_walk_matches_its_reference(corpus):
-    """The windowed walk gives the reference walk's list, in its order, on
-    each poset and its dual: the posets above, at every budget up to the
-    count, then the corpus, campaign seeds 1-200, B2-B4 and the bounds
-    plus a 2- to 12-antichain."""
-    found = [assert_walk_matches_reference(p, every_budget=True) for p in POSETS]
-    assert [sum(column) for column in zip(*found)] == [10460, 9646]
-    posets = [cp.poset for cp in corpus_campaign_boolean(corpus)]
-    posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 13)]
-    found = [assert_walk_matches_reference(p) for p in posets]
-    assert [sum(column) for column in zip(*found)] == [36196, 0]
-
-
-def test_downset_walk_finds_every_naive_downset_on_every_small_poset():
-    """The walked sets, without repeats, are the subsets closed downward
-    under the order rebuilt by ``naive.closure`` from the cover pairs, on
-    each poset and on its dual, whose order is the reversed relation."""
-    walked = 0
+def test_principal_family_is_the_naive_pair_list_on_every_small_poset():
+    """The LEM_CL_PRINCIPAL witness family lists the cones of the elements in
+    index order, then the least downset of each incomparable pair x < y in
+    pair order, under the order rebuilt by ``naive.closure`` from the cover
+    pairs, on each poset and on its dual, whose order is the reversed
+    relation.  Each member is a naive downset.  So a dropped or extra pair
+    fails."""
+    listed = 0
     for p in POSETS:
         elements = list(p.names)
         le = naive.closure(elements, p.cover_pairs())
         for q, order in ((p, le), (p.dual(), {(y, x) for x, y in le})):
-            found = [names(q, d) for d in _enumerate_downsets(q, DEFAULT_BUDGET)]
-            assert len(set(found)) == len(found)
-            assert set(found) == set(naive.downsets(elements, order)), q
-            walked += len(found)
-    assert walked == 10460
+            cone = {x: naive.lower_cone(elements, order, {x}) for x in elements}
+            pairs = [cone[x] | cone[y] for x, y in itertools.combinations(elements, 2)
+                     if (x, y) not in order and (y, x) not in order]
+            found = [names(q, d) for d in _enumerate_downsets(q)]
+            assert found == [cone[x] for x in elements] + pairs, q
+            assert set(found) <= set(naive.downsets(elements, order))
+            listed += len(found)
+    assert listed == 8194  # 2 x 1971 cones and 2 x 2126 incomparable pairs
 
 
 def test_random_complementation_matches_the_reference_on_every_small_poset():

@@ -6,10 +6,8 @@ import naive
 from cideals import (
     Poset,
     PosetError,
-    ScaleLimit,
     build_poset,
     classify,
-    directed_downsets,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
@@ -17,7 +15,6 @@ from cideals import (
     random_complemented_poset,
 )
 from cideals.substructures import (
-    _enumerate_downsets,
     find_c_filter_witness,
     find_c_ideal_witness,
     is_maximal_ideal,
@@ -25,7 +22,6 @@ from cideals.substructures import (
 )
 from cideals.poset import sort_key
 from conftest import (
-    assert_directed_downsets_match_reference,
     assert_families_agree,
     assert_subset_tests_agree,
     assert_union_cells_agree,
@@ -111,30 +107,6 @@ def test_enumeration_matches_oracle(corpus):
         p = entry.poset
         assert {names(p, m) for m in enumerate_ideals(p)} == set(naive.ideals(elements, le))
         assert {names(p, m) for m in enumerate_filters(p)} == set(naive.filters(elements, le))
-
-
-def test_budget_scale_limit():
-    # a 12-antichain plus bounds has 2^12 downsets; a walk capped at 1000 must refuse
-    mids = [f"x{i}" for i in range(12)]
-    p = build_poset(
-        ["bot", *mids, "top"],
-        [("bot", m) for m in mids] + [(m, "top") for m in mids],
-    )
-    with pytest.raises(ScaleLimit):
-        _enumerate_downsets(p, 1000)
-    assert len(directed_downsets(p)) == 14
-
-
-def test_directed_downsets_match_the_reference(corpus):
-    # the cone test keeps exactly the walked sets the all-pairs test keeps,
-    # on each poset and its dual: the corpus, campaign seeds 1-200, B2-B5
-    # and the bounds plus a 2- to 12-antichain
-    posets = [entry.poset for entry in corpus.values()]
-    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
-    posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(2, 6)]
-    posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 13)]
-    rejected = sum(assert_directed_downsets_match_reference(p) for p in posets)
-    assert rejected == 48058  # walked nonempty sets that are not directed
 
 
 def test_families_match_walk_and_oracle_on_corpus(corpus):
