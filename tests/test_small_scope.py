@@ -18,7 +18,6 @@ import naive
 from cideals import (
     AxiomViolation,
     attach_complementation,
-    build_poset,
     random_complementation,
 )
 from cideals.substructures import _enumerate_downsets, is_prime_filter, is_ultrafilter, principal_generator
@@ -30,7 +29,6 @@ from conftest import (
     assert_kernels_match_reference,
     assert_subset_tests_agree,
     assert_union_cells_agree,
-    bounded_antichain,
     corpus_campaign_boolean,
     kernel_masks,
     naive_complementations,
