@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Seconds per size of the LEM_CL_PRINCIPAL check and of ``analyze``.
 
-Two instance families, each run on its first ``--sizes`` sizes (5 by
-default):
+Two instance families, each run on its first ``SIZES`` sizes:
 
 - ``boolean``: the Boolean lattices B4, B5, ..., B8, with set complement;
 - ``antichain``: bounds plus a k-antichain, k = 16, 32, ..., 256, whose
@@ -23,17 +22,16 @@ and stage the log-log slope between the two largest sizes,
 log(t2/t1) / log(n2/n1) with n the number of elements: 2 means the stage
 grows as n^2.
 
-Usage: PYTHONPATH=src python3 scripts/scaling.py [--sizes 5]
+Usage: PYTHONPATH=src python3 scripts/scaling.py
 """
 
-import argparse
 import importlib.util
 import math
 import sys
 import time
 from pathlib import Path
 
-from cideals import Instance, attach_complementation, build_poset, build_report, render_machine
+from cideals import build_report, render_machine
 
 _spec = importlib.util.spec_from_file_location("machine_digests", Path(__file__).with_name("machine_digests.py"))
 _digests = importlib.util.module_from_spec(_spec)
@@ -51,6 +49,7 @@ def analyze(instance):
 
 STAGES = {"principal": principal, "analyze": analyze}
 REPEAT = 3
+SIZES = 5
 
 
 def families(sizes):
@@ -61,17 +60,11 @@ def families(sizes):
     }
 
 
-def fresh(label, spec):
-    elements, covers, comp = spec()
-    p = build_poset(elements, covers)
-    return Instance(label, p, attach_complementation(p, comp))
-
-
 def best(stage, label, spec):
     """Least seconds of ``REPEAT`` runs of ``stage``, each on a fresh instance."""
     times = []
     for _ in range(REPEAT):
-        instance = fresh(label, spec)
+        instance = _digests._instance(label, *spec())
         start = time.perf_counter()
         stage(instance)
         times.append(time.perf_counter() - start)
@@ -79,14 +72,9 @@ def best(stage, label, spec):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, default=5, help="sizes per family, from the smallest (default 5)")
-    args = parser.parse_args()
-    if args.sizes < 1:
-        parser.error(f"--sizes must be at least 1, got {args.sizes}")
     print(f"{'family':<10}{'size':<8}{'n':>5}" + "".join(f"{stage + '_s':>14}" for stage in STAGES))
     points = {}
-    for family, sizes in families(args.sizes).items():
+    for family, sizes in families(SIZES).items():
         for label, spec in sizes:
             n = len(spec()[0])
             row = {stage: best(run, label, spec) for stage, run in STAGES.items()}
@@ -94,9 +82,6 @@ def main() -> int:
             for stage, seconds in row.items():
                 points.setdefault((family, stage), []).append((label, n, seconds))
     for (family, stage), rows in points.items():
-        if len(rows) < 2:
-            print(f"slope {family} {stage}: - (one size)")
-            continue
         (l1, n1, t1), (l2, n2, t2) = rows[-2:]
         print(f"slope {family} {stage}: {math.log(t2 / t1) / math.log(n2 / n1):.2f} ({l1} -> {l2})")
     return 0

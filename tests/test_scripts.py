@@ -98,18 +98,12 @@ def test_mutation_gate_lists_the_equivalent_mutants_and_fails_on_a_stale_one():
 
 
 def test_scaling_times_each_stage_on_the_smallest_sizes():
-    run = run_script("scaling.py", "--sizes", "1")
-    assert run.returncode == 0 and not run.stderr
-    lines = run.stdout.splitlines()
-    assert lines[0].split() == ["family", "size", "n", "principal_s", "analyze_s"]
-    rows = [line.split() for line in lines[1:3]]
-    assert [row[:3] for row in rows] == [["boolean", "B4", "16"], ["antichain", "k=16", "18"]]
-    assert all(float(seconds) >= 0 for row in rows for seconds in row[3:])
-    assert lines[3:] == [f"slope {family} {stage}: - (one size)"
-                         for family in ("boolean", "antichain") for stage in ("principal", "analyze")]
-
-
-def test_scaling_rejects_no_sizes():
-    run = run_script("scaling.py", "--sizes", "0")
-    assert run.returncode == 2 and not run.stdout
-    assert "--sizes must be at least 1, got 0" in run.stderr
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    firsts = scaling.families(1)
+    assert {family: [(label, len(build()[0])) for label, build in sizes] for family, sizes in firsts.items()} == {
+        "boolean": [("B4", 16)], "antichain": [("k=16", 18)]}
+    for (label, build), in firsts.values():
+        for stage in scaling.STAGES.values():
+            assert scaling.best(stage, label, build) >= 0
