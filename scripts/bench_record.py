@@ -7,7 +7,7 @@ Run from anywhere in a checkout:
     python3 scripts/bench_record.py --out BENCH_<n>.json
     python3 scripts/bench_record.py --compare BENCH_<a>.json BENCH_<b>.json
     python3 scripts/bench_record.py --pair PARENT CHANGE --workload W --seed S \
-        [--pairs 10] [--claim METRIC] --out PAIR_<n>.json
+        [--claim METRIC] --out PAIR_<n>.json
 
 Recording runs ``perfbench/run.py`` of this checkout, unchanged, on each
 workload: once untraced for every seed in ``SEEDS`` at ``SECONDS`` seconds,
@@ -27,10 +27,10 @@ cites at least 10 alternating parent/change pairs of runs.
 
 Pairing extracts the committed files of both revisions (``git archive``)
 into a temporary directory and refuses to run when their ``perfbench/`` or
-``BENCHMARK.json`` differ.  Each pair runs both sides' own
-``perfbench/run.py`` untraced, one after the other, with every
-``__pycache__`` removed before each run; the side that runs first
-alternates, the parent first in the first pair.  The record holds both
+``BENCHMARK.json`` differ.  Each of ``PAIRS`` pairs runs both sides' own
+``perfbench/run.py`` untraced at ``SECONDS`` seconds, one after the other,
+with every ``__pycache__`` removed before each run; the side that runs
+first alternates, the parent first in the first pair.  The record holds both
 commits, each pair's end-to-end metrics and, per metric, both sides'
 median and quartiles, the number of pairs the change won and the parent's
 interquartile range.  ``--claim METRIC`` prints whether a gain in METRIC
@@ -57,6 +57,8 @@ SPEC = ROOT / "BENCHMARK.json"
 SEEDS = tuple(range(10))
 SECONDS = 15
 TRACE_SEED = 0
+#: the paired runs of ``--pair``, the fewest a speed claim cites
+PAIRS = 10
 
 
 def bench(workload: str, seed: int, trace: int, root: Path = ROOT) -> dict:
@@ -86,7 +88,7 @@ def better(metric: dict, change: float, parent: float) -> bool:
     return change < parent if metric["better"] == "lower" else change > parent
 
 
-def pair(parent: str, change: str, workload: str, seed: int, pairs: int, claim: str | None, path: Path) -> int:
+def pair(parent: str, change: str, workload: str, seed: int, claim: str | None, path: Path) -> int:
     spec = json.loads(SPEC.read_text())
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in
                (("parent", parent), ("change", change))}
@@ -102,7 +104,7 @@ def pair(parent: str, change: str, workload: str, seed: int, pairs: int, claim: 
             root.mkdir()
             archive = subprocess.run(["git", "archive", commits[side]], cwd=ROOT, capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", str(root)], input=archive.stdout, check=True)
-        for k in range(pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             run = {"first": order[0]}
             for side in order:
@@ -137,20 +139,20 @@ def pair(parent: str, change: str, workload: str, seed: int, pairs: int, claim: 
     for name, stats in summary.items():
         old, new = stats["parent"]["median"], stats["change"]["median"]
         print(f"{name:<13} {old:>10.4g} {new:>10.4g} {new / old if old else 1.0:>7.3f} "
-              f"{stats['change_better']:>3}/{pairs} better, parent IQR {stats['parent_iqr']:.4g}")
+              f"{stats['change_better']:>3}/{PAIRS} better, parent IQR {stats['parent_iqr']:.4g}")
     if claim:
-        print(f"claim {claim}: {'holds' if claim_holds(spec, summary, claim, pairs) else 'does not hold'}")
+        print(f"claim {claim}: {'holds' if claim_holds(spec, summary, claim) else 'does not hold'}")
     return 0
 
 
-def claim_holds(spec: dict, summary: dict, name: str, pairs: int) -> bool:
+def claim_holds(spec: dict, summary: dict, name: str) -> bool:
     """A gain in ``name``: the change better in at least 9 of every 10
     pairs, and its median better by more than the parent's IQR."""
     metric = next(m for m in spec["end_to_end"] if m["name"] == name)
     stats = summary[name]
     gap = stats["parent"]["median"] - stats["change"]["median"]
     gap = gap if metric["better"] == "lower" else -gap
-    return 10 * stats["change_better"] >= 9 * pairs and gap > stats["parent_iqr"]
+    return 10 * stats["change_better"] >= 9 * PAIRS and gap > stats["parent_iqr"]
 
 
 def record(path: Path) -> int:
@@ -208,7 +210,6 @@ def main() -> int:
     mode.add_argument("--pair", nargs=2, metavar=("PARENT", "CHANGE"), help="paired runs of two revisions")
     parser.add_argument("--workload", help="the workload of --pair")
     parser.add_argument("--seed", type=int, help="the seed of --pair")
-    parser.add_argument("--pairs", type=int, default=10, help="the number of pairs (default 10)")
     parser.add_argument("--claim", metavar="METRIC", help="print whether --pair shows a gain in METRIC")
     args = parser.parse_args()
     if args.compare:
@@ -218,11 +219,11 @@ def main() -> int:
     if not args.pair:
         return record(args.out)
     spec = json.loads(SPEC.read_text())
-    if args.workload not in [w["name"] for w in spec["workloads"]] or args.seed is None or args.pairs < 2:
-        parser.error("--pair needs --workload of BENCHMARK.json, --seed and at least 2 --pairs")
+    if args.workload not in [w["name"] for w in spec["workloads"]] or args.seed is None:
+        parser.error("--pair needs --workload of BENCHMARK.json and --seed")
     if args.claim and args.claim not in [m["name"] for m in spec["end_to_end"]]:
         parser.error(f"--claim: no end-to-end metric {args.claim!r}")
-    return pair(*args.pair, args.workload, args.seed, args.pairs, args.claim, args.out)
+    return pair(*args.pair, args.workload, args.seed, args.claim, args.out)
 
 
 if __name__ == "__main__":

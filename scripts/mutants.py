@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 
 _SEPARATION = "tests/test_statement_agreement.py::"
 _ORACLE = "tests/test_statement_oracle.py::"
+#: the order kernels against the naive oracle, on both sides
+_KERNELS = "tests/test_small_scope.py::test_order_kernels_match_their_references"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -160,6 +162,20 @@ MUTANTS = (
            "for a, cell in enumerate(row[1:] + row[:1]) if cell in bad)", (
         "tests/test_substructures.py::test_union_over_a_principal_cone_is_one_table_cell",
         "tests/test_reference_checkers.py::test_union_conditions_match_the_unions",
+    )),
+    # is_ideal never tests downward closure
+    Mutant("src/cideals/substructures.py", "        if down[x] & ~mask:\n", "        if low & ~mask:\n", (_KERNELS,)),
+    # is_prime_ideal ORs the down-cones, not the up-cones, into reach
+    Mutant("src/cideals/substructures.py", "reach |= up[bit.bit_length() - 1]", "reach |= down[bit.bit_length() - 1]",
+           (_KERNELS,)),
+    # the pair table looks up the union of the two up-cones, not their meet
+    Mutant("src/cideals/poset.py", "cells.get(ux & uy)", "cells.get(ux | uy)", (_KERNELS,)),
+    # the semilattice flags read this poset's pair table twice, never the dual's
+    Mutant("src/cideals/poset.py", "for q in (self, self.dual()))", "for q in (self, self))", (_KERNELS,)),
+    # is_distributive flags the join-reducible elements instead of the irreducible ones
+    Mutant("src/cideals/poset.py", "if closure(down[j] ^ (1 << j)) != down[j]:", "if closure(down[j] ^ (1 << j)) == down[j]:", (
+        "tests/test_small_scope.py::test_families_and_distributivity_agree_on_every_small_poset",
+        "tests/test_poset.py::test_distributivity_matches_oracle",
     )),
 )
 

@@ -1,8 +1,10 @@
 """Finite posets with cached cones, covers, bounds and pair tables.
 
 Elements are dense indices ``0..n-1`` with unique display names.  Subsets are
-plain ``int`` bitmasks over those indices, which keeps every cone and ideal
-computation a handful of word operations at the target scale (n <= 24).
+plain ``int`` bitmasks over those indices, so every cone and ideal
+computation is a handful of integer operations.  ``gen`` caps its random
+posets at 24 elements; ``scripts/scaling.py`` decides instances up to B8
+(n = 256) and the bounds plus a 256-antichain (n = 258).
 
 A poset is immutable after construction; every operation here is a pure
 function of its arguments and is safe for concurrent reads.  The

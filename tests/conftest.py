@@ -21,7 +21,7 @@ from cideals import (
     random_complementation,
     random_complemented_poset,
 )
-from cideals.poset import DistributivityReport, iter_bits
+from cideals.poset import iter_bits
 from cideals.substructures import is_prime_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -159,47 +159,22 @@ def small_complementations():
 
 
 def assert_distributivity_agrees(p, elements, le):
-    """``p.is_distributive()`` gives the naive scan's verdict, first
-    violating triple (by name, in the order of ``elements``) and both sides."""
-    holds, witness, lhs, rhs = naive.is_distributive(elements, le)
-    report = p.is_distributive()
-    assert report.holds == holds
-    if holds:
-        assert report.witness is None
-    else:
-        assert tuple(p.names[i] for i in report.witness) == witness
-        assert names(p, report.lhs) == lhs
-        assert names(p, report.rhs) == rhs
-
-
-def reference_is_distributive(p):
-    """The triple scan ``Poset.is_distributive`` replaced: every triple
-    (x, y, z) with x <= y, in order, with LU of each distinct mask
-    L(x,z) | L(y,z) computed once per scan."""
-    down, upper_cone = p.down, p.dual().lower_cone
-    rhs_of: dict[int, int] = {}
-    for x, row in enumerate(p.lu):
-        for y in range(x, p.n):
-            luxy, below = row[y], down[x] | down[y]
-            for z, dz in enumerate(down):
-                union = dz & below
-                rhs = rhs_of.get(union)
-                if rhs is None:
-                    rhs = rhs_of[union] = p.lower_cone(upper_cone(union))
-                if luxy & dz != rhs:
-                    return DistributivityReport(False, (x, y, z), luxy & dz, rhs)
-    return DistributivityReport(True)
-
-
-def assert_distributivity_matches_reference(p):
-    """``is_distributive`` on ``p`` and on its dual gives the reference
-    scan's report: verdict, first violating triple and both sides.  Returns
+    """``is_distributive`` on ``p`` and on its dual, whose order is the
+    reversed relation, gives the naive scan's verdict, first violating
+    triple (by name, in the order of ``elements``) and both sides.  Returns
     how many of the two are not distributive."""
     failures = 0
-    for q in (p, p.dual()):
+    for q, order in ((p, le), (p.dual(), {(y, x) for x, y in le})):
+        holds, witness, lhs, rhs = naive.is_distributive(elements, order)
         report = q.is_distributive()
-        assert report == reference_is_distributive(q)
-        failures += not report.holds
+        assert report.holds == holds
+        if holds:
+            assert report.witness is None
+        else:
+            assert tuple(q.names[i] for i in report.witness) == witness
+            assert names(q, report.lhs) == lhs
+            assert names(q, report.rhs) == rhs
+        failures += not holds
     return failures
 
 
@@ -303,55 +278,6 @@ def assert_subset_tests_agree(p):
         assert (None if g is None else p.names[g]) == naive.generator(elements, le, members)
 
 
-def reference_is_downset(p, mask):
-    return all(not p.down[x] & ~mask for x in iter_bits(mask))
-
-
-def reference_pairs_bounded(up, mask):
-    """At most one maximal member: one whose upper cone meets ``mask`` in
-    itself alone."""
-    return sum(up[x] & mask == 1 << x for x in iter_bits(mask)) <= 1
-
-
-def reference_is_ideal(p, mask):
-    """The two-pass test ``is_ideal`` replaced: a downset test, then a
-    second pass that counts the maximal members."""
-    p.check_mask(mask)
-    return bool(mask) and reference_is_downset(p, mask) and reference_pairs_bounded(p.up, mask)
-
-
-def reference_is_prime_ideal(p, mask):
-    """The pair loop ``is_prime_ideal`` replaced: every pair x <= y (as
-    indices) with L(x,y) inside the mask has a member in it."""
-    if mask == p.all_mask or not reference_is_ideal(p, mask):
-        return False
-    down = p.down
-    for x in range(p.n):
-        for y in range(x, p.n):
-            if not (down[x] & down[y]) & ~mask and not ((1 << x) | (1 << y)) & mask:
-                return False
-    return True
-
-
-def reference_lu(p):
-    """The pair table ``Poset.lu`` replaced: one ``lower_cone`` per pair."""
-    rows = [[0] * p.n for _ in range(p.n)]
-    for x in range(p.n):
-        for y in range(x, p.n):
-            rows[x][y] = rows[y][x] = p.lower_cone(p.up[x] & p.up[y])
-    return tuple(map(tuple, rows))
-
-
-def reference_semilattice_flags(p):
-    """The all-meets scan ``Poset.semilattice_flags`` replaced, run on the
-    dual for the joins, then on ``p``; the meet of x and y is the greatest
-    element of L(x,y)."""
-    return tuple(
-        all(q.greatest(q.down[x] & q.down[y]) is not None for x in range(q.n) for y in range(x, q.n))
-        for q in (p.dual(), p)
-    )
-
-
 def kernel_masks(p):
     """The masks the order kernels are compared on when there are too many
     subsets: the empty set and every cone of either side, its complement,
@@ -363,18 +289,28 @@ def kernel_masks(p):
     return sorted(found)
 
 
-def assert_kernels_match_reference(p, masks):
-    """On ``p`` and on its dual: the pair table and the semilattice flags
-    equal the references', and so do ``is_ideal`` and ``is_prime_ideal`` on
-    each of ``masks``.  Returns the ideals and the prime ideals counted
-    over both sides, then the two flags of ``p``."""
+def assert_kernels_match_naive(p, masks):
+    """On ``p`` and on its dual, against the naive oracle on the same order:
+    each cell ``lu[x][y]`` is L(U({x,y})), the semilattice flags say whether
+    every pair has a join and a meet, and ``is_ideal`` and
+    ``is_prime_ideal`` give the naive verdicts on each of ``masks``.
+    Returns the ideals and the prime ideals counted over both sides, then
+    the two flags of ``p``."""
+    elements, le = naive_order(p)
     ideals = primes = 0
-    for q in (p, p.dual()):
-        assert q.lu == reference_lu(q), q
-        assert q.semilattice_flags() == reference_semilattice_flags(q), q
+    for q, order in ((p, le), (p.dual(), {(y, x) for x, y in le})):
+        pairs = list(itertools.combinations_with_replacement(enumerate(elements), 2))
+        for (x, a), (y, b) in pairs:
+            cone = naive.lower_cone(elements, order, naive.upper_cone(elements, order, {a, b}))
+            assert names(q, q.lu[x][y]) == names(q, q.lu[y][x]) == cone, (q, a, b)
+        flags = tuple(all(bound(elements, order, a, b) is not None for (_, a), (_, b) in pairs)
+                      for bound in (naive.join, naive.meet))
+        assert q.semilattice_flags() == flags, q
         for s in masks:
-            ideal, prime = is_ideal(q, s), is_prime_ideal(q, s)
-            assert (ideal, prime) == (reference_is_ideal(q, s), reference_is_prime_ideal(q, s)), (q, s)
+            members = names(q, s)
+            ideal = naive.is_ideal(elements, order, members)
+            prime = ideal and naive.is_prime_ideal(elements, order, members)
+            assert (is_ideal(q, s), is_prime_ideal(q, s)) == (ideal, prime), (q, s)
             ideals += ideal
             primes += prime
     return (ideals, primes, *p.semilattice_flags())

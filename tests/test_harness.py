@@ -9,6 +9,8 @@ from cideals import (
     PosetError,
     StatementId,
     TheoremCheckResult,
+    attach_complementation,
+    build_poset,
     check_statement,
     run_all,
     separate,
@@ -25,7 +27,7 @@ from cideals.harness import (
     FAIL_NOT_ULTRA,
     FAIL_X_LE_XDD,
 )
-from conftest import mask, names
+from conftest import bounded_antichain, mask, names
 
 
 def test_statement_catalog_has_19_entries():
@@ -210,19 +212,18 @@ def test_check_statement_accepts_string_tags(fig2b):
 
 def test_subset_statement_exact_above_twelve_elements():
     # 14 elements, where a 2^n subset scan no longer pays: the singleton scan
-    # is still exact.  The cyclic template maps x_i to x_(i+1), so x12 and x10
-    # both reach x1, one by one complement and one by three: {x1} is the
-    # first failing subset, and x10 the first element it separates.
-    from cideals.corpus import _template_instance
-
-    cyclic = _template_instance(14, frozenset())
-    assert cyclic.poset.n == 14
-    res = check_statement(cyclic, StatementId.LEM_TRIPLE_A0)
+    # is still exact.  The bounds plus a 12-antichain, with the cyclic map
+    # x_i to x_(i+1 mod 12): x11 and x9 both reach x0, one by one complement
+    # and one by three, so {x0} is the first failing subset, and x9 the first
+    # element it separates.
+    elements, covers, comp = bounded_antichain(12)
+    p = build_poset(elements, covers)
+    assert p.n == 14
+    res = check_statement(attach_complementation(p, comp), StatementId.LEM_TRIPLE_A0)
     assert not res.hypotheses_met and res.conclusion_holds is None
-    assert res.probe == "unguarded conclusion fails: subset={x1}, element=x10"
-    involution = _template_instance(14, frozenset({"involution"}))
-    assert involution.poset.n == 14
-    res = check_statement(involution, StatementId.LEM_TRIPLE_A0)
+    assert res.probe == "unguarded conclusion fails: subset={x0}, element=x9"
+    paired = {**comp, **{f"x{i}": f"x{i ^ 1}" for i in range(12)}}  # x0 <-> x1, x2 <-> x3, ...
+    res = check_statement(attach_complementation(p, paired), StatementId.LEM_TRIPLE_A0)
     assert res.hypotheses_met and res.conclusion_holds is True
 
 

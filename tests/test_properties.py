@@ -126,8 +126,7 @@ def test_distributivity_identity_equivalence(p):
 @given(posets())
 @settings(deadline=None)
 def test_distributivity_matches_oracle_on_random_posets(p):
-    for q in (p, p.dual()):
-        assert_distributivity_agrees(q, *naive_order(q))
+    assert_distributivity_agrees(p, *naive_order(p))
 
 
 @given(any_posets())
