@@ -45,6 +45,7 @@ _SEPARATION = "tests/test_statement_agreement.py::"
 _ORACLE = "tests/test_statement_oracle.py::"
 #: the order kernels against the naive oracle, on both sides
 _KERNELS = "tests/test_small_scope.py::test_order_kernels_match_their_references"
+_EQUALITY = "tests/test_complement.py::test_equality_compares_names_cones_and_map"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -128,9 +129,7 @@ MUTANTS = (
     )),
     # is_ideal accepts a set at its second maximal member
     Mutant("src/cideals/substructures.py", "            if maximal:\n                return False\n",
-           "            if maximal:\n                return True\n", (
-        "tests/test_small_scope.py::test_subset_tests_agree_on_every_poset_up_to_four_points",
-    )),
+           "            if maximal:\n                return True\n", (_KERNELS,)),
     # LEM_BOOLEAN tests the cone inclusion the wrong way round
     Mutant("src/cideals/harness.py", "if not up[a] & ~up[add] and add != a:", "if not up[add] & ~up[a] and add != a:", (
         _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
@@ -142,7 +141,6 @@ MUTANTS = (
     # LEM_TRIPLE_A0 takes the largest failing singleton
     Mutant("src/cideals/harness.py", "k = min(min(ca, caaa)", "k = max(min(ca, caaa)", (
         _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
-        "tests/test_cross_validation.py::test_lem_triple_a0_singletons_match_subset_brute_force",
     )),
     # the c-ideal witness map keeps every preimage, ideal or not
     Mutant("src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if True}", (
@@ -161,7 +159,6 @@ MUTANTS = (
     Mutant("src/cideals/substructures.py", "for a, cell in enumerate(row) if cell in bad)",
            "for a, cell in enumerate(row[1:] + row[:1]) if cell in bad)", (
         "tests/test_substructures.py::test_union_over_a_principal_cone_is_one_table_cell",
-        "tests/test_reference_checkers.py::test_union_conditions_match_the_unions",
     )),
     # is_ideal never tests downward closure
     Mutant("src/cideals/substructures.py", "        if down[x] & ~mask:\n", "        if low & ~mask:\n", (_KERNELS,)),
@@ -177,6 +174,12 @@ MUTANTS = (
         "tests/test_small_scope.py::test_families_and_distributivity_agree_on_every_small_poset",
         "tests/test_poset.py::test_distributivity_matches_oracle",
     )),
+    # any two posets are equal, whatever their names and cones
+    Mutant("src/cideals/poset.py", "isinstance(other, Poset)\n            and", "isinstance(other, Poset)\n            or",
+           (_EQUALITY,)),
+    # any two complemented posets are equal, whatever their posets and maps
+    Mutant("src/cideals/complement.py", "isinstance(other, ComplementedPoset)\n            and",
+           "isinstance(other, ComplementedPoset)\n            or", (_EQUALITY,)),
 )
 
 

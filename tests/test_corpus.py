@@ -99,7 +99,7 @@ def test_fig4_c_ideals_are_all_principal_ideals(fig4):
 
 def test_corpus_entry_lookup():
     assert corpus_entry("fig3").poset.n == 10
-    with pytest.raises(Exception):
+    with pytest.raises(PosetError, match="^no builtin instance named 'fig9'$"):
         corpus_entry("fig9")
 
 

@@ -9,16 +9,12 @@ import pytest
 
 import naive
 from cideals import (
-    attach_complementation,
-    build_poset,
-    builtin_corpus,
     enumerate_filters,
     enumerate_ideals,
     computed_lists,
     random_complemented_poset,
 )
-from cideals.harness import _Context, _check_lem_triple_a0
-from conftest import bounded_antichain, naive_order
+from conftest import naive_order
 
 
 def to_naive(cp):
@@ -71,33 +67,3 @@ def test_random_instances_match_naive_oracle(seed):
     )
 
     assert p.is_distributive().holds == naive.is_distributive(elements, le)[0]
-
-
-def _small_instances():
-    """fig1-fig4, the campaign seeds and the bounds plus a 2- to 10-antichain,
-    with the cyclic map and, on an even antichain, the involution pairing
-    x0 with x1, x2 with x3, and so on."""
-    for entry in builtin_corpus():
-        yield entry.name, entry.cp
-    for seed in range(1, 201):
-        yield f"seed{seed}", random_complemented_poset(seed)[0]
-    for k in range(2, 11):
-        elements, covers, comp = bounded_antichain(k)
-        p = build_poset(elements, covers)
-        yield f"antichain{k}", attach_complementation(p, comp)
-        if k % 2 == 0:
-            yield f"paired{k}", attach_complementation(p, {**comp, **{f"x{i}": f"x{i ^ 1}" for i in range(k)}})
-
-
-def test_lem_triple_a0_singletons_match_subset_brute_force():
-    # the singleton scan reports the first failing subset of all 2^n
-    for label, cp in _small_instances():
-        assert cp.poset.n <= 12, label
-        note, cex = _check_lem_triple_a0(_Context(cp))
-        elements, _le, comp = to_naive(cp)
-        assert (not note) == all(comp[comp[comp[x]]] == comp[x] for x in elements), label
-        found = naive.triple_a0_counterexample(elements, comp)
-        expected = None
-        if found is not None:
-            expected = {"subset": "{" + ",".join(found[0]) + "}", "element": found[1]}
-        assert (cex is None, cex) == (found is None, expected), label

@@ -193,7 +193,7 @@ def test_separate_dispatch(fig4):
     ideal, filt = p.down[p.index("e'")], p.up[p.index("b")]
     assert separate(cp, ideal, filt, "second").witness == p.down[p.index("b'")]
     assert separate(cp, ideal, filt, "first").witness is not None
-    with pytest.raises(Exception):
+    with pytest.raises(PosetError, match="^unknown separation mode 'sideways'$"):
         separate(cp, ideal, filt, "sideways")
 
 
@@ -295,6 +295,22 @@ def test_separation_guarantees_raise_internal_errors(monkeypatch, mode, doctor, 
         separate(cp, ideal, filt, mode)
     assert type(err.value) is PosetError
     assert str(err.value) == f"internal error: {message}"
+
+
+def test_separation_witness_is_reverified(fig2b, monkeypatch):
+    # a construction that yields a non-ideal must be caught by the re-check
+    # (the statement checkers call the same procedure).  Only the witness is
+    # doctored: the filter's c-condition is read on cp.dual(), whose
+    # preimages stay real, so mode first's hypotheses still pass
+    p, cp = fig2b.poset, fig2b.cp
+    ideal, filt = p.down[p.index("0")], p.up[p.index("f")]
+    assert separate_first(cp, ideal, filt).witness is not None
+    real = cp.comp_preimage
+    monkeypatch.setattr(cp, "comp_preimage", lambda mask: 0 if mask == filt else real(mask))
+    with pytest.raises(PosetError, match="failed verification"):
+        separate_first(cp, ideal, filt)
+    with pytest.raises(PosetError, match="failed verification"):
+        check_statement(cp, StatementId.THM_SEP1)
 
 
 def test_result_init_matches_the_dataclass_fields():

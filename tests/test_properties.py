@@ -9,7 +9,6 @@ from cideals import (
     build_poset,
     enumerate_filters,
     enumerate_ideals,
-    is_filter,
     is_ideal,
     random_complemented_poset,
     random_poset,
@@ -17,11 +16,9 @@ from cideals import (
 from cideals.poset import iter_bits
 from cideals.substructures import is_ultrafilter
 from conftest import (
-    assert_distributivity_agrees,
     assert_families_agree,
     assert_subset_tests_agree,
     assert_union_cells_agree,
-    naive_order,
 )
 
 
@@ -123,22 +120,10 @@ def test_distributivity_identity_equivalence(p):
     assert p.is_distributive().holds == p.is_dual_distributive().holds
 
 
-@given(posets())
-@settings(deadline=None)
-def test_distributivity_matches_oracle_on_random_posets(p):
-    assert_distributivity_agrees(p, *naive_order(p))
-
-
 @given(any_posets())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_subset_tests_and_unions_match_oracle(p):
     assert_subset_tests_agree(p)
-    assert_union_cells_agree(p)
-
-
-@given(any_posets())
-@settings(max_examples=60, deadline=None)
-def test_union_over_a_principal_cone_is_one_table_cell(p):
     assert_union_cells_agree(p)
 
 
@@ -202,17 +187,6 @@ def test_property_flag_implications(cp):
         assert props.de_morgan
 
 
-@given(complemented_posets())
-@settings(max_examples=60, deadline=None)
-def test_ideal_filter_duality(cp):
-    p = cp.poset
-    d = p.dual()
-    for raw in range(0, p.all_mask + 1, max(1, p.all_mask // 97)):
-        mask = raw & p.all_mask
-        assert is_ideal(p, mask) == is_filter(d, mask)
-        assert is_filter(p, mask) == is_ideal(d, mask)
-
-
 @given(posets())
 @settings(deadline=None)
 def test_principal_cone_families_match_walk_and_oracle(p):
@@ -228,11 +202,6 @@ def test_join_semilattice_lu_union_lemma(p):
         g = p.greatest(ideal)  # the LU-union over L(g) is the cell lu[a][g]
         for a in range(p.n):
             assert is_ideal(p, p.lu[a][g])
-
-
-@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=500))
-def test_random_poset_determinism(n, seed):
-    assert random_poset(n, seed).down == random_poset(n, seed).down
 
 
 @given(st.integers(min_value=1, max_value=400))

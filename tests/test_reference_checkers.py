@@ -1,6 +1,6 @@
 """The checkers that read the shared facts agree with plain references.
 
-Each reference below evaluates a statement from unmemoised
+Each of the 11 references below evaluates one statement from unmemoised
 definition-level functions: the local ``lu_union``/``ul_union`` build each
 cone LU(a,m) from ``lower_cone``/``upper_cone``, not from the pair table,
 and OR them over the members of the ideal or filter, and primality, ideal
@@ -10,23 +10,22 @@ maps of the shared ``facts``, and read every filter fact on the order dual.
 The references reach the filter side through the filter functions, each one
 call to its ideal twin on the order dual, and never read the facts.  Both
 must give the same hypothesis flag, verdict and first counterexample.
+LEM_BOOLEAN, LEM_PROPER_PAIR and LEM_TRIPLE_A0 are checked against
+``tests/naive.py`` instead, in ``test_statement_oracle.py``.
 """
 
 import pytest
 
 from cideals import (
-    PosetError,
     StatementId,
     attach_complementation,
     build_poset,
-    check_statement,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
     is_ideal,
-    separate_first,
 )
-from cideals.harness import _CHECKERS, _Context, _union_condition
+from cideals.harness import _CHECKERS, _Context
 from cideals.poset import iter_bits
 from cideals.substructures import (
     find_c_filter_witness,
@@ -56,18 +55,6 @@ def ul_union(p, a, s):
     """The union of the cones UL(a,m) over the members m of ``s``, with its
     filter verdict: :func:`lu_union` on the order dual."""
     return lu_union(p.dual(), a, s)
-
-
-def ref_lem_proper_pair(cp):
-    p = cp.poset
-    for kind, family in (("ideal", enumerate_ideals(p)), ("filter", enumerate_filters(p))):
-        for s in family:
-            if s == p.all_mask:
-                continue
-            for a in iter_bits(s):
-                if (s >> cp.comp[a]) & 1 and cp.comp[a] != a:
-                    return True, False, {f"proper_{kind}": _fmt(p, s), "element": p.names[a]}
-    return True, True, None
 
 
 def ref_prop_proper_equiv(cp):
@@ -227,7 +214,6 @@ def ref_lem_joinsemi_lu(cp):
 
 REFERENCES = {
     StatementId.LEM_CL_PRIME: ref_lem_cl_prime,
-    StatementId.LEM_PROPER_PAIR: ref_lem_proper_pair,
     StatementId.PROP_PROPER_EQUIV: ref_prop_proper_equiv,
     StatementId.LEM_CIDEAL_DD: ref_lem_cideal_dd,
     StatementId.THM_F0_CIDEAL: ref_thm_f0_cideal,
@@ -244,7 +230,6 @@ REFERENCES = {
 #: statements the paper proves for every complemented poset
 UNCONDITIONAL = {
     StatementId.LEM_CL_PRIME,
-    StatementId.LEM_PROPER_PAIR,
     StatementId.PROP_PROPER_EQUIV,
     StatementId.LEM_PRIME_CCOND,
     StatementId.THM5_I_II,
@@ -276,33 +261,3 @@ def test_checker_matches_its_reference(instances, sid):
     # complemented poset, which it never fails
     assert seen["met"] > 0
     assert (seen["failed"] > 0) != (sid in UNCONDITIONAL)
-
-
-def test_union_conditions_match_the_unions(instances):
-    # the THM5 conditions on every ideal and filter, not only the maximal
-    # ones, each against the poset's shared facts
-    held = failed = 0
-    for cp in instances:
-        p = cp.poset
-        for facts, union_of in ((p.facts, lu_union), (p.dual().facts, ul_union)):
-            for s in facts.ideals:  # the dual's ideals are the filters
-                want = all(union_of(p, x, s)[1] for x in iter_bits(p.all_mask & ~s))
-                assert _union_condition(facts, s) == want, (p, s)
-                held, failed = held + want, failed + (not want)
-    assert held and failed
-
-
-def test_separation_witness_is_reverified(fig2b, monkeypatch):
-    # a construction that yields a non-ideal must be caught by the re-check
-    # (the statement checkers call the same procedure).  Only the witness is
-    # doctored: the filter's c-condition is read on cp.dual(), whose
-    # preimages stay real, so mode first's hypotheses still pass
-    p, cp = fig2b.poset, fig2b.cp
-    ideal, filt = p.down[p.index("0")], p.up[p.index("f")]
-    assert separate_first(cp, ideal, filt).witness is not None
-    real = cp.comp_preimage
-    monkeypatch.setattr(cp, "comp_preimage", lambda mask: 0 if mask == filt else real(mask))
-    with pytest.raises(PosetError, match="failed verification"):
-        separate_first(cp, ideal, filt)
-    with pytest.raises(PosetError, match="failed verification"):
-        check_statement(cp, StatementId.THM_SEP1)

@@ -101,14 +101,6 @@ def test_sort_key_orders_as_the_tuple_of_members():
     assert sorted(wide, key=sort_key) == sorted(wide, key=members_key)
 
 
-def test_enumeration_matches_oracle(corpus):
-    for entry in corpus.values():
-        elements, le, _ = naive.figure(entry.name)
-        p = entry.poset
-        assert {names(p, m) for m in enumerate_ideals(p)} == set(naive.ideals(elements, le))
-        assert {names(p, m) for m in enumerate_filters(p)} == set(naive.filters(elements, le))
-
-
 def test_families_match_walk_and_oracle_on_corpus(corpus):
     for entry in corpus.values():
         elements, le, _ = naive.figure(entry.name)
