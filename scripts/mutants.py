@@ -180,6 +180,16 @@ MUTANTS = (
     # any two complemented posets are equal, whatever their posets and maps
     Mutant("src/cideals/complement.py", "isinstance(other, ComplementedPoset)\n            and",
            "isinstance(other, ComplementedPoset)\n            or", (_EQUALITY,)),
+    # COR_INVOLUTION never tests (I_0)_0 = I
+    Mutant("src/cideals/harness.py", "if pre not in other_witnesses or cp.comp_preimage(pre) != s or s not in witnesses:",
+           "if pre not in other_witnesses or s not in witnesses:", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+    )),
+    # THM_F0_CIDEAL reads x''<=x for its hypothesis x<=x''
+    Mutant("src/cideals/harness.py", "side.props.antitone and side.props.x_le_xdd for _, side in sides]",
+           "side.props.antitone and side.props.xdd_le_x for _, side in sides]", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+    )),
 )
 
 
@@ -201,6 +211,12 @@ EQUIVALENT = (
     Equivalent(
         "src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if pre in cones}",
         "every ideal is a principal cone (LEM_CL_PRINCIPAL), so no preimage that is not a cone passes is_ideal",
+    ),
+    Equivalent(
+        "src/cideals/harness.py", 'note = "" if an.semilattice_flags[0] else', 'note = "" if an.semilattice_flags[1] else',
+        "a complemented poset is finite with a bottom and a top, and such a poset is a join-semilattice exactly "
+        "when it is a lattice, exactly when it is a meet-semilattice: the meet of x and y is the join of their "
+        "lower bounds, which include the bottom, and dually",
     ),
 )
 

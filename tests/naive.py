@@ -4,11 +4,20 @@ Everything here is deliberately naive: relations are sets of name pairs,
 subsets are frozensets of names, and quantified definitions are evaluated
 by explicit enumeration (all 2^n subsets where needed).  None of the
 library's representations or search strategies are reused, so agreement
-between the two paths is meaningful evidence.
+between the two paths is meaningful evidence.  The module imports only the
+standard library, nothing from ``cideals``; a test checks its imports.
+
+``VERDICTS`` holds one verdict per statement of the catalog but
+LEM_CL_PRINCIPAL and the three separation statements: the hypotheses as
+stated and the first counterexample of the conclusion, as the checker
+writes it.  The facts of an order that they read, the families and their
+prime and maximal members, distributivity, the join flag and the union
+cells, are built once per order by ``_order``.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
+from typing import NamedTuple
 
 
 def closure(elements, pairs):
@@ -100,11 +109,12 @@ def is_filter(elements, le, s):
 
 
 def ideals(elements, le):
-    return [s for s in all_subsets(elements) if is_ideal(elements, le, s)]
+    """The subsets that pass :func:`is_ideal`, which only downsets can."""
+    return [s for s in downsets(elements, le) if is_ideal(elements, le, s)]
 
 
 def filters(elements, le):
-    return [s for s in all_subsets(elements) if is_filter(elements, le, s)]
+    return [s for s in downsets(elements, {(y, x) for x, y in le}) if is_filter(elements, le, s)]
 
 
 def is_prime_ideal(elements, le, s):
@@ -129,16 +139,19 @@ def is_prime_filter(elements, le, s):
     )
 
 
-def maximal_ideals(elements, le):
-    universe = frozenset(elements)
-    proper = [s for s in ideals(elements, le) if s != universe]
+def maximal(family, universe):
+    """The members of ``family`` other than ``universe`` that no other such
+    member holds."""
+    proper = [s for s in family if s != universe]
     return [s for s in proper if not any(s < t for t in proper)]
+
+
+def maximal_ideals(elements, le):
+    return maximal(ideals(elements, le), frozenset(elements))
 
 
 def ultrafilters(elements, le):
-    universe = frozenset(elements)
-    proper = [s for s in filters(elements, le) if s != universe]
-    return [s for s in proper if not any(s < t for t in proper)]
+    return maximal(filters(elements, le), frozenset(elements))
 
 
 def is_distributive(elements, le):
@@ -181,66 +194,257 @@ def boolean_elements(elements, comp):
     return frozenset(x for x in elements if comp[comp[x]] == x)
 
 
-def triple_a0_counterexample(elements, comp):
-    """First (subset, element) where a in A_0 and a'' in A_0 disagree, over
-    all 2^n subsets A in bitmask order of ``elements``; None if none does.
-    The subset is a tuple in ``elements`` order."""
-    n = len(elements)
-    for bits in range(1 << n):
-        subset = tuple(elements[i] for i in range(n) if bits >> i & 1)
-        pre = comp_preimage(elements, comp, frozenset(subset))
-        for a in elements:
-            if (a in pre) != (comp[comp[a]] in pre):
-                return subset, a
-    return None
+#: each family's partner: the filters for the ideals and the ideals for the filters
+OTHER = {"ideal": "filter", "filter": "ideal"}
 
 
-def lem_boolean_counterexample(elements, le, comp):
-    """First a, in ``elements`` order, with a'' != a such that every ideal
-    holding a holds a'', as (a, a''); None if there is none.  The ideals
-    are all those of the 2^n subsets that pass :func:`is_ideal`."""
-    every_ideal = _families(tuple(elements), frozenset(le))[0]
-    for a in elements:
-        add = comp[comp[a]]
-        if add != a and all(add in s for s in every_ideal if a in s):
-            return a, add
-    return None
+class _Order(NamedTuple):
+    """The facts of one order that the statement verdicts read; each field
+    but the last two maps "ideal" and "filter" to that side's value."""
+
+    family: dict  # the members, in the checkers' family order
+    prime: dict
+    maximal: dict  # the maximal proper members
+    unions: dict  # member s -> element a -> union of LU(a, m) (UL on filters) over m in s
+    distributive: bool
+    join_semilattice: bool
 
 
-def proper_pair_counterexample(elements, le, comp):
-    """First proper ideal, then first proper filter, holding some a and a',
-    with the first such a, as (kind, members, a); None if there is none.
-    The families come from the 2^n subsets and are scanned by size, then
-    by the tuple of member positions in ``elements``; members are listed in
-    ``elements`` order."""
-    universe = frozenset(elements)
-    position = {x: i for i, x in enumerate(elements)}
-    families = _families(tuple(elements), frozenset(le))
-    for kind, family in zip(("ideal", "filter"), families):
-        for s in sorted(family, key=lambda s: (len(s), sorted(position[x] for x in s))):
-            if s == universe:
-                continue
-            for a in elements:
-                if a in s and comp[a] in s:
-                    return kind, tuple(x for x in elements if x in s), a
-    return None
+def order_facts(elements, le):
+    return _order(tuple(elements), frozenset(le))
 
 
 @lru_cache(maxsize=64)
-def _families(elements, le):
-    """(ideals, filters) of the order given in immutable form, built once for
-    all the complementations of one order that a caller sweeps."""
-    return tuple(ideals(elements, le)), tuple(filters(elements, le))
+def _order(elements, le):
+    """The facts of the order given in immutable form, built once for all
+    the complementations of one order that a caller sweeps.  Each family is
+    the members of the 2^n subsets, listed by size, then by the tuple of
+    member positions in ``elements``."""
+    universe, position = frozenset(elements), {x: i for i, x in enumerate(elements)}
+
+    def key(s):
+        return len(s), sorted(position[x] for x in s)
+
+    facts = _Order({}, {}, {}, {}, is_distributive(elements, le)[0],
+                   all(join(elements, le, x, y) is not None for x in elements for y in elements))
+    for kind, every, is_prime, union in (
+        ("ideal", ideals, is_prime_ideal, lu_union), ("filter", filters, is_prime_filter, ul_union)
+    ):
+        family = facts.family[kind] = sorted(every(elements, le), key=key)
+        facts.prime[kind] = [s for s in family if is_prime(elements, le, s)]
+        facts.maximal[kind] = maximal(family, universe)
+        facts.unions[kind] = {s: {a: union(elements, le, a, s) for a in elements} for s in family}
+    return facts
 
 
-def c_ideals(elements, le, comp):
-    every_ideal, every_filter = _families(tuple(elements), frozenset(le))
-    return [s for s in every_ideal if any(comp_preimage(elements, comp, f) == s for f in every_filter)]
+def c_ideals(elements, le, comp, kind="ideal"):
+    """The ideals I with I = F_0 for some filter F, in family order; with
+    ``kind`` "filter", the c-filters, dually."""
+    facts = order_facts(elements, le)
+    preimages = {comp_preimage(elements, comp, t) for t in facts.family[OTHER[kind]]}
+    return [s for s in facts.family[kind] if s in preimages]
 
 
 def c_filters(elements, le, comp):
-    every_ideal, every_filter = _families(tuple(elements), frozenset(le))
-    return [s for s in every_filter if any(comp_preimage(elements, comp, i) == s for i in every_ideal)]
+    return c_ideals(elements, le, comp, "filter")
+
+
+# -- one verdict per statement ---------------------------------------------------
+# each takes (elements, le, comp) and returns (hypotheses met, the first
+# counterexample of the unguarded conclusion as the checker writes it, or
+# None): sets as braces with members in ``elements`` order, each family
+# scanned in family order, and the two sides in the checker's order.
+
+
+def braces(elements, s):
+    return "{" + ",".join(x for x in elements if x in s) + "}"
+
+
+def _involution(le, comp):
+    return antitone(le, comp) and all(comp[comp[x]] == x for x in comp)
+
+
+def lem_boolean(elements, le, comp):
+    """An a with a'' != a such that every ideal holding a holds a''."""
+    every_ideal = order_facts(elements, le).family["ideal"]
+    met = antitone(le, comp) and all((x, comp[comp[x]]) in le for x in elements)
+    for a in elements:
+        add = comp[comp[a]]
+        if add != a and all(add in s for s in every_ideal if a in s):
+            return met, {"element": a, "double_complement": add}
+    return met, None
+
+
+def lem_cl_prime(elements, le, comp):
+    """Per ideal I: I prime, P\\I a prime filter and P\\I a filter agree;
+    then the complements of the prime ideals are the prime filters."""
+    facts, universe = order_facts(elements, le), frozenset(elements)
+    for s in facts.family["ideal"]:
+        rest = universe - s
+        found = (s in facts.prime["ideal"], rest in facts.prime["filter"], rest in facts.family["filter"])
+        if len(set(found)) != 1:
+            return True, {"ideal": braces(elements, s), "equivalences": "({},{},{})".format(*found)}
+    image = {universe - s for s in facts.prime["ideal"]}
+    if image != set(facts.prime["filter"]):
+        return True, {
+            "prime_ideal_complements": "+".join(sorted(braces(elements, s) for s in image)),
+            "prime_filters": "+".join(sorted(braces(elements, s) for s in facts.prime["filter"])),
+        }
+    return True, None
+
+
+def lem_proper_pair(elements, le, comp):
+    """A proper ideal or filter holding some a and a'."""
+    universe = frozenset(elements)
+    for kind, family in order_facts(elements, le).family.items():
+        for s in family:
+            a = next((a for a in elements if a in s and comp[a] in s), None)
+            if a is not None and s != universe:
+                return True, {f"proper_{kind}": braces(elements, s), "element": a}
+    return True, None
+
+
+def prop_proper_equiv(elements, le, comp):
+    """Per ideal or filter S: S proper, S_0 proper and S disjoint from S_0
+    agree."""
+    universe = frozenset(elements)
+    for kind, family in order_facts(elements, le).family.items():
+        for s in family:
+            pre = comp_preimage(elements, comp, s)
+            found = (s != universe, pre != universe, not s & pre)
+            if len(set(found)) != 1:
+                return True, {kind: braces(elements, s), "equivalences": "({},{},{})".format(*found)}
+    return True, None
+
+
+def lem_cideal_dd(elements, le, comp):
+    """A c-ideal I with I'' outside I when x' <= x''' for all x, or a
+    c-filter F with F'' outside F when x''' <= x'; unmet, both."""
+    triple = [(comp[x], comp[comp[comp[x]]]) for x in elements]
+    hyps = {"ideal": all(pair in le for pair in triple), "filter": all((y, x) in le for x, y in triple)}
+    met = any(hyps.values())
+    for kind, hyp in hyps.items():
+        for s in c_ideals(elements, le, comp, kind) if hyp or not met else ():
+            twice = comp_image(comp, comp_image(comp, s))
+            if not twice <= s:
+                return met, {f"c_{kind}": braces(elements, s), "double_image": braces(elements, twice)}
+    return met, None
+
+
+def lem_triple_a0(elements, le, comp):
+    """Over all 2^n subsets A in bitmask order of ``elements``, an a where
+    a in A_0 and a'' in A_0 disagree."""
+    met = all(comp[comp[comp[x]]] == comp[x] for x in elements)
+    n = len(elements)
+    for bits in range(1 << n):
+        subset = frozenset(elements[i] for i in range(n) if bits >> i & 1)
+        pre = comp_preimage(elements, comp, subset)
+        for a in elements:
+            if (a in pre) != (comp[comp[a]] in pre):
+                return met, {"subset": braces(elements, subset), "element": a}
+    return met, None
+
+
+def thm_f0_cideal(elements, le, comp):
+    """Antitone with x <= x'': a filter F whose F_0 is no c-ideal; antitone
+    with x'' <= x: an ideal I whose I_0 is no c-filter; unmet, both."""
+    anti, twice = antitone(le, comp), [(x, comp[comp[x]]) for x in elements]
+    hyps = {"filter": anti and all(pair in le for pair in twice),
+            "ideal": anti and all((y, x) in le for x, y in twice)}
+    met = any(hyps.values())
+    for kind, hyp in hyps.items():
+        c_family = c_ideals(elements, le, comp, OTHER[kind])
+        for s in order_facts(elements, le).family[kind] if hyp or not met else ():
+            pre = comp_preimage(elements, comp, s)
+            if pre not in c_family:
+                return met, {kind: braces(elements, s), "preimage": braces(elements, pre)}
+    return met, None
+
+
+def cor_involution(elements, le, comp):
+    """Under an antitone involution: an ideal I, then a filter, with I_0 no
+    filter, (I_0)_0 != I or I no c-ideal."""
+    family = order_facts(elements, le).family
+    for kind, other in OTHER.items():
+        c_family = c_ideals(elements, le, comp, kind)
+        for s in family[kind]:
+            pre = comp_preimage(elements, comp, s)
+            if pre not in family[other] or comp_preimage(elements, comp, pre) != s or s not in c_family:
+                return _involution(le, comp), {kind: braces(elements, s), "preimage": braces(elements, pre)}
+    return _involution(le, comp), None
+
+
+def rem_principal_l0(elements, le, comp):
+    """Under an antitone involution: an a with L(a)_0 != U(a') or
+    U(a')_0 != L(a)."""
+    for a in elements:
+        down, up = lower_cone(elements, le, {a}), upper_cone(elements, le, {comp[a]})
+        if comp_preimage(elements, comp, down) != up or comp_preimage(elements, comp, up) != down:
+            return _involution(le, comp), {"element": a}
+    return _involution(le, comp), None
+
+
+def lem_prime_ccond(elements, le, comp):
+    """A prime ideal or prime filter without the c-condition."""
+    prime = order_facts(elements, le).prime
+    for kind, family in prime.items():
+        for s in family:
+            if not c_condition(elements, comp, s):
+                return any(prime.values()), {f"prime_{kind}": braces(elements, s)}
+    return any(prime.values()), None
+
+
+def thm5_maximal(kind, elements, le, comp):
+    """THM5_I_II (ideals), THM5_V_VI (filters): a member with the
+    c-condition that is not maximal."""
+    facts = order_facts(elements, le)
+    members = [s for s in facts.family[kind] if c_condition(elements, comp, s)]
+    found = next((s for s in members if s not in facts.maximal[kind]), None)
+    return bool(members), found and {kind: braces(elements, found)}
+
+
+def thm5_ccond(kind, elements, le, comp):
+    """THM5_II_III_IV_I (ideals), THM5_III_VI_VII_V (filters), on a
+    distributive poset: a maximal member without the c-condition whose
+    unions, with each a outside it, are all members."""
+    facts = order_facts(elements, le)
+    family = set(facts.family[kind])
+    qualifying = [s for s in facts.maximal[kind]
+                  if all(u in family for a, u in facts.unions[kind][s].items() if a not in s)]
+    found = next((s for s in qualifying if not c_condition(elements, comp, s)), None)
+    return facts.distributive and bool(qualifying), found and {kind: braces(elements, found)}
+
+
+def lem_joinsemi_lu(elements, le, comp):
+    """On a join-semilattice: an ideal I and an a whose union of LU(a, i)
+    over i in I is no ideal."""
+    facts = order_facts(elements, le)
+    for s in facts.family["ideal"]:
+        for a, union in facts.unions["ideal"][s].items():
+            if union not in facts.family["ideal"]:
+                return facts.join_semilattice, {"ideal": braces(elements, s), "element": a,
+                                                "union": braces(elements, union)}
+    return facts.join_semilattice, None
+
+
+#: statement tag -> its verdict, in the catalog's order
+VERDICTS = {
+    "LEM_BOOLEAN": lem_boolean,
+    "LEM_CL_PRIME": lem_cl_prime,
+    "LEM_PROPER_PAIR": lem_proper_pair,
+    "PROP_PROPER_EQUIV": prop_proper_equiv,
+    "LEM_CIDEAL_DD": lem_cideal_dd,
+    "LEM_TRIPLE_A0": lem_triple_a0,
+    "THM_F0_CIDEAL": thm_f0_cideal,
+    "COR_INVOLUTION": cor_involution,
+    "REM_PRINCIPAL_L0": rem_principal_l0,
+    "LEM_PRIME_CCOND": lem_prime_ccond,
+    "THM5_I_II": partial(thm5_maximal, "ideal"),
+    "THM5_II_III_IV_I": partial(thm5_ccond, "ideal"),
+    "THM5_V_VI": partial(thm5_maximal, "filter"),
+    "THM5_III_VI_VII_V": partial(thm5_ccond, "filter"),
+    "LEM_JOINSEMI_LU": lem_joinsemi_lu,
+}
 
 
 # -- independent transcription of the built-in diagrams ------------------------

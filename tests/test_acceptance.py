@@ -10,7 +10,6 @@ import pytest
 
 from cideals import (
     Instance,
-    StatementId,
     build_report,
     builtin_corpus,
     classify,
@@ -18,7 +17,6 @@ from cideals import (
     emit_instance,
     enumerate_filters,
     enumerate_ideals,
-    is_filter,
     is_ideal,
     load_instance,
     parse_machine_report,

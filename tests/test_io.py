@@ -10,7 +10,6 @@ from cideals import (
     ParseError,
     UnknownName,
     attach_complementation,
-    build_instance,
     build_poset,
     build_report,
     emit_dot,

@@ -5,8 +5,6 @@ branches of the renderers and the CLI exit-code plumbing are driven here
 with fabricated results and stubbed checkers instead.
 """
 
-import pytest
-
 from cideals import Instance, StatementId, TheoremCheckResult, build_report
 from cideals.cli import main
 from cideals.io import machine_theorem_row, parse_machine_report, render_machine, render_text

@@ -1,52 +1,68 @@
 """Statement verdicts against the naive oracle, by definition.
 
-For LEM_BOOLEAN, LEM_PROPER_PAIR and LEM_TRIPLE_A0, ``tests/naive.py``
-states the conclusion over the families of all 2^n subsets (for
-LEM_TRIPLE_A0, over all 2^n subsets A), and the tests here state the
-hypotheses from the complement map and the order as name pairs.  The
-statement records must agree with them on the hypothesis flag, the
-verdict, and the counterexample, or the probe when the hypotheses are
-unmet.  The instances are every complementation of every bounded poset on
-at most 6 points, the corpus and campaign seeds 1-200.
+For each of the 15 statements in ``naive.VERDICTS``, ``tests/naive.py``
+states the hypotheses from the complement map and the order as name pairs,
+and the conclusion over the families of all 2^n subsets (for LEM_TRIPLE_A0,
+over all 2^n subsets A).  The statement records must agree with it on the
+hypothesis flag, the verdict, and the counterexample, or the probe when the
+hypotheses are unmet.  The instances are every complementation of every
+bounded poset on at most 6 points, the corpus, campaign seeds 1-200, the
+Boolean lattices B2-B4 and the bounds plus a 2-, 3-, 5- or 8-antichain.
+The other four statements are LEM_CL_PRINCIPAL, checked on its witness
+family in ``test_small_scope.py``, and the three separation statements, in
+``test_statement_agreement.py``.
 
-LEM_PROPER_PAIR holds on every complemented poset, so there its
-counterexample is always None.  To see that its checker reads the right
-members, the last test runs the three checkers on every self-map of the
-bounded posets on at most 4 points, built past the constructor's axiom
-check.
+Several statements hold on every complemented poset, so there their
+counterexample is always None.  To see that the checkers read the right
+members, the last test runs them on every self-map of the bounded posets on
+at most 4 points, built past the constructor's axiom check.
 """
 
+import ast
 import itertools
+import sys
+from pathlib import Path
 
 import naive
-from cideals import ComplementedPoset, StatementId, attach_complementation, check_statement, random_complemented_poset
+from cideals import (
+    ComplementedPoset,
+    StatementId,
+    attach_complementation,
+    build_poset,
+    check_statement,
+    random_complemented_poset,
+)
 from cideals.complement import _gather
-from conftest import naive_order, naturally_labelled_posets, small_complementations
+from conftest import (
+    boolean_lattice,
+    bounded_antichain,
+    naive_order,
+    naturally_labelled_posets,
+    small_complementations,
+)
 
-STATEMENTS = (StatementId.LEM_BOOLEAN, StatementId.LEM_PROPER_PAIR, StatementId.LEM_TRIPLE_A0)
+STATEMENTS = tuple(StatementId(tag) for tag in naive.VERDICTS)
 
-
-def _braces(members):
-    return "{" + ",".join(members) + "}"
-
-
-def naive_records(elements, le, comp):
-    """Per statement, (hypotheses met, counterexample as the checker writes
-    it, or None), from the naive oracle alone."""
-    twice = {x: comp[comp[x]] for x in elements}
-    found = naive.lem_boolean_counterexample(elements, le, comp)
-    boolean = (
-        naive.antitone(le, comp) and all((x, twice[x]) in le for x in elements),
-        found and {"element": found[0], "double_complement": found[1]},
-    )
-    found = naive.proper_pair_counterexample(elements, le, comp)
-    proper_pair = (True, found and {f"proper_{found[0]}": _braces(found[1]), "element": found[2]})
-    found = naive.triple_a0_counterexample(elements, comp)
-    triple = (
-        all(comp[twice[x]] == comp[x] for x in elements),
-        found and {"subset": _braces(found[0]), "element": found[1]},
-    )
-    return dict(zip(STATEMENTS, (boolean, proper_pair, triple)))
+#: per statement, [instances met, instances with a counterexample] on the
+#: small complementations, the corpus and campaign, the lattices and
+#: antichains, and the self-maps
+COUNTS = {
+    StatementId.LEM_BOOLEAN: ([23, 128], [110, 14], [4, 0], [23, 364]),
+    StatementId.LEM_CL_PRIME: ([398, 0], [205, 0], [7, 0], [544, 0]),
+    StatementId.LEM_PROPER_PAIR: ([398, 0], [205, 0], [7, 0], [544, 541]),
+    StatementId.PROP_PROPER_EQUIV: ([398, 0], [205, 0], [7, 0], [544, 541]),
+    StatementId.LEM_CIDEAL_DD: ([228, 170], [159, 45], [4, 3], [432, 78]),
+    StatementId.LEM_TRIPLE_A0: ([180, 218], [152, 53], [4, 3], [244, 300]),
+    StatementId.THM_F0_CIDEAL: ([37, 307], [112, 87], [4, 0], [40, 499]),
+    StatementId.COR_INVOLUTION: ([9, 389], [106, 99], [4, 3], [6, 538]),
+    StatementId.REM_PRINCIPAL_L0: ([9, 389], [106, 99], [4, 3], [6, 538]),
+    StatementId.LEM_PRIME_CCOND: ([92, 0], [79, 0], [4, 0], [543, 541]),
+    StatementId.THM5_I_II: ([242, 0], [108, 0], [4, 0], [61, 24]),
+    StatementId.THM5_II_III_IV_I: ([2, 317], [68, 129], [4, 3], [543, 536]),
+    StatementId.THM5_V_VI: ([242, 0], [105, 0], [4, 0], [61, 24]),
+    StatementId.THM5_III_VI_VII_V: ([2, 317], [68, 131], [4, 3], [543, 536]),
+    StatementId.LEM_JOINSEMI_LU: ([398, 0], [201, 4], [7, 0], [544, 0]),
+}
 
 
 def expected_fields(met, cex):
@@ -60,13 +76,14 @@ def expected_fields(met, cex):
 
 
 def records_match_naive(cp):
-    """Assert that the three records of ``cp`` are the naive ones; per
-    statement, (hypotheses met, counterexample found) as 0/1 counts."""
+    """Assert that the records of ``cp`` are the naive ones; per statement,
+    (hypotheses met, counterexample found) as 0/1 counts."""
     p = cp.poset
     elements, le = naive_order(p)
     comp = {p.names[x]: p.names[cx] for x, cx in enumerate(cp.comp)}
     counts = []
-    for sid, (met, cex) in naive_records(elements, le, comp).items():
+    for sid in STATEMENTS:
+        met, cex = naive.VERDICTS[sid.value](elements, le, comp)
         result = check_statement(cp, sid)
         found = (result.hypotheses_met, result.conclusion_holds, result.counterexample, result.probe)
         assert found == expected_fields(met, cex), (sid, p.names, p.down, cp.comp)
@@ -80,24 +97,26 @@ def totals(instances):
     return {sid: [sum(column) for column in zip(*pairs)] for sid, pairs in zip(STATEMENTS, zip(*rows))}
 
 
+def pinned(column):
+    return {sid: counts[column] for sid, counts in COUNTS.items()}
+
+
 def test_records_match_the_naive_oracle_up_to_six_points():
     instances = [attach_complementation(p, comp) for p, _, _, comps in small_complementations() for comp in comps]
     assert len(instances) == 398
-    assert totals(instances) == {
-        StatementId.LEM_BOOLEAN: [23, 128],
-        StatementId.LEM_PROPER_PAIR: [398, 0],
-        StatementId.LEM_TRIPLE_A0: [180, 218],
-    }
+    assert totals(instances) == pinned(0)
 
 
 def test_records_match_the_naive_oracle_on_the_corpus_and_campaign(corpus):
     instances = [entry.cp for entry in corpus.values()]
     instances += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
-    assert totals(instances) == {
-        StatementId.LEM_BOOLEAN: [110, 14],
-        StatementId.LEM_PROPER_PAIR: [205, 0],
-        StatementId.LEM_TRIPLE_A0: [152, 53],
-    }
+    assert totals(instances) == pinned(1)
+
+
+def test_records_match_the_naive_oracle_on_boolean_lattices_and_antichains():
+    tables = [boolean_lattice(dim) for dim in (2, 3, 4)] + [bounded_antichain(k) for k in (2, 3, 5, 8)]
+    instances = [attach_complementation(build_poset(elements, covers), comp) for elements, covers, comp in tables]
+    assert totals(instances) == pinned(2)
 
 
 def unchecked_complementation(p, comp):
@@ -119,8 +138,11 @@ def test_checkers_read_the_map_on_every_self_map_up_to_four_points():
         unchecked_complementation(p, comp) for p in bounded for comp in itertools.product(range(p.n), repeat=p.n)
     ]
     assert len(instances) == 1 + 4 + 27 + 2 * 256
-    assert totals(instances) == {
-        StatementId.LEM_BOOLEAN: [23, 364],
-        StatementId.LEM_PROPER_PAIR: [544, 541],
-        StatementId.LEM_TRIPLE_A0: [244, 300],
-    }
+    assert totals(instances) == pinned(3)
+
+
+def test_the_naive_oracle_imports_only_the_standard_library():
+    tree = ast.parse(Path(naive.__file__).read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules and all(name.split(".")[0] in sys.stdlib_module_names for name in modules), modules
