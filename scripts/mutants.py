@@ -46,6 +46,8 @@ _ORACLE = "tests/test_statement_oracle.py::"
 #: the order kernels against the naive oracle, on both sides
 _KERNELS = "tests/test_small_scope.py::test_order_kernels_match_their_references"
 _EQUALITY = "tests/test_complement.py::test_equality_compares_names_cones_and_map"
+_RECORDS = "tests/test_harness.py::test_record_init_matches_the_dataclass_fields"
+_COST = "tests/test_counted_cost.py::"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -68,14 +70,11 @@ MUTANTS = (
         "tests/test_facts.py::test_fact_builds_once_per_object_and_keeps_its_value_in_the_instance_dict",
         "tests/test_facts.py::test_principal_walk_runs_once_per_poset_and_side",
     )),
-    # the record's __init__ with a default that its field does not have
-    Mutant("src/cideals/harness.py", '        detail: str = "",\n', '        detail: str = "-",\n', (
-        "tests/test_harness.py::test_result_init_matches_the_dataclass_fields",
-    )),
-    # the record's __init__ drops a field, which then reads the class default
-    Mutant("src/cideals/harness.py", "            probe=probe,\n", "", (
-        "tests/test_harness.py::test_result_init_matches_the_dataclass_fields",
-    )),
+    # a record's __init__ gives every field a default, the required ones too
+    Mutant("src/cideals/poset.py", " for f in fs if f.default is not MISSING}", " for f in fs}", (_RECORDS,)),
+    # a record's __init__ leaves its first field out of the update
+    Mutant("src/cideals/poset.py", 'update = ", ".join(f"{f.name}={f.name}" for f in fs)',
+           'update = ", ".join(f"{f.name}={f.name}" for f in fs[1:])', (_RECORDS,)),
     # run_all runs the checkers of the catalog, not those of the live table
     Mutant(
         "src/cideals/harness.py",
@@ -189,6 +188,14 @@ MUTANTS = (
     Mutant("src/cideals/harness.py", "side.props.antitone and side.props.x_le_xdd for _, side in sides]",
            "side.props.antitone and side.props.xdd_le_x for _, side in sides]", (
         _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+    )),
+    # is_ideal's range test always fails, so every set calls check_mask: same verdicts, more work
+    Mutant("src/cideals/substructures.py", "    if mask & ~p.all_mask:\n", "    if mask | ~p.all_mask:\n", (
+        _COST + "test_principal_walk_tests_each_cone_and_incomparable_pair_once",
+    )),
+    # is_distributive decides every undecided element, not only those a pair reads: same verdicts, more work
+    Mutant("src/cideals/poset.py", "iter_bits(over & undecided)", "iter_bits(over | undecided)", (
+        _COST + "test_distributivity_makes_at_most_two_closures_per_element",
     )),
 )
 

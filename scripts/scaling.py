@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Seconds per size of the LEM_CL_PRINCIPAL check and of ``analyze``.
+"""Seconds and counted calls per size of the LEM_CL_PRINCIPAL check and of
+``analyze``.
 
 Two instance families, each run on its first ``SIZES`` sizes:
 
-- ``boolean``: the Boolean lattices B4, B5, ..., B8, with set complement;
-- ``antichain``: bounds plus a k-antichain, k = 16, 32, ..., 256, whose
+- ``boolean``: the Boolean lattices B4, B5, ..., B9, with set complement;
+- ``antichain``: bounds plus a k-antichain, k = 16, 32, ..., 512, whose
   complement shifts each middle element to the next.
 
-On each instance two stages are timed:
+On each instance two stages are timed and counted:
 
 - ``principal``: the LEM_CL_PRINCIPAL verdict on the poset and on its order
   dual, ``OrderFacts.principal_walk``: the witness family and one
@@ -17,10 +18,14 @@ On each instance two stages are timed:
 
 Every verdict is kept on the object it describes, so each run builds the
 instance afresh, outside the timed part; a time is the least of
-``REPEAT`` runs.  The script prints one row per size, then per family
-and stage the log-log slope between the two largest sizes,
-log(t2/t1) / log(n2/n1) with n the number of elements: 2 means the stage
-grows as n^2.
+``REPEAT`` runs.  One more run counts the definition-level ``is_ideal``
+calls, through ``substructures`` and ``harness``, and the members of the
+sets they test, which bound the loop iterations.  The counts repeat
+exactly from run to run and host to host, where the times do not.  The
+script prints one row per size, then per family and stage the log-log
+slope of the time, the calls and the members between the two largest
+sizes, log(t2/t1) / log(n2/n1) with n the number of elements: 2 means the
+stage grows as n^2.
 
 Usage: PYTHONPATH=src python3 scripts/scaling.py
 """
@@ -31,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from cideals import build_report, render_machine
+from cideals import build_report, harness, render_machine, substructures
 
 _spec = importlib.util.spec_from_file_location("machine_digests", Path(__file__).with_name("machine_digests.py"))
 _digests = importlib.util.module_from_spec(_spec)
@@ -49,7 +54,7 @@ def analyze(instance):
 
 STAGES = {"principal": principal, "analyze": analyze}
 REPEAT = 3
-SIZES = 5
+SIZES = 6
 
 
 def families(sizes):
@@ -71,19 +76,42 @@ def best(stage, label, spec):
     return min(times)
 
 
+def counted(stage, label, spec):
+    """(``is_ideal`` calls, members of the sets tested) of one run of
+    ``stage`` on a fresh instance."""
+    calls = members = 0
+    original = substructures.is_ideal
+
+    def counting(p, mask):
+        nonlocal calls, members
+        calls, members = calls + 1, members + mask.bit_count()
+        return original(p, mask)
+
+    instance = _digests._instance(label, *spec())
+    substructures.is_ideal = harness.is_ideal = counting
+    try:
+        stage(instance)
+    finally:
+        substructures.is_ideal = harness.is_ideal = original
+    return calls, members
+
+
 def main() -> int:
-    print(f"{'family':<10}{'size':<8}{'n':>5}" + "".join(f"{stage + '_s':>14}" for stage in STAGES))
+    print(f"{'family':<10}{'size':<8}{'n':>5}"
+          + "".join(f"{stage + '_s':>14}{'calls':>9}{'members':>12}" for stage in STAGES))
     points = {}
     for family, sizes in families(SIZES).items():
         for label, spec in sizes:
             n = len(spec()[0])
-            row = {stage: best(run, label, spec) for stage, run in STAGES.items()}
-            print(f"{family:<10}{label:<8}{n:>5}" + "".join(f"{row[stage]:>14.6f}" for stage in STAGES))
-            for stage, seconds in row.items():
-                points.setdefault((family, stage), []).append((label, n, seconds))
+            row = {stage: (best(run, label, spec), *counted(run, label, spec)) for stage, run in STAGES.items()}
+            print(f"{family:<10}{label:<8}{n:>5}"
+                  + "".join(f"{t:>14.6f}{calls:>9}{members:>12}" for t, calls, members in row.values()))
+            for stage, values in row.items():
+                points.setdefault((family, stage), []).append((label, n, values))
     for (family, stage), rows in points.items():
-        (l1, n1, t1), (l2, n2, t2) = rows[-2:]
-        print(f"slope {family} {stage}: {math.log(t2 / t1) / math.log(n2 / n1):.2f} ({l1} -> {l2})")
+        (l1, n1, v1), (l2, n2, v2) = rows[-2:]
+        seconds, calls, members = (math.log(b / a) / math.log(n2 / n1) for a, b in zip(v1, v2))
+        print(f"slope {family} {stage}: time {seconds:.2f}, calls {calls:.2f}, members {members:.2f} ({l1} -> {l2})")
     return 0
 
 

@@ -32,14 +32,13 @@ finite poset is an order anti-automorphism, for which both hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AxiomViolation, DuplicateName, NotBounded, PartialMap, UnknownName
-from .poset import Poset, fact, iter_bits
+from .poset import Poset, fact, iter_bits, record
 
 
-@dataclass(frozen=True)
+@record
 class ComplementProperties:
     """Exhaustively verified flags of a validated complementation.
 

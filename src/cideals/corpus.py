@@ -15,12 +15,12 @@ complement table honoring requested property constraints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from typing import Iterable
 
 from .complement import ComplementedPoset, attach_complementation
 from .errors import BadSize, NotBounded, PosetError
-from .poset import Poset, build_poset, iter_bits
+from .poset import Poset, build_poset, iter_bits, record
 from .substructures import CLASSES, family_rows
 
 #: edge probability between rank-adjacent middle elements of random posets
@@ -34,7 +34,7 @@ def _listing(kind: str, klass: str):
     return field(default=None, metadata={"listing": (kind, klass)})
 
 
-@dataclass(frozen=True)
+@record
 class PublishedLists:
     """Classification lists as published with the reference diagrams.
 
@@ -52,7 +52,7 @@ class PublishedLists:
     c_condition_filters: frozenset[str] | None = _listing("filter", "c-condition")
 
 
-@dataclass(frozen=True)
+@record
 class CorpusEntry:
     name: str
     poset: Poset

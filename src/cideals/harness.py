@@ -45,6 +45,7 @@ from itertools import starmap
 
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError
+from .poset import record
 from .substructures import OrderFacts, is_filter, is_ideal
 
 
@@ -56,7 +57,7 @@ class _StatementTag(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, init=False)
+@record
 class TheoremCheckResult:
     """Outcome of one statement check.
 
@@ -64,15 +65,6 @@ class TheoremCheckResult:
     counterexample implies ``conclusion_holds=False``.  ``probe`` carries the
     hypothesis-minimality note (what the unguarded conclusion would do) and
     is informational only; every result with unmet hypotheses carries one.
-
-    The ``__init__`` is written by hand, with the signature the dataclass
-    would generate: the generated one of a frozen dataclass sets each field
-    through its own ``object.__setattr__`` call, and this one fills the
-    instance dict in one update, about half the cost; :func:`run_all`
-    builds 19 records per instance.  Assignment still raises
-    ``FrozenInstanceError``.
-    ``tests/test_harness.py::test_result_init_matches_the_dataclass_fields``
-    keeps its parameters equal to the fields.
     """
 
     statement: StatementId
@@ -81,24 +73,6 @@ class TheoremCheckResult:
     counterexample: dict[str, str] | None = None
     detail: str = ""
     probe: str | None = None
-
-    def __init__(
-        self,
-        statement: StatementId,
-        hypotheses_met: bool,
-        conclusion_holds: bool | None,
-        counterexample: dict[str, str] | None = None,
-        detail: str = "",
-        probe: str | None = None,
-    ) -> None:
-        self.__dict__.update(
-            statement=statement,
-            hypotheses_met=hypotheses_met,
-            conclusion_holds=conclusion_holds,
-            counterexample=counterexample,
-            detail=detail,
-            probe=probe,
-        )
 
 
 # separation failure reasons, reported in hypothesis-check order
@@ -111,7 +85,7 @@ FAIL_NOT_ULTRA = "NotUltrafilter"
 FAIL_NOT_DISTRIBUTIVE = "NotDistributive"
 
 
-@dataclass(frozen=True)
+@record
 class SeparationResult:
     """Witness c-ideal of a separation run, or the first failed hypothesis."""
 
@@ -371,7 +345,7 @@ def _check_lem_joinsemi_lu(ctx: _Context):
     return note, None
 
 
-@dataclass(frozen=True)
+@record
 class _Hypotheses:
     """The hypotheses of one separation mode, in the order they are checked.
 
@@ -532,6 +506,8 @@ StatementId = _StatementTag(
 )
 DESCRIPTIONS: dict[StatementId, str] = {StatementId(tag): text for tag, _, text in _CATALOG}
 _CHECKERS = {StatementId(tag): check for tag, check, _ in _CATALOG}
+#: tag -> member, so that a query reads its tag with one lookup, not an Enum call
+_BY_TAG = {sid.value: sid for sid in StatementId}
 
 
 def _run_checker(ctx: _Context, sid: StatementId, check) -> TheoremCheckResult:
@@ -548,8 +524,9 @@ def _run_checker(ctx: _Context, sid: StatementId, check) -> TheoremCheckResult:
 
 
 def check_statement(cp: ComplementedPoset, sid: StatementId | str) -> TheoremCheckResult:
-    """Check one statement on one instance."""
-    sid = StatementId(sid)
+    """Check one statement on one instance.  A tag that names no statement
+    raises the ValueError of ``StatementId(sid)``."""
+    sid = _BY_TAG[sid] if isinstance(sid, str) and sid in _BY_TAG else StatementId(sid)
     return _run_checker(_Context(cp), sid, _CHECKERS[sid])
 
 

@@ -66,19 +66,19 @@ or a repeated ``flag:``; and a text without a ``report:`` line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import attrgetter
 
 from .complement import ComplementedPoset, ComplementProperties, attach_complementation
 from .errors import DuplicateSection, ParseError, PosetError, UnknownName
 from .harness import TheoremCheckResult, run_all
-from .poset import Poset, _validate_names, build_poset, iter_bits
+from .poset import Poset, _validate_names, build_poset, iter_bits, record
 from .substructures import CLASSES, ClassRow, family_rows
 
 # -- instance files -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InstanceFile:
     """Parsed but not yet validated instance text."""
 
@@ -88,7 +88,7 @@ class InstanceFile:
     comp: tuple[tuple[str, str], ...] | None
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """A named poset, optionally with a validated complementation."""
 
@@ -192,7 +192,7 @@ def emit_instance(instance: Instance) -> str:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     name: str
     poset: Poset
@@ -430,7 +430,7 @@ def machine_theorem_row(res: TheoremCheckResult) -> str:
     return _lines("theorem", _Writer(()), [_THEOREM_VALUES(res)])[0]
 
 
-@dataclass(frozen=True)
+@record
 class ParsedReport:
     """Machine report read back into plain data (names, not indices)."""
 

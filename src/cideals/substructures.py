@@ -48,11 +48,9 @@ the published lists all read those rows through that one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complement import ComplementedPoset
 from .errors import PosetError
-from .poset import DistributivityReport, Poset, fact, sort_key
+from .poset import DistributivityReport, Poset, fact, record, sort_key
 
 #: the cap of the downset walk that LEM_CL_PRINCIPAL no longer makes: it
 #: bounds nothing, and stays only because the benchmark's environment record
@@ -60,7 +58,7 @@ from .poset import DistributivityReport, Poset, fact, sort_key
 DEFAULT_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
+@record
 class SubsetClassification:
     """Every ideal/filter-theoretic flag of one subset, with witnesses.
 
@@ -83,7 +81,7 @@ class SubsetClassification:
     c_condition: bool
 
 
-@dataclass(frozen=True)
+@record
 class ClassRow:
     """One ideal or filter with its classification columns.
 
@@ -355,8 +353,9 @@ class OrderFacts:
         y would equal each of them, so the pair decides both alike: the
         definition accepts such a set only if it accepts that family member.
 
-        Cost: O(n^2) family members, one :func:`is_ideal` pass of O(n) mask
-        operations each: O(n^3) in all."""
+        Cost: one :func:`is_ideal` pass of O(n) mask operations per family
+        member, n plus the number of incomparable pairs, at most n(n+1)/2
+        members: O(n^3) in all, with no ``check_mask`` call."""
         q, cones = self.poset, self.down_generator
         kept = [s for s in _enumerate_downsets(q) if is_ideal(q, s)]
         strays = [s for s in kept if s not in cones]

@@ -313,31 +313,84 @@ def test_separation_witness_is_reverified(fig2b, monkeypatch):
         check_statement(cp, StatementId.THM_SEP1)
 
 
-def test_result_init_matches_the_dataclass_fields():
-    """``TheoremCheckResult.__init__`` is written by hand; its parameters
-    are the fields, in order, with their defaults, and the record it builds
-    is still a frozen dataclass that ``asdict`` and ``replace`` read."""
+def _frozen_dataclasses():
+    """Every frozen dataclass defined in a module of the package, found by
+    scanning the modules, so a new record is covered without a new test."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import cideals
+
+    found = []
+    for info in pkgutil.iter_modules(cideals.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"cideals.{info.name}")
+        found += [
+            pytest.param(cls, id=f"{info.name}.{name}")
+            for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+            and cls.__dataclass_params__.frozen
+        ]
+    return found
+
+
+@pytest.mark.parametrize("cls", _frozen_dataclasses())
+def test_record_init_matches_the_dataclass_fields(cls):
+    """Each frozen dataclass is built by ``poset.record``: its ``__init__``
+    fills the instance dict in one update, its parameters are the fields in
+    order with their defaults, and the record is still a frozen dataclass
+    that ``asdict``, ``replace`` and ``vars`` read alike."""
     import inspect
 
-    params = list(inspect.signature(TheoremCheckResult.__init__).parameters.values())[1:]
-    fields = dataclasses.fields(TheoremCheckResult)
+    init = cls.__init__
+    assert init.__code__.co_names == ("__dict__", "update"), "not built by poset.record"
+    assert (init.__module__, init.__qualname__) == (cls.__module__, f"{cls.__qualname__}.__init__")
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(init).parameters.values())[1:]
     assert [(p.name, p.kind, p.default) for p in params] == [
         (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
          inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
         for f in fields
     ]
-    values = (StatementId.LEM_BOOLEAN, True, False, {"element": "a"}, "note", "probe")
-    result = TheoremCheckResult(*values)
-    assert dataclasses.asdict(result) == dict(zip([f.name for f in fields], values))
-    assert result == TheoremCheckResult(**dict(zip([f.name for f in fields], values)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        result.detail = "changed"
-    changed = dataclasses.replace(result, probe=None)
-    assert changed == TheoremCheckResult(*values[:5]) and changed != result
-    assert vars(TheoremCheckResult(*values[:3])) == {
-        "statement": values[0], "hypotheses_met": True, "conclusion_holds": False,
-        "counterexample": None, "detail": "", "probe": None,
+    names = [f.name for f in fields]
+    values = [f"value {k}" for k in range(len(names))]
+    record = cls(*values)
+    assert dataclasses.asdict(record) == vars(record) == dict(zip(names, values))
+    assert list(vars(record)) == names
+    again = cls(**dict(zip(names, values)))
+    assert again == record and hash(again) == hash(record)
+    changed = dataclasses.replace(record, **{names[-1]: "other"})
+    assert vars(changed) == {**dict(zip(names, values)), names[-1]: "other"} and changed != record
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    assert vars(cls(*values[: len(required)])) == {
+        f.name: value if f.default is dataclasses.MISSING else f.default for f, value in zip(fields, values)
     }
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "changed")
+    assert vars(record) == dict(zip(names, values))
+
+
+def test_every_frozen_dataclass_is_found():
+    """The scan finds the package's records, and only frozen ones."""
+    found = {param.id for param in _frozen_dataclasses()}
+    assert {"harness.TheoremCheckResult", "substructures.ClassRow", "poset.DistributivityReport"} <= found
+    assert "harness._Context" not in found
+
+
+def test_check_statement_reads_a_tag_or_raises_the_enum_error(fig3):
+    """A tag is read through a table built once from ``StatementId``; a tag
+    the table lacks still raises the ValueError of ``StatementId(tag)``."""
+    import re
+
+    for tag in ("NOPE", None, 3, ["x"]):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(tag))} is not a valid StatementId$"):
+            check_statement(fig3.cp, tag)
+    by_tag = check_statement(fig3.cp, "LEM_BOOLEAN")
+    assert by_tag == check_statement(fig3.cp, StatementId.LEM_BOOLEAN)
+    assert by_tag.statement is StatementId.LEM_BOOLEAN
 
 
 def test_run_all_runs_a_checker_replaced_after_import(fig3, monkeypatch):

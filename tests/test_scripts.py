@@ -91,3 +91,5 @@ def test_scaling_times_each_stage_on_the_smallest_sizes():
     for (label, build), in firsts.values():
         for stage in scaling.STAGES.values():
             assert scaling.best(stage, label, build) >= 0
+            calls, members = scaling.counted(stage, label, build)
+            assert 0 < calls < members and scaling.counted(stage, label, build) == (calls, members)
