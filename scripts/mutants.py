@@ -48,6 +48,9 @@ _KERNELS = "tests/test_small_scope.py::test_order_kernels_match_their_references
 _EQUALITY = "tests/test_complement.py::test_equality_compares_names_cones_and_map"
 _RECORDS = "tests/test_harness.py::test_record_init_matches_the_dataclass_fields"
 _COST = "tests/test_counted_cost.py::"
+_FAMILY = "tests/test_small_scope.py::test_principal_family_is_the_naive_pair_list_on_every_small_poset"
+#: the bit-sliced ideal test on every subset of the small posets, on both sides
+_LANES = "tests/test_small_scope.py::test_ideal_lanes_decide_every_subset_as_the_definitions_do"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -146,13 +149,21 @@ MUTANTS = (
         "tests/test_small_scope.py::test_witness_maps_hold_the_naive_c_ideals_up_to_six_points",
     )),
     # the witness family skips the pair of each element with its successor
-    Mutant("src/cideals/substructures.py", "for y in range(x + 1, p.n)", "for y in range(x + 2, p.n)", (
-        "tests/test_small_scope.py::test_principal_family_is_the_naive_pair_list_on_every_small_poset",
-    )),
-    # LEM_CL_PRINCIPAL never compares an accepted set with the cones
-    Mutant("src/cideals/substructures.py", "strays = [s for s in kept if s not in cones]",
-           "strays = [s for s in kept if False]", (
+    Mutant("src/cideals/substructures.py", ">> (x + 1) << (x + 1 + x * n)", ">> (x + 2) << (x + 2 + x * n)",
+           (_FAMILY,)),
+    # the witness family also lists the comparable pairs, whose sets are cones
+    Mutant("src/cideals/substructures.py", "rows = [(full & ~(down[x] | up[x])) >>", "rows = [full >>", (_FAMILY,)),
+    # a column holds the lanes of the elements below m, not above it
+    Mutant("src/cideals/substructures.py", "column, rest = 0, up[m]", "column, rest = 0, down[m]", (_FAMILY,)),
+    # LEM_CL_PRINCIPAL ignores every accepted pair lane
+    Mutant("src/cideals/substructures.py", "pairs = accepted >> n", "pairs = 0", (
         "tests/test_harness.py::test_lem_cl_principal_reports_a_pair_the_ideal_test_accepts",
+    )),
+    # ideal_lanes never tests downward closure
+    Mutant("src/cideals/substructures.py", "        bad |= column ^ closed  # closed lies inside column\n", "", (_LANES,)),
+    # ideal_lanes accepts a lane at its second maximal member
+    Mutant("src/cideals/substructures.py", "        two |= one & top\n", "", (
+        _LANES, _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
     )),
     # the union row offset by one element
     Mutant("src/cideals/substructures.py", "for a, cell in enumerate(row) if cell in bad)",
@@ -191,7 +202,7 @@ MUTANTS = (
     )),
     # is_ideal's range test always fails, so every set calls check_mask: same verdicts, more work
     Mutant("src/cideals/substructures.py", "    if mask & ~p.all_mask:\n", "    if mask | ~p.all_mask:\n", (
-        _COST + "test_principal_walk_tests_each_cone_and_incomparable_pair_once",
+        _COST + "test_union_rows_test_each_distinct_cell_once",
     )),
     # is_distributive decides every undecided element, not only those a pair reads: same verdicts, more work
     Mutant("src/cideals/poset.py", "iter_bits(over & undecided)", "iter_bits(over | undecided)", (

@@ -28,9 +28,13 @@ per g, the mask of the a whose cell is an ideal: ``union_rows``.
 
 That principality is itself a checked statement (LEM_CL_PRINCIPAL), kept on
 the order facts as ``principal_walk``.  It does not assume principality:
-it runs the definition-level :func:`is_ideal` on a witness family of O(n^2)
-downsets, the n cones and ``down[x] | down[y]`` for each incomparable pair,
-and its docstring proves the family complete.  The family is listed by
+it decides a witness family of O(n^2) downsets, the n cones and
+``down[x] | down[y]`` for each incomparable pair, by the definition of an
+ideal, and its docstring proves the family complete.  The family is
+bit-sliced (Biham, "A fast new DES implementation in software", FSE 1997):
+each set is one bit lane across n integers, a column per element, and
+:func:`ideal_lanes` evaluates :func:`is_ideal`'s test on every lane at once,
+in one pass over the elements.  The columns are built by
 ``_enumerate_downsets``, a name kept from the exponential downset walk it
 replaced because the benchmark's span tracer wraps it by that name; and
 ``DEFAULT_BUDGET``, the walk's cap, bounds nothing now but stays exported
@@ -48,9 +52,11 @@ the published lists all read those rows through that one table.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .complement import ComplementedPoset
 from .errors import PosetError
-from .poset import DistributivityReport, Poset, fact, record, sort_key
+from .poset import DistributivityReport, Poset, fact, iter_bits, record, sort_key
 
 #: the cap of the downset walk that LEM_CL_PRINCIPAL no longer makes: it
 #: bounds nothing, and stays only because the benchmark's environment record
@@ -149,19 +155,82 @@ def is_filter(p: Poset, mask: int) -> bool:
     return is_ideal(p.dual(), mask)
 
 
-def _enumerate_downsets(p: Poset) -> list[int]:
-    """The witness family of LEM_CL_PRINCIPAL, every member downward
-    closed: the n cones ``down[g]`` in index order, then ``down[x] |
-    down[y]``, the least downset holding x and y, for each incomparable
-    pair x < y by index, in pair order.  Distinct pairs give distinct sets,
-    since x and y are the maximal members of theirs, and no pair's set is a
-    cone.  Cost: n^2/2 bit tests, and one union per incomparable pair."""
+def ideal_lanes(p: Poset, columns: Sequence[int]) -> int:
+    """The mask of the lanes whose set is an ideal: :func:`is_ideal` run on
+    every lane at once.  Each set is one bit lane: ``columns[m]``, one
+    column per element of ``p``, is the mask of the lanes whose set holds
+    m.  A lane that no column holds is the empty set.
+
+    The test is :func:`is_ideal`'s, each mask operation taking one step of
+    it in every lane.  A lane that holds m but not some d < m, ``columns[m]
+    & ~columns[d]``, is not downward closed; ``closed`` keeps the lanes of
+    ``columns[m]`` that hold every such d, so ``column ^ closed`` gathers
+    those lanes for all d at once.  A lane that holds m and no u > m,
+    ``columns[m] & ~OR(columns[u])``, has m as a maximal member: ``one``
+    gathers the lanes with a first maximal member, ``two`` those with a
+    second.  So the ideals are the closed lanes with exactly one maximal
+    member, and :func:`is_ideal`'s proof applies lane by lane; the empty set
+    has no maximal member.
+
+    Cost: one pass over the elements, with one mask operation per
+    comparable pair d < m, O(n^2) operations whatever the number of lanes;
+    each is as wide as the lanes, so its own cost grows with their number
+    once the integers outgrow the interpreter's per-operation overhead.
+    """
     down, up = p.down, p.up
-    family = list(down)
-    for x in range(p.n):
-        comparable = down[x] | up[x]
-        family += [down[x] | down[y] for y in range(x + 1, p.n) if not comparable >> y & 1]
-    return family
+    bad = one = two = 0
+    for m, column in enumerate(columns):
+        closed, above = column, 0
+        rest = down[m] ^ (1 << m)
+        while rest:  # iter_bits inlined, here and below: this is a hot kernel
+            low = rest & -rest
+            closed &= columns[low.bit_length() - 1]
+            rest ^= low
+        rest = up[m] ^ (1 << m)
+        while rest:
+            low = rest & -rest
+            above |= columns[low.bit_length() - 1]
+            rest ^= low
+        bad |= column ^ closed  # closed lies inside column
+        top = column & ~above
+        two |= one & top
+        one |= top
+    return one & ~(two | bad)
+
+
+def _enumerate_downsets(p: Poset) -> list[int]:
+    """The witness family of LEM_CL_PRINCIPAL as the n columns of
+    :func:`ideal_lanes`, every member downward closed.  Lane g < n is the
+    cone ``down[g]``.  Lane n + x*n + y is ``down[x] | down[y]``, the least
+    downset holding x and y, for each incomparable pair x < y by index;
+    the other lanes of that n*n grid are empty.  So the nonempty lanes, in
+    lane order, list the cones in index order, then the pairs in pair
+    order.  Distinct pairs give distinct sets, since x and y are the
+    maximal members of theirs, and no pair's set is a cone.
+
+    A lane's generators are g for a cone and x and y for a pair, and m
+    lies in the lane's set exactly when one of them lies in ``up[m]``.  So
+    column m is the union, over z in ``up[m]``, of ``held[z]``, the lanes
+    with z as a generator: lane z and the valid grid lanes of row z and of
+    grid column z.  With ``valid`` the grid mask of the incomparable pairs,
+    ``rows[x]`` its row x, R = sum 2^(x*n) (``spread``) and rows(u) the
+    whole grid rows x in u, that is ``up[m] | ((rows(up[m]) | up[m]*R) &
+    valid) << n``.  Cost: O(n) mask operations for ``rows``, ``valid`` and
+    ``held``, then one union per comparable pair m <= z: O(n^2) mask
+    operations on integers of n + n^2 bits."""
+    n, down, up, full = p.n, p.down, p.up, p.all_mask
+    rows = [(full & ~(down[x] | up[x])) >> (x + 1) << (x + 1 + x * n) for x in range(n)]
+    valid, spread = sum(rows), sum(1 << x * n for x in range(n))
+    held = [1 << z | (rows[z] | spread << z & valid) << n for z in range(n)]
+    columns = []
+    for m in range(n):
+        column, rest = 0, up[m]
+        while rest:  # iter_bits inlined: this is a hot kernel
+            low = rest & -rest
+            column |= held[low.bit_length() - 1]
+            rest ^= low
+        columns.append(column)
+    return columns
 
 
 def enumerate_ideals(p: Poset) -> list[int]:
@@ -339,11 +408,14 @@ class OrderFacts:
     @fact
     def principal_walk(self) -> int | None:
         """LEM_CL_PRINCIPAL on this order: the first set, in ``sort_key``
-        order, of the witness family :func:`_enumerate_downsets` that the
-        definition-level :func:`is_ideal` accepts and that is not a cone
-        ``down[g]``, or None.  Past that, the accepted sets are cones, and
-        the n cones of distinct elements differ, so fewer than n accepted
-        sets means a cone was rejected: an internal error, not a verdict.
+        order, of the witness family :func:`_enumerate_downsets` that
+        :func:`ideal_lanes`, the definition-level ideal test, accepts and
+        that is not a cone ``down[g]``, or None.  The family comes as lanes:
+        the n cones, then one lane per incomparable pair, and no pair's set
+        is a cone, so the strays are the accepted pair lanes, each decoded
+        to ``down[x] | down[y]``.  Past them, the accepted lanes are cones,
+        so fewer than n means a cone was rejected: an internal error, not a
+        verdict.
 
         The family is complete: a set that the definition accepts and that
         is not a cone is a nonempty downset with two maximal members x and
@@ -353,16 +425,20 @@ class OrderFacts:
         y would equal each of them, so the pair decides both alike: the
         definition accepts such a set only if it accepts that family member.
 
-        Cost: one :func:`is_ideal` pass of O(n) mask operations per family
-        member, n plus the number of incomparable pairs, at most n(n+1)/2
-        members: O(n^3) in all, with no ``check_mask`` call."""
-        q, cones = self.poset, self.down_generator
-        kept = [s for s in _enumerate_downsets(q) if is_ideal(q, s)]
-        strays = [s for s in kept if s not in cones]
-        if strays:
-            return min(strays, key=sort_key)
-        if len(kept) != q.n:
-            raise PosetError(f"internal error: kept {len(kept)} of {q.n} principal ideals")
+        Cost: the n columns and one :func:`ideal_lanes` call on them, O(n^2)
+        mask operations on integers of n + n^2 bits, for the n cones and up
+        to n(n-1)/2 pairs together; then one union per accepted pair lane.
+        It makes no :func:`is_ideal` and no ``check_mask`` call.  Each
+        operation reads O(n^2) bits, so past a few hundred elements the time
+        grows as n^4 machine-word operations, while the count stays n^2."""
+        q = self.poset
+        n, down = q.n, q.down
+        accepted = ideal_lanes(q, _enumerate_downsets(q))
+        pairs = accepted >> n
+        if pairs:
+            return min((down[lane // n] | down[lane % n] for lane in iter_bits(pairs)), key=sort_key)
+        if accepted != q.all_mask:
+            raise PosetError(f"internal error: kept {accepted.bit_count()} of {n} principal ideals")
         return None
 
     @fact

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import operator
 import random
 from pathlib import Path
 
@@ -102,6 +103,14 @@ def names(poset, mask):
 
 def mask(poset, tokens):
     return poset.mask_of(tokens.split())
+
+
+def lane_sets(columns):
+    """Lane -> its set, for every lane that some column holds: the sets
+    that ``substructures.ideal_lanes`` decides, read back from its
+    columns."""
+    lanes = functools.reduce(operator.or_, columns, 0)
+    return {lane: sum(1 << m for m, column in enumerate(columns) if column >> lane & 1) for lane in iter_bits(lanes)}
 
 
 def assert_families_agree(p, elements, le):

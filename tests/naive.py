@@ -7,12 +7,12 @@ library's representations or search strategies are reused, so agreement
 between the two paths is meaningful evidence.  The module imports only the
 standard library, nothing from ``cideals``; a test checks its imports.
 
-``VERDICTS`` holds one verdict per statement of the catalog but
-LEM_CL_PRINCIPAL and the three separation statements: the hypotheses as
-stated and the first counterexample of the conclusion, as the checker
-writes it.  The facts of an order that they read, the families and their
-prime and maximal members, distributivity, the join flag and the union
-cells, are built once per order by ``_order``.
+``VERDICTS`` holds one verdict per statement of the catalog but the three
+separation statements: the hypotheses as stated and the first
+counterexample of the conclusion, as the checker writes it.  The facts of
+an order that they read, the families and their prime and maximal
+members, distributivity, the join flag and the union cells, are built once
+per order by ``_order``.
 """
 
 from functools import lru_cache, partial
@@ -293,6 +293,19 @@ def lem_cl_prime(elements, le, comp):
     return True, None
 
 
+def lem_cl_principal(elements, le, comp):
+    """An ideal, then a filter, that is not the cone of an element: the
+    families are every subset that passes the definition, so this assumes
+    no principality."""
+    family = order_facts(elements, le).family
+    for kind, cone in (("ideal", lower_cone), ("filter", upper_cone)):
+        cones = {cone(elements, le, {g}) for g in elements}
+        for s in family[kind]:
+            if s not in cones:
+                return True, {f"non_principal_{kind}": braces(elements, s)}
+    return True, None
+
+
 def lem_proper_pair(elements, le, comp):
     """A proper ideal or filter holding some a and a'."""
     universe = frozenset(elements)
@@ -431,6 +444,7 @@ def lem_joinsemi_lu(elements, le, comp):
 VERDICTS = {
     "LEM_BOOLEAN": lem_boolean,
     "LEM_CL_PRIME": lem_cl_prime,
+    "LEM_CL_PRINCIPAL": lem_cl_principal,
     "LEM_PROPER_PAIR": lem_proper_pair,
     "PROP_PROPER_EQUIV": prop_proper_equiv,
     "LEM_CIDEAL_DD": lem_cideal_dd,

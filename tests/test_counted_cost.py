@@ -4,11 +4,14 @@ docstring states, on B4-B6 and on the bounds plus a 16-, 32- and
 
 A count does not depend on the host, so a change that keeps every verdict
 but multiplies the work fails here, where a time bound could not be
-checked: the walk's range test calling ``Poset.check_mask`` on every set,
-or the distributivity scan deciding the irreducibility of elements no pair
-reads.  Each side is the poset or its order dual, built afresh, and the
+checked: ``is_ideal``'s range test calling ``Poset.check_mask`` on every
+set, or the distributivity scan deciding the irreducibility of elements no
+pair reads.  Each side is the poset or its order dual, built afresh, and the
 counters wrap the module or class attribute that the fact calls through.
 """
+
+import functools
+import operator
 
 import pytest
 
@@ -20,8 +23,12 @@ INSTANCES = {
     **{f"B{dim}": boolean_lattice(dim) for dim in (4, 5, 6)},
     **{f"k={k}": bounded_antichain(k) for k in (16, 32, 64)},
 }
-#: per side, n + the incomparable pairs: B5 has 32 elements and 285 such pairs
-WALK_CALLS = {"B4": 71, "B5": 317, "B6": 1415, "k=16": 138, "k=32": 530, "k=64": 2082}
+#: per side, the lanes of the walk's one ``ideal_lanes`` call, n + the
+#: incomparable pairs: B5 has 32 elements and 285 such pairs
+WALK_LANES = {"B4": 71, "B5": 317, "B6": 1415, "k=16": 138, "k=32": 530, "k=64": 2082}
+#: per side, the distinct cells of ``lu``: n on these lattices, where each
+#: cell is a principal cone
+UNION_CALLS = {"B4": 16, "B5": 32, "B6": 64, "k=16": 18, "k=32": 34, "k=64": 66}
 #: per side, the ``lower_cone`` calls of ``is_distributive``, two per closure
 CONE_CALLS = {"B4": 22, "B5": 52, "B6": 114, "k=16": 38, "k=32": 70, "k=64": 134}
 
@@ -47,14 +54,31 @@ def _counter(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize("label", INSTANCES)
 def test_principal_walk_tests_each_cone_and_incomparable_pair_once(label, monkeypatch):
+    lane_calls = _counter(monkeypatch, substructures, "ideal_lanes")
     ideal_calls = _counter(monkeypatch, substructures, "is_ideal")
     range_calls = _counter(monkeypatch, Poset, "check_mask")
     for q in _sides(label):
         incomparable = sum(not (q.down[x] | q.up[x]) >> y & 1 for x in range(q.n) for y in range(x + 1, q.n))
-        ideal_calls.clear()
+        lane_calls.clear()
         assert q.facts.principal_walk is None
-        assert len(ideal_calls) == q.n + incomparable == WALK_CALLS[label]
-        assert range_calls == []
+        [(o, columns)] = lane_calls
+        lanes = functools.reduce(operator.or_, columns)
+        assert o is q and len(columns) == q.n
+        assert lanes.bit_count() == q.n + incomparable == WALK_LANES[label]
+        assert ideal_calls == range_calls == []
+
+
+@pytest.mark.parametrize("label", INSTANCES)
+def test_union_rows_test_each_distinct_cell_once(label, monkeypatch):
+    for q in _sides(label):
+        q.lu  # filled first: only the rows' own calls count
+        ideal_calls = _counter(monkeypatch, substructures, "is_ideal")
+        range_calls = _counter(monkeypatch, Poset, "check_mask")
+        rows = q.facts.union_rows
+        monkeypatch.undo()
+        assert rows == (q.all_mask,) * q.n
+        assert sorted(mask for _, mask in ideal_calls) == sorted(set().union(*q.lu))
+        assert len(ideal_calls) == UNION_CALLS[label] and range_calls == []
 
 
 @pytest.mark.parametrize("label", INSTANCES)

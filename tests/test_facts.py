@@ -34,7 +34,7 @@ from cideals.complement import ComplementedPoset
 from cideals.corpus import corpus_entry
 from cideals.poset import Poset, fact
 from cideals.substructures import ComplementFacts, OrderFacts
-from conftest import boolean_lattice, bounded_antichain, corpus_campaign_boolean
+from conftest import boolean_lattice, bounded_antichain, corpus_campaign_boolean, lane_sets
 
 M3 = (["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
 
@@ -147,9 +147,16 @@ def test_rejected_cone_is_an_internal_error(monkeypatch):
     """Each accepted family member is a cone, so a rejected cone leaves
     fewer than n: LEM_CL_PRINCIPAL may not read that as verified."""
     cp = corpus_entry("fig2a").cp  # fresh objects: no verdict kept yet
-    p, real = cp.poset, substructures.is_ideal
+    p, real = cp.poset, substructures.ideal_lanes
     cone = p.down[p.index("a")]
-    monkeypatch.setattr(substructures, "is_ideal", lambda q, mask: not (q is p and mask == cone) and real(q, mask))
+
+    def doctored(q, columns):
+        accepted = real(q, columns)
+        if q is p:
+            accepted &= ~(1 << next(lane for lane, s in lane_sets(columns).items() if s == cone))
+        return accepted
+
+    monkeypatch.setattr(substructures, "ideal_lanes", doctored)
     with pytest.raises(PosetError, match=r"^internal error: kept 8 of 9 principal ideals$"):
         check_statement(cp, "LEM_CL_PRINCIPAL")
 

@@ -27,7 +27,7 @@ from cideals.harness import (
     FAIL_NOT_ULTRA,
     FAIL_X_LE_XDD,
 )
-from conftest import bounded_antichain, mask, names
+from conftest import bounded_antichain, lane_sets, mask, names
 
 
 def test_statement_catalog_has_19_entries():
@@ -232,13 +232,20 @@ def test_subset_statement_exact_above_twelve_elements():
     ("filter", "a b 1", {"non_principal_filter": "{a,b,1}"}),
 ], ids=["ideal", "filter"])
 def test_lem_cl_principal_reports_a_pair_the_ideal_test_accepts(monkeypatch, side, pair, expected):
-    # the statement holds on every finite poset; an is_ideal doctored to
+    # the statement holds on every finite poset; an ideal_lanes doctored to
     # accept one pair's least downset, on one side, shows that the family
-    # tests that set and reports it as the counterexample
+    # holds that set and that the walk reports it as the counterexample
     fig1 = corpus_entry("fig1")  # fresh: the verdict is kept on the poset
     p = fig1.poset
-    q, fake, real = p if side == "ideal" else p.dual(), mask(p, pair), substructures.is_ideal
-    monkeypatch.setattr(substructures, "is_ideal", lambda o, m: (o is q and m == fake) or real(o, m))
+    q, fake, real = p if side == "ideal" else p.dual(), mask(p, pair), substructures.ideal_lanes
+
+    def doctored(o, columns):
+        accepted = real(o, columns)
+        if o is q:
+            accepted |= 1 << next(lane for lane, s in lane_sets(columns).items() if s == fake)
+        return accepted
+
+    monkeypatch.setattr(substructures, "ideal_lanes", doctored)
     res = check_statement(fig1.cp, StatementId.LEM_CL_PRINCIPAL)
     assert res.hypotheses_met and res.conclusion_holds is False
     assert res.counterexample == expected

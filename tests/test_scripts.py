@@ -89,7 +89,12 @@ def test_scaling_times_each_stage_on_the_smallest_sizes():
     assert {family: [(label, len(build()[0])) for label, build in sizes] for family, sizes in firsts.items()} == {
         "boolean": [("B4", 16)], "antichain": [("k=16", 18)]}
     for (label, build), in firsts.values():
-        for stage in scaling.STAGES.values():
+        for name, stage in scaling.STAGES.items():
             assert scaling.best(stage, label, build) >= 0
-            calls, members = scaling.counted(stage, label, build)
-            assert 0 < calls < members and scaling.counted(stage, label, build) == (calls, members)
+            calls, members, lanes = scaling.counted(stage, label, build)
+            assert scaling.counted(stage, label, build) == (calls, members, lanes)
+            # the walk decides its n + (incomparable pairs) sets as lanes, with no is_ideal call
+            assert lanes == {"B4": 2 * 71, "k=16": 2 * 138}[label]
+            assert (calls == members == 0) if name == "principal" else (0 < calls < members)
+    rows = [("B4", 16, (0.001, 0, 0, 142)), ("B5", 32, (0.004, 0, 0, 634))]
+    assert scaling.slope_line("boolean", "principal", rows) == "slope boolean principal: time 2.00, lanes 2.16 (B4 -> B5)"

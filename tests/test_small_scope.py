@@ -4,11 +4,13 @@ Every poset on 1-5 points is built once per natural labelling: each
 upper-triangular relation on the indices 0..n-1 is closed, and one poset is
 kept per distinct cone tuple.  That gives 1, 2, 7, 40 and 357 posets, the
 naturally labelled posets counted by OEIS A006455; every isomorphism type
-appears.  Every complementation of every bounded poset on at most 6 points
-is found from the naive join and meet alone, and its property flags are
-recomputed from their definitions, as are those of the corpus, B2-B4 and
-the campaign instances; its c-ideal witness maps, on both sides, hold
-exactly the naive c-ideals and c-filters.  The seeded complement search gives its reference
+appears.  The bit-sliced ideal test decides every subset of each, one lane
+per subset, as ``is_ideal`` and the naive definition do.  Every
+complementation of every bounded poset on at most 6 points is found from
+the naive join and meet alone, and its property flags are recomputed from
+their definitions, as are those of the corpus, B2-B4 and the campaign
+instances; its c-ideal witness maps, on both sides, hold exactly the naive
+c-ideals and c-filters.  The seeded complement search gives its reference
 search's table on every bounded poset here.
 """
 
@@ -20,7 +22,7 @@ from cideals import (
     attach_complementation,
     random_complementation,
 )
-from cideals.substructures import _enumerate_downsets, is_ultrafilter, principal_generator
+from cideals.substructures import _enumerate_downsets, ideal_lanes, is_ideal, is_ultrafilter, principal_generator
 from conftest import (
     assert_complementation_matches_reference,
     assert_distributivity_agrees,
@@ -29,6 +31,7 @@ from conftest import (
     assert_union_cells_agree,
     corpus_campaign_boolean,
     kernel_masks,
+    lane_sets,
     naive_complementations,
     naive_order,
     names,
@@ -58,12 +61,13 @@ def test_families_and_distributivity_agree_on_every_small_poset():
 
 
 def test_principal_family_is_the_naive_pair_list_on_every_small_poset():
-    """The LEM_CL_PRINCIPAL witness family lists the cones of the elements in
-    index order, then the least downset of each incomparable pair x < y in
-    pair order, under the order rebuilt by ``naive.closure`` from the cover
-    pairs, on each poset and on its dual, whose order is the reversed
-    relation.  Each member is a naive downset.  So a dropped or extra pair
-    fails."""
+    """The LEM_CL_PRINCIPAL witness family, read back from its lanes in lane
+    order, lists the cones of the elements in index order, then the least
+    downset of each incomparable pair x < y in pair order, under the order
+    rebuilt by ``naive.closure`` from the cover pairs, on each poset and on
+    its dual, whose order is the reversed relation.  Each member is a naive
+    downset.  So a dropped or extra pair, or a column that holds the wrong
+    elements, fails."""
     listed = 0
     for p in POSETS:
         elements = list(p.names)
@@ -72,11 +76,32 @@ def test_principal_family_is_the_naive_pair_list_on_every_small_poset():
             cone = {x: naive.lower_cone(elements, order, {x}) for x in elements}
             pairs = [cone[x] | cone[y] for x, y in itertools.combinations(elements, 2)
                      if (x, y) not in order and (y, x) not in order]
-            found = [names(q, d) for d in _enumerate_downsets(q)]
-            assert found == [cone[x] for x in elements] + pairs, q
+            columns = _enumerate_downsets(q)
+            found = [names(q, d) for d in lane_sets(columns).values()]
+            assert len(columns) == q.n and found == [cone[x] for x in elements] + pairs, q
             assert set(found) <= set(naive.downsets(elements, order))
             listed += len(found)
     assert listed == 8194  # 2 x 1971 cones and 2 x 2126 incomparable pairs
+
+
+def test_ideal_lanes_decide_every_subset_as_the_definitions_do():
+    """Every subset of each poset above, one lane per subset in one
+    ``ideal_lanes`` call per side, against ``is_ideal`` and the naive
+    definition.  The subsets include every non-downset and every set with
+    two maximal members, which the witness family never holds."""
+    decided = accepted = 0
+    for p in POSETS:
+        elements, le = naive_order(p)
+        subsets = range(p.all_mask + 1)
+        columns = [sum(1 << s for s in subsets if s >> m & 1) for m in range(p.n)]
+        for q, order in ((p, le), (p.dual(), {(y, x) for x, y in le})):
+            lanes = ideal_lanes(q, columns)
+            for s in subsets:
+                verdict = bool(lanes >> s & 1)
+                assert verdict == is_ideal(q, s) == naive.is_ideal(elements, order, names(q, s)), (q, s)
+                accepted += verdict
+            decided += len(subsets)
+    assert (decided, accepted) == (24260, 3942)
 
 
 def test_random_complementation_matches_the_reference_on_every_small_poset():

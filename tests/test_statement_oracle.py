@@ -1,6 +1,6 @@
 """Statement verdicts against the naive oracle, by definition.
 
-For each of the 15 statements in ``naive.VERDICTS``, ``tests/naive.py``
+For each of the 16 statements in ``naive.VERDICTS``, ``tests/naive.py``
 states the hypotheses from the complement map and the order as name pairs,
 and the conclusion over the families of all 2^n subsets (for LEM_TRIPLE_A0,
 over all 2^n subsets A).  The statement records must agree with it on the
@@ -8,8 +8,7 @@ hypothesis flag, the verdict, and the counterexample, or the probe when the
 hypotheses are unmet.  The instances are every complementation of every
 bounded poset on at most 6 points, the corpus, campaign seeds 1-200, the
 Boolean lattices B2-B4 and the bounds plus a 2-, 3-, 5- or 8-antichain.
-The other four statements are LEM_CL_PRINCIPAL, checked on its witness
-family in ``test_small_scope.py``, and the three separation statements, in
+The other three statements, the separation statements, are checked in
 ``test_statement_agreement.py``.
 
 Several statements hold on every complemented poset, so there their
@@ -49,6 +48,7 @@ STATEMENTS = tuple(StatementId(tag) for tag in naive.VERDICTS)
 COUNTS = {
     StatementId.LEM_BOOLEAN: ([23, 128], [110, 14], [4, 0], [23, 364]),
     StatementId.LEM_CL_PRIME: ([398, 0], [205, 0], [7, 0], [544, 0]),
+    StatementId.LEM_CL_PRINCIPAL: ([398, 0], [205, 0], [7, 0], [544, 0]),
     StatementId.LEM_PROPER_PAIR: ([398, 0], [205, 0], [7, 0], [544, 541]),
     StatementId.PROP_PROPER_EQUIV: ([398, 0], [205, 0], [7, 0], [544, 541]),
     StatementId.LEM_CIDEAL_DD: ([228, 170], [159, 45], [4, 3], [432, 78]),
