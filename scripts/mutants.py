@@ -56,7 +56,7 @@ _LANES = "tests/test_small_scope.py::test_ideal_lanes_decide_every_subset_as_the
 MUTANTS = (
     # the separation checker reads only the first disjoint ideal of each filter
     Mutant("src/cideals/harness.py", "        for i in ideals:\n", "        for i in ideals[:1]:\n", (
-        _SEPARATION + "test_separation_statements_equal_the_per_pair_loop",
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
         _SEPARATION + "test_separation_checker_verifies_the_witness_on_every_pair",
     )),
     # the same on the met path only
@@ -207,6 +207,24 @@ MUTANTS = (
     # is_distributive decides every undecided element, not only those a pair reads: same verdicts, more work
     Mutant("src/cideals/poset.py", "iter_bits(over & undecided)", "iter_bits(over | undecided)", (
         _COST + "test_distributivity_makes_at_most_two_closures_per_element",
+    )),
+    # is_prime_filter tests the prime ideals of the poset, not of its dual
+    Mutant("src/cideals/substructures.py", "return is_prime_ideal(p.dual(), mask)", "return is_prime_ideal(p, mask)", (
+        "tests/test_small_scope.py::test_filter_side_agrees_with_naive_on_every_small_poset",
+    )),
+    # THM_SEP1 lets every filter qualify, with the c-condition or without
+    Mutant("src/cideals/harness.py", "((FAIL_NO_CCOND, lambda cp, d, f: d.c_condition(f)),),",
+           "((FAIL_NO_CCOND, lambda cp, d, f: True),),", (_ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",)),
+    # COR_SEP1_PRIME drops its hypothesis x<=x''
+    Mutant("src/cideals/harness.py", "(_ANTITONE, _X_LE_XDD),\n        ((FAIL_NOT_PRIME,",
+           "(_ANTITONE,),\n        ((FAIL_NOT_PRIME,", (_ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",)),
+    # THM_SEP2 reads the prime filters for the ultrafilters
+    Mutant("src/cideals/harness.py", "f in d.poset.facts.maximal_ideals),),", "f in d.poset.facts.prime_ideals),),", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
+    )),
+    # a separation witness need not hold the ideal
+    Mutant("src/cideals/harness.py", "        and not ideal_mask & ~witness\n", "", (
+        _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
     )),
 )
 

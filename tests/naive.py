@@ -7,12 +7,11 @@ library's representations or search strategies are reused, so agreement
 between the two paths is meaningful evidence.  The module imports only the
 standard library, nothing from ``cideals``; a test checks its imports.
 
-``VERDICTS`` holds one verdict per statement of the catalog but the three
-separation statements: the hypotheses as stated and the first
-counterexample of the conclusion, as the checker writes it.  The facts of
-an order that they read, the families and their prime and maximal
-members, distributivity, the join flag and the union cells, are built once
-per order by ``_order``.
+``VERDICTS`` holds one verdict per statement of the catalog, all 19: the
+hypotheses as stated and the first counterexample of the conclusion, as
+the checker writes it.  The facts of an order that they read, the families
+and their prime and maximal members, distributivity, the join flag and the
+union cells, are built once per order by ``_order``.
 """
 
 from functools import lru_cache, partial
@@ -214,10 +213,11 @@ def order_facts(elements, le):
     return _order(tuple(elements), frozenset(le))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _order(elements, le):
     """The facts of the order given in immutable form, built once for all
-    the complementations of one order that a caller sweeps.  Each family is
+    the complementations of one order that a caller sweeps, and kept for
+    the next caller that reads the same order.  Each family is
     the members of the 2^n subsets, listed by size, then by the tuple of
     member positions in ``elements``."""
     universe, position = frozenset(elements), {x: i for i, x in enumerate(elements)}
@@ -440,6 +440,37 @@ def lem_joinsemi_lu(elements, le, comp):
     return facts.join_semilattice, None
 
 
+def separation_pairs(mode, elements, le, comp):
+    """(the global hypotheses hold, the disjoint (ideal I, qualifying filter
+    F) pairs, filters first, in family order) of the separation statement of
+    ``mode``: THM_SEP1 ("first", antitone with x <= x'', F with the
+    c-condition), COR_SEP1_PRIME ("prime", the same, F prime) or THM_SEP2
+    ("second", distributive and antitone, F a maximal proper filter)."""
+    facts = order_facts(elements, le)
+    if mode == "second":
+        hyps = facts.distributive and antitone(le, comp)
+    else:
+        hyps = antitone(le, comp) and all((x, comp[comp[x]]) in le for x in elements)
+    qualifying = {
+        "first": [f for f in facts.family["filter"] if c_condition(elements, comp, f)],
+        "prime": facts.prime["filter"],
+        "second": facts.maximal["filter"],
+    }[mode]
+    return hyps, [(i, f) for f in qualifying for i in facts.family["ideal"] if not i & f]
+
+
+def separation(mode, elements, le, comp):
+    """Met when the global hypotheses hold and some pair qualifies: the
+    first pair whose F_0 is no ideal holding I and missing F."""
+    hyps, pairs = separation_pairs(mode, elements, le, comp)
+    met, ideals = hyps and bool(pairs), order_facts(elements, le).family["ideal"]
+    for i, f in pairs:
+        pre = comp_preimage(elements, comp, f)
+        if pre not in ideals or not i <= pre or pre & f:
+            return met, {"ideal": braces(elements, i), "filter": braces(elements, f), "candidate": braces(elements, pre)}
+    return met, None
+
+
 #: statement tag -> its verdict, in the catalog's order
 VERDICTS = {
     "LEM_BOOLEAN": lem_boolean,
@@ -458,6 +489,9 @@ VERDICTS = {
     "THM5_V_VI": partial(thm5_maximal, "filter"),
     "THM5_III_VI_VII_V": partial(thm5_ccond, "filter"),
     "LEM_JOINSEMI_LU": lem_joinsemi_lu,
+    "THM_SEP1": partial(separation, "first"),
+    "COR_SEP1_PRIME": partial(separation, "prime"),
+    "THM_SEP2": partial(separation, "second"),
 }
 
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import naive
 from cideals import (
     Instance,
     build_report,
@@ -17,7 +18,6 @@ from cideals import (
     emit_instance,
     enumerate_filters,
     enumerate_ideals,
-    is_ideal,
     load_instance,
     parse_machine_report,
     published_divergences,
@@ -28,7 +28,7 @@ from cideals import (
     separate_second,
 )
 from cideals.poset import iter_bits
-from conftest import names
+from conftest import naive_order, names
 
 
 def criterion(num, desc):
@@ -196,51 +196,31 @@ def test_criterion_6_campaign(campaign):
 
 @criterion(7, "oracle independence of every separation witness")
 def test_criterion_7_witness_recheck(campaign):
+    """Each witness of ``separate_first`` and ``separate_second``, on every
+    pair the naive oracle qualifies where its hypotheses hold, is re-checked
+    by naive definitions alone: it is the naive F_0, a naive ideal, holds I
+    and misses F.  THM_SEP2's ultrafilter must also have a least element
+    that meets every element outside it; no ultrafilter lacks one."""
     checked = 0
     for label, cp in campaign:
         p = cp.poset
-        ideals = enumerate_ideals(p)
-        filters = enumerate_filters(p)
-        first_ok = cp.props.antitone and cp.props.x_le_xdd
-        second_ok = cp.props.antitone and p.is_distributive().holds
-
-        def qualifying_filters(mode):
-            for f in filters:
-                if mode == "first" and not cp.c_condition(f):
-                    continue
+        elements, le = naive_order(p)
+        comp = {p.names[x]: p.names[cx] for x, cx in enumerate(cp.comp)}
+        ideals = naive.order_facts(elements, le).family["ideal"]
+        for mode, run in (("first", separate_first), ("second", separate_second)):
+            hyps, pairs = naive.separation_pairs(mode, elements, le, comp)
+            for ideal, filt in pairs if hyps else ():
                 if mode == "second":
-                    if any(f != g and not f & ~g and g != p.all_mask for g in filters):
-                        continue  # not an ultrafilter
-                    if f == p.all_mask:
-                        continue
-                    g = p.least(f)
-                    if g is None or any(
-                        p.greatest(p.down[x] & p.down[g]) is None for x in iter_bits(p.all_mask & ~f)
-                    ):
-                        continue
-                yield f
-
-        runs = []
-        if first_ok:
-            runs += [("first", f) for f in qualifying_filters("first")]
-        if second_ok:
-            runs += [("second", f) for f in qualifying_filters("second")]
-        for mode, filt in runs:
-            for ideal in ideals:
-                if ideal & filt:
-                    continue
-                if mode == "first":
-                    witness = separate_first(cp, ideal, filt).witness
-                else:
-                    witness = separate_second(cp, ideal, filt).witness
-                # independent definition-level re-check of the witness
+                    g = naive.generator(elements, le, filt)
+                    assert naive.upper_cone(elements, le, {g}) == filt, label
+                    assert all(naive.meet(elements, le, g, x) is not None for x in elements if x not in filt), label
+                witness = run(cp, p.mask_of(ideal), p.mask_of(filt)).witness
                 assert witness is not None, (label, mode)
-                assert is_ideal(p, witness)
-                assert any(cp.comp_preimage(f) == witness for f in filters)
-                assert not ideal & ~witness
-                assert not witness & filt
+                witness = names(p, witness)
+                assert witness == naive.comp_preimage(elements, comp, filt) and witness in ideals, (label, mode)
+                assert ideal <= witness and not witness & filt, (label, mode)
                 checked += 1
-    assert checked > 0
+    assert checked == 423
 
 
 @criterion(8, "duality suite over the corpus")

@@ -22,7 +22,9 @@ from cideals import (
     attach_complementation,
     random_complementation,
 )
-from cideals.substructures import _enumerate_downsets, ideal_lanes, is_ideal, is_ultrafilter, principal_generator
+from cideals.substructures import (
+    _enumerate_downsets, ideal_lanes, is_ideal, is_prime_filter, is_ultrafilter, principal_generator,
+)
 from conftest import (
     assert_complementation_matches_reference,
     assert_distributivity_agrees,
@@ -128,9 +130,9 @@ def naive_least(le, s):
 
 
 def test_filter_side_agrees_with_naive_on_every_small_poset():
-    """join, least, upper_cone, ultrafilters and principal generators, on
-    every subset.  The kernel test checks the prime filters, as the prime
-    ideals of the dual, and the semilattice flags."""
+    """join, least, upper_cone, ultrafilters, prime filters and principal
+    generators, on every subset.  The kernel test checks the prime ideals of
+    the dual and the semilattice flags."""
     for p in POSETS:
         elements, le = naive_order(p)
         name = p.names.__getitem__
@@ -145,6 +147,7 @@ def test_filter_side_agrees_with_naive_on_every_small_poset():
             least = p.least(s)
             assert (None if least is None else name(least)) == naive_least(le, members)
             assert is_ultrafilter(p, s) == (members in ultrafilters)
+            assert is_prime_filter(p, s) == naive.is_prime_filter(elements, le, members)
             g = principal_generator(p, s)
             assert (None if g is None else name(g)) == naive.generator(elements, le, members)
 
