@@ -145,7 +145,7 @@ MUTANTS = (
         _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
     )),
     # the c-ideal witness map keeps every preimage, ideal or not
-    Mutant("src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if True}", (
+    Mutant("src/cideals/substructures.py", "if pre in cones}", "if True}", (
         "tests/test_small_scope.py::test_witness_maps_hold_the_naive_c_ideals_up_to_six_points",
     )),
     # the witness family skips the pair of each element with its successor
@@ -226,6 +226,14 @@ MUTANTS = (
     Mutant("src/cideals/harness.py", "        and not ideal_mask & ~witness\n", "", (
         _ORACLE + "test_records_match_the_naive_oracle_up_to_six_points",
     )),
+    # mode second's detail names the top, not the ultrafilter's generator
+    Mutant("src/cideals/harness.py", "{cp.poset.names[d.poset.facts.down_generator[f]]}", "{cp.poset.names[cp.poset.top]}", (
+        "tests/test_harness.py::test_separate_answers_as_recorded",
+    )),
+    # separate's text output labels the witness L(g) as U(g)
+    Mutant("src/cideals/cli.py", 'label = f" (= L({p.names[g]}))"', 'label = f" (= U({p.names[g]}))"', (
+        "tests/test_cli.py::test_argument_forms_answer_as_recorded",
+    )),
 )
 
 
@@ -243,10 +251,6 @@ EQUIVALENT = (
         "src/cideals/harness.py", "both = s & cp.comp_preimage(s)",
         "both = s & cp.comp_preimage(s) & ~sum(1 << x for x, cx in enumerate(cp.comp) if cx == x)",
         "a complementation with a' = a has a as both bounds, so n = 1, where no ideal or filter is proper",
-    ),
-    Equivalent(
-        "src/cideals/substructures.py", "if pre in cones or is_ideal(q, pre)}", "if pre in cones}",
-        "every ideal is a principal cone (LEM_CL_PRINCIPAL), so no preimage that is not a cone passes is_ideal",
     ),
     Equivalent(
         "src/cideals/harness.py", 'note = "" if an.semilattice_flags[0] else', 'note = "" if an.semilattice_flags[1] else',

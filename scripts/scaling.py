@@ -19,9 +19,9 @@ On each instance two stages are timed and counted:
 Every verdict is kept on the object it describes, so each run builds the
 instance afresh, outside the timed part; a time is the least of
 ``REPEAT`` runs.  One more run counts the definition-level ``is_ideal``
-calls, through ``substructures`` and ``harness``, with the members of the
-sets they test, which bound the loop iterations, and the lanes that
-``ideal_lanes`` decides, the sets its columns hold.  The counts repeat
+calls, through ``substructures``, with the members of the sets they test,
+which bound the loop iterations, and the lanes that ``ideal_lanes``
+decides, the sets its columns hold.  The counts repeat
 exactly from run to run and host to host, where the times do not.  The
 script prints one row per size, then per family and stage the log-log
 slope of the time and of each count between the two largest sizes,
@@ -40,7 +40,7 @@ import sys
 import time
 from pathlib import Path
 
-from cideals import build_report, harness, render_machine, substructures
+from cideals import build_report, render_machine, substructures
 
 _spec = importlib.util.spec_from_file_location("machine_digests", Path(__file__).with_name("machine_digests.py"))
 _digests = importlib.util.module_from_spec(_spec)
@@ -97,12 +97,12 @@ def counted(stage, label, spec):
         return original_lanes(p, columns)
 
     instance = _digests._instance(label, *spec())
-    substructures.is_ideal = harness.is_ideal = counting
+    substructures.is_ideal = counting
     substructures.ideal_lanes = counting_lanes
     try:
         stage(instance)
     finally:
-        substructures.is_ideal = harness.is_ideal = original
+        substructures.is_ideal = original
         substructures.ideal_lanes = original_lanes
     return calls, members, lanes
 

@@ -30,10 +30,11 @@ written once, in check order, in a table that the procedure and the
 statement checker both read: the procedure reports the first one that
 fails, and the checker notes each failed global hypothesis and quantifies
 over the pairs that pass the rest.  The witness ideal is the
-complement-preimage of the filter, re-verified definition-level before it
-is returned.  Every hypothesis and the witness depend on the filter alone,
-so the checker runs the procedure once per qualifying filter and checks
-the witness against each further disjoint ideal with one mask test.
+complement-preimage of the filter, re-verified before it is returned: an
+ideal by the cone table, holding the ideal and missing the filter.  Every
+hypothesis and the witness depend on the filter alone, so the checker runs
+the procedure once per qualifying filter and checks the witness against
+each further disjoint ideal with one mask test.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import starmap
 from .complement import ComplementedPoset
 from .errors import NotFilter, NotIdeal, PosetError
 from .poset import record
-from .substructures import OrderFacts, is_filter, is_ideal
+from .substructures import OrderFacts, is_filter
 
 
 class _StatementTag(str, enum.Enum):
@@ -416,7 +417,7 @@ def _verify_separation_witness(
     cp: ComplementedPoset, ideal_mask: int, filter_mask: int, witness: int
 ) -> bool:
     """Re-check, independent of the construction path: the witness map's
-    keys are the preimages that pass the definition-level ideal test."""
+    keys are the preimages that are ideals, read off the cone table."""
     return (
         witness in cp.facts.c_ideal_witnesses
         and not ideal_mask & ~witness
@@ -548,13 +549,15 @@ def run_all(cp: ComplementedPoset, *, seed: int | None = None) -> list[TheoremCh
 
 
 def _check_inputs(cp: ComplementedPoset, dual: ComplementedPoset, ideal_mask: int, filter_mask: int) -> None:
-    """Raise NotIdeal/NotFilter on malformed inputs.  A principal cone of
-    ``cp`` (of ``dual``, ``cp.dual()``) is an ideal (a filter); any other
-    mask gets the definition-level test afresh, and nothing keeps it."""
+    """Raise NotIdeal/NotFilter on malformed inputs.  A finite ideal has a
+    greatest element, so the ideals of ``cp`` are exactly its principal
+    cones, the keys of ``down_generator``, and the filters are those of
+    ``dual``, ``cp.dual()``.  A mask outside the universe raises PosetError
+    when the message formats it."""
     p = cp.poset
-    if ideal_mask not in p.facts.down_generator and not is_ideal(p, ideal_mask):
+    if ideal_mask not in p.facts.down_generator:
         raise NotIdeal(f"{p.format_set(ideal_mask)} is not an ideal")
-    if filter_mask not in dual.poset.facts.down_generator and not is_filter(p, filter_mask):
+    if filter_mask not in dual.poset.facts.down_generator:
         raise NotFilter(f"{p.format_set(filter_mask)} is not a filter")
 
 
@@ -578,8 +581,9 @@ def separate(
     without a witness.  What the hypotheses imply is asserted: a prime
     filter, and in ``second`` the ultrafilter, satisfies the c-condition,
     the ultrafilter's generator is an atom, and ``second`` forces an
-    involution.  The witness is re-verified definition-level before it is
-    returned.  Malformed inputs raise ``NotIdeal``/``NotFilter``.
+    involution.  The witness is re-verified before it is returned: an ideal
+    by the cone table, holding the ideal and missing the filter.  Malformed
+    inputs raise ``NotIdeal``/``NotFilter``.
     """
     hyps = _MODES.get(mode)
     if hyps is None:

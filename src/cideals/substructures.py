@@ -310,21 +310,20 @@ def find_c_filter_witness(cp: ComplementedPoset, mask: int) -> int | None:
 
 def _first_by_preimage(cp: ComplementedPoset, family: list[int]) -> dict[int, int]:
     """Complement-preimage -> the first member of ``family`` with it, for
-    the preimages that are ideals of ``cp.poset``.  A preimage that is a
-    principal cone, a key of ``down_generator``, is an ideal without the
-    member test; every other one gets the definition-level :func:`is_ideal`.
+    the preimages that are ideals of ``cp.poset``.  A finite ideal is
+    directed, so it has a greatest element and is that element's principal
+    cone: the ideals are exactly the keys of ``down_generator``, and the
+    cone table is the whole ideal test.
 
     Cost: one preimage per member, a cone-table read for a cone of either
-    side, and one :func:`is_ideal` pass, O(n) mask operations, per distinct
-    preimage that is not a cone: O(n^2) at worst, O(n) when every preimage
-    is a cone.
+    side, and one cone-table lookup per distinct preimage: O(n) mask
+    operations.
     """
     first: dict[int, int] = {}
     for s in family:
         first.setdefault(cp.comp_preimage(s), s)
-    q = cp.poset
-    cones = q.facts.down_generator
-    return {pre: s for pre, s in first.items() if pre in cones or is_ideal(q, pre)}
+    cones = cp.poset.facts.down_generator
+    return {pre: s for pre, s in first.items() if pre in cones}
 
 
 class OrderFacts:
@@ -484,9 +483,9 @@ class ComplementFacts:
     @fact
     def c_ideal_witnesses(self) -> dict[int, int]:
         """Read by :func:`_first_by_preimage` off the filters.  Cost: n
-        preimage reads from the cone table, then one :func:`is_ideal` pass
-        of O(n) per distinct preimage that is not a cone: O(n^2) mask
-        operations at worst, past the dual's ``ideals``."""
+        preimage reads from the cone table, then one cone-table lookup per
+        distinct preimage: O(n) mask operations, past the dual's
+        ``ideals``."""
         return _first_by_preimage(self.cp, self.cp.poset.dual().facts.ideals)
 
     @fact

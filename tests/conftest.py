@@ -20,7 +20,6 @@ from cideals import (
     is_filter,
     is_ideal,
     random_complementation,
-    random_complemented_poset,
 )
 from cideals.poset import iter_bits
 from cideals.substructures import is_prime_ideal
@@ -34,6 +33,13 @@ SCRIPT = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(SCRIPT)
 #: (elements, cover pairs, complement) of B_dim and of bounds plus a k-antichain
 boolean_lattice, bounded_antichain = SCRIPT.boolean_lattice, SCRIPT.bounded_antichain
+
+
+def campaign_instances(count=200):
+    """The instances of campaign seeds 1 to ``count``, named ``seed1``,
+    ``seed2``, ...: the digest script's ``SOURCES["campaign"]``, read
+    afresh on each call, so no caller sees the facts another kept."""
+    return list(itertools.islice(SCRIPT.SOURCES["campaign"](), count))
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +78,7 @@ def listing_instances(corpus, tmp_path_factory):
     seeds 1-50 and the Boolean lattices B2-B4: the instances on which the
     ``ideals``/``filters --class`` listings are checked."""
     found = [(name, entry.cp) for name, entry in corpus.items()]
-    found += [(f"campaign-{seed}", random_complemented_poset(seed)[0]) for seed in range(1, 51)]
+    found += [(instance.name, instance.cp) for instance in campaign_instances(50)]
     for dim in range(2, 5):
         elements, covers, comp = boolean_lattice(dim)
         p = build_poset(elements, covers)
@@ -90,7 +96,7 @@ def corpus_campaign_boolean(corpus):
     """The complemented posets of the corpus, campaign seeds 1-200 and B2-B4;
     the seeds and lattices are built afresh on each call."""
     cps = [entry.cp for entry in corpus.values()]
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    cps += [instance.cp for instance in campaign_instances()]
     for dim in (2, 3, 4):
         elements, covers, comp = boolean_lattice(dim)
         cps.append(attach_complementation(build_poset(elements, covers), comp))

@@ -21,14 +21,13 @@ from cideals import (
     load_instance,
     parse_machine_report,
     published_divergences,
-    random_complemented_poset,
     render_machine,
     run_all,
     separate_first,
     separate_second,
 )
 from cideals.poset import iter_bits
-from conftest import naive_order, names
+from conftest import campaign_instances, naive_order, names
 
 
 def criterion(num, desc):
@@ -50,11 +49,7 @@ def criterion(num, desc):
 @pytest.fixture(scope="module")
 def campaign():
     """Five builtin entries plus 200 seeded random complemented posets."""
-    instances = [(e.name, e.cp) for e in builtin_corpus()]
-    for seed in range(1, 201):
-        cp, profile = random_complemented_poset(seed, max_size=10)
-        instances.append((f"seed{seed}:{'+'.join(sorted(profile)) or 'free'}", cp))
-    return instances
+    return [(e.name, e.cp) for e in [*builtin_corpus(), *campaign_instances()]]
 
 
 def principal_ideals(p, gens):
@@ -257,9 +252,7 @@ def test_criterion_8_duality(corpus):
 @criterion(9, "round-trip suite: instance files and machine reports")
 def test_criterion_9_round_trips(corpus):
     instances = [Instance(e.name, e.poset, e.cp) for e in corpus.values()]
-    for seed in range(1, 51):
-        cp, _ = random_complemented_poset(seed)
-        instances.append(Instance(f"r{seed}", cp.poset, cp))
+    instances += campaign_instances(50)
     for instance in instances:
         again = load_instance(emit_instance(instance))
         assert again.name == instance.name

@@ -7,6 +7,7 @@ from cideals import (
     NotIdeal,
     Poset,
     PosetError,
+    SeparationResult,
     StatementId,
     TheoremCheckResult,
     attach_complementation,
@@ -61,90 +62,34 @@ def test_run_all_fig1(fig1):
     assert not cor.hypotheses_met and cor.conclusion_holds is None
 
 
-def test_run_all_corpus_no_counterexamples(corpus):
-    for entry in corpus.values():
-        for res in run_all(entry.cp):
-            assert res.conclusion_holds is not False, (entry.name, res)
+#: figure, tag, hypotheses met, conclusion, probe: the paper's worked
+#: examples of ``check_statement``, recorded from this package; none has a
+#: counterexample
+STATEMENTS = [
+    ("fig1", "COR_INVOLUTION", False, None, "unguarded conclusion fails: ideal={0,a}, preimage={1}"),
+    # the first separation's conclusion needs x<=x'': U(b) satisfies the
+    # c-condition, but its preimage {0,a,c} is no ideal
+    ("fig1", "THM_SEP1", False, None, "unguarded conclusion fails: ideal={0}, filter={b,1}, candidate={0,a,c}"),
+    ("fig2a", "COR_INVOLUTION", False, None, "unguarded conclusion fails: ideal={0,a}, preimage={1}"),
+    ("fig2a", "THM_SEP2", False, None,
+     "unguarded conclusion fails: ideal={0,g}, filter={f,1}, candidate={0,a,b,c,d,e}"),
+    ("fig2b", "THM5_I_II", True, True, None),
+    ("fig2b", "LEM_CL_PRIME", True, True, None),
+    ("fig3", "REM_PRINCIPAL_L0", True, True, None),
+    ("fig4", "THM_SEP2", True, True, None),
+]
 
 
-def test_fig2a_expected_not_applicable(fig2a):
-    by_tag = {r.statement: r for r in run_all(fig2a.cp)}
-    assert not by_tag[StatementId.COR_INVOLUTION].hypotheses_met
-    assert not by_tag[StatementId.THM_SEP2].hypotheses_met
-
-
-def test_thm5_i_ii_fig2b(fig2b):
-    res = check_statement(fig2b.cp, StatementId.THM5_I_II)
-    assert res.hypotheses_met and res.conclusion_holds is True
-
-
-def test_rem_principal_l0_fig3(fig3):
-    res = check_statement(fig3.cp, StatementId.REM_PRINCIPAL_L0)
-    assert res.hypotheses_met and res.conclusion_holds is True
-
-
-def test_cor_involution_not_applicable_fig1(fig1):
-    res = check_statement(fig1.cp, "COR_INVOLUTION")
-    assert not res.hypotheses_met
-    assert res.conclusion_holds is None
-    assert res.counterexample is None
-
-
-def test_hypothesis_probe_records_failure(fig1):
-    # on fig1 the first separation's conclusion genuinely needs x<=x'':
-    # U(b) satisfies the c-condition but its preimage {0,a,c} is no ideal
-    res = check_statement(fig1.cp, StatementId.THM_SEP1)
-    assert not res.hypotheses_met
-    assert res.probe is not None and "fails" in res.probe
-
-
-def test_thm_sep2_met_on_fig4(fig4):
-    res = check_statement(fig4.cp, StatementId.THM_SEP2)
-    assert res.hypotheses_met and res.conclusion_holds is True
-
-
-def test_separate_first_fig2b(fig2b):
-    p, cp = fig2b.poset, fig2b.cp
-    uf = p.up[p.index("f")]
-    for gen in ("0", "a", "b", "c", "d", "e"):
-        res = separate_first(cp, p.down[p.index(gen)], uf)
-        assert res.failure is None
-        assert names(p, res.witness) == {"0", "a", "b", "c", "d", "e"}
-        assert not res.witness & uf
-
-
-def test_separate_first_fig3(fig3):
-    p, cp = fig3.poset, fig3.cp
-    res = separate_first(cp, p.down[p.index("a")], p.up[p.index("d")])
-    assert res.witness == p.down[p.index("d'")]
-
-
-def test_separate_first_prime_mode(fig3):
-    p, cp = fig3.poset, fig3.cp
-    res = separate(cp, p.down[p.index("a")], p.up[p.index("d")], "prime")
-    assert res.witness == p.down[p.index("d'")]
-    # U(d') is not prime, so prime mode refuses it
-    res = separate(cp, p.down[p.index("0")], p.up[p.index("d'")], "prime")
-    assert res.failure == FAIL_NOT_PRIME
-
-
-def test_separate_first_fig2a_fails_hypotheses(fig2a):
-    p, cp = fig2a.poset, fig2a.cp
-    res = separate_first(cp, p.down[p.index("0")], p.up[p.index("f")])
-    assert res.failure == FAIL_X_LE_XDD
-    assert res.witness is None
-
-
-def test_separate_first_no_ccondition(fig2b):
-    p, cp = fig2b.poset, fig2b.cp
-    res = separate_first(cp, p.down[p.index("0")], p.up[p.index("a")])
-    assert res.failure == FAIL_NO_CCOND
-
-
-def test_separate_first_not_disjoint(fig2b):
-    p, cp = fig2b.poset, fig2b.cp
-    res = separate_first(cp, p.down[p.index("f")], p.up[p.index("f")])
-    assert res.failure == FAIL_NOT_DISJOINT
+@pytest.mark.parametrize("figure, tag, met, holds, probe", STATEMENTS, ids=[f"{r[0]}-{r[1]}" for r in STATEMENTS])
+def test_check_statement_answers_as_recorded(corpus, figure, tag, met, holds, probe):
+    """``check_statement`` takes the tag as a string, and ``run_all`` gives
+    the same record."""
+    cp = corpus[figure].cp
+    res = check_statement(cp, tag)
+    assert (res.statement, res.hypotheses_met, res.conclusion_holds, res.counterexample, res.probe) == (
+        StatementId(tag), met, holds, None, probe
+    )
+    assert {r.statement: r for r in run_all(cp)}[res.statement] == res
 
 
 def test_separate_first_malformed_inputs(fig1):
@@ -153,13 +98,10 @@ def test_separate_first_malformed_inputs(fig1):
         separate_first(cp, mask(p, "0 a b"), p.up[p.index("b")])
     with pytest.raises(NotFilter):
         separate_first(cp, p.down[p.index("b")], mask(p, "a b 1"))
-
-
-def test_separate_second_fig4(fig4):
-    p, cp = fig4.poset, fig4.cp
-    res = separate_second(cp, p.down[p.index("e'")], p.up[p.index("b")])
-    assert res.witness == p.down[p.index("b'")]
-    assert "generated by b" in res.detail
+    # a mask outside the universe is no cone, and formatting it raises
+    for ideal, filt in ((1 << p.n, p.up[p.index("b")]), (p.down[p.index("b")], -1)):
+        with pytest.raises(PosetError, match="^element set is outside this poset's universe$"):
+            separate_first(cp, ideal, filt)
 
 
 def test_separate_second_fig4_meets_are_bottom(fig4):
@@ -170,29 +112,42 @@ def test_separate_second_fig4_meets_are_bottom(fig4):
             assert p.greatest(p.down[x] & p.down[b]) == p.bottom
 
 
-def test_separate_second_fig3_not_distributive(fig3):
-    p, cp = fig3.poset, fig3.cp
-    res = separate_second(cp, p.down[p.index("a")], p.up[p.index("d")])
-    assert res.failure == FAIL_NOT_DISTRIBUTIVE
+#: figure, L(x), U(y), mode, then the witness L(w) or None, the failure
+#: and the detail: the paper's worked examples of ``separate``, recorded
+#: from this package
+SEPARATIONS = [
+    *[("fig2b", x, "f", "first", "e", None, "") for x in ("0", "a", "b", "c", "d", "e")],
+    ("fig2b", "0", "a", "first", None, FAIL_NO_CCOND, ""),
+    ("fig2b", "f", "f", "first", None, FAIL_NOT_DISJOINT, ""),
+    ("fig2a", "0", "f", "first", None, FAIL_X_LE_XDD, ""),
+    ("fig3", "a", "d", "prime", "d'", None, ""),
+    ("fig3", "0", "d'", "prime", None, FAIL_NOT_PRIME, ""),
+    ("fig3", "a", "d", "second", None, FAIL_NOT_DISTRIBUTIVE, ""),
+    ("fig4", "e'", "b", "first", "b'", None, ""),
+    ("fig4", "e'", "b", "second", "b'", None, "ultrafilter generated by b"),
+    ("fig4", "0", "d'", "second", None, FAIL_NOT_ULTRA, ""),
+    ("fig4", "e", "b", "second", None, FAIL_NOT_DISJOINT, ""),
+]
 
 
-def test_separate_second_not_ultrafilter(fig4):
-    p, cp = fig4.poset, fig4.cp
-    res = separate_second(cp, p.down[p.index("0")], p.up[p.index("d'")])
-    assert res.failure == FAIL_NOT_ULTRA
-
-
-def test_separate_second_not_disjoint(fig4):
-    p, cp = fig4.poset, fig4.cp
-    res = separate_second(cp, p.down[p.index("e")], p.up[p.index("b")])
-    assert res.failure == FAIL_NOT_DISJOINT
+@pytest.mark.parametrize(
+    "figure, x, y, mode, w, failure, detail", SEPARATIONS,
+    ids=[f"{r[0]}-L({r[1]})-U({r[2]})-{r[3]}" for r in SEPARATIONS],
+)
+def test_separate_answers_as_recorded(corpus, figure, x, y, mode, w, failure, detail):
+    """The whole record, which modes first and second also give through
+    their own functions."""
+    p, cp = corpus[figure].poset, corpus[figure].cp
+    ideal, filt = p.down[p.index(x)], p.up[p.index(y)]
+    want = SeparationResult(ideal, filt, None if w is None else p.down[p.index(w)], failure, detail)
+    assert separate(cp, ideal, filt, mode) == want
+    own = {"first": separate_first, "second": separate_second}.get(mode)
+    assert own is None or own(cp, ideal, filt) == want
 
 
 def test_separate_dispatch(fig4):
     p, cp = fig4.poset, fig4.cp
     ideal, filt = p.down[p.index("e'")], p.up[p.index("b")]
-    assert separate(cp, ideal, filt, "second").witness == p.down[p.index("b'")]
-    assert separate(cp, ideal, filt, "first").witness is not None
     with pytest.raises(PosetError, match="^unknown separation mode 'sideways'$"):
         separate(cp, ideal, filt, "sideways")
 
@@ -203,11 +158,6 @@ def test_run_all_deterministic(fig3):
     first = [dataclasses.asdict(r) for r in run_all(fig3.cp)]
     second = [dataclasses.asdict(r) for r in run_all(fig3.cp)]
     assert first == second
-
-
-def test_check_statement_accepts_string_tags(fig2b):
-    res = check_statement(fig2b.cp, "LEM_CL_PRIME")
-    assert res.hypotheses_met and res.conclusion_holds
 
 
 def test_subset_statement_exact_above_twelve_elements():

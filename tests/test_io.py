@@ -2,7 +2,7 @@ import dataclasses
 import re
 
 import pytest
-from conftest import boolean_lattice, bounded_antichain
+from conftest import boolean_lattice, bounded_antichain, campaign_instances
 
 from cideals import (
     DuplicateSection,
@@ -17,7 +17,6 @@ from cideals import (
     load_instance,
     parse_instance,
     parse_machine_report,
-    random_complemented_poset,
     render_machine,
     render_text,
 )
@@ -139,9 +138,7 @@ def test_round_trip_corpus(corpus):
 
 
 def test_round_trip_random_instances():
-    for seed in range(1, 21):
-        cp, _ = random_complemented_poset(seed)
-        instance = Instance(f"r{seed}", cp.poset, cp)
+    for instance in campaign_instances(20):
         again = load_instance(emit_instance(instance))
         assert again.poset == instance.poset
         assert again.cp == instance.cp
@@ -347,9 +344,7 @@ def test_machine_report_round_trips_every_field(corpus):
     # the corpus, campaign seeds 1-200, B2-B5, bounds plus a 10-antichain,
     # and two poset-only instances
     instances = [Instance(e.name, e.poset, e.cp) for e in corpus.values()]
-    for seed in range(1, 201):
-        cp, _ = random_complemented_poset(seed)
-        instances.append(Instance(f"r{seed}", cp.poset, cp))
+    instances += campaign_instances()
     for name, (elements, covers, comp) in [(f"B{d}", boolean_lattice(d)) for d in range(2, 6)] + [
         ("antichain10", bounded_antichain(10))
     ]:

@@ -7,7 +7,6 @@ from cideals import (
     PosetError,
     UnknownName,
     build_poset,
-    random_complemented_poset,
 )
 from cideals import poset as poset_module
 from cideals.poset import Poset, iter_bits
@@ -15,6 +14,7 @@ from conftest import (
     assert_distributivity_agrees,
     boolean_lattice,
     bounded_antichain,
+    campaign_instances,
     mask,
     naive_order,
     names,
@@ -211,8 +211,8 @@ def test_distributivity_matches_oracle(corpus):
         elements, le, _ = naive.figure(entry.name)
         assert list(entry.poset.names) == elements
         failures[0] += assert_distributivity_agrees(entry.poset, elements, le)
-    for seed in range(1, 201):
-        p = random_complemented_poset(seed)[0].poset
+    for instance in campaign_instances():
+        p = instance.poset
         failures[1] += assert_distributivity_agrees(p, *naive_order(p))
     for k in range(2, 12):
         p = build_poset(*bounded_antichain(k)[:2])

@@ -19,6 +19,7 @@ from conftest import (
     assert_families_agree,
     assert_subset_tests_agree,
     assert_union_cells_agree,
+    campaign_instances,
 )
 
 
@@ -248,5 +249,5 @@ def test_ultrafilters_of_bounded_posets_are_cones_of_atoms(p):
 
 def test_ultrafilters_of_the_corpus_and_campaign_are_cones_of_atoms(corpus):
     posets = [entry.poset for entry in corpus.values()]
-    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [instance.poset for instance in campaign_instances()]
     assert sum(assert_ultrafilters_are_atom_cones(p) for p in posets) > len(posets)

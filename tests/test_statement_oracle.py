@@ -34,12 +34,12 @@ from cideals import (
     attach_complementation,
     build_poset,
     check_statement,
-    random_complemented_poset,
 )
 from cideals.complement import _gather
 from conftest import (
     boolean_lattice,
     bounded_antichain,
+    campaign_instances,
     naive_order,
     naturally_labelled_posets,
     small_complementations,
@@ -123,7 +123,7 @@ def test_records_match_the_naive_oracle_up_to_six_points():
 
 def test_records_match_the_naive_oracle_on_the_corpus_and_campaign(corpus):
     instances = [entry.cp for entry in corpus.values()]
-    instances += [random_complemented_poset(seed)[0] for seed in range(1, 201)]
+    instances += [instance.cp for instance in campaign_instances()]
     assert totals(instances) == pinned(1)
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -6,13 +7,13 @@ import naive
 from cideals import (
     Poset,
     PosetError,
+    SubsetClassification,
     build_poset,
     classify,
     enumerate_filters,
     enumerate_ideals,
     is_filter,
     is_ideal,
-    random_complemented_poset,
 )
 from cideals.substructures import (
     find_c_filter_witness,
@@ -27,6 +28,7 @@ from conftest import (
     assert_union_cells_agree,
     boolean_lattice,
     bounded_antichain,
+    campaign_instances,
     mask,
     names,
     naturally_labelled_posets,
@@ -117,40 +119,25 @@ def test_families_match_walk_and_oracle(elements, covers):
     assert_families_agree(p, elements, naive.closure(elements, covers))
 
 
-def test_classify_fig1_lb(fig1):
-    p, cp = fig1.poset, fig1.cp
-    row = classify(cp, p.down[p.index("b")])
-    assert row.is_ideal and not row.is_filter
-    assert row.proper
-    assert p.names[row.principal_generator] == "b"
-    assert row.maximal_ideal and not row.prime_ideal
-    assert names(p, row.c_ideal_witness) == {"c", "1"}
-    assert row.c_condition
+#: figure, subset, then every SubsetClassification field after ``subject``:
+#: is_ideal, is_filter, proper, principal_generator, maximal_ideal,
+#: prime_ideal, ultrafilter, prime_filter, c_ideal_witness,
+#: c_filter_witness, c_condition; an element or a set is written by its
+#: names.  Recorded from this package.
+CLASSIFICATIONS = [
+    ("fig1", "0 b", (True, False, True, "b", True, False, False, False, "c 1", None, True)),
+    ("fig1", "", (False, False, False, None, False, False, False, False, None, None, False)),
+    ("fig1", "0 a b", (False, False, False, None, False, False, False, False, None, None, False)),
+    ("fig2b", "f 1", (False, True, True, "f", False, False, True, True, None, "0 a b c d e", True)),
+]
 
 
-def test_classify_fig2b_uf(fig2b):
-    p, cp = fig2b.poset, fig2b.cp
-    row = classify(cp, p.up[p.index("f")])
-    assert row.is_filter and row.prime_filter and row.c_condition
-    assert row.ultrafilter
-    assert names(p, row.c_filter_witness) == {"0", "a", "b", "c", "d", "e"}
-
-
-def test_classify_fig2a_lg(fig2a):
-    p, cp = fig2a.poset, fig2a.cp
-    row = classify(cp, p.down[p.index("g")])
-    assert row.maximal_ideal
-    assert not row.c_condition  # neither a nor a'=f lies in L(g)
-
-
-def test_classify_empty_and_non_ideal(fig1):
-    p, cp = fig1.poset, fig1.cp
-    row = classify(cp, 0)
-    assert not row.is_ideal and not row.is_filter and not row.proper
-    assert row.c_ideal_witness is None and row.principal_generator is None
-    row = classify(cp, mask(p, "0 a b"))
-    assert not row.is_ideal
-    assert row.c_ideal_witness is None
+@pytest.mark.parametrize("figure, subset, fields", CLASSIFICATIONS, ids=[f"{r[0]}-{{{r[1]}}}" for r in CLASSIFICATIONS])
+def test_classify_answers_as_recorded(corpus, figure, subset, fields):
+    p, cp = corpus[figure].poset, corpus[figure].cp
+    by_names = {3: p.index, 8: partial(mask, p), 9: partial(mask, p)}
+    want = [by_names[k](v) if k in by_names and v is not None else v for k, v in enumerate(fields)]
+    assert classify(cp, mask(p, subset)) == SubsetClassification(mask(p, subset), *want)
 
 
 def test_classification_matches_oracle(fig2b):
@@ -174,7 +161,7 @@ def test_classification_matches_oracle(fig2b):
 
 def test_witness_maps_give_the_first_witness_of_the_linear_scan(corpus):
     cps = [entry.cp for entry in corpus.values()]
-    cps += [random_complemented_poset(seed)[0] for seed in range(1, 41)]
+    cps += [instance.cp for instance in campaign_instances(40)]
     for cp in cps:
         a, c, d = cp.poset.facts, cp.facts, cp.dual().facts  # filters: the dual's ideals
         for i in a.ideals:
@@ -217,7 +204,7 @@ def test_subset_tests_and_unions_match_oracle_off_semilattices(bounded):
 
 def test_union_over_a_principal_cone_is_one_table_cell(corpus):
     posets = [entry.poset for entry in corpus.values()]
-    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [instance.poset for instance in campaign_instances()]
     for p in posets:
         assert_union_cells_agree(p)
 
@@ -248,7 +235,7 @@ def test_maximal_ideals_are_the_ideals_the_definition_accepts(corpus):
     one-element poset and an antichain without bounds."""
     posets = [p for n in range(1, 6) for p in naturally_labelled_posets(n)]
     posets += [entry.poset for entry in corpus.values()]
-    posets += [random_complemented_poset(seed)[0].poset for seed in range(1, 201)]
+    posets += [instance.poset for instance in campaign_instances()]
     posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(2, 6)]
     posets += [build_poset(*bounded_antichain(k)[:2]) for k in range(2, 17)]
     posets += [Poset(["x"], [1]), build_poset(["a", "b", "c", "d"], [])]
