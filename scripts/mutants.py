@@ -51,6 +51,8 @@ _COST = "tests/test_counted_cost.py::"
 _FAMILY = "tests/test_small_scope.py::test_principal_family_is_the_naive_pair_list_on_every_small_poset"
 #: the bit-sliced ideal test on every subset of the small posets, on both sides
 _LANES = "tests/test_small_scope.py::test_ideal_lanes_decide_every_subset_as_the_definitions_do"
+#: the naive property flags, complements and rebuilt orders of the corpus, campaign and B2-B4
+_NAMED = "tests/test_small_scope.py::test_named_instances_have_their_naive_flags"
 
 #: each entry's comment says what the mutant breaks
 MUTANTS = (
@@ -233,6 +235,24 @@ MUTANTS = (
     # separate's text output labels the witness L(g) as U(g)
     Mutant("src/cideals/cli.py", 'label = f" (= L({p.names[g]}))"', 'label = f" (= U({p.names[g]}))"', (
         "tests/test_cli.py::test_argument_forms_answer_as_recorded",
+    )),
+    # the closure never takes the second element as a pivot
+    Mutant("src/cideals/poset.py", "            if (down[j] >> k) & 1:\n", "            if (down[j] >> k) & 1 and k != 1:\n", (
+        "tests/test_poset.py::test_build_poset_closes_every_relation_on_four_points", _NAMED,
+    )),
+    # Poset.greatest returns the first member comparable to every member, the least of a chain
+    Mutant("src/cideals/poset.py", "            if not mask & ~self.down[g]:\n", "            if not mask & ~(self.down[g] | self.up[g]):\n", (
+        "tests/test_small_scope.py::test_filter_side_agrees_with_naive_on_every_small_poset",
+    )),
+    # is_dual_distributive answers for this poset, not for its dual
+    Mutant("src/cideals/poset.py", "return self.dual().is_distributive()", "return self.is_distributive()", (
+        "tests/test_small_scope.py::test_families_and_distributivity_agree_on_every_small_poset",
+        "tests/test_poset.py::test_distributivity_matches_oracle",
+    )),
+    # the classification rows mark only the first maximal ideal (ultrafilter) maximal
+    Mutant("src/cideals/substructures.py", "            maximal=mask in a.maximal_ideals,\n",
+           "            maximal=mask in a.maximal_ideals[:1],\n", (
+        _ORACLE + "test_records_match_the_naive_oracle_on_the_corpus_and_campaign",
     )),
 )
 

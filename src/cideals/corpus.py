@@ -325,21 +325,17 @@ def _template_instance(n: int, profile: frozenset[str]) -> ComplementedPoset:
     return attach_complementation(poset, table)
 
 
-def random_complemented_poset(
-    seed: int, max_size: int = 10
-) -> tuple[ComplementedPoset, frozenset[str]]:
+def random_complemented_poset(seed: int) -> tuple[ComplementedPoset, frozenset[str]]:
     """A deterministic complemented poset for campaign seeds.
 
-    Cycles through constraint profiles by seed; sizes avoid 3 (no bounded
-    3-element poset is complemented) and stay even when an involution is
-    required.  Falls back to an antichain template if the random search
-    finds nothing after a fixed number of attempts.  Raises BadSize unless
-    2 <= max_size <= 24, the sizes ``random_poset`` accepts.
+    Cycles through constraint profiles by seed, and through the sizes 2-10
+    by the rest of the seed; sizes avoid 3 (no bounded 3-element poset is
+    complemented) and stay even when an involution is required.  Falls back
+    to an antichain template if the random search finds nothing after a
+    fixed number of attempts.
     """
-    if not 2 <= max_size <= 24:
-        raise BadSize(f"max_size must be between 2 and 24, got {max_size}")
     profile = _PROFILES[seed % len(_PROFILES)]
-    sizes = [s for s in range(2, max_size + 1) if s != 3]
+    sizes = [s for s in range(2, 11) if s != 3]
     if "involution" in profile:
         sizes = [s for s in sizes if s % 2 == 0]
     n = sizes[(seed // len(_PROFILES)) % len(sizes)]

@@ -152,6 +152,13 @@ def naturally_labelled_posets(n):
     return [Poset([f"e{i}" for i in range(n)], down) for down in found]
 
 
+@functools.cache
+def small_posets():
+    """One poset per natural labelling on 1-5 points: 1, 2, 7, 40 and 357,
+    407 in all (OEIS A006455), so every isomorphism type appears."""
+    return tuple(p for n in range(1, 6) for p in naturally_labelled_posets(n))
+
+
 def naive_complementations(p):
     """(elements, le, every complement map as a dict), from the naive join
     and meet of the bounded poset ``p``."""
@@ -169,26 +176,26 @@ def naive_complementations(p):
 def small_complementations():
     """(poset, elements, le, every complement map) for each bounded
     naturally labelled poset on 1-6 points; 398 maps in all."""
-    bounded = [p for n in range(1, 7) for p in naturally_labelled_posets(n) if p.bounded]
+    bounded = [p for p in (*small_posets(), *naturally_labelled_posets(6)) if p.bounded]
     return [(p, *naive_complementations(p)) for p in bounded]
 
 
 def assert_distributivity_agrees(p, elements, le):
-    """``is_distributive`` on ``p`` and on its dual, whose order is the
-    reversed relation, gives the naive scan's verdict, first violating
-    triple (by name, in the order of ``elements``) and both sides.  Returns
-    how many of the two are not distributive."""
+    """``is_distributive`` on ``p``, and ``is_dual_distributive``, the same
+    scan on its dual, whose order is the reversed relation, give the naive
+    scan's verdict, first violating triple (by name, in the order of
+    ``elements``) and both sides.  Returns how many of the two are not
+    distributive."""
     failures = 0
-    for q, order in ((p, le), (p.dual(), {(y, x) for x, y in le})):
+    for report, order in ((p.is_distributive(), le), (p.is_dual_distributive(), {(y, x) for x, y in le})):
         holds, witness, lhs, rhs = naive.is_distributive(elements, order)
-        report = q.is_distributive()
         assert report.holds == holds
         if holds:
             assert report.witness is None
         else:
-            assert tuple(q.names[i] for i in report.witness) == witness
-            assert names(q, report.lhs) == lhs
-            assert names(q, report.rhs) == rhs
+            assert tuple(p.names[i] for i in report.witness) == witness
+            assert names(p, report.lhs) == lhs
+            assert names(p, report.rhs) == rhs
         failures += not holds
     return failures
 

@@ -89,7 +89,7 @@ def test_criterion_1_fig1_golden(fig1):
     assert time.perf_counter() - started < 1.0
 
 
-@criterion(2, "fig2 golden runs and first separation")
+@criterion(2, "fig2 golden runs; the first separations are SEPARATIONS rows")
 def test_criterion_2_fig2_golden(fig2a, fig2b):
     started = time.perf_counter()
     lists = computed_lists(fig2a.cp)
@@ -103,19 +103,10 @@ def test_criterion_2_fig2_golden(fig2a, fig2b):
     assert time.perf_counter() - started < 1.0
 
     started = time.perf_counter()
-    p, cp = fig2b.poset, fig2b.cp
-    lists = computed_lists(cp)
+    lists = computed_lists(fig2b.cp)
     assert lists["prime_ideals"] == frozenset({"e"})
     assert lists["prime_filters"] == frozenset({"f"})
     assert lists["c_condition_filters"] == frozenset({"f"})
-    u_f = p.up[p.index("f")]
-    l_e = p.down[p.index("e")]
-    for gen in ("0", "a", "b", "c", "d", "e"):
-        ideal = p.down[p.index(gen)]
-        result = separate_first(cp, ideal, u_f)
-        assert result.witness == l_e
-        assert not ideal & ~result.witness
-        assert not result.witness & u_f
     assert time.perf_counter() - started < 1.0
 
 

@@ -131,18 +131,6 @@ def test_random_poset_bad_size():
         random_poset(1, seed=0)
 
 
-def test_random_complemented_poset_bad_max_size():
-    """Every seed fails up front outside the sizes random_poset accepts,
-    not only the seeds whose drawn size is out of range."""
-    for max_size in (1, 0, -3, 25):
-        for seed in range(4):
-            with pytest.raises(BadSize):
-                random_complemented_poset(seed, max_size=max_size)
-    for max_size in (2, 24):
-        cp, _ = random_complemented_poset(0, max_size=max_size)
-        assert cp.poset.n <= max_size
-
-
 def test_random_complementation_two_chain_forced():
     p = random_poset(2, seed=5)
     table = random_complementation(p, seed=5)

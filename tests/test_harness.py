@@ -104,14 +104,6 @@ def test_separate_first_malformed_inputs(fig1):
             separate_first(cp, ideal, filt)
 
 
-def test_separate_second_fig4_meets_are_bottom(fig4):
-    p = fig4.poset
-    b = p.index("b")
-    for x in range(p.n):
-        if not (p.up[b] >> x) & 1:
-            assert p.greatest(p.down[x] & p.down[b]) == p.bottom
-
-
 #: figure, L(x), U(y), mode, then the witness L(w) or None, the failure
 #: and the detail: the paper's worked examples of ``separate``, recorded
 #: from this package

@@ -228,12 +228,6 @@ def test_distributivity_of_b7():
         assert p.is_distributive().holds and p.dual().is_distributive().holds
 
 
-def test_dual_distributivity_equivalence(corpus):
-    for entry in corpus.values():
-        p = entry.poset
-        assert p.is_distributive().holds == p.is_dual_distributive().holds
-
-
 def test_semilattice_flags(fig1, fig4):
     assert fig1.poset.semilattice_flags() == (True, True)
     assert fig4.poset.semilattice_flags() == (False, False)

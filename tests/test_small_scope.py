@@ -1,17 +1,19 @@
 """Exhaustive small-scope checks against the naive oracle.
 
-Every poset on 1-5 points is built once per natural labelling: each
-upper-triangular relation on the indices 0..n-1 is closed, and one poset is
-kept per distinct cone tuple.  That gives 1, 2, 7, 40 and 357 posets, the
-naturally labelled posets counted by OEIS A006455; every isomorphism type
-appears.  The bit-sliced ideal test decides every subset of each, one lane
-per subset, as ``is_ideal`` and the naive definition do.  Every
-complementation of every bounded poset on at most 6 points is found from
-the naive join and meet alone, and its property flags are recomputed from
-their definitions, as are those of the corpus, B2-B4 and the campaign
-instances; its c-ideal witness maps, on both sides, hold exactly the naive
-c-ideals and c-filters.  The seeded complement search gives its reference
-search's table on every bounded poset here.
+Every poset on 1-5 points is built once per natural labelling, the 407 of
+``conftest.small_posets``; every isomorphism type appears.  The bit-sliced
+ideal test decides every subset of each, one lane per subset, as
+``is_ideal`` and the naive definition do, and both cones and both extreme
+elements of every subset are the naive ones, so every law that the naive
+definitions obey holds of them: the Galois connection, the antitone cone
+maps, meets and joins as extremal bounds.  Every complementation of every
+bounded poset on at most 6 points is found from the naive join and meet
+alone, and its property flags are recomputed from their definitions, as
+are those of the corpus, B2-B4 and the campaign instances, whose maps are
+naive complementations and whose orders are rebuilt from their covers;
+the c-ideal witness maps, on both sides, hold exactly the naive c-ideals
+and c-filters.  The seeded complement search gives its reference search's
+table on every bounded poset here.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import naive
 from cideals import (
     AxiomViolation,
     attach_complementation,
+    build_poset,
     random_complementation,
 )
 from cideals.substructures import (
@@ -37,12 +40,12 @@ from conftest import (
     naive_complementations,
     naive_order,
     names,
-    naturally_labelled_posets,
     small_complementations,
+    small_posets,
 )
 
 
-POSETS = [p for n in range(1, 6) for p in naturally_labelled_posets(n)]
+POSETS = small_posets()
 
 
 def test_every_natural_labelling_on_up_to_five_points_is_built_once():
@@ -131,10 +134,12 @@ def naive_least(le, s):
 
 def test_filter_side_agrees_with_naive_on_every_small_poset():
     """join, least, upper_cone, ultrafilters, prime filters and principal
-    generators, on every subset.  The kernel test checks the prime ideals of
-    the dual and the semilattice flags."""
+    generators, on every subset, with the lower cone and the greatest
+    element that ``upper_cone`` and ``least`` run on the dual.  The kernel
+    test checks the prime ideals of the dual and the semilattice flags."""
     for p in POSETS:
         elements, le = naive_order(p)
+        dual_le = {(y, x) for x, y in le}
         name = p.names.__getitem__
         joins = {(x, y): naive.join(elements, le, x, y) for x in elements for y in elements}
         for x, y in itertools.product(range(p.n), repeat=2):
@@ -144,8 +149,10 @@ def test_filter_side_agrees_with_naive_on_every_small_poset():
         for s in range(p.all_mask + 1):
             members = names(p, s)
             assert names(p, p.upper_cone(s)) == naive.upper_cone(elements, le, members)
-            least = p.least(s)
-            assert (None if least is None else name(least)) == naive_least(le, members)
+            assert names(p, p.lower_cone(s)) == naive.lower_cone(elements, le, members)
+            # the greatest member is the least under the reversed order
+            for got, want in ((p.least(s), naive_least(le, members)), (p.greatest(s), naive_least(dual_le, members))):
+                assert (None if got is None else name(got)) == want
             assert is_ultrafilter(p, s) == (members in ultrafilters)
             assert is_prime_filter(p, s) == naive.is_prime_filter(elements, le, members)
             g = principal_generator(p, s)
@@ -212,12 +219,18 @@ def test_witness_maps_hold_the_naive_c_ideals_up_to_six_points():
 
 def test_named_instances_have_their_naive_flags(corpus):
     """The corpus, B2-B4 and campaign seeds 1-200, where De Morgan holds far
-    more often than on the small posets above."""
+    more often than on the small posets above.  Each map sends every x to
+    a naive complement of x, and each order, rebuilt from its covers, is
+    the same order."""
     cps = corpus_campaign_boolean(corpus)
     de_morgan_true = 0
     for cp in cps:
-        elements, le = naive_order(cp.poset)
-        comp = dict(zip(elements, (cp.poset.names[cx] for cx in cp.comp)))
+        p = cp.poset
+        elements, le = naive_order(p)
+        comp = dict(zip(elements, (p.names[cx] for cx in cp.comp)))
+        bounds = p.names[p.top], p.names[p.bottom]
+        assert all((naive.join(elements, le, x, y), naive.meet(elements, le, x, y)) == bounds for x, y in comp.items())
+        assert build_poset(elements, p.cover_pairs()).down == p.down
         want = naive_props(elements, le, comp)
         assert {key: getattr(cp.props, key) for key in want} == want, cp
         de_morgan_true += want["de_morgan"]

@@ -7,7 +7,8 @@ subsets (for LEM_TRIPLE_A0, over all 2^n subsets A; for the separation
 statements, over the disjoint pairs of a naive ideal and a qualifying
 naive filter).  The statement records must agree with it on the
 hypothesis flag, the verdict, and the counterexample, or the probe when the
-hypotheses are unmet.  The instances are every complementation of every
+hypotheses are unmet, and its ``computed_lists`` must be the naive
+classification lists.  The instances are every complementation of every
 bounded poset on at most 6 points, the corpus, campaign seeds 1-200, the
 Boolean lattices B2-B4 and the bounds plus a 2-, 3-, 5- or 8-antichain.
 
@@ -34,6 +35,7 @@ from cideals import (
     attach_complementation,
     build_poset,
     check_statement,
+    computed_lists,
 )
 from cideals.complement import _gather
 from conftest import (
@@ -41,8 +43,8 @@ from conftest import (
     bounded_antichain,
     campaign_instances,
     naive_order,
-    naturally_labelled_posets,
     small_complementations,
+    small_posets,
 )
 
 #: per statement, [instances met, instances with a counterexample] on the
@@ -81,8 +83,27 @@ def expected_fields(met, cex):
     return False, None, None, "unguarded conclusion fails: " + ", ".join(f"{k}={v}" for k, v in cex.items())
 
 
+def naive_lists(elements, le, comp):
+    """``computed_lists`` by naive definitions, each ideal listed by its
+    greatest element and each filter by its least."""
+    facts = naive.order_facts(elements, le)
+    c_condition = [f for f in facts.family["filter"] if naive.c_condition(elements, comp, f)]
+    lists = {"boolean": naive.boolean_elements(elements, comp)}
+    for name, kind, family in (
+        ("maximal_ideals", "ideal", facts.maximal["ideal"]), ("ultrafilters", "filter", facts.maximal["filter"]),
+        ("prime_ideals", "ideal", facts.prime["ideal"]), ("prime_filters", "filter", facts.prime["filter"]),
+        ("c_ideals", "ideal", naive.c_ideals(elements, le, comp)), ("c_filters", "filter", naive.c_filters(elements, le, comp)),
+        ("c_condition_filters", "filter", c_condition),
+    ):
+        cone = naive.lower_cone if kind == "ideal" else naive.upper_cone
+        lists[name] = frozenset(g for s in family for g in s if cone(elements, le, {g}) == s)
+    return lists
+
+
 def records_match_naive(cp, raised=None):
-    """Assert that the records of ``cp`` are the naive ones; per statement,
+    """Assert that the records of ``cp`` are the naive ones, and so are its
+    classification lists, whose ultrafilters are the up-cones of the atoms;
+    per statement,
     (hypotheses met, counterexample found) as 0/1 counts.  With a Counter
     ``raised``, a checker whose naive hypotheses are met may instead raise
     its internal error, counted there per statement."""
@@ -102,6 +123,9 @@ def records_match_naive(cp, raised=None):
             found = (result.hypotheses_met, result.conclusion_holds, result.counterexample, result.probe)
             assert found == expected_fields(met, cex), (sid, p.names, p.down, cp.comp)
         counts.append((int(met), int(cex is not None)))
+    lists = computed_lists(cp)
+    assert lists == naive_lists(elements, le, comp), (p.names, p.down, cp.comp)
+    assert lists["ultrafilters"] == {a for a in elements if len(naive.lower_cone(elements, le, {a})) == 2}
     return counts
 
 
@@ -147,7 +171,7 @@ def unchecked_complementation(p, comp):
 
 
 def test_checkers_read_the_map_on_every_self_map_up_to_four_points():
-    bounded = [p for n in range(1, 5) for p in naturally_labelled_posets(n) if p.bounded]
+    bounded = [p for p in small_posets() if p.n <= 4 and p.bounded]
     instances = [
         unchecked_complementation(p, comp) for p in bounded for comp in itertools.product(range(p.n), repeat=p.n)
     ]

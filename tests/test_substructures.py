@@ -31,7 +31,7 @@ from conftest import (
     campaign_instances,
     mask,
     names,
-    naturally_labelled_posets,
+    small_posets,
 )
 
 
@@ -233,7 +233,7 @@ def test_maximal_ideals_are_the_ideals_the_definition_accepts(corpus):
     both sides of every naturally labelled poset on 1-5 points, the corpus,
     campaign seeds 1-200, B2-B5, bounds plus a k-antichain for k = 2-16, a
     one-element poset and an antichain without bounds."""
-    posets = [p for n in range(1, 6) for p in naturally_labelled_posets(n)]
+    posets = list(small_posets())
     posets += [entry.poset for entry in corpus.values()]
     posets += [instance.poset for instance in campaign_instances()]
     posets += [build_poset(*boolean_lattice(dim)[:2]) for dim in range(2, 6)]
